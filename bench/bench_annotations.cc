@@ -3,15 +3,13 @@
 // Part 1 — Figure 9: annotated functions / function-pointer types per
 // module, all vs unique, plus the capability-iterator count (§8.2).
 //
-// Part 2 — compiled-vs-interpreted guard ablation: the same wrapper
-// crossings and annotation-action evaluations run under three runtime
-// configurations —
-//   interpreter      (compiled_guards=false): recursive AST walk per crossing
-//   compiled         (compiled_guards=true, enforcement_memo=false): the
-//                    GuardProgram switch-loop, no pre-check memo
-//   compiled+memo    (the shipping default)
-// — quantifying what the registration-time compile pass buys at request
-// time. With --json PATH the ablation rows are also written as a JSON array
+// Part 2 — pre-check memo ablation, done from the bench side: the same
+// compiled guard programs run once with repeated argument values (every
+// crossing after the first hits the per-principal pre-check memo) and once
+// with arguments rotating over three values (the 2-entry memo never hits,
+// so every crossing executes its program) — quantifying what the
+// EnforcementContext memo buys on top of the registration-time compile
+// pass. With --json PATH the ablation rows are also written as a JSON array
 // (the CI bench-smoke job uploads that file as an artifact).
 #include <cstdio>
 #include <cstring>
@@ -30,25 +28,26 @@
 
 namespace {
 
+// Rotation width of the memo-miss stream: one more than the memo entries.
+constexpr size_t kRotate = 3;
+
 struct Fixture {
-  explicit Fixture(bool compiled, bool memo) {
-    lxfi::RuntimeOptions opt;
-    opt.compiled_guards = compiled;
-    opt.enforcement_memo = memo;
+  Fixture() {
     kernel = std::make_unique<kern::Kernel>();
-    rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
+    rt = std::make_unique<lxfi::Runtime>(kernel.get());
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "benchmod";
-    def.imports = {"printk", "kmalloc", "kfree", "spin_lock", "spin_unlock"};
+    def.imports = {"printk", "kmalloc", "spin_lock", "spin_unlock"};
     def.init = [this](kern::Module& m) -> int {
       module = &m;
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      kfree = lxfi::GetImport<void, void*>(m, "kfree");
+      auto kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
       spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
       spin_unlock = lxfi::GetImport<void, uintptr_t*>(m, "spin_unlock");
-      lock = static_cast<uintptr_t*>(kmalloc(sizeof(uintptr_t)));
-      obj = kmalloc(128);
+      for (size_t i = 0; i < kRotate; ++i) {
+        locks[i] = static_cast<uintptr_t*>(kmalloc(sizeof(uintptr_t)));
+        objs[i] = kmalloc(128);
+      }
       return 0;
     };
     kernel->LoadModule(std::move(def));
@@ -59,12 +58,10 @@ struct Fixture {
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
   std::function<void(uintptr_t*)> spin_lock;
   std::function<void(uintptr_t*)> spin_unlock;
-  uintptr_t* lock = nullptr;
-  void* obj = nullptr;  // 128-byte scratch the expr-heavy checks target
+  uintptr_t* locks[kRotate] = {};
+  void* objs[kRotate] = {};  // 128-byte targets the expr-heavy checks hit
 };
 
 // ns per iteration of `body`, best of 3 measured passes after one warmup.
@@ -74,7 +71,7 @@ double TimeNs(uint64_t iters, Fn&& body) {
   for (int rep = 0; rep < 4; ++rep) {
     uint64_t t0 = lxfi::MonotonicNowNs();
     for (uint64_t i = 0; i < iters; ++i) {
-      body();
+      body(i);
     }
     double ns = static_cast<double>(lxfi::MonotonicNowNs() - t0) / static_cast<double>(iters);
     if (rep == 1 || (rep > 1 && ns < best)) {
@@ -86,100 +83,91 @@ double TimeNs(uint64_t iters, Fn&& body) {
 
 struct Row {
   std::string name;
-  double interp_ns = 0;
-  double compiled_ns = 0;
-  double memo_ns = 0;
+  double miss_ns = 0;  // arguments rotate: every crossing executes its program
+  double hit_ns = 0;   // arguments repeat: the pre-check memo answers
 };
 
-// The per-configuration workloads. Each runs module-privileged so the
-// wrappers take the full enforcement path.
-double RunWorkload(Fixture& f, int which, uint64_t iters) {
+// The per-workload streams. Each runs module-privileged so the wrappers take
+// the full enforcement path; `rotate` picks the memo-miss argument stream.
+double RunWorkload(Fixture& f, int which, bool rotate, uint64_t iters) {
   lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
-  switch (which) {
-    case 0:  // check-action crossing pair: spin_lock's pre(check(write, lock, 8))
-      return TimeNs(iters, [&] {
-        f.spin_lock(f.lock);
-        f.spin_unlock(f.lock);
-      });
-    case 1:  // transfer-action crossing pair: kmalloc/kfree capability flow
-      return TimeNs(iters, [&] {
-        void* p = f.kmalloc(128);
-        f.kfree(p);
-      });
-    default: {  // guard evaluation only: pre+post of an expression-heavy set
-      const lxfi::AnnotationSet* set = f.rt->annotations().Find("bench_expr_fn");
-      uint64_t args[3] = {reinterpret_cast<uint64_t>(f.obj), 64, 3};
-      lxfi::CallEnv env;
-      env.mc = f.rt->CtxOf(f.module);
-      env.principal = f.shared();
-      env.kernel_to_module = false;
-      env.args = args;
-      env.nargs = 3;
-      env.ret = 0;
-      env.what = "bench_expr_fn";
-      return TimeNs(iters, [&] {
-        f.rt->RunActions(set, env, /*post=*/false);
-        f.rt->RunActions(set, env, /*post=*/true);
-      });
-    }
+  auto pick = [rotate](uint64_t i) { return rotate ? static_cast<size_t>(i % kRotate) : 0; };
+  if (which == 0) {  // check-action crossing pair: spin_lock's pre(check(write, lock, 8))
+    return TimeNs(iters, [&](uint64_t i) {
+      uintptr_t* lock = f.locks[pick(i)];
+      f.spin_lock(lock);
+      f.spin_unlock(lock);
+    });
   }
+  // Guard evaluation only: pre+post of an expression-heavy set.
+  const lxfi::AnnotationSet* set = f.rt->annotations().Find("bench_expr_fn");
+  uint64_t args[kRotate][3];
+  for (size_t r = 0; r < kRotate; ++r) {
+    args[r][0] = reinterpret_cast<uint64_t>(f.objs[r]);
+    args[r][1] = 64;
+    args[r][2] = 3;
+  }
+  lxfi::CallEnv env;
+  env.mc = f.rt->CtxOf(f.module);
+  env.principal = f.shared();
+  env.kernel_to_module = false;
+  env.nargs = 3;
+  env.ret = 0;
+  env.what = "bench_expr_fn";
+  return TimeNs(iters, [&](uint64_t i) {
+    env.args = args[pick(i)];
+    f.rt->RunActions(set, env, /*post=*/false);
+    f.rt->RunActions(set, env, /*post=*/true);
+  });
 }
 
 std::vector<Row> RunAblation() {
-  Fixture interp(/*compiled=*/false, /*memo=*/true);
-  Fixture compiled(/*compiled=*/true, /*memo=*/false);
-  Fixture memo(/*compiled=*/true, /*memo=*/true);
+  Fixture f;
   // An expression-heavy pure-check set for the action-only row: two
   // conditionals, arithmetic, and two inline checks per pre+post evaluation.
   const char* kExprText =
       "pre(if ((b + 8) > (c - 1)) check(write, a, 64)) "
       "pre(check(write, a + 8, 8)) "
       "post(if (return <= b) check(write, a, 16))";
-  for (Fixture* f : {&interp, &compiled, &memo}) {
-    lxfi::Status st = f->rt->annotations().Register("bench_expr_fn", {"a", "b", "c"}, kExprText);
-    if (!st.ok()) {
-      std::fprintf(stderr, "bench_expr_fn registration failed: %s\n", st.ToString().c_str());
-    }
+  lxfi::Status st = f.rt->annotations().Register("bench_expr_fn", {"a", "b", "c"}, kExprText);
+  if (!st.ok()) {
+    std::fprintf(stderr, "bench_expr_fn registration failed: %s\n", st.ToString().c_str());
   }
 
   const char* kNames[] = {
       "wrapper crossing: check action (spin_lock pair)",
-      "wrapper crossing: transfer actions (kmalloc/kfree)",
       "guard eval only: expr-heavy pre+post",
   };
-  constexpr uint64_t kIters[] = {400000, 150000, 400000};
+  constexpr uint64_t kIters = 400000;
   std::vector<Row> rows;
-  for (int w = 0; w < 3; ++w) {
+  for (int w = 0; w < 2; ++w) {
     Row row;
     row.name = kNames[w];
-    row.interp_ns = RunWorkload(interp, w, kIters[w]);
-    row.compiled_ns = RunWorkload(compiled, w, kIters[w]);
-    row.memo_ns = RunWorkload(memo, w, kIters[w]);
+    row.miss_ns = RunWorkload(f, w, /*rotate=*/true, kIters);
+    row.hit_ns = RunWorkload(f, w, /*rotate=*/false, kIters);
     rows.push_back(row);
   }
   return rows;
 }
 
 void PrintAblation(const std::vector<Row>& rows) {
-  std::printf("=== Compiled-vs-interpreted guard ablation ===\n");
-  std::printf("%-52s %12s %12s %12s %9s\n", "workload", "interp ns", "compiled ns", "+memo ns",
-              "speedup");
+  std::printf("=== Pre-check memo ablation ===\n");
+  std::printf("%-52s %12s %12s %9s\n", "workload", "miss ns", "hit ns", "speedup");
   for (const Row& r : rows) {
-    std::printf("%-52s %12.1f %12.1f %12.1f %8.2fx\n", r.name.c_str(), r.interp_ns, r.compiled_ns,
-                r.memo_ns, r.interp_ns / r.memo_ns);
+    std::printf("%-52s %12.1f %12.1f %8.2fx\n", r.name.c_str(), r.miss_ns, r.hit_ns,
+                r.miss_ns / r.hit_ns);
   }
-  std::printf("(speedup = interpreter / compiled+memo, the shipping configuration)\n\n");
+  std::printf("(miss: arguments rotate over %zu values; hit: arguments repeat)\n\n", kRotate);
 }
 
 void WriteJson(const std::vector<Row>& rows, const char* path) {
   lxfibench::JsonWriter json("bench_annotations");
-  json.Meta("mode", "compiled_vs_interpreted");
+  json.Meta("mode", "memo_ablation");
   for (const Row& r : rows) {
     json.AddRow(r.name)
-        .Set("interpreted_ns", r.interp_ns)
-        .Set("compiled_ns", r.compiled_ns)
-        .Set("compiled_memo_ns", r.memo_ns)
-        .Set("speedup", r.interp_ns / r.memo_ns);
+        .Set("memo_miss_ns", r.miss_ns)
+        .Set("memo_hit_ns", r.hit_ns)
+        .Set("speedup", r.miss_ns / r.hit_ns);
   }
   json.WriteFile(path);
 }

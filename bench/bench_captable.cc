@@ -92,28 +92,6 @@ void BM_CapTableFlatCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_CapTableFlatCheck);
 
-// The SMP read path on one core: identical table, probed through the
-// seqlock-validated lock-free entry point every store guard uses when
-// concurrent_enforcement is on. Delta vs BM_CapTableFlatCheck = the
-// single-core price of multi-core safety (satellite ablation).
-void BM_CapTableSeqlockCheck(benchmark::State& state) {
-  lxfi::CapTable table;
-  for (int i = 0; i < kObjects; ++i) {
-    table.GrantWrite(ObjectAddr(i), ObjectSize(i));
-  }
-  const std::vector<uintptr_t>& queries = QueryAddrs();
-  size_t q = 0;
-  for (auto _ : state) {
-    bool hit = false;
-    for (size_t k = 0; k < kBatch; ++k) {
-      hit |= table.CheckWriteConcurrent(queries[q + k], 8);
-    }
-    benchmark::DoNotOptimize(hit);
-    q = (q + kBatch) & (queries.size() - 1);
-  }
-}
-BENCHMARK(BM_CapTableSeqlockCheck);
-
 void BM_CapTableStdCheck(benchmark::State& state) {
   bench::StdCapTable table;
   for (int i = 0; i < kObjects; ++i) {
@@ -181,25 +159,6 @@ void BM_CallSetFlatCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CallSetFlatCheck);
-
-// Seqlock-validated CALL probe (the SMP indirect-call slow path) on one core.
-void BM_CallSetSeqlockCheck(benchmark::State& state) {
-  lxfi::CapTable table;
-  for (int i = 0; i < kObjects; ++i) {
-    table.GrantCall(0xffffffff81000000ull + static_cast<uintptr_t>(i) * 64);
-  }
-  const std::vector<uintptr_t>& targets = CallTargets();
-  size_t q = 0;
-  for (auto _ : state) {
-    bool hit = false;
-    for (size_t k = 0; k < kBatch; ++k) {
-      hit |= table.CheckCallConcurrent(targets[q + k]);
-    }
-    benchmark::DoNotOptimize(hit);
-    q = (q + kBatch) & (targets.size() - 1);
-  }
-}
-BENCHMARK(BM_CallSetSeqlockCheck);
 
 void BM_CallSetStdCheck(benchmark::State& state) {
   bench::StdCapTable table;

@@ -283,21 +283,16 @@ int RunBlock(const eval::FsperfConfig& base, lxfibench::JsonWriter* json,
 
 // Shared-directory contended scaling: every CPU creates/stats/unlinks its
 // own names in ONE hot directory, so all walks and all dcache writers hit
-// the same parent index. Three configurations per CPU count:
-//   - enforced, RCU-walk dcache (the default)
-//   - enforced, single-lock dcache (the pre-RCU ablation: one global
-//     spinlock + O(n) linear scan per component)
-//   - stock, RCU-walk dcache
-// The rcu/locked ratio is the headline: it is what converting the last
-// global enforcement-path lock into the sharded/epoch architecture buys.
+// the same parent index. Two configurations per CPU count: enforced and
+// stock, both on the lock-free RCU-walk dcache.
 int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench::JsonWriter* json,
                  const char* stats_path) {
   std::printf("=== fsperf contended: one shared hot directory, all CPUs ===\n");
   std::printf("(%llu files/cpu x %u stats x %u rounds)\n",
               static_cast<unsigned long long>(config.files), config.stats_per_file,
               config.rounds);
-  std::printf("%-5s %16s %18s %12s %16s %12s\n", "cpus", "lxfi rcu ops/s",
-              "lxfi locked ops/s", "rcu/locked", "stock rcu ops/s", "lxfi ns/op");
+  std::printf("%-5s %16s %16s %12s\n", "cpus", "lxfi rcu ops/s", "stock rcu ops/s",
+              "lxfi ns/op");
   if (json != nullptr) {
     json->Meta("mode", "contended");
     json->Meta("files_per_cpu", static_cast<double>(config.files));
@@ -307,7 +302,6 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
   int rc = 0;
   for (int n = 1; n <= max_cpus; ++n) {
     eval::FsScalingResult rcu;
-    eval::FsScalingResult locked;
     eval::FsScalingResult stock;
     uint64_t violations = 0;
     eval::FsContendedConfig warm = config;
@@ -322,12 +316,6 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
       }
     }
     {
-      eval::FsperfHarness h(/*isolated=*/true, /*cpus=*/n, /*locked_dcache=*/true);
-      h.RunContended(warm);
-      locked = h.RunContended(config);
-      violations += h.runtime()->violation_count();
-    }
-    {
       eval::FsperfHarness h(/*isolated=*/false, /*cpus=*/n);
       h.RunContended(warm);  // same warm-up the enforced rows get
       stock = h.RunContended(config);
@@ -337,18 +325,14 @@ int RunContended(int max_cpus, const eval::FsContendedConfig& config, lxfibench:
                    static_cast<unsigned long long>(violations));
       rc = 1;
     }
-    double ratio = locked.ModelOps() > 0 ? rcu.ModelOps() / locked.ModelOps() : 0.0;
-    std::printf("%-5d %16.0f %18.0f %11.2fx %16.0f %12.1f\n", n, rcu.ModelOps(),
-                locked.ModelOps(), ratio, stock.ModelOps(), rcu.PerOpCpuNs());
+    std::printf("%-5d %16.0f %16.0f %12.1f\n", n, rcu.ModelOps(), stock.ModelOps(),
+                rcu.PerOpCpuNs());
     if (json != nullptr) {
       json->AddRow("contended_cpus=" + std::to_string(n))
           .Set("cpus", n)
           .Set("lxfi_rcu_model_ops_per_sec", rcu.ModelOps())
           .Set("lxfi_rcu_wall_ops_per_sec", rcu.WallOps())
           .Set("lxfi_rcu_ns_per_op", rcu.PerOpCpuNs())
-          .Set("lxfi_locked_model_ops_per_sec", locked.ModelOps())
-          .Set("lxfi_locked_ns_per_op", locked.PerOpCpuNs())
-          .Set("rcu_over_locked", ratio)
           .Set("stock_rcu_model_ops_per_sec", stock.ModelOps())
           .Set("violations", static_cast<double>(violations));
     }

@@ -107,14 +107,6 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
   auto flat_check = [&](const Query& q) {
     return flat_instance.CheckWrite(q.addr, q.size) || flat.CheckWrite(q.addr, q.size);
   };
-  // The SMP read path on one core: same tables, probed through the
-  // seqlock-validated concurrent entry points (what every store guard pays
-  // when concurrent_enforcement is on). The delta vs the plain flat row is
-  // the single-core cost of SMP-safety.
-  auto seq_check = [&](const Query& q) {
-    return flat_instance.CheckWriteConcurrent(q.addr, q.size) ||
-           flat.CheckWriteConcurrent(q.addr, q.size);
-  };
   lxfi::EnforcementContext ec;
   auto memo_check = [&](const Query& q) {
     if (ec.WriteMemoHit(q.addr, q.size)) {
@@ -129,41 +121,20 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
     ec.FillWriteMemo(lo, hi, epoch);
     return true;
   };
-  lxfi::EnforcementContext ec_seq;
-  auto memo_seq_check = [&](const Query& q) {
-    if (ec_seq.WriteMemoHit(q.addr, q.size)) {
-      return true;
-    }
-    uint64_t epoch = lxfi::RevocationEpoch::Current();
-    uintptr_t lo, hi;
-    if (!flat_instance.FindWriteRangeConcurrent(q.addr, q.size, &lo, &hi) &&
-        !flat.FindWriteRangeConcurrent(q.addr, q.size, &lo, &hi)) {
-      return false;
-    }
-    ec_seq.FillWriteMemo(lo, hi, epoch);
-    return true;
-  };
 
   // Warm, then measure.
   time_ns(std_check);
   double t_std = time_ns(std_check);
   time_ns(flat_check);
   double t_flat = time_ns(flat_check);
-  time_ns(seq_check);
-  double t_seq = time_ns(seq_check);
   time_ns(memo_check);
   double t_memo = time_ns(memo_check);
-  time_ns(memo_seq_check);
-  double t_memo_seq = time_ns(memo_seq_check);
 
   std::printf("=== Store-guard ablation (netperf-style WRITE checks) ===\n");
   std::printf("%-34s %12s %10s\n", "configuration", "ns/check", "speedup");
   std::printf("%-34s %12.2f %9.2fx\n", "std::unordered_map buckets", t_std, 1.0);
   std::printf("%-34s %12.2f %9.2fx\n", "flat table (open-addressing)", t_flat, t_std / t_flat);
-  std::printf("%-34s %12.2f %9.2fx\n", "flat, seqlock read path (SMP)", t_seq, t_std / t_seq);
   std::printf("%-34s %12.2f %9.2fx\n", "flat + EnforcementContext memo", t_memo, t_std / t_memo);
-  std::printf("%-34s %12.2f %9.2fx\n", "seqlock + EnforcementContext memo", t_memo_seq,
-              t_std / t_memo_seq);
   std::printf("(sink %llu)\n\n", static_cast<unsigned long long>(sink % 7));
 
   if (json != nullptr) {
@@ -173,9 +144,7 @@ void RunStoreGuardAblation(lxfibench::JsonWriter* json) {
     } rows[] = {
         {"std_unordered_map", t_std},
         {"flat_table", t_flat},
-        {"flat_seqlock", t_seq},
         {"flat_memo", t_memo},
-        {"seqlock_memo", t_memo_seq},
     };
     for (const auto& r : rows) {
       json->AddRow(r.name).Set("ns_per_check", r.ns).Set("speedup_vs_std", t_std / r.ns);

@@ -3,10 +3,6 @@
 // (annotation-free import), and wrappers whose annotations run capability
 // actions — splitting control-transfer overhead from annotation-action
 // overhead, the two biggest rows of Figure 13.
-//
-// The *Interp rows re-run the action-bearing crossings with compiled guards
-// disabled (per-crossing AST interpretation, the pre-compile-pass layout):
-// the compiled-vs-interpreted wrapper-crossing ablation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,9 +22,9 @@
 namespace {
 
 struct Fixture {
-  explicit Fixture(lxfi::RuntimeOptions options = {}) {
+  Fixture() {
     kernel = std::make_unique<kern::Kernel>();
-    rt = std::make_unique<lxfi::Runtime>(kernel.get(), options);
+    rt = std::make_unique<lxfi::Runtime>(kernel.get());
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "benchmod";
@@ -61,15 +57,6 @@ struct Fixture {
 
 Fixture& F() {
   static Fixture fixture;
-  return fixture;
-}
-
-Fixture& FInterp() {
-  static Fixture fixture([] {
-    lxfi::RuntimeOptions opt;
-    opt.compiled_guards = false;
-    return opt;
-  }());
   return fixture;
 }
 
@@ -115,27 +102,6 @@ void BM_WrapperTransferActions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WrapperTransferActions);
-
-// Interpreter ablation of the same two action-bearing crossings.
-void BM_WrapperCheckActionInterp(benchmark::State& state) {
-  Fixture& f = FInterp();
-  lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
-  for (auto _ : state) {
-    f.spin_lock(f.lock);
-    f.spin_unlock(f.lock);
-  }
-}
-BENCHMARK(BM_WrapperCheckActionInterp);
-
-void BM_WrapperTransferActionsInterp(benchmark::State& state) {
-  Fixture& f = FInterp();
-  lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
-  for (auto _ : state) {
-    void* p = f.kmalloc(128);
-    f.kfree(p);
-  }
-}
-BENCHMARK(BM_WrapperTransferActionsInterp);
 
 // The annotation-free crossing with tracing live: every WrapperEnter/Exit
 // emits a record, and the emitting thread drains its ring every half

@@ -1,11 +1,11 @@
-// Ablations (§4.1):
-//  1. writer-set tracking on vs off for the kernel's indirect-call checks on
-//     the UDP_STREAM TX path. With tracking off, every indirect call
-//     recomputes the possible-writer set from the capability tables — the
-//     expensive full check the fast path exists to avoid.
-//  2. flat vs std page map: the Empty() probe every kernel indirect call
+// Writer-set benchmarks (§4.1):
+//  1. flat vs std page map: the Empty() probe every kernel indirect call
 //     starts with, on the open-addressing WriterSet vs the node-based
 //     std::unordered_map layout it replaced (bench/std_baseline.h).
+//  2. unload teardown: per-object vs arena-span writer-set clears.
+//  3. the fast-path elimination rate on the UDP_STREAM TX path: the share
+//     of the kernel's indirect-call checks the empty-writer-set probe
+//     settles without the full check.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -184,43 +184,24 @@ int main(int argc, char** argv) {
   RunTeardownAblation(jp);
   constexpr uint64_t kPackets = 40000;
 
-  eval::NetperfHarness with_ws(/*isolated=*/true);
-  with_ws.Run({eval::NetWorkload::kUdpStreamTx, kPackets / 10});
-  eval::NetperfMeasurement m_on = with_ws.Run({eval::NetWorkload::kUdpStreamTx, kPackets});
+  eval::NetperfHarness harness(/*isolated=*/true);
+  harness.Run({eval::NetWorkload::kUdpStreamTx, kPackets / 10});
+  eval::NetperfMeasurement m = harness.Run({eval::NetWorkload::kUdpStreamTx, kPackets});
+  uint64_t full = m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallFull)];
+  uint64_t all = m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallAll)];
 
-  eval::NetperfHarness without_ws(/*isolated=*/true);
-  without_ws.runtime()->options().writer_set_tracking = false;
-  without_ws.Run({eval::NetWorkload::kUdpStreamTx, kPackets / 10});
-  eval::NetperfMeasurement m_off = without_ws.Run({eval::NetWorkload::kUdpStreamTx, kPackets});
-
-  auto full = [](const eval::NetperfMeasurement& m) {
-    return m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallFull)];
-  };
-  auto all = [](const eval::NetperfMeasurement& m) {
-    return m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallAll)];
-  };
-
-  std::printf("=== Ablation: writer-set tracking (UDP_STREAM TX) ===\n");
-  std::printf("%-22s %16s %16s %16s\n", "config", "indcalls", "full checks", "ns/packet");
-  std::printf("%-22s %16llu %16llu %16.0f\n", "writer-set ON",
-              static_cast<unsigned long long>(all(m_on)),
-              static_cast<unsigned long long>(full(m_on)), m_on.PathNsPerPacket());
-  std::printf("%-22s %16llu %16llu %16.0f\n", "writer-set OFF",
-              static_cast<unsigned long long>(all(m_off)),
-              static_cast<unsigned long long>(full(m_off)), m_off.PathNsPerPacket());
-  double saved = all(m_on) == 0 ? 0.0
-                                : 100.0 * (1.0 - static_cast<double>(full(m_on)) /
-                                                     static_cast<double>(all(m_on)));
+  std::printf("=== Writer-set fast path (UDP_STREAM TX) ===\n");
+  std::printf("%16s %16s %16s\n", "indcalls", "full checks", "ns/packet");
+  std::printf("%16llu %16llu %16.0f\n", static_cast<unsigned long long>(all),
+              static_cast<unsigned long long>(full), m.PathNsPerPacket());
+  double saved =
+      all == 0 ? 0.0 : 100.0 * (1.0 - static_cast<double>(full) / static_cast<double>(all));
   std::printf("\nwriter-set tracking skipped %.0f%% of full checks (paper: ~2/3)\n", saved);
   if (jp != nullptr) {
     jp->AddRow("writer_set_on")
-        .Set("indcalls", static_cast<double>(all(m_on)))
-        .Set("full_checks", static_cast<double>(full(m_on)))
-        .Set("ns_per_packet", m_on.PathNsPerPacket());
-    jp->AddRow("writer_set_off")
-        .Set("indcalls", static_cast<double>(all(m_off)))
-        .Set("full_checks", static_cast<double>(full(m_off)))
-        .Set("ns_per_packet", m_off.PathNsPerPacket());
+        .Set("indcalls", static_cast<double>(all))
+        .Set("full_checks", static_cast<double>(full))
+        .Set("ns_per_packet", m.PathNsPerPacket());
     jp->Meta("full_checks_skipped_pct", saved);
   }
   if (json_path != nullptr) {

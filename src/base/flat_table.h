@@ -30,18 +30,21 @@
 //   * values sit in their own array and are only touched after a key hit,
 //     keeping the probe loop's cache footprint at one word per slot.
 //
-// SMP read-mostly mode (the seqlock read path): geometry and slot storage
-// live in one heap-allocated Rep published through an atomic pointer, so a
+// Read-mostly mode (the seqlock read path): geometry and slot storage live
+// in one heap-allocated Rep published through an atomic pointer, so a
 // lock-free reader always sees a self-consistent {array, mask, shift}
-// triple even while a writer rehashes. The *Concurrent probes validate a
-// SeqCount around relaxed-atomic slot loads and retry if a writer
-// intervened; writers (serialized externally, e.g. by the per-principal
-// Spinlock) bump the SeqCount around every mutation and — when a reclaimer
-// is attached via SetReclaimer — retire replaced Reps through the
+// triple even while a writer rehashes. Lock-free probes validate a SeqCount
+// around relaxed-atomic slot loads and retry if a writer intervened;
+// writers (serialized externally, e.g. by the per-principal Spinlock) bump
+// the SeqCount around every mutation and retire replaced Reps through the
 // quiescent-state EpochReclaimer instead of freeing them, so a reader still
-// probing a superseded array never touches freed memory. Without a
-// reclaimer (the default, single-threaded configuration) nothing changes:
-// plain probes, immediate frees, no atomics on the hot loop.
+// probing a superseded array never touches freed memory.
+//
+// FlatSet and FlatRangeMap back the capability tables and have only that
+// lock-free probe, always retiring through EpochReclaimer::Global(). The
+// general FlatTable keeps a plain probe for single-threaded owners and for
+// writers under their lock; its *Concurrent probes need a reclaimer
+// attached via SetReclaimer.
 //
 // Keys are restricted to uint64_t because every enforcement key already is
 // one (bucket index, page number, text address, interned REF hash).
@@ -89,6 +92,21 @@ inline const Rep* AcquireRep(Rep* const* slot) {
 template <typename Rep>
 inline void PublishRep(Rep** slot, Rep* rep) {
   __atomic_store_n(slot, rep, __ATOMIC_RELEASE);
+}
+
+// Element counts of the lock-free containers: written by the (serialized)
+// writer, read by lock-free probes as an emptiness early-out. A reader that
+// races a 0 -> 1 insert sees the table empty, as if it ran just before it.
+inline size_t LoadSize(const size_t* p) { return __atomic_load_n(p, __ATOMIC_RELAXED); }
+inline void StoreSize(size_t* p, size_t v) { __atomic_store_n(p, v, __ATOMIC_RELAXED); }
+
+// Frees a replaced Rep after a grace period of the global reclaimer (at
+// once when no reader is registered).
+template <typename Rep>
+inline void RetireRep(Rep* rep) {
+  if (rep != nullptr) {
+    EpochReclaimer::Global().Retire([rep] { Rep::Destroy(rep); });
+  }
 }
 
 }  // namespace flat_internal
@@ -608,7 +626,8 @@ void UnlinkLocked(FlatTable<T*>& table, uint64_t h, T* e) {
 // simply owns several slots along one probe chain. Lookup tests containment
 // on every key match and stops only at an empty slot; with backward-shift
 // erase the "stop at empty" rule stays exact. Probing scans 2-slot windows
-// branchlessly, with one mirror slot past the end for wraparound.
+// branchlessly, with one mirror slot past the end for wraparound. Lookups
+// are lock-free (seqlock-validated); mutation must be externally serialized.
 //
 // Keys must be non-zero (0 marks an empty slot); CapTable passes
 // bucket_index + 1.
@@ -659,93 +678,28 @@ class FlatRangeMap {
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
 
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
-
   void Clear() {
     seq_.WriteBegin();
     Rep* old = rep_;
     flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
-    size_ = 0;
+    flat_internal::StoreSize(&size_, 0);
     seq_.WriteEnd();
     DisposeRep(old);
   }
 
-  // True iff some range stored under `key` fully contains [addr, addr+size);
+  // True iff some range stored under `key` fully contains [addr, end);
   // reports that range via *lo/*hi.
   bool FindContaining(uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo,
                       uintptr_t* hi) const {
-    if (size_ == 0) {
-      return false;
-    }
-    const Rep* rep = rep_;
-    const Slot* s = rep->slots();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      const Slot& s0 = s[i];
-      const Slot& s1 = s[i + 1];
-      // Match lanes first: a slot at its home position may legitimately sit
-      // one past an empty slot within the window. A key match without
-      // containment is not a hit — another range for the same bucket may
-      // follow on the probe chain.
-      if (LXFI_LIKELY((s0.key == key) & (s0.lo <= addr) & (end <= s0.hi))) {
-        *lo = s0.lo;
-        *hi = s0.hi;
-        return true;
-      }
-      if ((s1.key == key) & (s1.lo <= addr) & (end <= s1.hi)) {
-        *lo = s1.lo;
-        *hi = s1.hi;
-        return true;
-      }
-      if ((s0.key == 0) | (s1.key == 0)) {
-        return false;
-      }
-      i = (i + 2) & mask;
-    }
+    return Probe<true>(key, addr, end, lo, hi);
   }
 
-  // Seqlock-validated lock-free variant of FindContaining for concurrent
-  // readers (the SMP store-guard slow path).
-  bool FindContainingConcurrent(uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo,
-                                uintptr_t* hi) const {
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeConcurrent(rep, key, addr, end, lo, hi, /*containment=*/true);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
-  }
-
-  // True iff any range stored under `key` overlaps [addr, end). Lock-free;
-  // used as the revoke pre-filter so RevokeEverywhere does not need to lock
-  // principals that cannot hold the capability.
-  bool AnyOverlapConcurrent(uint64_t key, uintptr_t addr, uintptr_t end) const {
+  // True iff any range stored under `key` overlaps [addr, end): the revoke
+  // pre-filter, so RevokeEverywhere locks only principals that can hold
+  // the capability.
+  bool AnyOverlap(uint64_t key, uintptr_t addr, uintptr_t end) const {
     uintptr_t lo, hi;
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeConcurrent(rep, key, addr, end, &lo, &hi, /*containment=*/false);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
+    return Probe<false>(key, addr, end, &lo, &hi);
   }
 
   // Inserts (key, [lo, hi)); exact duplicates are ignored. Returns true if
@@ -772,7 +726,7 @@ class FlatRangeMap {
     seq_.WriteBegin();
     StoreSlot(rep_, i, Slot{key, lo, hi});
     seq_.WriteEnd();
-    ++size_;
+    flat_internal::StoreSize(&size_, size_ + 1);
     return true;
   }
 
@@ -807,7 +761,7 @@ class FlatRangeMap {
     }
     StoreSlot(rep, hole, Slot{0, 0, 0});
     seq_.WriteEnd();
-    --size_;
+    flat_internal::StoreSize(&size_, size_ - 1);
     return true;
   }
 
@@ -863,36 +817,67 @@ class FlatRangeMap {
     }
   }
 
-  // 1 hit, 0 miss, -1 overran (torn state; caller retries).
-  static int ProbeConcurrent(const Rep* rep, uint64_t key, uintptr_t addr, uintptr_t end,
-                             uintptr_t* lo, uintptr_t* hi, bool containment) {
+  // Seqlock retry loop around ProbeRep.
+  template <bool kContainment>
+  bool Probe(uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo, uintptr_t* hi) const {
+    if (flat_internal::LoadSize(&size_) == 0) {
+      return false;  // most principals' tables are empty: skip the seqlock
+    }
+    while (true) {
+      uint64_t s = seq_.ReadBegin();
+      const Rep* rep = flat_internal::AcquireRep(&rep_);
+      int found = rep == nullptr ? 0 : ProbeRep<kContainment>(rep, key, addr, end, lo, hi);
+      if (found >= 0 && seq_.ReadValidate(s)) {
+        return found == 1;
+      }
+      CpuRelax();
+    }
+  }
+
+  // One 2-slot window per round: 1 hit, 0 miss, -1 overran (torn state;
+  // the caller revalidates and retries). A hit is containment of [addr,
+  // end) or, without kContainment, overlap with it.
+  template <bool kContainment>
+  static int ProbeRep(const Rep* rep, uint64_t key, uintptr_t addr, uintptr_t end, uintptr_t* lo,
+                      uintptr_t* hi) {
     const Slot* s = rep->slots();
     const size_t mask = rep->mask;
     size_t i = IndexOf(rep, key);
-    for (size_t steps = 0; steps <= rep->cap; ++steps) {
-      uint64_t k = flat_internal::RelaxedLoad(&s[i].key);
-      if (k == 0) {
+    for (size_t steps = 0; steps <= rep->cap; steps += 2) {
+      const uint64_t k0 = flat_internal::RelaxedLoad(&s[i].key);
+      const uint64_t k1 = flat_internal::RelaxedLoad(&s[i + 1].key);
+      // Match lanes first: a slot at its home position may legitimately sit
+      // one past an empty slot within the window. A key match without a hit
+      // does not end the probe — another range for the same bucket may
+      // follow on the chain.
+      if ((k0 == key && RangeHit<kContainment>(s + i, addr, end, lo, hi)) ||
+          (k1 == key && RangeHit<kContainment>(s + i + 1, addr, end, lo, hi))) {
+        return 1;
+      }
+      if ((k0 == 0) | (k1 == 0)) {
         return 0;
       }
-      if (k == key) {
-        uintptr_t slo = __atomic_load_n(&s[i].lo, __ATOMIC_RELAXED);
-        uintptr_t shi = __atomic_load_n(&s[i].hi, __ATOMIC_RELAXED);
-        bool hit = containment ? (slo <= addr) & (end <= shi) : (slo < end) & (addr < shi);
-        if (hit) {
-          *lo = slo;
-          *hi = shi;
-          return 1;
-        }
-      }
-      i = (i + 1) & mask;
+      i = (i + 2) & mask;
     }
     return -1;
+  }
+
+  template <bool kContainment>
+  static bool RangeHit(const Slot* slot, uintptr_t addr, uintptr_t end, uintptr_t* lo,
+                       uintptr_t* hi) {
+    uintptr_t slo = __atomic_load_n(&slot->lo, __ATOMIC_RELAXED);
+    uintptr_t shi = __atomic_load_n(&slot->hi, __ATOMIC_RELAXED);
+    if (kContainment ? slo <= addr && end <= shi : slo < end && addr < shi) {
+      *lo = slo;
+      *hi = shi;
+      return true;
+    }
+    return false;
   }
 
   void Rehash(size_t new_cap) {
     Rep* old = rep_;
     Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
     if (old != nullptr) {
       for (size_t i = 0; i < old->cap; ++i) {
         if (old->slots()[i].key != 0) {
@@ -901,7 +886,6 @@ class FlatRangeMap {
             j = (j + 1) & fresh->mask;
           }
           StoreSlot(fresh, j, old->slots()[i]);
-          ++size_;
         }
       }
     }
@@ -911,24 +895,15 @@ class FlatRangeMap {
     DisposeRep(old);
   }
 
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
+  static void DisposeRep(Rep* rep) { flat_internal::RetireRep(rep); }
 
   Rep* rep_ = nullptr;
   size_t size_ = 0;
   SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
 };
 
-// Value-less FlatTable: the CALL and REF capability sets.
+// Value-less FlatTable: the CALL and REF capability sets. Lock-free
+// lookups, externally serialized mutation (see FlatRangeMap).
 class FlatSet {
   // Header + inline key array (cap + kWindow-1 mirror slots; 0 = empty).
   struct Rep {
@@ -968,13 +943,11 @@ class FlatSet {
   bool empty() const { return size() == 0; }
   size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
 
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
-
   void Clear() {
     seq_.WriteBegin();
     Rep* old = rep_;
     flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
-    size_ = 0;
+    flat_internal::StoreSize(&size_, 0);
     __atomic_store_n(&has_zero_, false, __ATOMIC_RELAXED);
     seq_.WriteEnd();
     DisposeRep(old);
@@ -982,44 +955,15 @@ class FlatSet {
 
   bool Contains(uint64_t key) const {
     if (LXFI_UNLIKELY(key == 0)) {
-      return has_zero_;
-    }
-    if (size_ == 0) {
-      return false;
-    }
-    const Rep* rep = rep_;
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      const uint64_t* w = keys + i;
-      uint64_t c0 = w[0], c1 = w[1], c2 = w[2], c3 = w[3];
-      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
-        return true;
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return false;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-  }
-
-  // Lock-free seqlock-validated probe for concurrent readers (the SMP CALL
-  // check slow path and the revoke pre-filter).
-  bool ContainsConcurrent(uint64_t key) const {
-    if (LXFI_UNLIKELY(key == 0)) {
       return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
+    }
+    if (flat_internal::LoadSize(&size_) == 0) {
+      return false;
     }
     while (true) {
       uint64_t s = seq_.ReadBegin();
       const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeKeyConcurrent(rep, key);
+      int found = rep == nullptr ? 0 : ProbeKey(rep, key);
       if (found >= 0 && seq_.ReadValidate(s)) {
         return found == 1;
       }
@@ -1055,7 +999,7 @@ class FlatSet {
     seq_.WriteBegin();
     StoreKey(rep_, i, key);
     seq_.WriteEnd();
-    ++size_;
+    flat_internal::StoreSize(&size_, size_ + 1);
     return true;
   }
 
@@ -1094,7 +1038,7 @@ class FlatSet {
     }
     StoreKey(rep, hole, 0);
     seq_.WriteEnd();
-    --size_;
+    flat_internal::StoreSize(&size_, size_ - 1);
     return true;
   }
 
@@ -1125,16 +1069,18 @@ class FlatSet {
     }
   }
 
-  static int ProbeKeyConcurrent(const Rep* rep, uint64_t key) {
+  // One 4-slot window per round: 1 found, 0 absent, -1 overran the table
+  // (torn state; the caller revalidates and retries).
+  static int ProbeKey(const Rep* rep, uint64_t key) {
     const uint64_t* keys = rep->keys();
     const size_t mask = rep->mask;
-    size_t i = (key * flat_internal::kGolden) >> rep->shift;
+    size_t i = IndexOf(rep, key);
     for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
       uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
       uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
       uint64_t c2 = flat_internal::RelaxedLoad(keys + i + 2);
       uint64_t c3 = flat_internal::RelaxedLoad(keys + i + 3);
-      if ((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key)) {
+      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
         return 1;
       }
       if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
@@ -1148,7 +1094,6 @@ class FlatSet {
   void Rehash(size_t new_cap) {
     Rep* old = rep_;
     Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
     if (old != nullptr) {
       for (size_t i = 0; i < old->cap; ++i) {
         if (old->keys()[i] != 0) {
@@ -1157,7 +1102,6 @@ class FlatSet {
             j = (j + 1) & fresh->mask;
           }
           StoreKey(fresh, j, old->keys()[i]);
-          ++size_;
         }
       }
     }
@@ -1167,22 +1111,12 @@ class FlatSet {
     DisposeRep(old);
   }
 
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
+  static void DisposeRep(Rep* rep) { flat_internal::RetireRep(rep); }
 
   Rep* rep_ = nullptr;
   size_t size_ = 0;  // non-zero-key entries
   bool has_zero_ = false;
   SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
 };
 
 }  // namespace lxfi

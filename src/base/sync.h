@@ -124,29 +124,6 @@ class Spinlock {
 
 using SpinGuard = std::lock_guard<Spinlock>;
 
-// Takes the lock only when `engage` is true: structures that are
-// single-threaded until an SMP subsystem switches them over use this to
-// keep their pre-SMP fast paths lock-free.
-class OptionalSpinGuard {
- public:
-  OptionalSpinGuard(Spinlock& lock, bool engage) : lock_(engage ? &lock : nullptr) {
-    if (lock_ != nullptr) {
-      lock_->lock();
-    }
-  }
-  ~OptionalSpinGuard() {
-    if (lock_ != nullptr) {
-      lock_->unlock();
-    }
-  }
-
-  OptionalSpinGuard(const OptionalSpinGuard&) = delete;
-  OptionalSpinGuard& operator=(const OptionalSpinGuard&) = delete;
-
- private:
-  Spinlock* lock_;
-};
-
 // --- SeqCount ----------------------------------------------------------------
 
 // Sequence counter for seqlock-style read-mostly data. Writers must already

@@ -61,8 +61,8 @@ struct FsperfHarness::Impl {
   std::unique_ptr<kern::CpuSet> cpus;
 };
 
-FsperfHarness::FsperfHarness(bool isolated, int cpus, bool locked_dcache)
-    : FsperfHarness(FsperfHarnessOptions{isolated, cpus, locked_dcache}) {}
+FsperfHarness::FsperfHarness(bool isolated, int cpus)
+    : FsperfHarness(FsperfHarnessOptions{isolated, cpus}) {}
 
 FsperfHarness::FsperfHarness(const FsperfHarnessOptions& options) : impl_(new Impl()) {
   const int cpus = options.cpus;
@@ -71,9 +71,7 @@ FsperfHarness::FsperfHarness(const FsperfHarnessOptions& options) : impl_(new Im
   }
   impl_->kernel = std::make_unique<kern::Kernel>(256ull << 20);
   if (options.isolated) {
-    lxfi::RuntimeOptions rt_options;
-    rt_options.concurrent_enforcement = cpus > 0;
-    impl_->rt = std::make_unique<lxfi::Runtime>(impl_->kernel.get(), rt_options);
+    impl_->rt = std::make_unique<lxfi::Runtime>(impl_->kernel.get());
   }
   kernel_ = impl_->kernel.get();
   rt_ = impl_->rt.get();
@@ -87,9 +85,6 @@ FsperfHarness::FsperfHarness(const FsperfHarnessOptions& options) : impl_(new Im
     rt_->EnablePartitionedHeaps();
   }
   vfs_ = kern::GetVfs(kernel_);
-  if (options.locked_dcache) {
-    vfs_->dcache().set_locked_mode(true);  // ablation: the pre-RCU dcache
-  }
   if (options.block_backing) {
     kern::BlockLayer* block = kern::GetBlockLayer(kernel_);
     kern::BlockDevice* top = block->CreateRamDisk("fsdisk0", kFsDiskBlocks);

@@ -6,7 +6,7 @@
 // time per operation for five phases: create, write, read, stat, unlink.
 // bench_fsperf runs it against a stock and an isolated kernel and reports
 // the per-op enforcement overhead; with --cpus N each simulated CPU drives
-// its own working directory through the concurrent enforcement path.
+// its own working directory through the same enforcement path concurrently.
 #pragma once
 
 #include <cstdint>
@@ -96,15 +96,12 @@ struct FsScalingResult {
 };
 
 // Owns a kernel (stock or isolated) with ramfs mounted at /mnt; runs the
-// workload against it. cpus > 0 spawns a kern::CpuSet, enables concurrent
-// enforcement and the per-CPU slab cache, and pre-creates one working
-// directory per CPU (/mnt/cpuN) plus the shared contended directory
-// (/mnt/shared). locked_dcache reverts the dcache to the pre-RCU global
-// spinlock + linear scan — the ablation baseline for --contended.
+// workload against it. cpus > 0 spawns a kern::CpuSet, enables the per-CPU
+// slab cache, and pre-creates one working directory per CPU (/mnt/cpuN)
+// plus the shared contended directory (/mnt/shared).
 struct FsperfHarnessOptions {
   bool isolated = false;
   int cpus = 0;
-  bool locked_dcache = false;
   // Block backing: mounts jexfs (the extent-based journaling filesystem
   // module) over a RAM BlockDevice through the kernel page cache instead of
   // ramfs. jexfs is single-threaded per superblock, so cpus must be 0.
@@ -116,7 +113,7 @@ struct FsperfHarnessOptions {
 
 class FsperfHarness {
  public:
-  explicit FsperfHarness(bool isolated, int cpus = 0, bool locked_dcache = false);
+  explicit FsperfHarness(bool isolated, int cpus = 0);
   explicit FsperfHarness(const FsperfHarnessOptions& options);
   ~FsperfHarness();
 

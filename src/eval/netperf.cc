@@ -76,7 +76,6 @@ NetperfHarness::NetperfHarness(bool isolated, bool guard_timing, int cpus) : imp
   if (isolated) {
     lxfi::RuntimeOptions options;
     options.guard_timing = guard_timing;
-    options.concurrent_enforcement = cpus > 0;
     impl_->rt = std::make_unique<lxfi::Runtime>(impl_->kernel.get(), options);
   }
   kernel_ = impl_->kernel.get();

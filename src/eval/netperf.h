@@ -92,8 +92,8 @@ class NetperfHarness {
  public:
   // isolated: attach an LXFI runtime. guard_timing: collect Figure 13 data.
   // cpus > 0: SMP mode — plugs one NIC per simulated CPU, spawns a
-  // kern::CpuSet, enables concurrent enforcement and the per-CPU slab
-  // cache; RunParallelTx then drives per-CPU TX queues concurrently.
+  // kern::CpuSet and enables the per-CPU slab cache; RunParallelTx then
+  // drives per-CPU TX queues concurrently.
   NetperfHarness(bool isolated, bool guard_timing = false, int cpus = 0);
   ~NetperfHarness();
 

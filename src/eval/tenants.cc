@@ -59,7 +59,6 @@ TenantsHarness::TenantsHarness(const TenantsConfig& config) : impl_(new Impl()) 
   im->kernel = std::make_unique<kern::Kernel>(256ull << 20);
   lxfi::RuntimeOptions ro;
   ro.policy = lxfi::ViolationPolicy::kQuarantine;
-  ro.concurrent_enforcement = config.cpus > 0;
   ro.partitioned_heaps = true;
   im->rt = std::make_unique<lxfi::Runtime>(im->kernel.get(), ro);
   lxfi::InstallKernelApi(im->kernel.get(), im->rt.get());

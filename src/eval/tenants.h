@@ -5,7 +5,7 @@
 // "t<i>"), so the filter chain, the partitioned heaps and the per-principal
 // capability tables all see hundreds of mutually-distrustful principals at
 // once. RunChurn drives a metadata workload over every healthy tenant —
-// optionally from simulated CPUs through the concurrent enforcement path —
+// optionally from several simulated CPUs at once —
 // while the main (loader) thread injects a rogue filter probe into one
 // tenant, rides the violation through ViolationPolicy::kQuarantine, drains
 // the microreboot, and storms module load/unload cycles on the side.

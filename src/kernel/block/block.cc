@@ -28,7 +28,7 @@ int BlockLayer::RamIo(BlockDevice* dev, Bio* bio) {
   uint8_t* disk = dev->backing + bio->sector * kSectorSize;
   if (bio->write) {
     std::memcpy(disk, bio->data, bio->size);
-    ++dev->writes;
+    __atomic_fetch_add(&dev->writes, 1, __ATOMIC_RELAXED);
     auto log = write_logs_.find(dev);
     if (log != write_logs_.end()) {
       // Record sector-granular so a log prefix is a power cut at any write
@@ -42,7 +42,7 @@ int BlockLayer::RamIo(BlockDevice* dev, Bio* bio) {
     }
   } else {
     std::memcpy(bio->data, disk, bio->size);
-    ++dev->reads;
+    __atomic_fetch_add(&dev->reads, 1, __ATOMIC_RELAXED);
   }
   bio->status = 0;
   return 0;

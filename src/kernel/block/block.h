@@ -43,7 +43,7 @@ struct BlockDevice {
   uint64_t sectors = 0;
   uint8_t* backing = nullptr;  // RAM disk storage (kernel-owned), null for dm
   void* private_data = nullptr;
-  uint64_t reads = 0;
+  uint64_t reads = 0;   // completed bios; atomic: CPUs fill pages concurrently
   uint64_t writes = 0;
 };
 

@@ -147,19 +147,6 @@ Dentry* Dcache::Lookup(Dentry* parent, std::string_view name) {
   if (name.size() > kVfsNameMax) {
     return nullptr;
   }
-  if (LXFI_UNLIKELY(locked_)) {
-    // Ablation baseline: the pre-RCU dcache — every walker serialized on
-    // one global spinlock, O(n) strcmp scan over the child list.
-    lxfi::SpinGuard guard(locked_mu_);
-    for (Dentry* c = parent->child; c != nullptr; c = c->sibling) {
-      if (name == std::string_view(c->name)) {
-        TRACE_EVENT(lxfi::TraceEvent::kDcacheHit, 0, c->name_hash, 0);
-        return c;
-      }
-    }
-    TRACE_EVENT(lxfi::TraceEvent::kDcacheMiss, 0, HashName(name), 0);
-    return nullptr;
-  }
   // Seqlock-retry tracing reads the shard counter around the probe, but only
   // when tracing is live: the disabled path stays the bare lock-free walk.
   lxfi::RelaxedCell& retry_cell = shards_[lxfi::ThisShardIndex()].retries;
@@ -183,10 +170,6 @@ Dentry* Dcache::Lookup(Dentry* parent, std::string_view name) {
   TRACE_EVENT(d != nullptr ? lxfi::TraceEvent::kDcacheHit : lxfi::TraceEvent::kDcacheMiss, 0,
               HashName(name), reinterpret_cast<uintptr_t>(d));
   return d;
-}
-
-lxfi::Spinlock& Dcache::writer_lock(Dentry* parent) {
-  return locked_ ? locked_mu_ : parent->child_lock;
 }
 
 Dentry* Dcache::FindChildLocked(Dentry* parent, const char* name) const {

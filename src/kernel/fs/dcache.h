@@ -35,10 +35,6 @@
 //             or holding a just-unlinked dentry never touches freed
 //             memory. Dentries that were never published skip the grace
 //             period.
-//
-// Locked mode (set_locked_mode) reproduces the pre-RCU discipline — one
-// global spinlock around an O(n) linear scan — and exists purely as the
-// ablation baseline for bench_fsperf --contended.
 #pragma once
 
 #include <array>
@@ -106,13 +102,6 @@ class Dcache {
   // negative growth on miss-heavy workloads).
   static constexpr uint32_t kMaxNegativePerDir = 16;
 
-  // Ablation switch: locked mode serializes every lookup on one global
-  // spinlock with a linear child-list scan — the pre-RCU dcache, kept so
-  // bench_fsperf --contended can measure what the lock-free walk buys.
-  // Flip only while no concurrent walker exists.
-  void set_locked_mode(bool locked) { locked_ = locked; }
-  bool locked_mode() const { return locked_; }
-
   // --- dentry allocation / reclamation ---------------------------------
   Dentry* NewDentry(SuperBlock* sb, Dentry* parent, const char* name);
   // For dentries that were never linked into an index (lookup probes that
@@ -129,18 +118,16 @@ class Dcache {
 
   // --- read side ---------------------------------------------------------
   // Lock-free child lookup; returns the child (positive, negative or
-  // dying — callers decode flags) or null. Never allocates. In locked
-  // mode this is the global-spinlock O(n) scan instead.
+  // dying — callers decode flags) or null. Never allocates.
   Dentry* Lookup(Dentry* parent, std::string_view name);
 
   // --- write side --------------------------------------------------------
-  // The lock serializing mutations of `parent`'s children (per-parent in
-  // RCU mode, the single global lock in locked mode). Lock order: multi-
+  // The lock serializing mutations of `parent`'s children. Lock order: multi-
   // lock holders (rename's two parents, rmdir's parent -> victim nesting)
   // acquire in ascending (depth, address) order — depth is immutable for
   // directories (they never move), so the order is a total one and the
   // nesting cannot deadlock.
-  lxfi::Spinlock& writer_lock(Dentry* parent);
+  lxfi::Spinlock& writer_lock(Dentry* parent) { return parent->child_lock; }
 
   // The *Locked entry points require writer_lock(parent) to be held.
   Dentry* FindChildLocked(Dentry* parent, const char* name) const;
@@ -218,9 +205,7 @@ class Dcache {
   }
 
   Kernel* kernel_;
-  bool locked_ = false;
   uint64_t hash_buckets_ = 0;
-  lxfi::Spinlock locked_mu_;  // ablation mode: the single global dcache lock
   std::array<Shard, lxfi::kMaxCpuShards> shards_;
 };
 

@@ -61,9 +61,7 @@ class DoubleLockGuard {
     first_ = &dc.writer_lock(a);
     lxfi::Spinlock* second = &dc.writer_lock(b);
     if (second == first_) {
-      // Same directory, or locked (ablation) mode where every parent maps
-      // to the one global lock.
-      second = nullptr;
+      second = nullptr;  // same directory
     } else if (b->depth < a->depth ||
                (b->depth == a->depth &&
                 reinterpret_cast<uintptr_t>(b) < reinterpret_cast<uintptr_t>(a))) {
@@ -881,9 +879,8 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
       // see pos_children > 0 here) or observes the dying mark under the
       // same lock in DInstantiate/LookupChild and fails. Parent -> child
       // is the tree order (ascending depth), so the nesting cannot
-      // deadlock; in locked mode both locks are the single global one,
-      // already held.
-      lxfi::OptionalSpinGuard child_guard(child->child_lock, !dcache_.locked_mode());
+      // deadlock.
+      lxfi::SpinGuard child_guard(child->child_lock);
       if (child->pos_children > 0) {
         return -kEnotempty;
       }

@@ -29,7 +29,7 @@ int SlabAllocator::ClassIndexFor(size_t size) {
 // --- partitions ---------------------------------------------------------------
 
 bool SlabAllocator::EnablePartitions(size_t region_bytes, size_t slot_bytes, uint64_t seed) {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (region_lo_ != 0) {
     return true;
   }
@@ -57,7 +57,7 @@ bool SlabAllocator::EnablePartitions(size_t region_bytes, size_t slot_bytes, uin
 }
 
 int SlabAllocator::CreatePartition() {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (region_lo_ == 0 || free_slots_.empty()) {
     return kNoPartition;
   }
@@ -75,7 +75,7 @@ int SlabAllocator::CreatePartition() {
 }
 
 bool SlabAllocator::PartitionSpan(int id, uintptr_t* lo, uintptr_t* hi) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (id < 0 || static_cast<size_t>(id) >= partitions_.size() || partitions_[id]->torn_down) {
     return false;
   }
@@ -85,7 +85,7 @@ bool SlabAllocator::PartitionSpan(int id, uintptr_t* lo, uintptr_t* hi) const {
 }
 
 bool SlabAllocator::SealPartition(int id) {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (id < 0 || static_cast<size_t>(id) >= partitions_.size() || partitions_[id]->torn_down) {
     return false;
   }
@@ -94,7 +94,7 @@ bool SlabAllocator::SealPartition(int id) {
 }
 
 int SlabAllocator::PartitionOf(const void* ptr) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   Partition* part = PartitionOfLocked(reinterpret_cast<uintptr_t>(ptr));
   return part == nullptr ? kNoPartition : part->id;
 }
@@ -107,7 +107,7 @@ SlabAllocator::Partition* SlabAllocator::PartitionOfLocked(uintptr_t addr) const
 }
 
 size_t SlabAllocator::partition_live_objects(int id) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (id < 0 || static_cast<size_t>(id) >= partitions_.size()) {
     return 0;
   }
@@ -124,7 +124,7 @@ void* SlabAllocator::SlotPages(Partition* part, size_t bytes) {
 }
 
 size_t SlabAllocator::TeardownPartition(int id) {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   if (id < 0 || static_cast<size_t>(id) >= partitions_.size()) {
     return 0;
   }
@@ -214,7 +214,7 @@ void* SlabAllocator::AllocIn(int id, size_t size) {
   int ci = ClassIndexFor(size);
   void* p;
   {
-    lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+    lxfi::SpinGuard guard(mu_);
     Partition* part = nullptr;
     if (id != kNoPartition) {
       if (id < 0 || static_cast<size_t>(id) >= partitions_.size() || partitions_[id]->torn_down) {
@@ -322,7 +322,7 @@ void SlabAllocator::Free(void* ptr) {
     size_t stash_requested = 0;
     int stash_pid = kNoPartition;
     {
-      lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+      lxfi::SpinGuard guard(mu_);
       auto it = live_.find(reinterpret_cast<uintptr_t>(ptr));
       if (it == live_.end()) {
         Panic("kfree of unknown or already-freed pointer (slab corruption)");
@@ -355,7 +355,7 @@ void SlabAllocator::Free(void* ptr) {
 }
 
 void SlabAllocator::FreeGlobal(void* ptr) {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   auto it = live_.find(reinterpret_cast<uintptr_t>(ptr));
   if (it == live_.end()) {
     Panic("kfree of unknown or already-freed pointer (slab corruption)");
@@ -386,13 +386,13 @@ void SlabAllocator::FreeGlobal(void* ptr) {
 }
 
 size_t SlabAllocator::AllocSize(const void* ptr) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   auto it = live_.find(reinterpret_cast<uintptr_t>(ptr));
   return it == live_.end() ? 0 : it->second.requested;
 }
 
 size_t SlabAllocator::UsableSize(const void* ptr) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   auto it = live_.find(reinterpret_cast<uintptr_t>(ptr));
   if (it == live_.end()) {
     return 0;
@@ -402,7 +402,7 @@ size_t SlabAllocator::UsableSize(const void* ptr) const {
 }
 
 bool SlabAllocator::IsLive(const void* ptr) const {
-  lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+  lxfi::SpinGuard guard(mu_);
   return live_.count(reinterpret_cast<uintptr_t>(ptr)) != 0;
 }
 

@@ -9,10 +9,11 @@
 //  - ksize()-style introspection so capability annotations can revoke the
 //    exact granted range on kfree.
 //
-// SMP: the shared structures are guarded by a spinlock, and an optional
-// per-CPU object cache (EnableSmpCache — the analogue of SLUB's per-CPU
-// partial lists) recycles same-size objects entirely within one simulated
-// CPU: a cached object stays "live" in the global map with an unchanged
+// SMP: the shared structures are always guarded by one spinlock
+// (uncontended on one CPU), and an optional per-CPU object cache
+// (EnableSmpCache — the analogue of SLUB's per-CPU partial lists) recycles
+// same-size objects entirely within one simulated CPU: a cached object
+// stays "live" in the global map with an unchanged
 // requested size, so ksize/AllocSize introspection and the capability
 // annotations built on it keep working, while the per-packet alloc/free
 // pair on the parallel netperf path touches no global lock at all. The
@@ -71,19 +72,9 @@ class SlabAllocator {
 
   bool IsLive(const void* ptr) const;
 
-  // Switches the allocator to locked operation (called by kern::CpuSet
-  // before any CPU thread exists). Single-threaded kernels never pay the
-  // lock: per-packet alloc/free on the Figure 12 path stays exactly the
-  // seed's cost.
-  void EnableSmp() { smp_lock_ = true; }
-  bool smp() const { return smp_lock_; }
-
   // Turns on the per-CPU recycling cache (simulated-CPU harnesses only).
   // Note: cached objects report IsLive() true between free and reuse.
-  void EnableSmpCache() {
-    smp_lock_ = true;
-    smp_cache_ = true;
-  }
+  void EnableSmpCache() { smp_cache_ = true; }
 
   // --- partitioned heaps -----------------------------------------------------
   static constexpr int kNoPartition = -1;
@@ -128,7 +119,7 @@ class SlabAllocator {
   size_t partition_live_objects(int id) const;
 
   size_t partition_count() const {
-    lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+    lxfi::SpinGuard guard(mu_);
     return partitions_.size();
   }
 
@@ -137,7 +128,7 @@ class SlabAllocator {
 
   // Stats.
   size_t live_objects() const {
-    lxfi::OptionalSpinGuard guard(mu_, smp_lock_);
+    lxfi::SpinGuard guard(mu_);
     return live_.size();
   }
   size_t pages_allocated() const { return pages_allocated_; }
@@ -203,16 +194,15 @@ class SlabAllocator {
   void* AllocFromClass(Partition* part, size_t class_index, size_t requested);
   void* AllocLarge(Partition* part, size_t size);
   // Bump-allocates `bytes` of page-aligned slot memory; nullptr when the
-  // slot is exhausted. Caller holds mu_ in SMP mode.
+  // slot is exhausted. Caller holds mu_.
   void* SlotPages(Partition* part, size_t bytes);
   // The non-cached free path (locks internally).
   void FreeGlobal(void* ptr);
-  // Address classification; caller holds mu_ in SMP mode.
+  // Address classification; caller holds mu_.
   Partition* PartitionOfLocked(uintptr_t addr) const;
 
   lxfi::Arena* arena_;
-  mutable lxfi::Spinlock mu_;  // guards partial_/page_of_/live_/partitions_/arena (SMP mode)
-  bool smp_lock_ = false;
+  mutable lxfi::Spinlock mu_;  // guards partial_/page_of_/live_/partitions_/arena
   bool smp_cache_ = false;
   // Per-class list of pages that still have free objects (shared heap).
   std::array<std::vector<SlabPage*>, kClassSizes.size()> partial_;

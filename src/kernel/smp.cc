@@ -54,8 +54,6 @@ CpuSet::CpuSet(Kernel* kernel, int ncpus, SmpOptions options)
   if (options_.deterministic) {
     return;
   }
-  // Real CPU threads exist from here on: the shared allocator must lock.
-  kernel_->slab().EnableSmp();
   for (auto& cpu : cpus_) {
     Cpu* raw = cpu.get();
     raw->thread = std::thread([this, raw] { WorkerLoop(raw); });

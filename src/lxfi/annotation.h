@@ -86,8 +86,8 @@ struct AnnotationSet {
   std::vector<Annotation> annotations;
   uint64_t ahash = 0;  // hash of normalized text
 
-  // Compiled form, lowered at registration time (guard_program.h). Null when
-  // the set exceeds compiler limits; the runtime then interprets the AST.
+  // Compiled form, lowered at registration time (guard_program.h): what
+  // wrappers execute. Registration refuses sets the compiler rejects.
   std::unique_ptr<GuardProgram> program;
 
   bool HasPrincipal() const {

@@ -23,9 +23,13 @@ lxfi::Status AnnotationRegistry::Register(const std::string& name,
   if (set == nullptr) {
     return InvalidArgument("annotation parse error for '" + name + "': " + error);
   }
-  // The compile pass: lower the AST once, at registration time. A null
-  // program (compiler limits exceeded) leaves the interpreter fallback.
+  // The compile pass: lower the AST once, at registration time. The
+  // compiled program is the only engine, so a set beyond compiler limits
+  // is refused like a parse error.
   set->program = CompileAnnotations(*set, iters_);
+  if (set->program == nullptr) {
+    return InvalidArgument("annotations for '" + name + "' exceed guard compiler limits");
+  }
   const AnnotationSet* raw = set.get();
   sets_[name] = std::move(set);
   // Insert() never overwrites an occupied colliding slot here because we only

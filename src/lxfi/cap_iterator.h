@@ -23,8 +23,7 @@ namespace lxfi {
 
 // Scratch for one caplist resolution. Typical caplists are 1–3 capabilities
 // (an object header plus a payload buffer), so the inline capacity keeps the
-// annotation hot path free of heap allocation in both the compiled and the
-// interpreter paths.
+// annotation hot path free of heap allocation.
 using CapVec = SmallVector<Capability, 8>;
 
 class CapIterContext {

@@ -134,48 +134,6 @@ bool CapTable::Revoke(const Capability& cap) {
   return false;
 }
 
-bool CapTable::CheckConcurrent(const Capability& cap) const {
-  switch (cap.kind) {
-    case CapKind::kWrite:
-      return CheckWriteConcurrent(cap.addr, cap.size);
-    case CapKind::kCall:
-      return CheckCallConcurrent(cap.addr);
-    case CapKind::kRef:
-      return CheckRefConcurrent(cap.ref_type, cap.addr);
-  }
-  return false;
-}
-
-bool CapTable::MightHoldConcurrent(const Capability& cap) const {
-  switch (cap.kind) {
-    case CapKind::kWrite: {
-      if (cap.size == 0) {
-        return false;
-      }
-      uintptr_t qend = RangeEnd(cap.addr, cap.size);
-      uintptr_t first = BucketOf(cap.addr);
-      uintptr_t last = BucketOf(qend - 1);
-      // Huge ranges would probe hundreds of buckets; just take the locked
-      // revoke path for those (they are module-lifetime events, not
-      // per-packet transfers).
-      if (last - first > 8) {
-        return true;
-      }
-      for (uintptr_t b = first; b <= last; ++b) {
-        if (write_buckets_.AnyOverlapConcurrent(BucketKey(b), cap.addr, qend)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    case CapKind::kCall:
-      return call_.ContainsConcurrent(cap.addr);
-    case CapKind::kRef:
-      return ref_.ContainsConcurrent(RefKey(cap.ref_type, cap.addr));
-  }
-  return false;
-}
-
 void CapTable::Clear() {
   if (!write_buckets_.empty() || !call_.empty()) {
     RevocationEpoch::Bump();

@@ -14,6 +14,11 @@
 // one 32-byte slot; a bucket covered by several ranges owns several slots on
 // one probe chain), CALL and REF in FlatSets, so the common probe touches
 // one short run of contiguous memory.
+//
+// Every probe is lock-free and seqlock-validated, so checks from any
+// simulated CPU may run while grants and revokes proceed; mutation must be
+// serialized by the owning principal's lock (or run single-threaded).
+// Replaced slot arrays are retired through the global EpochReclaimer.
 #pragma once
 
 #include <atomic>
@@ -132,42 +137,41 @@ class CapTable {
 
   void Clear();
 
-  // --- SMP read-mostly mode -------------------------------------------------
-  // Attaches the grace-period reclaimer to all three tables; after this,
-  // the *Concurrent probes below are safe against concurrent mutation
-  // (which must itself be serialized by the owning principal's lock).
-  void SetReclaimer(EpochReclaimer* reclaimer) {
-    write_buckets_.SetReclaimer(reclaimer);
-    call_.SetReclaimer(reclaimer);
-    ref_.SetReclaimer(reclaimer);
-  }
-
-  // Lock-free seqlock-validated probes (the SMP enforcement slow paths).
-  bool FindWriteRangeConcurrent(uintptr_t addr, size_t size, uintptr_t* lo, uintptr_t* hi) const {
-    if (size == 0) {
-      *lo = addr;
-      *hi = addr;
-      return true;
-    }
-    uintptr_t qend = RangeEnd(addr, size);
-    return write_buckets_.FindContainingConcurrent(BucketKey(BucketOf(addr)), addr, qend, lo, hi);
-  }
-  bool CheckWriteConcurrent(uintptr_t addr, size_t size) const {
-    uintptr_t lo, hi;
-    return FindWriteRangeConcurrent(addr, size, &lo, &hi);
-  }
-  bool CheckCallConcurrent(uintptr_t target) const { return call_.ContainsConcurrent(target); }
-  bool CheckRefConcurrent(RefTypeId type, uintptr_t addr) const {
-    return ref_.ContainsConcurrent(RefKey(type, addr));
-  }
-  bool CheckConcurrent(const Capability& cap) const;
-
   // Revoke pre-filter: true when this table might hold state that
   // Revoke(cap) would remove. Lock-free, so RevokeEverywhere only locks
   // principals that can actually be affected; a false positive costs a
   // locked no-op revoke, a false negative can only happen for a capability
   // granted concurrently with the revoke (the two were unordered anyway).
-  bool MightHoldConcurrent(const Capability& cap) const;
+  // Inline: RevokeEverywhere runs it for every principal of every module.
+  bool MightHold(const Capability& cap) const {
+    switch (cap.kind) {
+      case CapKind::kWrite: {
+        if (cap.size == 0) {
+          return false;
+        }
+        uintptr_t qend = RangeEnd(cap.addr, cap.size);
+        uintptr_t first = BucketOf(cap.addr);
+        uintptr_t last = BucketOf(qend - 1);
+        // Huge ranges would probe hundreds of buckets; just take the locked
+        // revoke path for those (they are module-lifetime events, not
+        // per-packet transfers).
+        if (last - first > 8) {
+          return true;
+        }
+        for (uintptr_t b = first; b <= last; ++b) {
+          if (write_buckets_.AnyOverlap(BucketKey(b), cap.addr, qend)) {
+            return true;
+          }
+        }
+        return false;
+      }
+      case CapKind::kCall:
+        return call_.Contains(cap.addr);
+      case CapKind::kRef:
+        return ref_.Contains(RefKey(cap.ref_type, cap.addr));
+    }
+    return false;
+  }
 
   size_t write_count() const;
   size_t call_count() const { return call_.size(); }

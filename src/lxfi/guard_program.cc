@@ -24,7 +24,7 @@ class GuardCompiler {
 
   std::unique_ptr<GuardProgram> Run() {
     // Pre section, then post, then the principal() expression — each kind in
-    // declared order, exactly the order the interpreter applies them.
+    // declared order, exactly the order the reference interpreter applies them.
     for (const Annotation& a : set_.annotations) {
       if (a.kind == Annotation::Kind::kPre && a.action != nullptr && !EmitAction(*a.action, false)) {
         return nullptr;
@@ -37,7 +37,7 @@ class GuardCompiler {
       }
     }
     prog_->post_end_ = static_cast<uint32_t>(prog_->ops_.size());
-    // The interpreter honors the first principal() annotation only.
+    // The reference interpreter honors the first principal() annotation only.
     for (const Annotation& a : set_.annotations) {
       if (a.kind != Annotation::Kind::kPrincipal) {
         continue;
@@ -113,7 +113,7 @@ class GuardCompiler {
         return Push() && Emit(GuardOpcode::kPushConst, 0, AddConst(e.value));
       case Expr::Kind::kArg:
         if (e.arg_index < 0) {
-          // The interpreter evaluates an unbound arg to 0.
+          // The reference interpreter evaluates an unbound arg to 0.
           return Push() && Emit(GuardOpcode::kPushConst, 0, AddConst(0));
         }
         if (e.arg_index > 0xffff) {
@@ -185,7 +185,7 @@ class GuardCompiler {
     uint32_t b = 0;
     int pops = 1;
     if (spec.kind == CapKind::kWrite && spec.size != nullptr) {
-      // Only WRITE uses the size expression (the interpreter never evaluates
+      // Only WRITE uses the size expression (the reference interpreter never evaluates
       // it for call/ref caplists).
       if (!EmitExpr(*spec.size)) {
         return false;

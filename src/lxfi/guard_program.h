@@ -21,9 +21,10 @@
 // Expressions compile to a tiny stack machine; the compiler tracks the
 // maximum stack depth so the evaluator needs no bounds checks. Programs the
 // compiler cannot prove within limits (depth, op count, arg index width)
-// compile to nullptr and the runtime falls back to the AST interpreter —
-// the two paths are kept semantics-identical by construction (shared per-
-// capability action application) and by the differential property test.
+// compile to nullptr, and registration refuses them: the program is the
+// only engine at run time. Its semantics are pinned by a differential
+// property test against a test-only AST interpreter that shares the
+// per-capability action application (Runtime::ApplyOneCap).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace lxfi {
 enum class GuardOpcode : uint8_t {
   // Expression ops (stack machine).
   kPushConst,   // push consts[a]
-  kPushArg,     // push args[a] (0 when a >= nargs, like the interpreter)
+  kPushArg,     // push args[a] (0 when a >= nargs)
   kPushRet,     // push the call's return value (post sections only)
   kNeg,         // unary minus
   kAdd,
@@ -108,8 +109,7 @@ class GuardProgram {
   const std::string& IterName(size_t slot) const { return iters_[slot].name; }
 
   // Cached iterator resolution; `reg` may be null (then unresolved slots
-  // stay null and the evaluator raises the interpreter's unknown-iterator
-  // violation).
+  // stay null and the evaluator raises an unknown-iterator violation).
   const CapIterator* IterFn(size_t slot, const IteratorRegistry* reg) const {
     const IterSlot& s = iters_[slot];
     if (s.fn == nullptr && reg != nullptr) {
@@ -137,8 +137,8 @@ class GuardProgram {
 };
 
 // Lowers `set` into a GuardProgram. `iters` (optional) pre-resolves iterator
-// slots. Returns nullptr when the set exceeds compiler limits — callers keep
-// the AST and fall back to the interpreter.
+// slots. Returns nullptr when the set exceeds compiler limits (registration
+// then refuses the set).
 std::unique_ptr<GuardProgram> CompileAnnotations(const AnnotationSet& set,
                                                  const IteratorRegistry* iters);
 

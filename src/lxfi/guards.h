@@ -160,8 +160,7 @@ class GuardScope<true> {
 
 // Runtime-dispatched variant for paths that already do heap or string work
 // per guard (annotation actions), where splitting timed/untimed bodies buys
-// nothing. Counts always; times only when enabled. (Kept under its original
-// name ScopedGuard too, for callers outside the flattened hot paths.)
+// nothing. Counts always; times only when enabled.
 class GuardScopeDyn {
  public:
   GuardScopeDyn(GuardStats* stats, GuardType type) : stats_(stats), type_(type) {
@@ -184,7 +183,5 @@ class GuardScopeDyn {
   GuardType type_;
   uint64_t start_ = 0;
 };
-
-using ScopedGuard = GuardScopeDyn;
 
 }  // namespace lxfi

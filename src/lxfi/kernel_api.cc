@@ -24,17 +24,11 @@ namespace {
 
 void MustRegister(Runtime* rt, const std::string& name, const std::vector<std::string>& params,
                   const std::string& text) {
+  // Registration parses and compiles the set (refusing one the guard
+  // compiler rejects); wrappers bind the program pointer at wrap time.
   lxfi::Status st = rt->annotations().Register(name, params, text);
   if (!st.ok()) {
     kern::Panic("kernel API annotation registration failed: " + st.ToString());
-  }
-  // Registration lowers the set into a GuardProgram (the compile pass);
-  // wrappers bind that program pointer at wrap time. The interpreter
-  // fallback exists for pathological inputs, never for the shipped API
-  // surface — refuse to boot on a set the compiler rejected.
-  const AnnotationSet* set = rt->annotations().Find(name);
-  if (set == nullptr || set->program == nullptr) {
-    kern::Panic("kernel API annotation failed to compile: " + name);
   }
 }
 

@@ -23,6 +23,7 @@ ModuleCtx::ModuleCtx(Runtime* runtime, kern::Module* kmod)
       kmod_(kmod),
       shared_(this, PrincipalKind::kShared, 0),
       global_(this, PrincipalKind::kGlobal, 0) {
+  by_name_.SetReclaimer(&EpochReclaimer::Global());
   PublishSnapshot();
 }
 
@@ -34,16 +35,6 @@ ModuleCtx::~ModuleCtx() {
 
 const std::string& ModuleCtx::name() const { return kmod_->name(); }
 
-void ModuleCtx::EnableConcurrent(EpochReclaimer* reclaimer) {
-  reclaimer_ = reclaimer;
-  shared_.caps().SetReclaimer(reclaimer);
-  global_.caps().SetReclaimer(reclaimer);
-  by_name_.SetReclaimer(reclaimer);
-  for (auto& inst : instances_) {
-    inst->caps().SetReclaimer(reclaimer);
-  }
-}
-
 void ModuleCtx::PublishSnapshot() {
   auto* fresh = new InstanceSnapshot();
   fresh->items.reserve(instances_.size());
@@ -53,36 +44,20 @@ void ModuleCtx::PublishSnapshot() {
   InstanceSnapshot* old = inst_snapshot_;
   __atomic_store_n(&inst_snapshot_, fresh, __ATOMIC_RELEASE);
   if (old != nullptr) {
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([old] { delete old; });
-    } else {
-      delete old;
-    }
+    EpochReclaimer::Global().Retire([old] { delete old; });
   }
 }
 
 Principal* ModuleCtx::GetOrCreate(uintptr_t name) {
-  if (reclaimer_ != nullptr) {
-    // Lock-free hit path: per-crossing principal() resolution lands here on
-    // every kernel->module call, and the principal almost always exists.
-    Principal* found = nullptr;
-    if (by_name_.FindValueConcurrent(name, &found)) {
-      return found;
-    }
-    SpinGuard guard(mu_);
-    if (Principal* const* raced = by_name_.Find(name)) {
-      return *raced;
-    }
-    instances_.push_back(std::make_unique<Principal>(this, PrincipalKind::kInstance, name));
-    Principal* p = instances_.back().get();
-    p->caps().SetReclaimer(reclaimer_);
-    by_name_.Insert(name, p);
-    PublishSnapshot();
-    TRACE_EVENT(TraceEvent::kPrincipalCreate, p->trace_id(), name, 0);
-    return p;
+  // Lock-free hit path: per-crossing principal() resolution lands here on
+  // every kernel->module call, and the principal almost always exists.
+  Principal* found = nullptr;
+  if (by_name_.FindValueConcurrent(name, &found)) {
+    return found;
   }
-  if (Principal* const* found = by_name_.Find(name)) {
-    return *found;
+  SpinGuard guard(mu_);
+  if (Principal* const* raced = by_name_.Find(name)) {
+    return *raced;
   }
   instances_.push_back(std::make_unique<Principal>(this, PrincipalKind::kInstance, name));
   Principal* p = instances_.back().get();
@@ -131,41 +106,20 @@ void ModuleCtx::DropInstance(uintptr_t name) {
     return;
   }
   TRACE_EVENT(TraceEvent::kPrincipalDrop, doomed->trace_id(), name, 0);
-  if (reclaimer_ != nullptr) {
-    // Lock-free probes may still hold the principal until their next
-    // quiescent state; its capability tables (whose destructor also bumps
-    // the revocation epoch) die with it after the grace period.
-    Principal* raw = doomed.release();
-    reclaimer_->Retire([raw] { delete raw; });
-  }
+  // Lock-free probes may still hold the principal until their next
+  // quiescent state; its capability tables (whose destructor also bumps the
+  // revocation epoch) die with it after the grace period.
+  Principal* raw = doomed.release();
+  EpochReclaimer::Global().Retire([raw] { delete raw; });
 }
 
 // The one copy of the ownership fallback chain (§3.1): the principal itself,
 // then the module's shared principal, then — for the global principal — the
-// union over every instance. `probe` answers "does this table satisfy the
-// query" for one principal.
+// union over every instance, iterated through the published snapshot so it
+// cannot race instance creation. `probe` answers "does this table satisfy
+// the query" for one principal.
 template <typename Probe>
 bool ModuleCtx::OwnsChain(const Principal* p, Probe&& probe) const {
-  if (probe(*p)) {
-    return true;
-  }
-  if (p != &shared_ && probe(shared_)) {
-    return true;
-  }
-  if (p->kind() == PrincipalKind::kGlobal) {
-    for (const auto& inst : instances_) {
-      if (probe(*inst)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// Concurrent flavor: same chain, but the global-principal case iterates the
-// published snapshot so it cannot race instance creation.
-template <typename Probe>
-bool ModuleCtx::OwnsChainConcurrent(const Principal* p, Probe&& probe) const {
   if (probe(*p)) {
     return true;
   }
@@ -244,58 +198,14 @@ bool ModuleCtx::OwnsCall(const Principal* p, uintptr_t target) const {
   return OwnsChain(p, [target](const Principal& q) { return q.caps().CheckCall(target); });
 }
 
-bool ModuleCtx::OwnsConcurrent(const Principal* p, const Capability& cap) const {
-  return OwnsChainConcurrent(p, [&cap](const Principal& q) {
-    if (cap.kind == CapKind::kWrite) {
-      switch (ArenaWriteProbe(q, cap.addr, cap.size, nullptr, nullptr)) {
-        case ArenaAnswer::kAllow:
-          return true;
-        case ArenaAnswer::kDeny:
-          return false;
-        case ArenaAnswer::kNotMine:
-          break;
-      }
-    }
-    return q.caps().CheckConcurrent(cap);
-  });
-}
-
-bool ModuleCtx::OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                                    uintptr_t* hi) const {
-  return OwnsChainConcurrent(p, [&](const Principal& q) {
-    switch (ArenaWriteProbe(q, addr, size, lo, hi)) {
-      case ArenaAnswer::kAllow:
-        return true;
-      case ArenaAnswer::kDeny:
-        return false;
-      case ArenaAnswer::kNotMine:
-        break;
-    }
-    return q.caps().FindWriteRangeConcurrent(addr, size, lo, hi);
-  });
-}
-
-bool ModuleCtx::OwnsCallConcurrent(const Principal* p, uintptr_t target) const {
-  return OwnsChainConcurrent(
-      p, [target](const Principal& q) { return q.caps().CheckCallConcurrent(target); });
-}
-
 bool ModuleCtx::RevokeEverywhere(const Capability& cap) {
-  if (reclaimer_ == nullptr) {
-    bool any = shared_.caps().Revoke(cap);
-    any |= global_.caps().Revoke(cap);
-    for (auto& inst : instances_) {
-      any |= inst->caps().Revoke(cap);
-    }
-    return any;
-  }
-  // SMP path: pre-filter each principal lock-free so the common per-packet
-  // transfer locks only the one principal that actually holds the
-  // capability. Table mutation happens before the revocation-epoch bump
-  // (inside CapTable::Revoke), preserving the "returned revokes are never
-  // passed" ordering.
+  // Pre-filter each principal lock-free so the common per-packet transfer
+  // locks only the one principal that actually holds the capability. Table
+  // mutation happens before the revocation-epoch bump (inside
+  // CapTable::Revoke), preserving the "returned revokes are never passed"
+  // ordering.
   auto revoke_one = [&cap](Principal* p) {
-    if (!p->caps().MightHoldConcurrent(cap)) {
+    if (!p->caps().MightHold(cap)) {
       return false;
     }
     SpinGuard guard(p->lock());

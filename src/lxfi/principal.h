@@ -11,13 +11,14 @@
 // lxfi_princ_alias maps a new name onto an existing principal.
 //
 // SMP model: a Principal owns one capability table (mutated under the
-// per-principal Spinlock in concurrent mode, probed lock-free by any CPU)
-// plus one EnforcementContext memo shard per simulated CPU, so hot-path
-// memo state never bounces between cores. ModuleCtx keeps an RCU-style
-// published snapshot of its instance-principal list: creators publish a new
-// snapshot under the module lock, concurrent revokers and ownership chains
-// iterate the snapshot lock-free, and superseded snapshots (and dropped
-// principals) are reclaimed through the quiescent-state EpochReclaimer.
+// per-principal Spinlock, probed lock-free by any CPU) plus one
+// EnforcementContext memo shard per simulated CPU, so hot-path memo state
+// never bounces between cores. ModuleCtx keeps an RCU-style published
+// snapshot of its instance-principal list: creators publish a new snapshot
+// under the module lock, revokers and ownership chains iterate the snapshot
+// lock-free, and superseded snapshots (and dropped principals) are
+// reclaimed through the quiescent-state EpochReclaimer. The same path runs
+// with one CPU or many.
 #pragma once
 
 #include <atomic>
@@ -62,8 +63,8 @@ class Principal {
   CapTable& caps() { return caps_; }
   const CapTable& caps() const { return caps_; }
 
-  // Serializes capability-table mutation (and the writer-page record) in
-  // concurrent mode; lock-free probes never take it.
+  // Serializes capability-table mutation (and the writer-page record);
+  // lock-free probes never take it.
   Spinlock& lock() { return lock_; }
 
   // Pages this principal has already been recorded for in the global
@@ -157,20 +158,13 @@ class ModuleCtx {
   kern::Module* kmod() const { return kmod_; }
   const std::string& name() const;
 
-  // Switches this module's principal state into SMP mode: capability tables
-  // retire replaced slot arrays through `reclaimer`, instance creation
-  // publishes snapshots, and ownership probes go lock-free. Must be called
-  // before any concurrent access (Runtime does it at module load).
-  void EnableConcurrent(EpochReclaimer* reclaimer);
-  bool concurrent() const { return reclaimer_ != nullptr; }
-
   Principal* shared() { return &shared_; }
   Principal* global() { return &global_; }
 
   // Finds the principal for `name`, creating an instance principal on first
   // use (instances come into existence when first named, e.g. by a
   // principal() annotation selecting a socket pointer). Lock-free on the
-  // (overwhelmingly common) hit path in concurrent mode.
+  // (overwhelmingly common) hit path.
   Principal* GetOrCreate(uintptr_t name);
   Principal* Lookup(uintptr_t name) const;
 
@@ -179,8 +173,8 @@ class ModuleCtx {
   bool Alias(uintptr_t existing, uintptr_t alias);
 
   // Drops an instance principal and its capabilities (e.g. socket release).
-  // In concurrent mode the principal's memory is reclaimed only after a
-  // grace period, so in-flight lock-free probes stay safe.
+  // The principal's memory is reclaimed only after a grace period, so
+  // in-flight lock-free probes stay safe.
   void DropInstance(uintptr_t name);
 
   // All instance principals (no shared/global). Not safe against concurrent
@@ -192,6 +186,8 @@ class ModuleCtx {
   //  - `p` owns the cap directly, or
   //  - the module's shared principal owns it, or
   //  - `p` is the global principal and *any* principal of the module owns it.
+  // Lock-free: every table probe is seqlock-validated and the global case
+  // walks the published instance snapshot.
   bool Owns(const Principal* p, const Capability& cap) const;
 
   // WRITE ownership with the same fallback chain, reporting the containing
@@ -202,27 +198,9 @@ class ModuleCtx {
   // CALL ownership with the same fallback chain (no range to report).
   bool OwnsCall(const Principal* p, uintptr_t target) const;
 
-  // Lock-free variants for SMP enforcement: identical fallback chain, but
-  // every table probe is seqlock-validated and the global-principal case
-  // walks the published instance snapshot.
-  bool OwnsConcurrent(const Principal* p, const Capability& cap) const;
-  bool OwnsWriteConcurrent(const Principal* p, uintptr_t addr, size_t size, uintptr_t* lo,
-                           uintptr_t* hi) const;
-  bool OwnsCallConcurrent(const Principal* p, uintptr_t target) const;
-
- private:
-  // Shared self -> shared -> (global: instances) fallback chain; `probe`
-  // tests one principal's table. Defined in principal.cc.
-  template <typename Probe>
-  bool OwnsChain(const Principal* p, Probe&& probe) const;
-  template <typename Probe>
-  bool OwnsChainConcurrent(const Principal* p, Probe&& probe) const;
-
- public:
-
   // Revokes `cap` from every principal of this module; returns true if any
-  // principal held it. In concurrent mode each affected principal is
-  // revoked under its own lock, pre-filtered by a lock-free probe.
+  // principal held it. Each affected principal is revoked under its own
+  // lock, pre-filtered by a lock-free probe.
   bool RevokeEverywhere(const Capability& cap);
 
   // --- heap-partition bookkeeping -------------------------------------------
@@ -295,6 +273,11 @@ class ModuleCtx {
     std::vector<Principal*> items;
   };
 
+  // Self -> shared -> (global: instances) fallback chain; `probe` tests one
+  // principal's table. Defined in principal.cc.
+  template <typename Probe>
+  bool OwnsChain(const Principal* p, Probe&& probe) const;
+
   const InstanceSnapshot* AcquireSnapshot() const {
     return __atomic_load_n(&inst_snapshot_, __ATOMIC_ACQUIRE);
   }
@@ -310,7 +293,6 @@ class ModuleCtx {
   std::vector<std::unique_ptr<Principal>> instances_;
   FlatTable<Principal*> by_name_;
   InstanceSnapshot* inst_snapshot_ = nullptr;
-  EpochReclaimer* reclaimer_ = nullptr;
   std::vector<HeapPartitionRecord> heap_partitions_;  // guarded by mu_
   std::vector<ArenaFallbackRecord> arena_fallbacks_;  // guarded by mu_
 };

@@ -80,9 +80,6 @@ std::string GuardStats::Report() const {
 Runtime::Runtime(kern::Kernel* kernel, RuntimeOptions options)
     : kernel_(kernel), options_(options) {
   guards_.timing_enabled = options_.guard_timing;
-  if (options_.concurrent_enforcement) {
-    writer_set_.EnableConcurrent(&EpochReclaimer::Global());
-  }
   if (options_.partitioned_heaps) {
     EnablePartitionedHeaps();
   }
@@ -125,9 +122,6 @@ Runtime::~Runtime() {
 bool Runtime::OnModuleLoad(kern::Module* module) {
   auto ctx = std::make_unique<ModuleCtx>(this, module);
   ModuleCtx* mc = ctx.get();
-  if (options_.concurrent_enforcement) {
-    mc->EnableConcurrent(&EpochReclaimer::Global());
-  }
   {
     SpinGuard guard(ctxs_mu_);
     ctxs_[module] = std::move(ctx);
@@ -214,9 +208,7 @@ void Runtime::OnModuleUnload(kern::Module* module) {
   // old snapshot may still be mid-crossing through the module's wrappers,
   // so wait out a grace period before unregistering its text and tearing
   // down its principals — the synchronize_rcu() in real module unload.
-  if (options_.concurrent_enforcement) {
-    EpochReclaimer::Global().Synchronize();
-  }
+  EpochReclaimer::Global().Synchronize();
   // Unregister module text so stale function pointers fault rather than run.
   for (const kern::FuncDecl& fd : module->def().functions) {
     uintptr_t addr = module->FuncAddr(fd.name);
@@ -426,64 +418,54 @@ void Runtime::OnInterruptExit(kern::KthreadContext* ctx) {
 void Runtime::Grant(Principal* p, const Capability& cap) {
   TRACE_EVENT(TraceEvent::kCapGrant, p->trace_id(), cap.addr,
               static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
-  if (LXFI_UNLIKELY(options_.concurrent_enforcement)) {
-    // Mutate the table under the principal's lock, and record writer pages
-    // against the principal's private page set while we hold it: steady
-    // per-packet grants (skb transfers re-granting slab pages seen before)
-    // then never touch the global writer-set lock.
-    constexpr size_t kMaxInlinePages = 64;
-    uint64_t new_pages[kMaxInlinePages];
-    size_t n_new = 0;
-    bool huge_range = false;
-    // Kernel-stack ranges are never writer-recorded: stack write authority is
-    // the transient §3.2 initial capability (OwnsForEnforcement allows it
-    // with no cap at all), while the writer set is monotone and stack frames
-    // recycle. Recording an out-param grant here would permanently mark a
-    // frame page and poison later kernel dispatch through stack slots (e.g.
-    // the page cache's stack writeback bio).
-    bool on_stack = cap.kind == CapKind::kWrite && cap.size > 0 &&
-                    OnKernelStack(cap.addr, cap.size);
-    {
-      SpinGuard guard(p->lock());
-      p->caps().Grant(cap);
-      if (cap.kind == CapKind::kWrite && cap.size > 0 && !on_stack) {
-        // A ClearRange/RemoveWriter since we last recorded invalidates every
-        // record: re-attribute from scratch so erased pages get re-inserted.
-        uint64_t gen = writer_set_.clear_generation();
-        if (gen != p->writer_pages_gen()) {
-          p->writer_pages().Clear();
-          p->set_writer_pages_gen(gen);
-        }
-        uintptr_t first = cap.addr >> WriterSet::kPageShift;
-        uintptr_t last = (cap.addr + cap.size - 1) >> WriterSet::kPageShift;
-        if (last - first >= kMaxInlinePages) {
-          huge_range = true;  // module-lifetime grant (e.g. the user window)
-        } else {
-          for (uintptr_t page = first; page <= last; ++page) {
-            if (p->writer_pages().Insert(page)) {
-              new_pages[n_new++] = page;
-            }
+  // Mutate the table under the principal's lock, and record writer pages
+  // against the principal's private page set while we hold it: steady
+  // per-packet grants (skb transfers re-granting slab pages seen before)
+  // then never touch the global writer-set lock.
+  constexpr size_t kMaxInlinePages = 64;
+  uint64_t new_pages[kMaxInlinePages];
+  size_t n_new = 0;
+  bool huge_range = false;
+  // Kernel-stack ranges are never writer-recorded: stack write authority is
+  // the transient §3.2 initial capability (OwnsForEnforcement allows it
+  // with no cap at all), while the writer set is monotone and stack frames
+  // recycle. Recording an out-param grant here would permanently mark a
+  // frame page and poison later kernel dispatch through stack slots (e.g.
+  // the page cache's stack writeback bio).
+  bool on_stack =
+      cap.kind == CapKind::kWrite && cap.size > 0 && OnKernelStack(cap.addr, cap.size);
+  {
+    SpinGuard guard(p->lock());
+    p->caps().Grant(cap);
+    if (cap.kind == CapKind::kWrite && cap.size > 0 && !on_stack) {
+      // A ClearRange/RemoveWriter since we last recorded invalidates every
+      // record: re-attribute from scratch so erased pages get re-inserted.
+      uint64_t gen = writer_set_.clear_generation();
+      if (gen != p->writer_pages_gen()) {
+        p->writer_pages().Clear();
+        p->set_writer_pages_gen(gen);
+      }
+      uintptr_t first = cap.addr >> WriterSet::kPageShift;
+      uintptr_t last = (cap.addr + cap.size - 1) >> WriterSet::kPageShift;
+      if (last - first >= kMaxInlinePages) {
+        huge_range = true;  // module-lifetime grant (e.g. the user window)
+      } else {
+        for (uintptr_t page = first; page <= last; ++page) {
+          if (p->writer_pages().Insert(page)) {
+            new_pages[n_new++] = page;
           }
         }
       }
     }
-    if (huge_range) {
-      writer_set_.AddRange(p, cap.addr, cap.size);
-    } else if (n_new > 0) {
-      writer_set_.AddPages(p, new_pages, n_new);
-    }
-    return;
   }
-  p->caps().Grant(cap);
-  if (cap.kind == CapKind::kWrite && !OnKernelStack(cap.addr, cap.size)) {
+  if (huge_range) {
     writer_set_.AddRange(p, cap.addr, cap.size);
+  } else if (n_new > 0) {
+    writer_set_.AddPages(p, new_pages, n_new);
   }
 }
 
 bool Runtime::Owns(Principal* p, const Capability& cap) const {
-  if (LXFI_UNLIKELY(options_.concurrent_enforcement)) {
-    return p->module()->OwnsConcurrent(p, cap);
-  }
   return p->module()->Owns(p, cap);
 }
 
@@ -523,7 +505,7 @@ LXFI_ALWAYS_INLINE bool Runtime::WriteMemoProbe(EnforcementContext& ec, uintptr_
   // Fast path: the last granted range that satisfied a check for this
   // principal (memset / field-by-field store pattern). Three compares
   // against the context the CurrentPrincipal() load already touched.
-  if (LXFI_LIKELY(options_.enforcement_memo && ec.WriteMemoHit(addr, size))) {
+  if (LXFI_LIKELY(ec.WriteMemoHit(addr, size))) {
     ++ec.write_memo_hits;
     return true;
   }
@@ -536,15 +518,10 @@ LXFI_ALWAYS_INLINE bool Runtime::WriteTableProbe(Principal* p, EnforcementContex
   // already stale instead of outliving the revoke (see enforcement_context.h).
   uint64_t epoch = RevocationEpoch::Current();
   uintptr_t lo, hi;
-  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
-                   ? p->module()->OwnsWriteConcurrent(p, addr, size, &lo, &hi)
-                   : p->module()->OwnsWrite(p, addr, size, &lo, &hi);
-  if (!owned) {
+  if (!p->module()->OwnsWrite(p, addr, size, &lo, &hi)) {
     return false;
   }
-  if (options_.enforcement_memo) {
-    ec.FillWriteMemo(lo, hi, epoch);
-  }
+  ec.FillWriteMemo(lo, hi, epoch);
   return true;
 }
 
@@ -601,20 +578,15 @@ bool Runtime::OwnsWriteFast(Principal* p, uintptr_t addr, size_t size) {
 bool Runtime::OwnsCallFast(Principal* p, uintptr_t target) {
   EnforcementContext& ec = p->ctx();
   ++ec.call_checks;
-  if (options_.enforcement_memo && ec.CallMemoHit(target)) {
+  if (ec.CallMemoHit(target)) {
     ++ec.call_memo_hits;
     return true;
   }
   uint64_t epoch = RevocationEpoch::Current();
-  bool owned = LXFI_UNLIKELY(options_.concurrent_enforcement)
-                   ? p->module()->OwnsCallConcurrent(p, target)
-                   : p->module()->OwnsCall(p, target);
-  if (!owned) {
+  if (!p->module()->OwnsCall(p, target)) {
     return false;
   }
-  if (options_.enforcement_memo) {
-    ec.FillCallMemo(target, epoch);
-  }
+  ec.FillCallMemo(target, epoch);
   return true;
 }
 
@@ -627,23 +599,6 @@ void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name)
                    StrFormat("%s has no CALL capability for %s (%#llx)", p->DebugName().c_str(),
                              name.c_str(), static_cast<unsigned long long>(target)),
                    target);
-  }
-}
-
-void Runtime::CollectWritersFromCaps(uintptr_t slot_addr, WriterVec* out) {
-  // Ablation mode: recompute from capability tables every time.
-  SpinGuard guard(ctxs_mu_);
-  for (auto& [kmod, mc] : ctxs_) {
-    auto consider = [&](Principal* p) {
-      if (p->caps().CheckWrite(slot_addr, sizeof(uintptr_t))) {
-        out->push_back(p);
-      }
-    };
-    consider(mc->shared());
-    consider(mc->global());
-    for (const auto& inst : mc->instances()) {
-      consider(inst.get());
-    }
   }
 }
 
@@ -664,33 +619,17 @@ void Runtime::IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr
     guards_.Count(GuardType::kIndCallModule);
   }
   uintptr_t slot = reinterpret_cast<uintptr_t>(pptr);
-  const bool concurrent = options_.concurrent_enforcement;
-  if (LXFI_LIKELY(options_.writer_set_tracking &&
-                  (concurrent ? writer_set_.EmptyConcurrent(slot) : writer_set_.Empty(slot)))) {
+  if (LXFI_LIKELY(writer_set_.Empty(slot))) {
     return;  // fast path: no principal could have written this slot
   }
   GuardScope<kTimed> full_guard(&guards_, GuardType::kIndCallFull);
-  WriterVec scratch;
-  const WriterVec* writers;
-  if (options_.writer_set_tracking) {
-    if (concurrent) {
-      // The inline writer vector cannot be read lock-free; copy it out
-      // under the writer-set lock (slow path only — ops-table slots).
-      writer_set_.SnapshotWriters(slot, &scratch);
-      writers = &scratch;
-    } else {
-      writers = &writer_set_.WritersFor(slot);
-    }
-  } else {
-    CollectWritersFromCaps(slot, &scratch);
-    writers = &scratch;
-  }
-  if (writers->empty()) {
+  const WriterVec writers = writer_set_.WritersFor(slot);
+  if (writers.empty()) {
     return;
   }
   // Every principal that could have written the slot must hold a CALL
   // capability for the stored target (§4.1).
-  for (Principal* writer : *writers) {
+  for (Principal* writer : writers) {
     if (!OwnsCallFast(writer, target)) {
       RaiseViolation(
           ViolationKind::kIndirectCall,
@@ -960,18 +899,11 @@ void Runtime::VisitPrincipals(const std::function<void(Principal*)>& fn) const {
 
 // --- annotation-action evaluation ----------------------------------------------------
 //
-// Two execution engines share one action-application core (ApplyOneCap):
-//
-//   * the GuardProgram evaluator (ExecOps) — the production path, a tight
-//     switch-loop over the flat IR compiled at registration time;
-//   * the AST interpreter (InterpretActions/ApplyAction/EvalExpr) — the
-//     fallback for uncompiled sets and the reference implementation the
-//     differential property test pits against the compiled path.
+// The GuardProgram evaluator (ExecOps) is the one execution engine: a tight
+// switch-loop over the flat IR compiled at registration time. Capability
+// application lives in ApplyOneCap, which the test-side reference
+// interpreter (tests/reference_interpreter.h) shares for differential runs.
 
-// Applies one copy/transfer/check to one materialized capability. `from_module`
-// says which side is granting: pre of module->kernel and post of
-// kernel->module flow *from* the module; the opposite two flow from the
-// (all-owning) kernel toward the module principal.
 void Runtime::ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& env,
                           bool from_module) {
   GuardScopeDyn guard(&guards_, GuardType::kAnnotationAction);
@@ -1139,8 +1071,8 @@ void Runtime::ExecGuards(const GuardProgram& prog, CallEnv& env, bool post) {
   // the module->kernel direction participates: kernel->module pre checks are
   // no-ops (from_module is false), and a "clean" no-op pass must not seed
   // the memo a module->kernel crossing of the same program could then hit.
-  if (!post && !env.kernel_to_module && prog.pre_memoizable() && options_.enforcement_memo &&
-      env.principal != nullptr && env.nargs <= EnforcementContext::kPreMemoArgs) {
+  if (!post && !env.kernel_to_module && prog.pre_memoizable() && env.principal != nullptr &&
+      env.nargs <= EnforcementContext::kPreMemoArgs) {
     EnforcementContext& ec = env.principal->ctx();
     ++ec.pre_checks;
     if (ec.PreMemoHit(&prog, env.args, env.nargs)) {
@@ -1162,165 +1094,21 @@ void Runtime::ExecGuards(const GuardProgram& prog, CallEnv& env, bool post) {
   ExecOps(prog, begin, end, env, post);
 }
 
-void Runtime::RunActions(const AnnotationSet* set, CallEnv& env, bool post) {
-  if (set == nullptr) {
-    return;
-  }
-  RunBound(BoundProgram(set), set, env, post);
-}
-
-Principal* Runtime::SelectCalleePrincipal(const GuardProgram* prog, const AnnotationSet* set,
-                                          ModuleCtx* mc, const CallEnv& env) {
-  if (prog != nullptr) {
-    switch (prog->principal_kind()) {
-      case GuardProgram::PrincipalKind::kNone:
-      case GuardProgram::PrincipalKind::kShared:
-        return mc->shared();
-      case GuardProgram::PrincipalKind::kGlobal:
-        return mc->global();
-      case GuardProgram::PrincipalKind::kExpr: {
-        auto name = static_cast<uintptr_t>(
-            ExecOps(*prog, prog->post_end(), static_cast<uint32_t>(prog->ops().size()), env,
-                    /*post=*/false));
-        return mc->GetOrCreate(name);
-      }
-    }
-  }
-  return InterpretCalleePrincipal(set, mc, env);
-}
-
-Principal* Runtime::SelectCalleePrincipal(const AnnotationSet* set, ModuleCtx* mc,
+Principal* Runtime::SelectCalleePrincipal(const GuardProgram* prog, ModuleCtx* mc,
                                           const CallEnv& env) {
-  return SelectCalleePrincipal(BoundProgram(set), set, mc, env);
-}
-
-// --- AST interpreter -----------------------------------------------------------------
-
-int64_t Runtime::EvalExpr(const Expr& expr, const CallEnv& env) const {
-  switch (expr.kind) {
-    case Expr::Kind::kInt:
-      return expr.value;
-    case Expr::Kind::kArg:
-      if (expr.arg_index < 0 || static_cast<size_t>(expr.arg_index) >= env.nargs) {
-        return 0;
-      }
-      return static_cast<int64_t>(env.args[expr.arg_index]);
-    case Expr::Kind::kReturn:
-      return static_cast<int64_t>(env.ret);
-    case Expr::Kind::kNeg:
-      return -EvalExpr(*expr.lhs, env);
-    case Expr::Kind::kBinary: {
-      int64_t a = EvalExpr(*expr.lhs, env);
-      int64_t b = EvalExpr(*expr.rhs, env);
-      if (expr.op == "+") {
-        return a + b;
-      }
-      if (expr.op == "-") {
-        return a - b;
-      }
-      if (expr.op == "<") {
-        return a < b;
-      }
-      if (expr.op == ">") {
-        return a > b;
-      }
-      if (expr.op == "<=") {
-        return a <= b;
-      }
-      if (expr.op == ">=") {
-        return a >= b;
-      }
-      if (expr.op == "==") {
-        return a == b;
-      }
-      if (expr.op == "!=") {
-        return a != b;
-      }
-      return 0;
-    }
+  if (prog == nullptr) {
+    return mc->shared();
   }
-  return 0;
-}
-
-void Runtime::ResolveCaps(const CapListSpec& spec, const CallEnv& env, bool post, CapVec* out) {
-  if (spec.is_iterator) {
-    const CapIterator* iter = iterators_.Find(spec.iterator_name);
-    if (iter == nullptr) {
-      RaiseViolation(ViolationKind::kCapCheck,
-                     "unknown capability iterator '" + spec.iterator_name + "' in " + env.what);
-      return;
-    }
-    CapIterContext ctx(kernel_);
-    (*iter)(ctx, static_cast<uint64_t>(EvalExpr(*spec.iterator_arg, env)));
-    for (const Capability& cap : ctx.caps()) {
-      out->push_back(cap);
-    }
-    return;
-  }
-  auto addr = static_cast<uintptr_t>(EvalExpr(*spec.ptr, env));
-  switch (spec.kind) {
-    case CapKind::kWrite: {
-      // Default size is one pointer-sized object (the paper defaults to
-      // sizeof(*ptr); interface authors here spell sizes explicitly except
-      // for pointer cells).
-      size_t size = spec.size != nullptr ? static_cast<size_t>(EvalExpr(*spec.size, env))
-                                         : sizeof(uintptr_t);
-      out->push_back(Capability::Write(addr, size));
-      break;
-    }
-    case CapKind::kCall:
-      out->push_back(Capability::Call(addr));
-      break;
-    case CapKind::kRef:
-      out->push_back(Capability::Ref(RefType(spec.ref_type_name), addr));
-      break;
-  }
-}
-
-void Runtime::ApplyAction(const Action& action, const CallEnv& env, bool post) {
-  if (action.op == Action::Op::kIf) {
-    if (EvalExpr(*action.cond, env) != 0) {
-      ApplyAction(*action.then, env, post);
-    }
-    return;
-  }
-  CapVec caps;
-  ResolveCaps(action.caps, env, post, &caps);
-  bool from_module = env.kernel_to_module == post;
-  for (const Capability& cap : caps) {
-    ApplyOneCap(action.op, cap, env, from_module);
-  }
-}
-
-void Runtime::InterpretActions(const AnnotationSet* set, CallEnv& env, bool post) {
-  if (set == nullptr) {
-    return;
-  }
-  Annotation::Kind want = post ? Annotation::Kind::kPost : Annotation::Kind::kPre;
-  for (const Annotation& a : set->annotations) {
-    if (a.kind == want && a.action != nullptr) {
-      ApplyAction(*a.action, env, post);
-    }
-  }
-}
-
-Principal* Runtime::InterpretCalleePrincipal(const AnnotationSet* set, ModuleCtx* mc,
-                                             const CallEnv& env) {
-  if (set != nullptr) {
-    for (const Annotation& a : set->annotations) {
-      if (a.kind != Annotation::Kind::kPrincipal) {
-        continue;
-      }
-      switch (a.principal_target) {
-        case Annotation::PrincipalTarget::kGlobal:
-          return mc->global();
-        case Annotation::PrincipalTarget::kShared:
-          return mc->shared();
-        case Annotation::PrincipalTarget::kExpr: {
-          auto name = static_cast<uintptr_t>(EvalExpr(*a.principal_expr, env));
-          return mc->GetOrCreate(name);
-        }
-      }
+  switch (prog->principal_kind()) {
+    case GuardProgram::PrincipalKind::kNone:
+    case GuardProgram::PrincipalKind::kShared:
+      return mc->shared();
+    case GuardProgram::PrincipalKind::kGlobal:
+      return mc->global();
+    case GuardProgram::PrincipalKind::kExpr: {
+      auto name = static_cast<uintptr_t>(ExecOps(
+          *prog, prog->post_end(), static_cast<uint32_t>(prog->ops().size()), env, /*post=*/false));
+      return mc->GetOrCreate(name);
     }
   }
   return mc->shared();

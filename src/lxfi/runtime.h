@@ -31,23 +31,6 @@ struct RuntimeOptions {
   // costs two clock reads per guard. When off, guards compile down to a
   // counter increment (GuardScope<false>).
   bool guard_timing = false;
-  // Writer-set fast path for kernel indirect calls (§4.1). Disabling it is
-  // the bench_writerset ablation: every indirect call takes the full check.
-  bool writer_set_tracking = true;
-  // Per-principal last-hit memos (EnforcementContext). Disabling is the
-  // bench_sfi_micro ablation: every store guard takes the full flat-table
-  // lookup. Also gates the guard-program pre-check memo.
-  bool enforcement_memo = true;
-  // Run compiled GuardPrograms at wrapper crossings (§4.2 lowered to a flat
-  // IR at registration time). Disabling is the bench_annotations /
-  // bench_wrappers ablation: every crossing re-interprets the annotation AST.
-  bool compiled_guards = true;
-  // SMP enforcement: capability tables go read-mostly (lock-free
-  // seqlock-validated probes, mutation under per-principal locks,
-  // grace-period reclamation of retired slot arrays) so checks from
-  // simulated CPUs (kern::CpuSet) can run concurrently. Off by default:
-  // single-threaded configurations keep the PR 1 flat probe untouched.
-  bool concurrent_enforcement = false;
   // Per-principal partitioned heaps (IA2-style): each principal's kmalloc
   // allocations come from its own arena slot, so the store guard's common
   // case — a module writing memory it allocated itself — collapses to a
@@ -169,8 +152,8 @@ class Runtime : public kern::IsolationHooks {
   // --- instrumentation entry points ---------------------------------------
   // Module store guard (inserted before each memory write, §4.2). The fast
   // path is the per-(CPU, principal) EnforcementContext write memo; the
-  // slow path is one flat-table probe per fallback principal (lock-free
-  // seqlock-validated under concurrent_enforcement).
+  // slow path is one lock-free seqlock-validated flat-table probe per
+  // fallback principal.
   void CheckWrite(const void* dst, size_t size);
   // CALL-capability check for a module's direct (wrapped) call.
   void CheckCall(Principal* p, uintptr_t target, const std::string& name);
@@ -237,31 +220,38 @@ class Runtime : public kern::IsolationHooks {
   void VisitPrincipals(const std::function<void(Principal*)>& fn) const;
 
   // --- wrapper machinery (used by wrap.h; internal) -------------------------
-  // The guard program a wrapper should bind at wrap time: the compiled form
-  // when compiled guards are enabled, null to force the AST interpreter.
-  const GuardProgram* BoundProgram(const AnnotationSet* set) const {
-    return set != nullptr && options_.compiled_guards ? set->program.get() : nullptr;
+  // The guard program a wrapper binds at wrap time. Registration refuses
+  // annotation sets the compiler rejects, so every registered set has one;
+  // null means the function carries no annotations.
+  static const GuardProgram* ProgramOf(const AnnotationSet* set) {
+    return set != nullptr ? set->program.get() : nullptr;
   }
-  // Evaluates pre (post=false) or post (post=true) actions: the compiled
-  // program's section when `prog` is non-null, the AST of `set` otherwise.
-  // Wrappers bind `prog` once at wrap time (BoundProgram) so no lookup or
-  // dispatch decision happens per crossing; the empty-section skip (most
-  // annotations have no post actions) stays inline in the wrapper.
-  void RunBound(const GuardProgram* prog, const AnnotationSet* set, CallEnv& env, bool post) {
-    if (prog != nullptr) {
-      if ((post ? prog->pre_end() != prog->post_end() : prog->pre_end() != 0)) {
-        ExecGuards(*prog, env, post);
-      }
-      return;
+  // Evaluates the pre (post=false) or post (post=true) section of `prog`.
+  // Wrappers bind `prog` once at wrap time so no lookup happens per
+  // crossing; the empty-section skip (most annotations have no post
+  // actions) stays inline in the wrapper.
+  void RunBound(const GuardProgram* prog, CallEnv& env, bool post) {
+    if (prog != nullptr && (post ? prog->pre_end() != prog->post_end() : prog->pre_end() != 0)) {
+      ExecGuards(*prog, env, post);
     }
-    InterpretActions(set, env, post);
   }
-  // Convenience dispatcher over BoundProgram (tests, non-bound callers).
-  void RunActions(const AnnotationSet* set, CallEnv& env, bool post);
+  // RunBound over a set's program (tests, benches, non-bound callers).
+  void RunActions(const AnnotationSet* set, CallEnv& env, bool post) {
+    RunBound(ProgramOf(set), env, post);
+  }
   // Resolves the principal() annotation for a kernel->module call.
-  Principal* SelectCalleePrincipal(const GuardProgram* prog, const AnnotationSet* set,
-                                   ModuleCtx* mc, const CallEnv& env);
-  Principal* SelectCalleePrincipal(const AnnotationSet* set, ModuleCtx* mc, const CallEnv& env);
+  Principal* SelectCalleePrincipal(const GuardProgram* prog, ModuleCtx* mc, const CallEnv& env);
+  Principal* SelectCalleePrincipal(const AnnotationSet* set, ModuleCtx* mc, const CallEnv& env) {
+    return SelectCalleePrincipal(ProgramOf(set), mc, env);
+  }
+  // Applies one copy/transfer/check action to one materialized capability.
+  // `from_module` says which side is granting: pre of module->kernel and
+  // post of kernel->module flow *from* the module; the opposite two flow
+  // from the (all-owning) kernel toward the module principal. The compiled
+  // evaluator calls this for every capability; so does the reference
+  // interpreter the differential tests run, so the two engines cannot
+  // drift in semantics or violation messages.
+  void ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& env, bool from_module);
   // Shadow-stack push + principal switch; returns the frame token.
   uint64_t WrapperEnter(Principal* switch_to, const char* what);
   void WrapperExit(uint64_t token, const char* what);
@@ -280,8 +270,6 @@ class Runtime : public kern::IsolationHooks {
                                                  std::function<Ret(Args...)> inner);
 
  private:
-  friend class ActionEvaluator;
-
   // --- compiled guard evaluation (guard_program.h) -------------------------
   // Runs one section (pre or post) of a compiled program, including the
   // EnforcementContext pre-check memo protocol for memoizable pre sections.
@@ -290,19 +278,6 @@ class Runtime : public kern::IsolationHooks {
   // stack (the principal-expression sections' result, 0 otherwise).
   int64_t ExecOps(const GuardProgram& prog, uint32_t pc, uint32_t end, const CallEnv& env,
                   bool post);
-
-  // --- AST interpreter (fallback + differential reference) -----------------
-  void InterpretActions(const AnnotationSet* set, CallEnv& env, bool post);
-  Principal* InterpretCalleePrincipal(const AnnotationSet* set, ModuleCtx* mc, const CallEnv& env);
-  // Materializes the capabilities named by one caplist spec into `out`
-  // (SmallVector scratch: typical caplists never heap-allocate).
-  void ResolveCaps(const CapListSpec& spec, const CallEnv& env, bool post, CapVec* out);
-  int64_t EvalExpr(const Expr& expr, const CallEnv& env) const;
-  void ApplyAction(const Action& action, const CallEnv& env, bool post);
-  // Applies one copy/transfer/check to one capability — the single shared
-  // implementation both the interpreter and the compiled evaluator call, so
-  // their semantics (and violation messages) cannot drift.
-  void ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& env, bool from_module);
 
   // --- enforcement fast-path internals ------------------------------------
   // Store-guard body shared by the timed and counter-only entry paths.
@@ -314,9 +289,6 @@ class Runtime : public kern::IsolationHooks {
   // Indirect-call body shared by the timed and counter-only entry paths.
   template <bool kTimed>
   void IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target);
-  // Ablation path: recompute a slot's possible writers from the capability
-  // tables instead of the writer set.
-  void CollectWritersFromCaps(uintptr_t slot_addr, WriterVec* out);
 
   kern::Kernel* kernel_;
   RuntimeOptions options_;

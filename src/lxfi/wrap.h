@@ -81,8 +81,8 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
   kern::Kernel* k = kernel_;
   // Bind the compiled guard program once, at wrap time: per crossing the
   // wrapper holds the program pointer, never a name or registry lookup.
-  const GuardProgram* prog = BoundProgram(set);
-  return [rt, k, mc, kaddr, set, prog, name](Args... args) -> Ret {
+  const GuardProgram* prog = ProgramOf(set);
+  return [rt, k, mc, kaddr, prog, name](Args... args) -> Ret {
     Principal* caller = rt->CurrentPrincipal();
     if (caller == nullptr) {
       // Trusted context (e.g. test setup poking the module's import table):
@@ -101,13 +101,13 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
     env.args = raw.data();
     env.nargs = raw.size();
     env.what = name.c_str();
-    rt->RunBound(prog, set, env, /*post=*/false);
+    rt->RunBound(prog, env, /*post=*/false);
     if constexpr (std::is_void_v<Ret>) {
       {
         FrameGuard frame(rt, nullptr, name.c_str());
         k->funcs().Invoke<Ret, Args...>(kaddr, args...);
       }
-      rt->RunBound(prog, set, env, /*post=*/true);
+      rt->RunBound(prog, env, /*post=*/true);
     } else {
       Ret result;
       {
@@ -115,7 +115,7 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
         result = k->funcs().Invoke<Ret, Args...>(kaddr, args...);
       }
       env.ret = ToRaw(result);
-      rt->RunBound(prog, set, env, /*post=*/true);
+      rt->RunBound(prog, env, /*post=*/true);
       return result;
     }
   };
@@ -126,8 +126,8 @@ std::function<Ret(Args...)> Runtime::WrapModuleFunction(ModuleCtx* mc, const Ann
                                                         const std::string& label,
                                                         std::function<Ret(Args...)> inner) {
   Runtime* rt = this;
-  const GuardProgram* prog = BoundProgram(set);
-  return [rt, mc, set, prog, label, inner](Args... args) -> Ret {
+  const GuardProgram* prog = ProgramOf(set);
+  return [rt, mc, prog, label, inner](Args... args) -> Ret {
     std::array<uint64_t, sizeof...(Args)> raw{ToRaw(args)...};
     CallEnv env;
     env.mc = mc;
@@ -135,17 +135,17 @@ std::function<Ret(Args...)> Runtime::WrapModuleFunction(ModuleCtx* mc, const Ann
     env.args = raw.data();
     env.nargs = raw.size();
     env.what = label.c_str();
-    Principal* target = rt->SelectCalleePrincipal(prog, set, mc, env);
+    Principal* target = rt->SelectCalleePrincipal(prog, mc, env);
     env.principal = target;
     FrameGuard frame(rt, target, label.c_str());
-    rt->RunBound(prog, set, env, /*post=*/false);
+    rt->RunBound(prog, env, /*post=*/false);
     if constexpr (std::is_void_v<Ret>) {
       inner(args...);
-      rt->RunBound(prog, set, env, /*post=*/true);
+      rt->RunBound(prog, env, /*post=*/true);
     } else {
       Ret result = inner(args...);
       env.ret = ToRaw(result);
-      rt->RunBound(prog, set, env, /*post=*/true);
+      rt->RunBound(prog, env, /*post=*/true);
       return result;
     }
   };

@@ -2,29 +2,13 @@
 
 namespace lxfi {
 
-const WriterVec WriterSet::kEmpty;
-
-void WriterSet::EnableConcurrent(EpochReclaimer* reclaimer) {
-  pages_.SetReclaimer(reclaimer);
-  concurrent_ = true;
-}
-
 void WriterSet::AddRange(Principal* writer, uintptr_t addr, size_t size) {
   if (size == 0) {
     return;
   }
   uintptr_t first = addr >> kPageShift;
   uintptr_t last = (addr + size - 1) >> kPageShift;
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    for (uintptr_t page = first; page <= last; ++page) {
-      WriterVec& writers = pages_.GetOrInsert(page);
-      if (!writers.contains(writer)) {
-        writers.push_back(writer);
-      }
-    }
-    return;
-  }
+  SpinGuard guard(mu_);
   for (uintptr_t page = first; page <= last; ++page) {
     WriterVec& writers = pages_.GetOrInsert(page);
     if (!writers.contains(writer)) {
@@ -57,14 +41,7 @@ void WriterSet::ClearRange(uintptr_t addr, size_t size) {
   if (first_full >= last_full) {
     return;  // no fully-covered page; nothing erased, generation unchanged
   }
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    for (uintptr_t page = first_full; page < last_full; ++page) {
-      pages_.Erase(page);
-    }
-    clear_gen_.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
+  SpinGuard guard(mu_);
   for (uintptr_t page = first_full; page < last_full; ++page) {
     pages_.Erase(page);
   }
@@ -72,36 +49,21 @@ void WriterSet::ClearRange(uintptr_t addr, size_t size) {
 }
 
 void WriterSet::RemoveWriter(Principal* writer) {
-  auto remove = [this, writer] {
-    pages_.EraseIf([writer](uint64_t page, const WriterVec& writers) {
-      // EraseIf visits values by const ref; removal mutates in place, which
-      // is safe because it never inserts or erases table entries mid-scan.
-      auto& mut = const_cast<WriterVec&>(writers);
-      mut.erase_value(writer);
-      return mut.empty();
-    });
-  };
-  if (concurrent_) {
-    SpinGuard guard(mu_);
-    remove();
-    clear_gen_.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
-  remove();
+  SpinGuard guard(mu_);
+  pages_.EraseIf([writer](uint64_t page, const WriterVec& writers) {
+    // EraseIf visits values by const ref; removal mutates in place, which
+    // is safe because it never inserts or erases table entries mid-scan.
+    auto& mut = const_cast<WriterVec&>(writers);
+    mut.erase_value(writer);
+    return mut.empty();
+  });
   clear_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-const WriterVec& WriterSet::WritersFor(uintptr_t addr) const {
-  const WriterVec* writers = pages_.Find(addr >> kPageShift);
-  return writers == nullptr ? kEmpty : *writers;
-}
-
-void WriterSet::SnapshotWriters(uintptr_t addr, WriterVec* out) const {
+WriterVec WriterSet::WritersFor(uintptr_t addr) const {
   SpinGuard guard(mu_);
   const WriterVec* writers = pages_.Find(addr >> kPageShift);
-  if (writers != nullptr) {
-    *out = *writers;
-  }
+  return writers == nullptr ? WriterVec() : *writers;
 }
 
 }  // namespace lxfi

@@ -15,9 +15,9 @@
 // inline (src/base/flat_table.h), so the Empty() probe on every kernel
 // indirect call walks contiguous memory only.
 //
-// SMP mode: the emptiness probe (EmptyConcurrent) is a lock-free
-// seqlock-validated key probe; mutation and the slow-path writer snapshot
-// take the writer spinlock. The per-packet grant path avoids this lock
+// Concurrency: the emptiness probe is a lock-free seqlock-validated key
+// probe; mutation and the slow-path writer snapshot take the writer
+// spinlock. The per-packet grant path avoids this lock
 // almost entirely: Runtime::Grant records, per principal, which pages are
 // already attributed (Principal::writer_pages(), under the per-principal
 // lock it already holds) and only calls into the global table for pages
@@ -45,6 +45,8 @@ class WriterSet {
  public:
   static constexpr uintptr_t kPageShift = 12;
 
+  WriterSet() { pages_.SetReclaimer(&EpochReclaimer::Global()); }
+
   void AddRange(Principal* writer, uintptr_t addr, size_t size);
 
   // Called when memory is zeroed (fresh kmalloc) or an owner is destroyed:
@@ -65,26 +67,14 @@ class WriterSet {
   bool Empty(uintptr_t addr) const {
     // Present ⟹ non-empty: AddRange never leaves an empty writer vector,
     // and ClearRange/RemoveWriter erase entries that drain. Emptiness is
-    // therefore a pure key probe — the value array is never touched on the
-    // kernel's indirect-call fast path.
-    return !pages_.Contains(addr >> kPageShift);
-  }
-
-  // Lock-free SMP variant of Empty() (seqlock-validated key probe).
-  bool EmptyConcurrent(uintptr_t addr) const {
+    // therefore a pure lock-free key probe — the value array is never
+    // touched on the kernel's indirect-call fast path.
     return !pages_.ContainsConcurrent(addr >> kPageShift);
   }
 
-  // Writers recorded for the page containing `addr`.
-  const WriterVec& WritersFor(uintptr_t addr) const;
-
-  // SMP slow path: copies the writers for `addr`'s page under the lock (the
-  // inline writer vector cannot be read lock-free).
-  void SnapshotWriters(uintptr_t addr, WriterVec* out) const;
-
-  // Enables lock-free probes: attaches the grace-period reclaimer and
-  // switches mutators to take the internal lock.
-  void EnableConcurrent(EpochReclaimer* reclaimer);
+  // Writers recorded for the page containing `addr`, copied under the lock
+  // (the inline writer vector cannot be read lock-free). Slow path only.
+  WriterVec WritersFor(uintptr_t addr) const;
 
   // Locked insert of `writer` into the given pages (the miss path of the
   // per-principal page record; see Runtime::Grant).
@@ -95,9 +85,7 @@ class WriterSet {
  private:
   FlatTable<WriterVec> pages_;
   mutable Spinlock mu_;
-  bool concurrent_ = false;
   std::atomic<uint64_t> clear_gen_{1};
-  static const WriterVec kEmpty;
 };
 
 }  // namespace lxfi

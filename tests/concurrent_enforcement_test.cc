@@ -31,7 +31,6 @@ struct ConcurrentRig {
   ConcurrentRig() {
     lxfi::RuntimeOptions options;
     options.policy = lxfi::ViolationPolicy::kCount;
-    options.concurrent_enforcement = true;
     bench = std::make_unique<lxfitest::Bench>(/*isolated=*/true, options);
     kern::ModuleDef def;
     def.name = "stress";

@@ -167,40 +167,6 @@ TEST(DcacheDifferential, CollidingNamesResolveByStrcmpFallback) {
   lxfi::EpochReclaimer::Global().Synchronize();
 }
 
-// Locked (ablation) mode answers exactly like RCU mode.
-TEST(DcacheLockedMode, LookupMatchesRcuMode) {
-  kern::Kernel kernel;
-  kern::Dcache dc(&kernel);
-  kern::Dentry* parent = dc.NewDentry(nullptr, nullptr, "root");
-  kern::Inode ino;
-  ino.mode = kern::kIfReg;
-  for (int i = 0; i < 40; ++i) {
-    std::string name = "f" + std::to_string(i);
-    kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
-    if (i % 3 != 0) {
-      kern::Dcache::SetPositive(d, &ino);
-    }
-    lxfi::SpinGuard guard(dc.writer_lock(parent));
-    dc.LinkChildLocked(parent, d);
-  }
-  for (int i = 0; i < 40; ++i) {
-    std::string name = "f" + std::to_string(i);
-    dc.set_locked_mode(false);
-    kern::Dentry* rcu = dc.Lookup(parent, name);
-    dc.set_locked_mode(true);
-    kern::Dentry* locked = dc.Lookup(parent, name);
-    EXPECT_EQ(rcu, locked);
-    ASSERT_NE(rcu, nullptr);
-  }
-  dc.set_locked_mode(false);
-  EXPECT_EQ(dc.Lookup(parent, "missing"), nullptr);
-  dc.set_locked_mode(true);
-  EXPECT_EQ(dc.Lookup(parent, "missing"), nullptr);
-  dc.set_locked_mode(false);
-  dc.FreeTreeNow(parent);
-  lxfi::EpochReclaimer::Global().Synchronize();
-}
-
 // The storm: reader CPUs walk one directory's stable and absent names
 // nonstop while writer CPUs create/unlink/instantiate churn names in the
 // same directory (same index, same seqlock). Invariants: stable names are

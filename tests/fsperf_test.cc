@@ -70,14 +70,4 @@ TEST(FsperfContended, ThreeCpuSharedDirectoryEnforcedRunIsClean) {
   EXPECT_EQ(h.runtime()->violation_count(), 0u);
 }
 
-// Same workload against the single-lock (pre-RCU) dcache ablation: results
-// must match, only the locking discipline differs.
-TEST(FsperfContended, LockedDcacheAblationIsCleanToo) {
-  constexpr eval::FsContendedConfig kCfg{/*files=*/40, /*stats_per_file=*/2, /*rounds=*/1};
-  eval::FsperfHarness h(/*isolated=*/true, /*cpus=*/3, /*locked_dcache=*/true);
-  eval::FsScalingResult r = h.RunContended(kCfg);
-  EXPECT_EQ(r.ops, 3ull * kCfg.rounds * kCfg.files * (1 + kCfg.stats_per_file + 1));
-  EXPECT_EQ(h.runtime()->violation_count(), 0u);
-}
-
 }  // namespace

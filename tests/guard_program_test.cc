@@ -1,8 +1,9 @@
 // The annotation compile pass (guard_program.h): golden disassemblies of the
 // compiler's output, the EnforcementContext pre-check memo protocol, and a
 // differential property test that drives randomly generated annotation sets
-// through both the AST interpreter and the compiled GuardProgram and demands
-// identical capability effects, violation records, and principal selection.
+// through both the compiled GuardProgram and the test-side reference
+// interpreter (reference_interpreter.h) and demands identical capability
+// effects, violation records, and principal selection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
+#include "tests/reference_interpreter.h"
 
 namespace {
 
@@ -123,8 +125,8 @@ TEST(GuardCompiler, MemoizabilityRules) {
                   ->pre_memoizable());
 }
 
-// Every annotation the kernel API registers must lower to a program (the
-// interpreter fallback is for pathological inputs, not the shipped surface).
+// Every annotation the kernel API registers lowers to a program (the only
+// engine the runtime has).
 TEST(GuardCompiler, EntireKernelApiSurfaceCompiles) {
   kern::Kernel kernel;
   lxfi::Runtime rt(&kernel);
@@ -146,14 +148,13 @@ TEST(GuardCompiler, EntireKernelApiSurfaceCompiles) {
 // --- test rig ---------------------------------------------------------------
 
 // A kernel+runtime pair in counting-violation mode, with a module loaded and
-// a deterministic capability iterator registered. Two rigs — one compiled,
-// one interpreting — receive identical stimuli in the differential tests.
+// a deterministic capability iterator registered. Two rigs — one running the
+// compiled programs, one the reference interpreter — receive identical
+// stimuli in the differential tests.
 struct Rig {
-  explicit Rig(bool compiled, bool memo = true) {
+  explicit Rig(bool compiled) : compiled(compiled) {
     lxfi::RuntimeOptions opt;
     opt.policy = lxfi::ViolationPolicy::kCount;
-    opt.compiled_guards = compiled;
-    opt.enforcement_memo = memo;
     kernel = std::make_unique<kern::Kernel>();
     rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
     lxfi::InstallKernelApi(kernel.get(), rt.get());
@@ -178,6 +179,7 @@ struct Rig {
 
   lxfi::Principal* shared() { return mc->shared(); }
 
+  bool compiled;
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
@@ -201,12 +203,21 @@ std::string RunShot(Rig& rig, const std::string& name, const uint64_t* args, siz
   env.nargs = nargs;
   env.ret = ret;
   env.what = name.c_str();
-  lxfi::Principal* p =
-      kernel_to_module ? rig.rt->SelectCalleePrincipal(set, rig.mc, env) : rig.shared();
+  lxfitest::ReferenceInterpreter oracle(rig.rt.get());
+  lxfi::Principal* p = rig.shared();
+  if (kernel_to_module) {
+    p = rig.compiled ? rig.rt->SelectCalleePrincipal(set, rig.mc, env)
+                     : oracle.SelectCalleePrincipal(set, rig.mc, env);
+  }
   env.principal = p;
   size_t violations_before = rig.rt->violation_count();
-  rig.rt->RunActions(set, env, /*post=*/false);
-  rig.rt->RunActions(set, env, /*post=*/true);
+  for (bool post : {false, true}) {
+    if (rig.compiled) {
+      rig.rt->RunActions(set, env, post);
+    } else {
+      oracle.RunActions(set, env, post);
+    }
+  }
   std::string out = "principal=" + p->DebugName() + "\n";
   const auto& violations = rig.rt->violations();
   for (size_t i = violations_before; i < violations.size(); ++i) {
@@ -362,8 +373,8 @@ TEST(GuardDifferential, RandomAnnotationSetsMatchInterpreter) {
 TEST(GuardDifferential, MemoizedReplayMatchesInterpreter) {
   lxfi::Rng rng(411);
   AnnotationGen gen(&rng);
-  Rig compiled(/*compiled=*/true, /*memo=*/true);
-  Rig interp(/*compiled=*/false, /*memo=*/false);
+  Rig compiled(/*compiled=*/true);
+  Rig interp(/*compiled=*/false);
   std::vector<std::string> params = {"a", "b", "c"};
   for (int iter = 0; iter < 100; ++iter) {
     std::string text = "pre(" + (rng.Chance(0.5) ? std::string("check(write, a, 64)")
@@ -439,18 +450,6 @@ TEST(GuardMemo, KernelToModulePassDoesNotSeedModuleToKernelSkip) {
       << "memo seeded by a no-op kernel->module pass suppressed a real check";
 }
 
-TEST(GuardMemo, DisabledByOption) {
-  Rig rig(/*compiled=*/true, /*memo=*/false);
-  constexpr uintptr_t kLock = kObjBase;
-  rig.rt->Grant(rig.shared(), Capability::Write(kLock, 64));
-  ASSERT_TRUE(
-      rig.rt->annotations().Register("memo_lock", {"lock"}, "pre(check(write, lock, 8))").ok());
-  uint64_t args[1] = {kLock};
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  RunShot(rig, "memo_lock", args, 1, 0, false);
-  EXPECT_EQ(rig.shared()->ctx().pre_memo_hits, 0u);
-}
-
 // --- iterator resolution ----------------------------------------------------
 
 TEST(GuardProgram, LateIteratorRegistrationResolvesLazily) {
@@ -476,42 +475,55 @@ TEST(GuardProgram, LateIteratorRegistrationResolvesLazily) {
   EXPECT_EQ(rig.rt->violation_count(), before);
 }
 
-// An import wrapper bound before a Runtime option flip keeps its bound
-// engine; a crossing through the wrapper behaves identically either way.
-TEST(GuardProgram, WrapperCrossingsMatchAcrossEngines) {
-  for (bool compiled : {false, true}) {
-    lxfi::RuntimeOptions opt;
-    opt.compiled_guards = compiled;
-    auto kernel = std::make_unique<kern::Kernel>();
-    auto rt = std::make_unique<lxfi::Runtime>(kernel.get(), opt);
-    lxfi::InstallKernelApi(kernel.get(), rt.get());
+// A crossing through bound import wrappers moves capabilities exactly as the
+// annotations say: kmalloc transfers the object in, kfree takes it back.
+TEST(GuardProgram, WrapperCrossingsTransferCapabilities) {
+  auto kernel = std::make_unique<kern::Kernel>();
+  auto rt = std::make_unique<lxfi::Runtime>(kernel.get());
+  lxfi::InstallKernelApi(kernel.get(), rt.get());
 
-    kern::Module* module = nullptr;
-    std::function<void*(size_t)> kmalloc;
-    std::function<void(void*)> kfree;
-    std::function<void(uintptr_t*)> spin_lock;
-    kern::ModuleDef def;
-    def.name = "xmod";
-    def.imports = {"kmalloc", "kfree", "spin_lock"};
-    def.init = [&](kern::Module& m) -> int {
-      module = &m;
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      kfree = lxfi::GetImport<void, void*>(m, "kfree");
-      spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
-      return 0;
-    };
-    ASSERT_NE(kernel->LoadModule(std::move(def)), nullptr);
+  kern::Module* module = nullptr;
+  std::function<void*(size_t)> kmalloc;
+  std::function<void(void*)> kfree;
+  std::function<void(uintptr_t*)> spin_lock;
+  kern::ModuleDef def;
+  def.name = "xmod";
+  def.imports = {"kmalloc", "kfree", "spin_lock"};
+  def.init = [&](kern::Module& m) -> int {
+    module = &m;
+    kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
+    kfree = lxfi::GetImport<void, void*>(m, "kfree");
+    spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
+    return 0;
+  };
+  ASSERT_NE(kernel->LoadModule(std::move(def)), nullptr);
 
-    lxfi::Principal* shared = rt->CtxOf(module)->shared();
-    lxfi::ScopedPrincipal as_module(rt.get(), shared);
-    void* p = kmalloc(128);
-    ASSERT_NE(p, nullptr);
-    EXPECT_TRUE(rt->Owns(shared, Capability::Write(p, 128))) << "compiled=" << compiled;
-    spin_lock(static_cast<uintptr_t*>(p));
-    kfree(p);
-    EXPECT_FALSE(rt->Owns(shared, Capability::Write(p, 128))) << "compiled=" << compiled;
-    EXPECT_EQ(rt->violation_count(), 0u) << "compiled=" << compiled;
+  lxfi::Principal* shared = rt->CtxOf(module)->shared();
+  lxfi::ScopedPrincipal as_module(rt.get(), shared);
+  void* p = kmalloc(128);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(rt->Owns(shared, Capability::Write(p, 128)));
+  spin_lock(static_cast<uintptr_t*>(p));
+  kfree(p);
+  EXPECT_FALSE(rt->Owns(shared, Capability::Write(p, 128)));
+  EXPECT_EQ(rt->violation_count(), 0u);
+}
+
+// The compiled program is the only engine, so registration refuses a set
+// the compiler rejects instead of leaving it without one.
+TEST(GuardProgram, RegistrationRefusesUncompilableSet) {
+  kern::Kernel kernel;
+  lxfi::Runtime rt(&kernel);
+  // Right-nested sums keep every operand live: stack depth beyond kMaxStack.
+  std::string expr = "a";
+  for (size_t i = 0; i <= GuardProgram::kMaxStack; ++i) {
+    expr = "(a + " + expr + ")";
   }
+  std::string text = "pre(check(write, " + expr + ", 8))";
+  ASSERT_NE(MustParse("deep_fn", {"a"}, text), nullptr);
+  lxfi::Status st = rt.annotations().Register("deep_fn", {"a"}, text);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(rt.annotations().Find("deep_fn"), nullptr);
 }
 
 }  // namespace

@@ -128,15 +128,6 @@ TEST_F(IndirectCallTest, MatchingTypeThroughDifferentSlotStillWorks) {
   EXPECT_EQ(rc, 123);
 }
 
-TEST_F(IndirectCallTest, WriterSetDisabledStillCatchesCorruption) {
-  bench_.rt->options().writer_set_tracking = false;
-  uintptr_t payload = bench_.kernel->funcs().Register<int(kern::Socket*, unsigned, uintptr_t)>(
-      kern::TextKind::kUserText, "payload2",
-      [](kern::Socket*, unsigned, uintptr_t) { return -1; });
-  data_->handler = payload;
-  EXPECT_THROW(CallThroughSlot(), lxfi::LxfiViolation);
-}
-
 TEST_F(IndirectCallTest, StockKernelRunsAnything) {
   Bench stock(/*isolated=*/false);
   auto st = std::make_shared<SlotState>();

@@ -165,7 +165,7 @@ TEST(GuardStats, ScopedGuardTimesWhenEnabled) {
   lxfi::GuardStats stats;
   stats.timing_enabled = true;
   {
-    lxfi::ScopedGuard g(&stats, lxfi::GuardType::kFunctionEntry);
+    lxfi::GuardScopeDyn g(&stats, lxfi::GuardType::kFunctionEntry);
   }
   EXPECT_EQ(stats.count(lxfi::GuardType::kFunctionEntry), 1u);
   // Timing may legitimately round to 0ns but must not crash; counts matter.

@@ -46,21 +46,6 @@ TEST(Spinlock, TryLockReportsHeldState) {
   mu.unlock();
 }
 
-TEST(OptionalSpinGuard, EngagesOnlyWhenAsked) {
-  Spinlock mu;
-  {
-    lxfi::OptionalSpinGuard guard(mu, /*engage=*/false);
-    EXPECT_TRUE(mu.try_lock());  // not held by the guard
-    mu.unlock();
-  }
-  {
-    lxfi::OptionalSpinGuard guard(mu, /*engage=*/true);
-    EXPECT_FALSE(mu.try_lock());
-  }
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-}
-
 TEST(RelaxedCell, SingleWriterExactness) {
   RelaxedCell cell;
   for (int i = 0; i < 1000; ++i) {
@@ -162,14 +147,20 @@ TEST(EpochReclaimer, SynchronizeWaitsForActiveReader) {
   std::atomic<bool> freed{false};
   er.Retire([&freed] { freed.store(true, std::memory_order_release); });
 
+  std::atomic<bool> done{false};
   std::thread quiescer([&] {
-    // Simulates the CPU reaching its run-queue boundary a little later.
-    for (int i = 0; i < 100; ++i) {
-      std::this_thread::yield();
+    // Simulates the CPU reaching run-queue boundaries a little later. It
+    // keeps quiescing until Synchronize returns: a first pass that lands
+    // before Synchronize bumps the epoch cannot end the grace period.
+    while (!done.load(std::memory_order_acquire)) {
+      for (int i = 0; i < 100; ++i) {
+        std::this_thread::yield();
+      }
+      er.Quiesce(reader);
     }
-    er.Quiesce(reader);
   });
   er.Synchronize();
+  done.store(true, std::memory_order_release);
   EXPECT_TRUE(freed.load(std::memory_order_acquire));
   quiescer.join();
   er.Unregister(reader);
