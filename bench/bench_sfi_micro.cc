@@ -20,6 +20,7 @@
 #include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/base/trace.h"
+#include "src/eval/netperf.h"
 #include "src/eval/sfi_micro.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/module.h"
@@ -407,6 +408,28 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   }
 }
 
+// Wrappers and checks are not free: the enforced per-packet path must cost
+// more than the stock one (best of three per side, interleaved).
+void RunNetperfPathGate(lxfibench::JsonWriter* json) {
+  eval::NetperfHarness stock(/*isolated=*/false);
+  eval::NetperfHarness isolated(/*isolated=*/true);
+  const eval::NetperfConfig cfg{eval::NetWorkload::kUdpStreamTx, 4000};
+  stock.Run({cfg.workload, 1000});
+  isolated.Run({cfg.workload, 1000});
+  double ms = stock.Run(cfg).PathNsPerPacket();
+  double ml = isolated.Run(cfg).PathNsPerPacket();
+  for (int rep = 0; rep < 2; ++rep) {
+    ms = std::min(ms, stock.Run(cfg).PathNsPerPacket());
+    ml = std::min(ml, isolated.Run(cfg).PathNsPerPacket());
+  }
+  std::printf("netperf path gate (UDP_STREAM TX): stock %.1f ns/pkt, enforced %.1f ns/pkt\n", ms,
+              ml);
+  Require(ml > ms, "enforced netperf path must cost more than stock");
+  if (json != nullptr) {
+    json->AddRow("netperf_path_gate").Set("stock_ns_per_pkt", ms).Set("lxfi_ns_per_pkt", ml);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -462,6 +485,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\nshape check: hotlist ~0%% (reads are uninstrumented) < MD5 (hoisted\n"
               "checks) < lld (per-store checks on pointer writes).\n");
+  // Wall-clock gates (tier-1 asserts only the deterministic guard counts).
+  Require(rows[0].result.SlowdownPct() < 10.0, "hotlist slowdown must stay under 10%");
+  Require(rows[1].result.SlowdownPct() > -3.0 && rows[1].result.SlowdownPct() < 60.0,
+          "lld slowdown must stay within (-3%, 60%)");
+  Require(rows[2].result.SlowdownPct() < 8.0, "MD5 slowdown must stay under 8% (hoisted checks)");
+  RunNetperfPathGate(jp);
   if (json_path != nullptr) {
     json.WriteFile(json_path);
   }

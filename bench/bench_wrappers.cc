@@ -2,13 +2,18 @@
 // crossing. Compares a direct dispatch, a wrapper with entry/exit only
 // (annotation-free import), and wrappers whose annotations run capability
 // actions — splitting control-transfer overhead from annotation-action
-// overhead, the two biggest rows of Figure 13.
+// overhead, the two biggest rows of Figure 13. The transfer pair is also
+// measured with 0, 16, 128 and 512 unrelated modules loaded: revocation
+// visits only the capability's holders, so the pair must not grow with the
+// module count (gated before the tables run).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/gbench_json.h"
@@ -22,7 +27,7 @@
 namespace {
 
 struct Fixture {
-  Fixture() {
+  explicit Fixture(int extra_modules) : extra_state(4 * static_cast<size_t>(extra_modules)) {
     kernel = std::make_unique<kern::Kernel>();
     rt = std::make_unique<lxfi::Runtime>(kernel.get());
     lxfi::InstallKernelApi(kernel.get(), rt.get());
@@ -40,6 +45,19 @@ struct Fixture {
       return 0;
     };
     kernel->LoadModule(std::move(def));
+    // Unrelated modules, shaped like a tenant's filter module: shared and
+    // global principals plus two instances holding one WRITE apiece.
+    for (int i = 0; i < extra_modules; ++i) {
+      kern::ModuleDef extra;
+      extra.name = "extra" + std::to_string(i);
+      extra.imports = {"printk"};
+      extra.init = [](kern::Module&) { return 0; };
+      lxfi::ModuleCtx* mc = rt->CtxOf(kernel->LoadModule(std::move(extra)));
+      for (uintptr_t name = 1; name <= 2; ++name) {
+        rt->Grant(mc->GetOrCreate(name), lxfi::Capability::Write(&extra_state[4 * i + 2 * (name - 1)],
+                                                                 2 * sizeof(uint64_t)));
+      }
+    }
   }
 
   lxfi::Principal* shared() { return rt->CtxOf(module)->shared(); }
@@ -53,12 +71,24 @@ struct Fixture {
   std::function<void(uintptr_t*)> spin_lock;
   std::function<void(uintptr_t*)> spin_unlock;
   uintptr_t* lock = nullptr;
+  std::vector<uint64_t> extra_state;  // the extra instances' granted words
 };
 
-Fixture& F() {
-  static Fixture fixture;
-  return fixture;
+// One fixture per extra-module count, built on first use and never
+// destroyed: teardown at exit would run after the process-wide reclaimer
+// the fixtures retire into was itself destroyed.
+Fixture& Loaded(int extra_modules) {
+  static auto* fixtures = new std::map<int, std::unique_ptr<Fixture>>();
+  std::unique_ptr<Fixture>& f = (*fixtures)[extra_modules];
+  if (f == nullptr) {
+    f = std::make_unique<Fixture>(extra_modules);
+  }
+  return *f;
 }
+
+Fixture& F() { return Loaded(0); }
+
+constexpr int kExtraModules[] = {0, 16, 128, 512};
 
 // Direct dispatch through the registry — no LXFI involvement (the trusted-
 // context fast path inside the wrapper).
@@ -102,6 +132,17 @@ void BM_WrapperTransferActions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WrapperTransferActions);
+
+// The transfer pair with unrelated modules loaded (argument: how many).
+void BM_WrapperTransferActionsLoaded(benchmark::State& state) {
+  Fixture& f = Loaded(static_cast<int>(state.range(0)));
+  lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
+  for (auto _ : state) {
+    void* p = f.kmalloc(128);
+    f.kfree(p);
+  }
+}
+BENCHMARK(BM_WrapperTransferActionsLoaded)->Arg(0)->Arg(16)->Arg(128)->Arg(512);
 
 // The annotation-free crossing with tracing live: every WrapperEnter/Exit
 // emits a record, and the emitting thread drains its ring every half
@@ -183,11 +224,45 @@ void RunDisabledTraceGate() {
   }
 }
 
+// Pre-gbench module-scaling gate: the kmalloc/kfree transfer pair with 512
+// unrelated modules loaded may cost at most 1.2x the pair with none. The
+// four fixtures are timed round-robin in short windows, best of 24 each, so
+// host drift hits every column alike and a noisy window cannot decide.
+void RunModuleScalingGate() {
+  constexpr uint64_t kPairs = 4000;
+  constexpr size_t kColumns = sizeof(kExtraModules) / sizeof(kExtraModules[0]);
+  double best[kColumns];
+  for (int rep = 0; rep < 25; ++rep) {
+    for (size_t i = 0; i < kColumns; ++i) {
+      Fixture& f = Loaded(kExtraModules[i]);
+      lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
+      uint64_t t0 = lxfi::MonotonicNowNs();
+      for (uint64_t n = 0; n < kPairs; ++n) {
+        f.kfree(f.kmalloc(128));
+      }
+      double ns = static_cast<double>(lxfi::MonotonicNowNs() - t0) / kPairs;
+      if (rep == 1 || (rep > 1 && ns < best[i])) {  // rep 0 warms up
+        best[i] = ns;
+      }
+    }
+  }
+  std::printf("module-scaling gate: kmalloc/kfree pair with N unrelated modules loaded\n");
+  for (size_t i = 0; i < kColumns; ++i) {
+    std::printf("  N=%-4d %8.1f ns  (%.2fx)\n", kExtraModules[i], best[i], best[i] / best[0]);
+  }
+  if (best[kColumns - 1] > 1.2 * best[0]) {
+    std::fprintf(stderr, "FAILED: the pair costs %.2fx with %d modules loaded (gate: 1.2x)\n",
+                 best[kColumns - 1] / best[0], kExtraModules[kColumns - 1]);
+    std::exit(1);
+  }
+}
+
 }  // namespace
 
 // Custom main: `--json FILE` mirrors every row into the shared bench schema
 // (bench/gbench_json.h) alongside the normal google-benchmark output.
 int main(int argc, char** argv) {
   RunDisabledTraceGate();
+  RunModuleScalingGate();
   return lxfibench::RunGbenchMain("bench_wrappers", argc, argv);
 }

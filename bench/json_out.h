@@ -56,7 +56,10 @@ class JsonWriter {
   explicit JsonWriter(std::string bench) : bench_(std::move(bench)) {}
 
   void Meta(const std::string& key, const std::string& value) {
-    meta_.emplace_back(key, "\"" + EscapeJson(value) + "\"");
+    std::string quoted = "\"";
+    quoted += EscapeJson(value);
+    quoted += '"';
+    meta_.emplace_back(key, std::move(quoted));
   }
   void Meta(const std::string& key, double value) {
     meta_.emplace_back(key, FormatNumber(value));

@@ -40,6 +40,26 @@ struct MicroHarness {
 
   lxfi::Principal* principal() { return rt->CtxOf(module)->shared(); }
 
+  // Times `run(instrumented)` five times per variant, interleaved, keeping
+  // per-variant minima so cache warm-up and host scheduling noise cancel
+  // rather than bias one side. The instrumented runs execute as the
+  // module's principal; their store-guard count lands in r->guards.
+  template <typename Run>
+  void Measure(Run&& run, MicroResult* r) {
+    uint64_t guards_before = rt->guards().count(lxfi::GuardType::kMemWrite);
+    for (int rep = 0; rep < 5; ++rep) {
+      double base = run(false);
+      double instrumented;
+      {
+        lxfi::ScopedPrincipal as_module(rt.get(), principal());
+        instrumented = run(true);
+      }
+      r->base_ns = rep == 0 ? base : std::min(r->base_ns, base);
+      r->instrumented_ns = rep == 0 ? instrumented : std::min(r->instrumented_ns, instrumented);
+    }
+    r->guards = rt->guards().count(lxfi::GuardType::kMemWrite) - guards_before;
+  }
+
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
@@ -95,18 +115,9 @@ MicroResult RunHotlist(int scale) {
 
   MicroResult r;
   r.name = "hotlist";
-  // Interleave variants and take per-variant minima so cache warm-up and
-  // host scheduling noise cancel rather than bias one side.
-  r.base_ns = run(false);
-  {
-    lxfi::ScopedPrincipal as_module(rt, h.principal());
-    r.instrumented_ns = run(true);
-  }
-  for (int rep = 0; rep < 4; ++rep) {
-    r.base_ns = std::min(r.base_ns, run(false));
-    lxfi::ScopedPrincipal as_module(rt, h.principal());
-    r.instrumented_ns = std::min(r.instrumented_ns, run(true));
-  }
+  h.Measure(run, &r);
+  r.ops = 5ull * static_cast<uint64_t>(iters);
+  r.stores = r.ops;  // the result store; the traversal only loads
   if (sink == 0xdeadbeef) {
     r.base_ns = 0;  // defeat over-aggressive optimization of the loops
   }
@@ -158,16 +169,9 @@ MicroResult RunLld(int scale) {
 
   MicroResult r;
   r.name = "lld";
-  r.base_ns = run(false);
-  {
-    lxfi::ScopedPrincipal as_module(h.rt.get(), h.principal());
-    r.instrumented_ns = run(true);
-  }
-  for (int rep = 0; rep < 4; ++rep) {
-    r.base_ns = std::min(r.base_ns, run(false));
-    lxfi::ScopedPrincipal as_module(h.rt.get(), h.principal());
-    r.instrumented_ns = std::min(r.instrumented_ns, run(true));
-  }
+  h.Measure(run, &r);
+  r.ops = 5ull * static_cast<uint64_t>(iters);
+  r.stores = 2 * r.ops;  // unlink + relink pointer stores
   r.code_size_ratio = 1.0 + 2.0 / 16.0;  // 2 guard sites on a ~16-op body
   return r;
 }
@@ -225,16 +229,9 @@ MicroResult RunMd5(int scale) {
 
   MicroResult r;
   r.name = "MD5";
-  r.base_ns = run(false);
-  {
-    lxfi::ScopedPrincipal as_module(h.rt.get(), h.principal());
-    r.instrumented_ns = run(true);
-  }
-  for (int rep = 0; rep < 4; ++rep) {
-    r.base_ns = std::min(r.base_ns, run(false));
-    lxfi::ScopedPrincipal as_module(h.rt.get(), h.principal());
-    r.instrumented_ns = std::min(r.instrumented_ns, run(true));
-  }
+  h.Measure(run, &r);
+  r.ops = 5ull * static_cast<uint64_t>(iters);
+  r.stores = r.ops * (kBufBytes / 64) * 4;  // four state words per block
   r.code_size_ratio = 1.0 + 3.0 / 20.0;  // guards + range computations per update
   return r;
 }

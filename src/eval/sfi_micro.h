@@ -21,6 +21,14 @@ struct MicroResult {
   double base_ns = 0;          // uninstrumented runtime
   double instrumented_ns = 0;  // with LXFI guards
   double code_size_ratio = 0;  // instrumented "sites" / baseline ops, +1.0
+  // Deterministic counts over every instrumented run: benchmark operations
+  // (searches, list edits, buffer updates), module stores those operations
+  // made, and store guards the runtime executed for them. guards / stores
+  // is 1 where every store is checked and far below 1 where the checks are
+  // hoisted out of the loop.
+  uint64_t ops = 0;
+  uint64_t stores = 0;
+  uint64_t guards = 0;
 
   double SlowdownPct() const {
     return base_ns == 0 ? 0.0 : 100.0 * (instrumented_ns - base_ns) / base_ns;

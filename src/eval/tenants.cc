@@ -70,8 +70,10 @@ TenantsHarness::TenantsHarness(const TenantsConfig& config) : impl_(new Impl()) 
     kern::Panic("tenants harness: ramfs failed to load");
   }
   for (int t = 0; t < config.tenants; ++t) {
-    im->mounts.push_back("/t" + std::to_string(t));
-    im->scopes.push_back("t" + std::to_string(t));
+    std::string scope = "t";
+    scope += std::to_string(t);
+    im->mounts.push_back("/" + scope);
+    im->scopes.push_back(std::move(scope));
     if (im->vfs->Mount("ramfs", im->mounts.back().c_str()) == nullptr) {
       kern::Panic("tenants harness: tenant mount failed");
     }

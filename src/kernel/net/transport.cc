@@ -8,7 +8,7 @@ namespace {
 std::vector<uint8_t> BuildFrame(const TransportHeader& hdr, const uint8_t* payload) {
   std::vector<uint8_t> frame(sizeof(TransportHeader) + hdr.len);
   std::memcpy(frame.data(), &hdr, sizeof(hdr));
-  if (hdr.len > 0) {
+  if (hdr.len > 0 && payload != nullptr) {
     std::memcpy(frame.data() + sizeof(hdr), payload, hdr.len);
   }
   return frame;

@@ -142,7 +142,7 @@ class CapTable {
   // principals that can actually be affected; a false positive costs a
   // locked no-op revoke, a false negative can only happen for a capability
   // granted concurrently with the revoke (the two were unordered anyway).
-  // Inline: RevokeEverywhere runs it for every principal of every module.
+  // Inline: RevokeEverywhere runs it for every holder the index lists.
   bool MightHold(const Capability& cap) const {
     switch (cap.kind) {
       case CapKind::kWrite: {
@@ -173,19 +173,24 @@ class CapTable {
     return false;
   }
 
+  // True when some WRITE range touches bucket `bucket` (4 KiB index).
+  bool HoldsWriteInBucket(uintptr_t bucket) const {
+    uintptr_t lo = bucket << kBucketShift;
+    return write_buckets_.AnyOverlap(BucketKey(bucket), lo,
+                                     RangeEnd(lo, uintptr_t{1} << kBucketShift));
+  }
+
   size_t write_count() const;
   size_t call_count() const { return call_.size(); }
   size_t ref_count() const { return ref_.size(); }
 
- private:
+  // Key helpers, shared with the runtime's HolderIndex so both agree on
+  // which REF key and which WRITE buckets a capability occupies.
   static uint64_t RefKey(RefTypeId type, uintptr_t addr) {
     return HashCombine(type, static_cast<uint64_t>(addr));
   }
 
   static uintptr_t BucketOf(uintptr_t addr) { return addr >> kBucketShift; }
-
-  // FlatRangeMap keys must be non-zero; bucket 0 (user-space base) is real.
-  static uint64_t BucketKey(uintptr_t bucket) { return bucket + 1; }
 
   // End of [addr, addr+size), saturated so a range touching the top of the
   // address space cannot wrap to bucket 0 and strand stale copies.
@@ -193,6 +198,10 @@ class CapTable {
     uintptr_t end = addr + size;
     return end < addr ? ~uintptr_t{0} : end;
   }
+
+ private:
+  // FlatRangeMap keys must be non-zero; bucket 0 (user-space base) is real.
+  static uint64_t BucketKey(uintptr_t bucket) { return bucket + 1; }
 
   // bucket -> ranges that intersect the bucket's 4 KiB span, stored
   // interleaved (key and range in one slot) so the store-guard probe is a

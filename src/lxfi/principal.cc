@@ -2,6 +2,7 @@
 
 #include "src/base/string_util.h"
 #include "src/kernel/module.h"
+#include "src/lxfi/runtime.h"
 
 namespace lxfi {
 
@@ -61,6 +62,7 @@ Principal* ModuleCtx::GetOrCreate(uintptr_t name) {
   }
   instances_.push_back(std::make_unique<Principal>(this, PrincipalKind::kInstance, name));
   Principal* p = instances_.back().get();
+  p->holder_keys().forgotten = holders_forgotten_;
   by_name_.Insert(name, p);
   PublishSnapshot();
   TRACE_EVENT(TraceEvent::kPrincipalCreate, p->trace_id(), name, 0);
@@ -106,11 +108,25 @@ void ModuleCtx::DropInstance(uintptr_t name) {
     return;
   }
   TRACE_EVENT(TraceEvent::kPrincipalDrop, doomed->trace_id(), name, 0);
-  // Lock-free probes may still hold the principal until their next
-  // quiescent state; its capability tables (whose destructor also bumps the
+  // Lock-free probes and revokers that copied a holder list naming the
+  // principal may still hold it until their next quiescent state; leave the
+  // holder index now, so no revoker picks it up after the grace period
+  // starts. Its capability tables (whose destructor also bumps the
   // revocation epoch) die with it after the grace period.
+  runtime_->holder_index().Forget(doomed.get());
   Principal* raw = doomed.release();
   EpochReclaimer::Global().Retire([raw] { delete raw; });
+}
+
+void ModuleCtx::ForgetHolders() {
+  HolderIndex& index = runtime_->holder_index();
+  index.Forget(&shared_);
+  index.Forget(&global_);
+  SpinGuard guard(mu_);
+  holders_forgotten_ = true;
+  for (const auto& inst : instances_) {
+    index.Forget(inst.get());
+  }
 }
 
 // The one copy of the ownership fallback chain (§3.1): the principal itself,
@@ -196,28 +212,6 @@ bool ModuleCtx::OwnsWrite(const Principal* p, uintptr_t addr, size_t size, uintp
 
 bool ModuleCtx::OwnsCall(const Principal* p, uintptr_t target) const {
   return OwnsChain(p, [target](const Principal& q) { return q.caps().CheckCall(target); });
-}
-
-bool ModuleCtx::RevokeEverywhere(const Capability& cap) {
-  // Pre-filter each principal lock-free so the common per-packet transfer
-  // locks only the one principal that actually holds the capability. Table
-  // mutation happens before the revocation-epoch bump (inside
-  // CapTable::Revoke), preserving the "returned revokes are never passed"
-  // ordering.
-  auto revoke_one = [&cap](Principal* p) {
-    if (!p->caps().MightHold(cap)) {
-      return false;
-    }
-    SpinGuard guard(p->lock());
-    return p->caps().Revoke(cap);
-  };
-  bool any = revoke_one(&shared_);
-  any |= revoke_one(&global_);
-  const InstanceSnapshot* snap = AcquireSnapshot();
-  for (Principal* inst : snap->items) {
-    any |= revoke_one(inst);
-  }
-  return any;
 }
 
 }  // namespace lxfi

@@ -15,10 +15,11 @@
 // EnforcementContext memo shard per simulated CPU, so hot-path memo state
 // never bounces between cores. ModuleCtx keeps an RCU-style published
 // snapshot of its instance-principal list: creators publish a new snapshot
-// under the module lock, revokers and ownership chains iterate the snapshot
-// lock-free, and superseded snapshots (and dropped principals) are
-// reclaimed through the quiescent-state EpochReclaimer. The same path runs
-// with one CPU or many.
+// under the module lock, ownership chains iterate the snapshot lock-free,
+// and superseded snapshots (and dropped principals) are reclaimed through
+// the quiescent-state EpochReclaimer. Revocation does not walk principals:
+// the runtime's HolderIndex (holder_index.h) names the holders of each
+// capability. The same path runs with one CPU or many.
 #pragma once
 
 #include <atomic>
@@ -31,6 +32,7 @@
 #include "src/base/sync.h"
 #include "src/lxfi/cap_table.h"
 #include "src/lxfi/enforcement_context.h"
+#include "src/lxfi/holder_index.h"
 
 namespace kern {
 class Module;
@@ -76,6 +78,11 @@ class Principal {
   FlatSet& writer_pages() { return writer_pages_; }
   uint64_t writer_pages_gen() const { return writer_pages_gen_; }
   void set_writer_pages_gen(uint64_t gen) { writer_pages_gen_ = gen; }
+
+  // Keys this principal is recorded under in the runtime's HolderIndex.
+  // Guarded by lock(); lets a re-grant of a key already held skip the
+  // index lock (see holder_index.h).
+  HolderKeys& holder_keys() { return holder_keys_; }
 
   // The fused per-CPU enforcement shard (memos + guard counters) the
   // runtime hot paths operate on. A shard is written only by its CPU.
@@ -145,6 +152,7 @@ class Principal {
   Spinlock lock_;
   FlatSet writer_pages_;
   uint64_t writer_pages_gen_ = 0;  // guarded by lock_
+  HolderKeys holder_keys_;         // guarded by lock_
   EnforcementContext shards_[kMaxCpuShards];
 };
 
@@ -173,9 +181,15 @@ class ModuleCtx {
   bool Alias(uintptr_t existing, uintptr_t alias);
 
   // Drops an instance principal and its capabilities (e.g. socket release).
-  // The principal's memory is reclaimed only after a grace period, so
-  // in-flight lock-free probes stay safe.
+  // The principal leaves the runtime's holder index first; its memory is
+  // reclaimed only after a grace period, so in-flight lock-free probes and
+  // revokers holding an older holder list stay safe.
   void DropInstance(uintptr_t name);
+
+  // Module unload: drops every principal of the module from the runtime's
+  // holder index, and instances created afterwards (crossings still in
+  // flight) are born unindexed. Runs before the unload's grace period.
+  void ForgetHolders();
 
   // All instance principals (no shared/global). Not safe against concurrent
   // instance creation; use only from quiescent contexts (setup, teardown,
@@ -197,11 +211,6 @@ class ModuleCtx {
 
   // CALL ownership with the same fallback chain (no range to report).
   bool OwnsCall(const Principal* p, uintptr_t target) const;
-
-  // Revokes `cap` from every principal of this module; returns true if any
-  // principal held it. Each affected principal is revoked under its own
-  // lock, pre-filtered by a lock-free probe.
-  bool RevokeEverywhere(const Capability& cap);
 
   // --- heap-partition bookkeeping -------------------------------------------
   // Partitions carved for this module's principals. Records outlive dropped
@@ -293,6 +302,7 @@ class ModuleCtx {
   std::vector<std::unique_ptr<Principal>> instances_;
   FlatTable<Principal*> by_name_;
   InstanceSnapshot* inst_snapshot_ = nullptr;
+  bool holders_forgotten_ = false;                    // guarded by mu_
   std::vector<HeapPartitionRecord> heap_partitions_;  // guarded by mu_
   std::vector<ArenaFallbackRecord> arena_fallbacks_;  // guarded by mu_
 };

@@ -143,7 +143,7 @@ bool Runtime::OnModuleLoad(kern::Module* module) {
                      module->name().c_str(), name.c_str());
       return false;
     }
-    shared->caps().GrantCall(addr);
+    GrantQuiet(shared, Capability::Call(addr));
     annotations_.NoteUse(name, module->name());
   }
 
@@ -170,7 +170,7 @@ bool Runtime::OnModuleLoad(kern::Module* module) {
                                                   module->name() + "." + fd.name, std::move(wrapped),
                                                   set != nullptr ? set->ahash : 0, module);
     module->SetFuncAddr(fd.name, addr);
-    shared->caps().GrantCall(addr);
+    GrantQuiet(shared, Capability::Call(addr));
     if (type_set != nullptr) {
       annotations_.NoteUse(fd.type_name, module->name());
     }
@@ -204,10 +204,13 @@ void Runtime::OnModuleUnload(kern::Module* module) {
   ModuleCtx* mc = owned.get();
   // By now the module is unpublished from every dispatch surface a walker
   // could take a *new* reference through (exit_fn dropped its filters from
-  // the chain snapshots before we got here). Readers that already hold an
-  // old snapshot may still be mid-crossing through the module's wrappers,
-  // so wait out a grace period before unregistering its text and tearing
-  // down its principals — the synchronize_rcu() in real module unload.
+  // the chain snapshots before we got here), and leaving the holder index
+  // unpublishes its principals from revokers. Readers that already hold an
+  // old snapshot or holder list may still be mid-crossing through the
+  // module's wrappers or mid-revoke, so wait out a grace period before
+  // unregistering its text and tearing down its principals — the
+  // synchronize_rcu() in real module unload.
+  mc->ForgetHolders();
   EpochReclaimer::Global().Synchronize();
   // Unregister module text so stale function pointers fault rather than run.
   for (const kern::FuncDecl& fd : module->def().functions) {
@@ -418,6 +421,10 @@ void Runtime::OnInterruptExit(kern::KthreadContext* ctx) {
 void Runtime::Grant(Principal* p, const Capability& cap) {
   TRACE_EVENT(TraceEvent::kCapGrant, p->trace_id(), cap.addr,
               static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
+  GrantQuiet(p, cap);
+}
+
+void Runtime::GrantQuiet(Principal* p, const Capability& cap) {
   // Mutate the table under the principal's lock, and record writer pages
   // against the principal's private page set while we hold it: steady
   // per-packet grants (skb transfers re-granting slab pages seen before)
@@ -436,6 +443,9 @@ void Runtime::Grant(Principal* p, const Capability& cap) {
       cap.kind == CapKind::kWrite && cap.size > 0 && OnKernelStack(cap.addr, cap.size);
   {
     SpinGuard guard(p->lock());
+    // Index before insert: a revoker that finds the capability in the table
+    // must also find this principal in the index.
+    holders_.Note(p, cap);
     p->caps().Grant(cap);
     if (cap.kind == CapKind::kWrite && cap.size > 0 && !on_stack) {
       // A ClearRange/RemoveWriter since we last recorded invalidates every
@@ -472,10 +482,26 @@ bool Runtime::Owns(Principal* p, const Capability& cap) const {
 void Runtime::RevokeEverywhere(const Capability& cap) {
   TRACE_EVENT(TraceEvent::kCapRevoke, 0, cap.addr,
               static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
-  revoke_everywhere_count_.fetch_add(1, std::memory_order_relaxed);
-  SpinGuard guard(ctxs_mu_);
-  for (auto& [kmod, mc] : ctxs_) {
-    mc->RevokeEverywhere(cap);
+  ++revoke_counts_[ThisShardIndex()].n;
+  // The holder list is copied under the index lock and walked after it is
+  // released (lock order: principal, then index). Each holder is
+  // pre-filtered lock-free, so a stale entry costs one probe and the
+  // per-packet transfer locks only the principal that holds the skb. Table
+  // mutation precedes the revocation-epoch bump (inside CapTable::Revoke),
+  // so a revoke that has returned is never passed afterwards. A principal
+  // dropped meanwhile is freed only after a grace period this walk is
+  // inside of.
+  HolderList holders;
+  size_t keyed = holders_.Collect(cap, &holders);
+  for (Principal* p : holders) {
+    if (!p->caps().MightHold(cap)) {
+      continue;
+    }
+    SpinGuard guard(p->lock());
+    p->caps().Revoke(cap);
+  }
+  if (keyed > HolderIndex::kPruneAbove) {
+    holders_.Prune(cap, holders);
   }
 }
 

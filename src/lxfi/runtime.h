@@ -18,6 +18,7 @@
 #include "src/lxfi/cap.h"
 #include "src/lxfi/guard_program.h"
 #include "src/lxfi/guards.h"
+#include "src/lxfi/holder_index.h"
 #include "src/lxfi/principal.h"
 #include "src/lxfi/shadow_stack.h"
 #include "src/lxfi/violation.h"
@@ -75,6 +76,7 @@ class Runtime : public kern::IsolationHooks {
   GuardStats& guards() { return guards_; }
   const GuardStats& guards() const { return guards_; }
   WriterSet& writer_set() { return writer_set_; }
+  HolderIndex& holder_index() { return holders_; }
   RuntimeOptions& options() { return options_; }
 
   // --- kern::IsolationHooks ----------------------------------------------
@@ -119,13 +121,22 @@ class Runtime : public kern::IsolationHooks {
   // Per-object RevokeEverywhere calls since construction; the bulk-teardown
   // tests assert module unload leaves this untouched.
   uint64_t revoke_everywhere_count() const {
-    return revoke_everywhere_count_.load(std::memory_order_relaxed);
+    uint64_t n = 0;
+    for (const RevokeCount& shard : revoke_counts_) {
+      n += shard.n;
+    }
+    return n;
   }
 
   // --- capability operations ----------------------------------------------
+  // Every capability enters a table here: the holder index records the
+  // grant before the table insert (holder_index.h).
   void Grant(Principal* p, const Capability& cap);
   bool Owns(Principal* p, const Capability& cap) const;
-  // Transfer semantics: revoke from every principal of every module (§3.3).
+  // Transfer semantics (§3.3): revoke from every principal that holds the
+  // capability. Visits only the holders the index lists, so the cost does
+  // not grow with the number of loaded modules; takes no global lock but
+  // the index's own, and never while holding a principal's lock.
   void RevokeEverywhere(const Capability& cap);
 
   // §3.2 initial capability (2): every module holds WRITE for the current
@@ -286,6 +297,10 @@ class Runtime : public kern::IsolationHooks {
   // hit test) and table probe (fallback chain + memo fill).
   bool WriteMemoProbe(EnforcementContext& ec, uintptr_t addr, size_t size);
   bool WriteTableProbe(Principal* p, EnforcementContext& ec, uintptr_t addr, size_t size);
+  // Grant minus its kCapGrant trace record: the indexed table insert plus
+  // writer-page attribution. Module load's initial CALL capabilities use it
+  // directly; the kModuleLoad record announces them.
+  void GrantQuiet(Principal* p, const Capability& cap);
   // Indirect-call body shared by the timed and counter-only entry paths.
   template <bool kTimed>
   void IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target);
@@ -296,10 +311,12 @@ class Runtime : public kern::IsolationHooks {
   IteratorRegistry iterators_;
   GuardStats guards_;
   WriterSet writer_set_;
-  // Guards the ctxs_ map itself (loader-thread load/unload vs cross-module
-  // walkers: RevokeEverywhere, VisitPrincipals, the writer-set ablation).
-  // Never taken on the per-crossing hot path — wrappers capture their
-  // ModuleCtx* at registration and module code goes through Module::lxfi_ctx.
+  HolderIndex holders_;
+  // Guards the ctxs_ map itself: loader-thread load/unload against CtxOf and
+  // the quiescent walkers (VisitPrincipals, DumpState). Never taken on a
+  // crossing or a transfer — wrappers capture their ModuleCtx* at
+  // registration, module code goes through Module::lxfi_ctx, and
+  // RevokeEverywhere finds holders through holders_.
   mutable Spinlock ctxs_mu_;
   std::unordered_map<kern::Module*, std::unique_ptr<ModuleCtx>> ctxs_;
   Spinlock shadows_mu_;  // guards shadows_ (kthreads appear from CPU threads)
@@ -310,7 +327,12 @@ class Runtime : public kern::IsolationHooks {
   std::array<ViolationRecord, kViolationRingSize> violation_ring_;
   uintptr_t stack_lo_ = 0;
   uintptr_t stack_hi_ = 0;
-  std::atomic<uint64_t> revoke_everywhere_count_{0};
+  // Per-CPU, like GuardStats: every transfer bumps it, and a shared atomic
+  // add would cost each one a locked instruction.
+  struct alignas(64) RevokeCount {
+    RelaxedCell n;
+  };
+  RevokeCount revoke_counts_[kMaxCpuShards];
   Containment* containment_ = nullptr;
 };
 

@@ -319,6 +319,111 @@ TEST(ConcurrentEnforcement, ArenaAllocSealTeardownStorm) {
   EXPECT_NE(rig.bench->kernel->slab().CreatePartition(), kern::SlabAllocator::kNoPartition);
 }
 
+// Holder-index storm: two CPUs grant, transfer and revoke in rounds, each on
+// its own pair of principals, while the main thread — the loader — loads a
+// module, gives its instances capabilities keyed like the workers' (the
+// same CALL targets, ranges in the same WRITE buckets, sometimes the very
+// same range), drops half the instances and unloads the module, over and
+// over. Revokers therefore keep copying holder lists whose principals are
+// being forgotten and, one grace period later, freed; long lists get
+// pruned under the same churn. The assertions: nothing races or touches
+// freed memory (TSan), a worker's own check passes between its grant and
+// its revoke, and once a worker has observed — through the published round
+// counter — that the other worker's revoke returned, no check of that
+// capability passes on its CPU, memos included.
+TEST(ConcurrentEnforcement, HolderIndexRevokeStormWithModuleChurn) {
+  ConcurrentRig rig;
+  constexpr int kWorkers = 2;
+  constexpr uint64_t kRounds = 300;
+  kern::CpuSet cpus(rig.bench->kernel.get(), kWorkers);
+  lxfi::Runtime* rt = rig.rt();
+  lxfi::Principal* owner[kWorkers] = {rig.mc->GetOrCreate(0xd00), rig.mc->GetOrCreate(0xd01)};
+  lxfi::Principal* receiver[kWorkers] = {rig.mc->GetOrCreate(0xe00), rig.mc->GetOrCreate(0xe01)};
+  // Every (worker, round) gets its own 256-byte slot and CALL target, so a
+  // later round never re-grants what an earlier one revoked.
+  auto addr = [](int c, uint64_t r) { return kPoolBase + (c * kRounds + r) * 0x100; };
+  auto target = [](int c, uint64_t r) { return 0xffffffff81800000ull + (c * kRounds + r) * 0x10; };
+
+  std::atomic<uint64_t> granted[kWorkers] = {};  // last round granted, +1
+  std::atomic<uint64_t> revoked[kWorkers] = {};  // last round revoked, +1
+  std::atomic<int> running{kWorkers};
+  std::atomic<uint64_t> own_misses{0};
+  std::atomic<uint64_t> stale_passes{0};
+
+  for (int c = 0; c < kWorkers; ++c) {
+    cpus.RunOn(c, [&, c] {
+      const int o = 1 - c;
+      for (uint64_t r = 0; r < kRounds; ++r) {
+        lxfi::Capability w = lxfi::Capability::Write(addr(c, r), 64);
+        lxfi::Capability k = lxfi::Capability::Call(target(c, r));
+        rt->Grant(owner[c], w);
+        rt->Grant(owner[c], k);
+        granted[c].store(r + 1, std::memory_order_release);
+        if (!rt->OwnsWriteFast(owner[c], addr(c, r), 8) || !rt->OwnsCallFast(owner[c], target(c, r))) {
+          own_misses.fetch_add(1);
+        }
+        // transfer(): revoke everywhere, then grant the receiving principal.
+        rt->RevokeEverywhere(w);
+        rt->Grant(receiver[c], w);
+        if (rt->OwnsWriteFast(owner[c], addr(c, r), 8)) {
+          stale_passes.fetch_add(1);
+        }
+        rt->RevokeEverywhere(w);
+        rt->RevokeEverywhere(k);
+        revoked[c].store(r + 1, std::memory_order_release);
+
+        // The other worker's current round may pass (and fill this CPU's
+        // memos); its last revoked round must not.
+        uint64_t g = granted[o].load(std::memory_order_acquire);
+        if (g > 0) {
+          rt->OwnsWriteFast(owner[o], addr(o, g - 1), 8);
+          rt->OwnsCallFast(owner[o], target(o, g - 1));
+        }
+        uint64_t v = revoked[o].load(std::memory_order_acquire);
+        if (v > 0 && (rt->OwnsWriteFast(owner[o], addr(o, v - 1), 8) ||
+                      rt->OwnsCallFast(owner[o], target(o, v - 1)) ||
+                      rt->OwnsWriteFast(receiver[o], addr(o, v - 1), 8))) {
+          stale_passes.fetch_add(1);
+        }
+        if ((r & 7) == 0) {
+          kern::CpuSet::QuiescePoint();
+        }
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+
+  lxfi::Rng rng(99);
+  int cycles = 0;
+  while (running.load(std::memory_order_acquire) > 0 || cycles < 4) {
+    kern::ModuleDef def;
+    def.name = "churn";
+    kern::Module* m = rig.bench->kernel->LoadModule(std::move(def));
+    ASSERT_NE(m, nullptr);
+    lxfi::ModuleCtx* mc = rt->CtxOf(m);
+    for (uintptr_t name = 0x100; name < 0x108; ++name) {
+      lxfi::Principal* inst = mc->GetOrCreate(name);
+      ASSERT_TRUE(mc->Alias(name, name | 0x1000));
+      int c = static_cast<int>(name & 1);
+      uint64_t r = rng.Below(kRounds);
+      rt->Grant(inst, lxfi::Capability::Write(addr(c, r) + 0x80, 64));
+      rt->Grant(inst, lxfi::Capability::Call(target(c, r)));
+      if (rng.Chance(0.25)) {
+        rt->Grant(inst, lxfi::Capability::Write(addr(c, r), 64));
+      }
+    }
+    for (uintptr_t name = 0x100; name < 0x108; name += 2) {
+      rt->DropPrincipal(m, reinterpret_cast<const void*>(name | 0x1000));
+    }
+    rig.bench->kernel->UnloadModule(m);
+    ++cycles;
+  }
+  cpus.Barrier();
+  EXPECT_EQ(own_misses.load(), 0u);
+  EXPECT_EQ(stale_passes.load(), 0u);
+  EXPECT_GE(cycles, 4);
+}
+
 // Memo-specific regression: a memo filled by a probe that raced a revoke
 // must be born stale. Driven deterministically here (the fence test above
 // covers it statistically): fill happens with an epoch read before the

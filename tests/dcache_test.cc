@@ -44,7 +44,9 @@ TEST_P(DcacheDifferential, RandomOpsMatchNaiveModel) {
   // A small name pool makes collisions (under the mask) and repeats likely.
   std::vector<std::string> pool;
   for (int i = 0; i < 48; ++i) {
-    pool.push_back("n" + std::to_string(i * 7919 % 97));
+    std::string name = "n";
+    name += std::to_string(i * 7919 % 97);
+    pool.push_back(std::move(name));
   }
   lxfi::Rng rng(0xDCACE + GetParam());
 
@@ -185,7 +187,8 @@ TEST(DcacheStorm, ConcurrentWalkersVsWritersAreCleanAndRetry) {
   kern::Inode stable_inode;
   stable_inode.mode = kern::kIfReg;
   for (int i = 0; i < kStable; ++i) {
-    std::string name = "s" + std::to_string(i);
+    std::string name = "s";
+    name += std::to_string(i);
     kern::Dentry* d = dc.NewDentry(nullptr, parent, name.c_str());
     kern::Dcache::SetPositive(d, &stable_inode);
     lxfi::SpinGuard guard(dc.writer_lock(parent));

@@ -7,6 +7,7 @@
 #include "src/lxfi/guards.h"
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/runtime.h"
+#include "tests/reference_revoke.h"
 #include "tests/testbench.h"
 
 namespace {
@@ -73,17 +74,49 @@ TEST_F(PrincipalTest, DebugNamesAreInformative) {
 }
 
 TEST_F(PrincipalTest, RevokeEverywhereCoversAliasesAndInstances) {
+  lxfi::Runtime& rt = *bench_.rt;
   lxfi::Principal* a = ctx()->GetOrCreate(0x1);
   lxfi::Principal* b = ctx()->GetOrCreate(0x2);
+  ASSERT_TRUE(ctx()->Alias(0x2, 0x3));
   Capability cap = Capability::Call(0x4242);
-  a->caps().Grant(cap);
-  b->caps().Grant(cap);
-  ctx()->shared()->caps().Grant(cap);
-  EXPECT_TRUE(ctx()->RevokeEverywhere(cap));
+  rt.Grant(a, cap);
+  rt.Grant(ctx()->Lookup(0x3), cap);  // b, through its alias
+  rt.Grant(ctx()->shared(), cap);
+  rt.RevokeEverywhere(cap);
   EXPECT_FALSE(a->caps().Check(cap));
   EXPECT_FALSE(b->caps().Check(cap));
   EXPECT_FALSE(ctx()->shared()->caps().Check(cap));
-  EXPECT_FALSE(ctx()->RevokeEverywhere(cap)) << "second revoke finds nothing";
+  EXPECT_FALSE(lxfitest::ReferenceRevokeEverywhere(rt, cap)) << "the full walk finds nothing left";
+}
+
+TEST_F(PrincipalTest, DroppedInstanceLeavesTheHolderIndex) {
+  lxfi::Runtime& rt = *bench_.rt;
+  const size_t base = rt.holder_index().entries();
+  lxfi::Principal* a = ctx()->GetOrCreate(0x1);
+  rt.Grant(a, Capability::Call(0x4242));
+  rt.Grant(a, Capability::Write(uintptr_t{0x7f0000001000}, 64));
+  rt.Grant(a, Capability::Write(uintptr_t{0x7f0000001000}, 64));  // already indexed
+  EXPECT_EQ(rt.holder_index().entries(), base + 2);
+  ctx()->DropInstance(0x1);
+  EXPECT_EQ(rt.holder_index().entries(), base);
+}
+
+TEST_F(PrincipalTest, PruneDropsOnlyStaleHolders) {
+  lxfi::Runtime& rt = *bench_.rt;
+  constexpr uintptr_t kPage = 0x7f0000002000;
+  for (uintptr_t name = 1; name <= 12; ++name) {
+    rt.Grant(ctx()->GetOrCreate(name), Capability::Write(kPage + name * 64, 64));
+  }
+  // Twelve holders of one bucket: the revoke prunes, and only the principal
+  // that lost its last range in the page leaves the bucket's list.
+  const size_t before = rt.holder_index().entries();
+  rt.RevokeEverywhere(Capability::Write(kPage + 64, 64));
+  EXPECT_EQ(rt.holder_index().entries(), before - 1);
+  for (uintptr_t name = 2; name <= 12; ++name) {
+    Capability cap = Capability::Write(kPage + name * 64, 64);
+    rt.RevokeEverywhere(cap);
+    EXPECT_FALSE(lxfitest::ReferenceRevokeEverywhere(rt, cap)) << "pruned a live holder";
+  }
 }
 
 TEST_F(PrincipalTest, DumpStateListsEveryPrincipal) {

@@ -2,6 +2,7 @@
 // writer-set/indirect-call agreement, and slab invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
+#include "tests/reference_revoke.h"
 #include "tests/testbench.h"
 
 namespace {
@@ -25,57 +27,171 @@ using lxfitest::Bench;
 //  I3  shared's caps are visible to every instance
 //  I4  global sees the union of the module's caps
 //  I5  an instance never sees a sibling's caps (absent shared/global)
+//  I6  the holder-indexed RevokeEverywhere leaves exactly the tables the
+//      full walk over every principal would (tests/reference_revoke.h)
+//
+// Three modules with aliased instances; instance drops and one module
+// unload are interleaved with the grants and revokes, and the capability mix
+// includes WRITE ranges wide enough to be indexed as ranges, revokes that
+// span more buckets than the index probes one by one, and revokes that hit
+// the modules' own initial grants (user window, data sections).
 
 class CapAlgebraProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CapAlgebraProperty, RandomGrantRevokeSequence) {
   Bench bench(/*isolated=*/true);
-  kern::ModuleDef def;
-  def.name = "prop";
-  def.imports = {"printk"};
-  def.init = [](kern::Module&) { return 0; };
-  kern::Module* m = bench.kernel->LoadModule(std::move(def));
-  ASSERT_NE(m, nullptr);
   lxfi::Runtime& rt = *bench.rt;
-  lxfi::ModuleCtx* ctx = rt.CtxOf(m);
+  constexpr uintptr_t kPool = 0x500000000000ull;
+  constexpr uintptr_t kNames[] = {0xa, 0xb, 0xc};
+  constexpr uintptr_t kAliasBit = 0x100;
+  constexpr int kUnloadStep = 300;
+
+  std::vector<kern::Module*> mods;
+  const char* names[] = {"propA", "propB", "propC"};
+  const size_t data_sizes[] = {16 * 4096, 2 * 4096, 0};  // wide, bucketed, none
+  for (int i = 0; i < 3; ++i) {
+    kern::ModuleDef def;
+    def.name = names[i];
+    def.imports = {"printk"};
+    def.data_size = data_sizes[i];
+    def.init = [](kern::Module&) { return 0; };
+    kern::Module* m = bench.kernel->LoadModule(std::move(def));
+    ASSERT_NE(m, nullptr);
+    mods.push_back(m);
+  }
 
   lxfi::Rng rng(GetParam());
-  std::vector<lxfi::Principal*> principals = {ctx->shared(), ctx->GetOrCreate(0xa),
-                                              ctx->GetOrCreate(0xb), ctx->GetOrCreate(0xc)};
+  // Resolves an instance principal through its name or its alias, creating
+  // (and aliasing) it when a drop removed it.
+  auto instance = [&](lxfi::ModuleCtx* mc, uintptr_t name) {
+    if (lxfi::Principal* p = mc->Lookup(rng.Chance(0.5) ? name | kAliasBit : name)) {
+      return p;
+    }
+    lxfi::Principal* p = mc->GetOrCreate(name);
+    EXPECT_TRUE(mc->Alias(name, name | kAliasBit));
+    return p;
+  };
+  auto random_principal = [&]() -> lxfi::Principal* {
+    lxfi::ModuleCtx* mc = rt.CtxOf(mods[rng.Below(mods.size())]);
+    switch (rng.Below(5)) {
+      case 0:
+        return mc->shared();
+      case 1:
+        return mc->global();
+      default:
+        return instance(mc, kNames[rng.Below(3)]);
+    }
+  };
+  // Every live principal of every live module (instances by name only).
+  auto live_principals = [&]() {
+    std::vector<lxfi::Principal*> out;
+    for (kern::Module* m : mods) {
+      lxfi::ModuleCtx* mc = rt.CtxOf(m);
+      out.push_back(mc->shared());
+      out.push_back(mc->global());
+      for (uintptr_t name : kNames) {
+        if (lxfi::Principal* p = mc->Lookup(name)) {
+          out.push_back(p);
+        }
+      }
+    }
+    return out;
+  };
+
   // Track expected direct ownership: principal -> set of cap keys.
   auto key_of = [](const Capability& c) {
     return std::make_tuple(static_cast<int>(c.kind), c.addr, c.size, c.ref_type);
   };
   std::map<std::tuple<int, uintptr_t, size_t, uint64_t>, std::vector<lxfi::Principal*>> owners;
-
-  auto random_cap = [&]() -> Capability {
-    uintptr_t addr = 0x500000000000ull + rng.Below(32) * 0x1000;
-    switch (rng.Below(3)) {
-      case 0:
-        return Capability::Write(addr, 64 * (1 + rng.Below(4)));
-      case 1:
-        return Capability::Call(0xffffffff81000000ull + rng.Below(16) * 0x100);
-      default:
-        return Capability::Ref(100 + rng.Below(4), addr);
+  auto forget_owner = [&](lxfi::Principal* dead) {
+    for (auto it = owners.begin(); it != owners.end();) {
+      auto& v = it->second;
+      v.erase(std::remove(v.begin(), v.end(), dead), v.end());
+      it = v.empty() ? owners.erase(it) : std::next(it);
     }
   };
 
-  for (int step = 0; step < 500; ++step) {
-    Capability cap = random_cap();
-    lxfi::Principal* p = principals[rng.Below(principals.size())];
-    if (rng.Chance(0.6)) {
+  auto random_cap = [&]() -> Capability {
+    uintptr_t page = kPool + rng.Below(32) * 0x1000;
+    switch (rng.Below(8)) {
+      case 0:
+      case 1:
+      case 2:  // small, sometimes straddling a bucket boundary
+        return Capability::Write(page + rng.Below(64) * 0x40, 64 * (1 + rng.Below(4)));
+      case 3:  // wide: indexed as one range, not per bucket
+        return Capability::Write(page, 0x1000 * (9 + rng.Below(8)));
+      case 4:
+      case 5:
+        return Capability::Call(0xffffffff81000000ull + rng.Below(16) * 0x100);
+      default:
+        return Capability::Ref(100 + rng.Below(4), page);
+    }
+  };
+  // Revoke-only shapes: more buckets than the index probes one at a time,
+  // a word of the user window every module's shared principal holds, and a
+  // word of a module data section.
+  auto random_revoke = [&]() -> Capability {
+    switch (rng.Below(10)) {
+      case 0:
+        return Capability::Write(kPool + rng.Below(8) * 0x1000, 0x1000 * 80);
+      case 1:
+        return Capability::Write(rng.Below(kern::kUserSpaceTop / 8) * 8, 8);
+      case 2: {
+        kern::Module* m = mods[rng.Below(mods.size())];
+        if (m->data() != nullptr) {
+          return Capability::Write(reinterpret_cast<uintptr_t>(m->data()) + rng.Below(64) * 64, 8);
+        }
+        return random_cap();
+      }
+      default:
+        return random_cap();
+    }
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    if (step == kUnloadStep) {
+      // Unload the last module: its principals leave the index before the
+      // grace period, and later revokes must not touch them.
+      kern::Module* doomed = mods.back();
+      lxfi::ModuleCtx* mc = rt.CtxOf(doomed);
+      forget_owner(mc->shared());
+      forget_owner(mc->global());
+      for (uintptr_t name : kNames) {
+        if (lxfi::Principal* p = mc->Lookup(name)) {
+          forget_owner(p);
+        }
+      }
+      bench.kernel->UnloadModule(doomed);
+      mods.pop_back();
+    }
+    double r = rng.NextDouble();
+    if (r < 0.04) {
+      kern::Module* m = mods[rng.Below(mods.size())];
+      uintptr_t name = kNames[rng.Below(3)];
+      if (lxfi::Principal* p = rt.CtxOf(m)->Lookup(name)) {
+        forget_owner(p);
+        rt.DropPrincipal(m, reinterpret_cast<const void*>(rng.Chance(0.5) ? name | kAliasBit : name));
+        ASSERT_EQ(rt.CtxOf(m)->Lookup(name), nullptr);
+      }
+      continue;
+    }
+    if (r < 0.6) {
+      Capability cap = random_cap();
+      lxfi::Principal* p = random_principal();
       rt.Grant(p, cap);
       auto& v = owners[key_of(cap)];
-      bool present = false;
-      for (auto* q : v) {
-        present = present || q == p;
-      }
-      if (!present) {
+      if (std::find(v.begin(), v.end(), p) == v.end()) {
         v.push_back(p);
       }
       ASSERT_TRUE(rt.Owns(p, cap)) << "I1 violated at step " << step;
     } else {
+      Capability cap = random_revoke();
       rt.RevokeEverywhere(cap);
+      // I6: the full walk finds nothing the indexed revoke left behind.
+      auto indexed = lxfitest::SnapshotTables(rt);
+      ASSERT_FALSE(lxfitest::ReferenceRevokeEverywhere(rt, cap))
+          << "I6: the holder index missed a holder of " << cap.ToString() << " at step " << step;
+      ASSERT_TRUE(indexed == lxfitest::SnapshotTables(rt)) << "I6 violated at step " << step;
       // WRITE revocation is overlap-based: drop every overlapping key.
       for (auto it = owners.begin(); it != owners.end();) {
         auto [kind, addr, size, ref] = it->first;
@@ -87,7 +203,7 @@ TEST_P(CapAlgebraProperty, RandomGrantRevokeSequence) {
         }
         it = dead ? owners.erase(it) : std::next(it);
       }
-      for (auto* q : principals) {
+      for (auto* q : live_principals()) {
         ASSERT_FALSE(q->caps().Check(cap)) << "I2 violated at step " << step;
       }
     }
@@ -107,16 +223,17 @@ TEST_P(CapAlgebraProperty, RandomGrantRevokeSequence) {
         for (auto* q : v) {
           ASSERT_TRUE(rt.Owns(q, probe)) << "tracked owner lost cap at step " << step;
           // I4: global sees it too.
-          ASSERT_TRUE(rt.Owns(ctx->global(), probe)) << "I4 violated at step " << step;
+          ASSERT_TRUE(rt.Owns(q->module()->global(), probe)) << "I4 violated at step " << step;
         }
-        // I3: shared ownership implies everyone.
-        bool shared_owns = false;
+        // I3: shared ownership implies everyone in the module.
         for (auto* q : v) {
-          shared_owns = shared_owns || q == ctx->shared();
-        }
-        if (shared_owns) {
-          for (auto* q : principals) {
-            ASSERT_TRUE(rt.Owns(q, probe)) << "I3 violated at step " << step;
+          if (q != q->module()->shared()) {
+            continue;
+          }
+          for (auto* other : live_principals()) {
+            if (other->module() == q->module()) {
+              ASSERT_TRUE(rt.Owns(other, probe)) << "I3 violated at step " << step;
+            }
           }
         }
       }
