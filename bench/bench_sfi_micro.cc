@@ -1,7 +1,11 @@
 // Figure 11: SFI microbenchmarks (hotlist, lld, MD5) — code-size delta and
 // slowdown under LXFI instrumentation. Paper: 1.14x/0%, 1.12x/11%, 1.15x/2%.
 //
-// Plus the store-guard ablation: the per-check cost of the WRITE-capability
+// Plus the dm-crypt sector row: crypt_map's payload transform with one
+// store guard per byte (the rewriter's unhoisted output) against one ranged
+// guard per sector payload (lxfi::StoreEach, the plugin's hoisting).
+//
+// And the store-guard ablation: the per-check cost of the WRITE-capability
 // probe on a netperf-style working set (skb headers, payload buffers, device
 // state), comparing the node-based std::unordered_map layout the seed
 // shipped, the flat open-addressing CapTable, and the flat table fronted by
@@ -25,7 +29,11 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/module.h"
 #include "src/lxfi/enforcement_context.h"
+#include "src/lxfi/kernel_api.h"
+#include "src/lxfi/mem.h"
 #include "src/lxfi/runtime.h"
+#include "src/lxfi/wrap.h"
+#include "src/modules/dm/dm_modules.h"
 
 namespace {
 
@@ -408,6 +416,110 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   }
 }
 
+// dm-crypt sector: one 512 B XOR transform per op, run as a module
+// principal encrypting a plaintext sector into its kmalloc'd bounce buffer
+// (crypt_map's write direction). The per-byte variant is the transform
+// before hoisting, one lxfi::Store guard per byte; it exists only here, as
+// the ablation. The ranged variant is the module's own
+// mods::CryptXorTransform, one lxfi::StoreEach guard per payload. Gated:
+// exactly one store guard per sector on the ranged side, and the ranged side
+// at least 3x faster.
+void RunDmCryptSectorGate(lxfibench::JsonWriter* json) {
+  constexpr uint32_t kSector = 512;
+  constexpr uint64_t kOps = 20000;
+  constexpr uint8_t kKey = 0x5d;
+
+  kern::Kernel kernel;
+  lxfi::Runtime rt(&kernel);
+  lxfi::InstallKernelApi(&kernel, &rt);
+  std::function<void*(size_t)> kmalloc;
+  kern::ModuleDef def;
+  def.name = "dm-crypt-sector";
+  def.imports = {"kmalloc", "kfree", "printk"};
+  def.init = [&kmalloc](kern::Module& mod) -> int {
+    kmalloc = lxfi::GetImport<void*, size_t>(mod, "kmalloc");
+    return 0;
+  };
+  kern::Module* m = kernel.LoadModule(std::move(def));
+  Require(m != nullptr, "dm-crypt sector bench failed to load its module");
+  lxfi::ScopedPrincipal as_module(&rt, rt.CtxOf(m)->shared());
+  auto* plain = static_cast<uint8_t*>(kmalloc(kSector));
+  auto* bounce = static_cast<uint8_t*>(kmalloc(kSector));
+  Require(plain != nullptr && bounce != nullptr, "dm-crypt sector buffers");
+  for (uint32_t i = 0; i < kSector; ++i) {
+    plain[i] = static_cast<uint8_t>(i * 251);
+  }
+
+  auto per_byte = [&](uint64_t sector) {
+    for (uint32_t i = 0; i < kSector; ++i) {
+      lxfi::Store(*m, &bounce[i],
+                  static_cast<uint8_t>(plain[i] ^ mods::CryptKeystream(kKey, sector, i)));
+    }
+  };
+  auto ranged = [&](uint64_t sector) {
+    mods::CryptXorTransform(*m, bounce, plain, kSector, kKey, sector);
+  };
+
+  // Both variants write the same ciphertext.
+  std::vector<uint8_t> expect(kSector);
+  per_byte(7);
+  std::memcpy(expect.data(), bounce, kSector);
+  std::memset(bounce, 0, kSector);
+  ranged(7);
+  Require(std::memcmp(expect.data(), bounce, kSector) == 0,
+          "ranged and per-byte transforms must write the same ciphertext");
+
+  uint64_t sink = 0;
+  struct Side {
+    double ns = 0;
+    double guards = 0;
+  };
+  auto run = [&](auto&& transform) {
+    uint64_t guards_before = rt.guards().count(lxfi::GuardType::kMemWrite);
+    uint64_t t0 = lxfi::MonotonicNowNs();
+    for (uint64_t op = 0; op < kOps; ++op) {
+      transform(op);
+      sink += bounce[op % kSector];
+    }
+    Side side;
+    side.ns = static_cast<double>(lxfi::MonotonicNowNs() - t0) / kOps;
+    side.guards =
+        static_cast<double>(rt.guards().count(lxfi::GuardType::kMemWrite) - guards_before) /
+        kOps;
+    return side;
+  };
+  // Warm, then best of three per side, interleaved.
+  run(per_byte);
+  run(ranged);
+  Side byte_side = run(per_byte);
+  Side range_side = run(ranged);
+  for (int rep = 0; rep < 2; ++rep) {
+    byte_side.ns = std::min(byte_side.ns, run(per_byte).ns);
+    range_side.ns = std::min(range_side.ns, run(ranged).ns);
+  }
+
+  std::printf("=== dm-crypt sector (one %u B XOR transform per op) ===\n", kSector);
+  std::printf("%-40s %12s %14s\n", "configuration", "ns/sector", "guards/sector");
+  std::printf("%-40s %12.1f %14.1f\n", "per-byte lxfi::Store", byte_side.ns, byte_side.guards);
+  std::printf("%-40s %12.1f %14.1f\n", "ranged lxfi::StoreEach", range_side.ns,
+              range_side.guards);
+  std::printf("(ranged is %.1fx faster; gate: 1 guard/sector and >= 3x; sink %llu)\n\n",
+              byte_side.ns / range_side.ns, static_cast<unsigned long long>(sink % 7));
+  Require(range_side.guards == 1.0, "ranged dm-crypt transform must run one guard per sector");
+  Require(byte_side.ns >= 3.0 * range_side.ns,
+          "ranged dm-crypt transform must be >= 3x faster than per-byte guards");
+
+  if (json != nullptr) {
+    json->AddRow("dm_crypt_sector_per_byte")
+        .Set("ns_per_sector", byte_side.ns)
+        .Set("guards_per_sector", byte_side.guards);
+    json->AddRow("dm_crypt_sector_ranged")
+        .Set("ns_per_sector", range_side.ns)
+        .Set("guards_per_sector", range_side.guards)
+        .Set("speedup_vs_per_byte", byte_side.ns / range_side.ns);
+  }
+}
+
 // Wrappers and checks are not free: the enforced per-packet path must cost
 // more than the stock one (best of three per side, interleaved).
 void RunNetperfPathGate(lxfibench::JsonWriter* json) {
@@ -449,6 +561,7 @@ int main(int argc, char** argv) {
   RunStoreGuardAblation(jp);
   RunArenaAblation(jp);
   RunTraceOverheadGate(jp);
+  RunDmCryptSectorGate(jp);
   std::printf("=== Figure 11: SFI microbenchmarks ===\n");
   std::printf("%-10s %14s %10s %14s\n", "benchmark", "d-code-size", "slowdown", "paper");
 

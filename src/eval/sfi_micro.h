@@ -5,7 +5,8 @@
 // inserts: a WRITE-capability check before each store (with the hoisting
 // optimizations the paper's compiler plugin performs — a single check for a
 // run of constant-offset stores into one object, which is why MD5 stays
-// cheap), and wrapper entry/exit guards around internal helper calls for
+// cheap; lxfi::StoreEach in src/lxfi/mem.h is the same hoisting for module
+// code), and wrapper entry/exit guards around internal helper calls for
 // lld. "Code size" is reported as the ratio of inserted guard sites to
 // baseline operations, the binary-free analogue of the paper's code-size
 // column.

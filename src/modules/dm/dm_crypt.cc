@@ -4,16 +4,15 @@
 #include "src/modules/dm/dm_common.h"
 
 namespace mods {
-namespace {
 
-void XorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32_t n, uint8_t key,
-                  uint64_t sector) {
-  // Sector-tweaked XOR keystream; dst may equal src (in-place).
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t ks = static_cast<uint8_t>(key ^ (sector * 131) ^ (i * 17));
-    lxfi::Store(m, &dst[i], static_cast<uint8_t>(src[i] ^ ks));
-  }
+void CryptXorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32_t n,
+                       uint8_t key, uint64_t sector) {
+  lxfi::StoreEach(m, dst, n, [&](size_t i) {
+    return static_cast<uint8_t>(src[i] ^ CryptKeystream(key, sector, i));
+  });
 }
+
+namespace {
 
 int Ctr(DmCryptState& st, kern::DmTarget* target, const char* params) {
   kern::Module& m = *st.m;
@@ -56,12 +55,12 @@ int Map(DmCryptState& st, kern::DmTarget* target, kern::Bio* bio) {
 
   int rc;
   if (bio->write) {
-    XorTransform(m, bounce, bio->data, bio->size, priv->key, bio->sector);
+    CryptXorTransform(m, bounce, bio->data, bio->size, priv->key, bio->sector);
     rc = st.api.submit_bio(target->underlying, sub);
   } else {
     rc = st.api.submit_bio(target->underlying, sub);
     if (rc == 0) {
-      XorTransform(m, bio->data, bounce, bio->size, priv->key, bio->sector);
+      CryptXorTransform(m, bio->data, bounce, bio->size, priv->key, bio->sector);
     }
   }
   st.api.kfree(sub);

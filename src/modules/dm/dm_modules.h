@@ -7,6 +7,7 @@
 // REF capabilities granted per target instance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,6 +44,17 @@ struct DmCryptState {
 
 kern::ModuleDef DmCryptModuleDef();
 std::shared_ptr<DmCryptState> GetDmCrypt(kern::Module& m);
+
+// Keystream byte `i` of `sector` (sector-tweaked XOR).
+inline uint8_t CryptKeystream(uint8_t key, uint64_t sector, size_t i) {
+  return static_cast<uint8_t>(key ^ (sector * 131) ^ (i * 17));
+}
+
+// crypt_map's payload transform, as module `m`: dst[i] = src[i] ^ keystream
+// for i < n, under one ranged store guard over dst (lxfi::StoreEach). dst
+// may equal src (in-place).
+void CryptXorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32_t n,
+                       uint8_t key, uint64_t sector);
 
 // --- dm-zero -----------------------------------------------------------------
 struct DmZeroState {

@@ -8,6 +8,9 @@
 #include <cstring>
 #include <vector>
 
+#include "src/base/log.h"
+#include "src/base/rng.h"
+
 #include "src/kernel/kernel.h"
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/mem.h"
@@ -407,6 +410,142 @@ TEST(ArenaDisabled, DefaultOptionsKeepSharedHeapBehavior) {
   EXPECT_FALSE(mc->shared()->has_arena());
   lxfi::Store(*m, p, uint64_t{9});
   EXPECT_EQ(static_cast<uint64_t>(mc->shared()->ctx().arena_span_hits), 0u);
+}
+
+// --- ranged store guards (lxfi::StoreEach) ------------------------------------
+
+// One destination for drawn store runs. `base` is `bytes` of real memory,
+// so a run may land even where the guard denies it (ViolationPolicy::kCount).
+struct StoreRegion {
+  const char* what;
+  uint8_t* base;
+  size_t bytes;
+  kern::Module* module;
+  lxfi::Principal* principal;
+};
+
+// Differential check of the one hoisted guard against the per-element guards
+// it replaces: seeded random (dst, n) runs over the principal's own arena
+// objects, a table grant (runs may straddle either edge), the kernel stack,
+// unowned kernel heap and a sealed arena. Under kCount the run raises a
+// violation exactly when some per-element CheckWrite would; under kThrow a
+// denied run stores nothing and raises one kWrite violation at dst,
+// attributed to the current principal. Every non-empty run is one guard; an
+// empty run is none.
+TEST_F(ArenaHeapTest, StoreEachMatchesPerElementGuards) {
+  // Thousands of deliberate violations; their WARN lines are noise here.
+  lxfi::LogLevel log_level = lxfi::SetLogLevel(lxfi::LogLevel::kError);
+  std::vector<StoreRegion> regions;
+  {
+    lxfi::ScopedPrincipal as_module(&rt(), shared());
+    regions.push_back({"own arena object", static_cast<uint8_t*>(st_->kmalloc(256)), 256,
+                       module_, shared()});
+  }
+  auto* granted = static_cast<uint8_t*>(slab().Alloc(512));
+  rt().Grant(shared(), Capability::Write(granted + 128, 256));
+  regions.push_back({"table grant [128, 384) of 512", granted, 512, module_, shared()});
+  alignas(8) uint8_t stack_buf[512];
+  regions.push_back({"kernel stack", stack_buf, sizeof(stack_buf), module_, shared()});
+  regions.push_back(
+      {"unowned kernel heap", static_cast<uint8_t*>(slab().Alloc(256)), 256, module_, shared()});
+  auto sealed_st = std::make_shared<ScratchState>();
+  kern::Module* sealed_module = bench_.kernel->LoadModule(ScratchDef(sealed_st, "sealed"));
+  ASSERT_NE(sealed_module, nullptr);
+  lxfi::Principal* sealed = rt().CtxOf(sealed_module)->shared();
+  {
+    lxfi::ScopedPrincipal as_sealed(&rt(), sealed);
+    regions.push_back({"sealed arena object", static_cast<uint8_t*>(sealed_st->kmalloc(256)), 256,
+                       sealed_module, sealed});
+  }
+  rt().SealPrincipalHeap(sealed);
+  for (const StoreRegion& region : regions) {
+    ASSERT_NE(region.base, nullptr) << region.what;
+  }
+
+  lxfi::Rng rng(14);
+  uint64_t allowed = 0, denied = 0, empty = 0;
+  auto draw_runs = [&]<typename T>(const StoreRegion& region) {
+    const size_t slots = region.bytes / sizeof(T);
+    const T fill = static_cast<T>(0x3c3c3c3c3c3c3c3cull);
+    for (int draw = 0; draw < 200; ++draw) {
+      size_t first = rng.Below(slots + 1);
+      size_t n = rng.Below(16) == 0 ? 0 : rng.Below(slots - first + 1);
+      T* dst = reinterpret_cast<T*>(region.base) + first;
+      SCOPED_TRACE(::testing::Message() << region.what << ": " << sizeof(T) << "-byte elements ["
+                                        << first << ", " << first + n << ")");
+      lxfi::ScopedPrincipal as(&rt(), region.principal);
+
+      // kCount: the reference is the per-element guard the helper replaces.
+      rt().options().policy = lxfi::ViolationPolicy::kCount;
+      uint64_t v0 = rt().violation_count();
+      for (size_t i = 0; i < n && rt().violation_count() == v0; ++i) {
+        rt().CheckWrite(dst + i, sizeof(T));
+      }
+      bool deny = rt().violation_count() != v0;
+      uint64_t v1 = rt().violation_count();
+      uint64_t guards = rt().guards().count(lxfi::GuardType::kMemWrite);
+      lxfi::StoreEach(*region.module, dst, n, [&](size_t) { return fill; });
+      EXPECT_EQ(rt().violation_count() - v1, deny ? 1u : 0u);
+      EXPECT_EQ(rt().guards().count(lxfi::GuardType::kMemWrite) - guards, n == 0 ? 0u : 1u);
+
+      // kThrow: a denied run lands nothing and faults once, at dst.
+      rt().options().policy = lxfi::ViolationPolicy::kThrow;
+      std::memset(region.base, 0xa5, region.bytes);
+      uint64_t v2 = rt().violation_count();
+      bool threw = false;
+      try {
+        lxfi::StoreEach(*region.module, dst, n, [&](size_t i) { return static_cast<T>(fill + i); });
+      } catch (const lxfi::LxfiViolation& e) {
+        threw = true;
+        EXPECT_EQ(e.kind(), lxfi::ViolationKind::kWrite);
+      }
+      ASSERT_EQ(threw, deny);
+      if (deny) {
+        ++denied;
+        EXPECT_EQ(rt().violation_count() - v2, 1u);
+        for (size_t b = 0; b < region.bytes; ++b) {
+          ASSERT_EQ(region.base[b], 0xa5) << "byte " << b << " changed by a denied run";
+        }
+        const lxfi::ViolationRecord v = rt().violations().back();
+        EXPECT_EQ(v.kind, lxfi::ViolationKind::kWrite);
+        EXPECT_EQ(v.fault_addr, reinterpret_cast<uint64_t>(dst));
+        EXPECT_EQ(v.principal, region.principal->DebugName());
+      } else {
+        EXPECT_EQ(rt().violation_count(), v2);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(dst[i], static_cast<T>(fill + i)) << "element " << i;
+        }
+        if (n == 0) {
+          ++empty;
+        } else {
+          ++allowed;
+        }
+      }
+    }
+  };
+  for (const StoreRegion& region : regions) {
+    draw_runs.operator()<uint8_t>(region);
+    draw_runs.operator()<uint64_t>(region);
+  }
+  // The draws reached every outcome.
+  EXPECT_GT(allowed, 0u);
+  EXPECT_GT(denied, 0u);
+  EXPECT_GT(empty, 0u);
+  lxfi::SetLogLevel(log_level);
+}
+
+// Stock kernel: no runtime, no guard; every element is stored.
+TEST(StoreEachStock, WritesEveryElement) {
+  Bench bench(/*isolated=*/false);
+  auto st = std::make_shared<ScratchState>();
+  kern::Module* m = bench.kernel->LoadModule(ScratchDef(st));
+  ASSERT_NE(m, nullptr);
+  ASSERT_EQ(m->lxfi_ctx, nullptr);
+  uint32_t buf[64] = {};
+  lxfi::StoreEach(*m, buf, 64, [](size_t i) { return static_cast<uint32_t>(3 * i + 1); });
+  for (uint32_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(buf[i], 3 * i + 1) << "element " << i;
+  }
 }
 
 }  // namespace

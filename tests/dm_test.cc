@@ -91,6 +91,34 @@ TEST_P(DmTest, DmCryptRoundtripAndCiphertextOnDisk) {
   EXPECT_EQ(std::memcmp(back, plain, sizeof(back)), 0);
 }
 
+// crypt_map guards each payload with one ranged check, so a bio's store
+// guards do not grow with its size: a 1024 B bio adds exactly as many
+// kMemWrite guards as a 512 B bio, on the write path (encrypt into the
+// bounce buffer) and on the read path (decrypt into bio->data).
+TEST_P(DmTest, DmCryptStoreGuardsDoNotGrowWithPayload) {
+  if (bench_.rt == nullptr) {
+    GTEST_SKIP() << "guard counts exist only under LXFI";
+  }
+  ASSERT_NE(bench_.kernel->LoadModule(mods::DmCryptModuleDef()), nullptr);
+  kern::BlockDevice* crypt = block_->DmCreate("crypt0", "crypt", origin_, "secretkey");
+  ASSERT_NE(crypt, nullptr);
+  uint8_t buf[1024];
+  std::memset(buf, 0x5a, sizeof(buf));
+  auto guards_for = [&](uint32_t size, bool write) {
+    uint64_t before = bench_.rt->guards().count(lxfi::GuardType::kMemWrite);
+    EXPECT_EQ(Io(crypt, 16, buf, size, write), 0);
+    return bench_.rt->guards().count(lxfi::GuardType::kMemWrite) - before;
+  };
+  uint64_t write_512 = guards_for(512, true);
+  uint64_t write_1024 = guards_for(1024, true);
+  uint64_t read_512 = guards_for(512, false);
+  uint64_t read_1024 = guards_for(1024, false);
+  EXPECT_GT(write_512, 0u);
+  EXPECT_EQ(write_1024, write_512);
+  EXPECT_GT(read_512, 0u);
+  EXPECT_EQ(read_1024, read_512);
+}
+
 TEST_P(DmTest, DmCryptDifferentKeysDifferentCiphertext) {
   ASSERT_NE(bench_.kernel->LoadModule(mods::DmCryptModuleDef()), nullptr);
   kern::BlockDevice* disk2 = block_->CreateRamDisk("disk2", 64);
