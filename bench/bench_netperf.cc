@@ -146,7 +146,7 @@ void RunScaling(int max_cpus, uint64_t packets_per_cpu, const std::string& json_
     ScalingRow row;
     row.cpus = n;
     {
-      eval::NetperfHarness h(/*isolated=*/true, /*guard_timing=*/false, /*cpus=*/n);
+      eval::NetperfHarness h(/*isolated=*/true, /*cpus=*/n);
       h.RunParallelTx(packets_per_cpu / 10 + 1);  // warm memos, magazines, writer sets
       row.lxfi = h.RunParallelTx(packets_per_cpu);
       if (n == max_cpus && stats_path != nullptr) {
@@ -154,7 +154,7 @@ void RunScaling(int max_cpus, uint64_t packets_per_cpu, const std::string& json_
       }
     }
     {
-      eval::NetperfHarness h(/*isolated=*/false, /*guard_timing=*/false, /*cpus=*/n);
+      eval::NetperfHarness h(/*isolated=*/false, /*cpus=*/n);
       h.RunParallelTx(packets_per_cpu / 10 + 1);
       row.stock = h.RunParallelTx(packets_per_cpu);
     }

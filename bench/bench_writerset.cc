@@ -3,9 +3,9 @@
 //     starts with, on the open-addressing WriterSet vs the node-based
 //     std::unordered_map layout it replaced (bench/std_baseline.h).
 //  2. unload teardown: per-object vs arena-span writer-set clears.
-//  3. the fast-path elimination rate on the UDP_STREAM TX path: the share
-//     of the kernel's indirect-call checks the empty-writer-set probe
-//     settles without the full check.
+// The fast-path elimination rate on the UDP_STREAM TX path (the share of
+// indirect-call checks the empty-writer-set probe settles) is bench_guards'
+// gate.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,8 +16,6 @@
 #include "src/base/clock.h"
 #include "src/base/log.h"
 #include "src/base/rng.h"
-#include "src/eval/netperf.h"
-#include "src/lxfi/runtime.h"
 #include "src/lxfi/writer_set.h"
 
 namespace {
@@ -182,28 +180,6 @@ int main(int argc, char** argv) {
 
   RunEmptyProbeAblation(jp);
   RunTeardownAblation(jp);
-  constexpr uint64_t kPackets = 40000;
-
-  eval::NetperfHarness harness(/*isolated=*/true);
-  harness.Run({eval::NetWorkload::kUdpStreamTx, kPackets / 10});
-  eval::NetperfMeasurement m = harness.Run({eval::NetWorkload::kUdpStreamTx, kPackets});
-  uint64_t full = m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallFull)];
-  uint64_t all = m.guard_counts[static_cast<int>(lxfi::GuardType::kIndCallAll)];
-
-  std::printf("=== Writer-set fast path (UDP_STREAM TX) ===\n");
-  std::printf("%16s %16s %16s\n", "indcalls", "full checks", "ns/packet");
-  std::printf("%16llu %16llu %16.0f\n", static_cast<unsigned long long>(all),
-              static_cast<unsigned long long>(full), m.PathNsPerPacket());
-  double saved =
-      all == 0 ? 0.0 : 100.0 * (1.0 - static_cast<double>(full) / static_cast<double>(all));
-  std::printf("\nwriter-set tracking skipped %.0f%% of full checks (paper: ~2/3)\n", saved);
-  if (jp != nullptr) {
-    jp->AddRow("writer_set_on")
-        .Set("indcalls", static_cast<double>(all))
-        .Set("full_checks", static_cast<double>(full))
-        .Set("ns_per_packet", m.PathNsPerPacket());
-    jp->Meta("full_checks_skipped_pct", saved);
-  }
   if (json_path != nullptr) {
     json.WriteFile(json_path);
   }

@@ -15,7 +15,7 @@
 int main() {
   lxfi::SetLogLevel(lxfi::LogLevel::kError);
 
-  eval::NetperfHarness harness(/*isolated=*/true, /*guard_timing=*/true);
+  eval::NetperfHarness harness(/*isolated=*/true);
   std::printf("e1000 loaded under LXFI; each NIC is its own principal\n");
   std::printf("(pci_dev, net_device and napi names aliased to one principal)\n\n");
 

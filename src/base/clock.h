@@ -1,7 +1,7 @@
 // Clocks.
 //
-// MonotonicClock reads the host's steady clock and is used for real guard
-// timing (Figure 13 per-guard nanoseconds). SimClock is a virtual
+// MonotonicClock reads the host's steady clock; the benches time with it
+// (Figure 13 per-guard nanoseconds are bench_guards loops). SimClock is a virtual
 // cycle-accounted clock used by the netperf simulation: simulated kernel work
 // advances it by modeled cycle costs so the benchmark can report throughput
 // and CPU utilization the way the paper does, independent of host load.

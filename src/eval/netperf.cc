@@ -71,12 +71,10 @@ struct NetperfHarness::Impl {
   std::unique_ptr<kern::CpuSet> cpus;
 };
 
-NetperfHarness::NetperfHarness(bool isolated, bool guard_timing, int cpus) : impl_(new Impl()) {
+NetperfHarness::NetperfHarness(bool isolated, int cpus) : impl_(new Impl()) {
   impl_->kernel = std::make_unique<kern::Kernel>(256ull << 20);
   if (isolated) {
-    lxfi::RuntimeOptions options;
-    options.guard_timing = guard_timing;
-    impl_->rt = std::make_unique<lxfi::Runtime>(impl_->kernel.get(), options);
+    impl_->rt = std::make_unique<lxfi::Runtime>(impl_->kernel.get());
   }
   kernel_ = impl_->kernel.get();
   rt_ = impl_->rt.get();
@@ -190,10 +188,15 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
   im->rx_delivered = 0;
   im->pending_echoes = 0;
 
+  // NIC and guard counters only grow; this run's counts are after minus
+  // before, so consecutive runs on one harness report the same figures.
+  const uint64_t tx_before = hw->frames_tx();
+  uint64_t guards_before[static_cast<int>(lxfi::GuardType::kCount)] = {};
   if (rt_ != nullptr) {
-    rt_->guards().Reset();
+    for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
+      guards_before[i] = rt_->guards().count(static_cast<lxfi::GuardType>(i));
+    }
   }
-  uint64_t before_indcalls = 0;
 
   uint8_t data_frame[kTcpSegment];
   std::memset(data_frame, 0xab, sizeof(data_frame));
@@ -214,7 +217,7 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
         }
       }
       hw->ProcessTx();
-      result.packets = hw->frames_tx();
+      result.packets = hw->frames_tx() - tx_before;
       break;
     }
     case NetWorkload::kUdpStreamRx: {
@@ -250,7 +253,7 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
       hw->ProcessTx();
       hw->FlushRxIrq();
       stack->RunSoftirq(64);
-      result.packets = hw->frames_tx();
+      result.packets = hw->frames_tx() - tx_before;
       break;
     }
     case NetWorkload::kTcpStreamRx: {
@@ -297,14 +300,10 @@ NetperfMeasurement NetperfHarness::Run(const NetperfConfig& config) {
 
   if (rt_ != nullptr) {
     for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
-      auto t = static_cast<lxfi::GuardType>(i);
-      result.guard_counts[i] = rt_->guards().count(t);
-      result.guard_time_ns[i] = rt_->guards().time_ns(t);
+      result.guard_counts[i] =
+          rt_->guards().count(static_cast<lxfi::GuardType>(i)) - guards_before[i];
     }
-    result.kernel_indcalls =
-        rt_->guards().count(lxfi::GuardType::kIndCallAll) - before_indcalls;
   }
-  result.driver_calls = hw->frames_tx() + hw->frames_rx();
   return result;
 }
 

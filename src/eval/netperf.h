@@ -48,9 +48,6 @@ struct NetperfMeasurement {
   uint64_t packets = 0;        // packets or transactions completed
   uint64_t path_wall_ns = 0;   // wall time spent in the per-packet path
   uint64_t guard_counts[static_cast<int>(lxfi::GuardType::kCount)] = {};
-  uint64_t guard_time_ns[static_cast<int>(lxfi::GuardType::kCount)] = {};
-  uint64_t kernel_indcalls = 0;  // indirect-call guard executions
-  uint64_t driver_calls = 0;     // kernel->e1000 dispatches observed
 
   double PathNsPerPacket() const {
     return packets == 0 ? 0.0 : static_cast<double>(path_wall_ns) / static_cast<double>(packets);
@@ -90,11 +87,11 @@ struct SmpScalingResult {
 // wired NIC(s); runs workloads against it.
 class NetperfHarness {
  public:
-  // isolated: attach an LXFI runtime. guard_timing: collect Figure 13 data.
+  // isolated: attach an LXFI runtime.
   // cpus > 0: SMP mode — plugs one NIC per simulated CPU, spawns a
   // kern::CpuSet and enables the per-CPU slab cache; RunParallelTx then
   // drives per-CPU TX queues concurrently.
-  NetperfHarness(bool isolated, bool guard_timing = false, int cpus = 0);
+  explicit NetperfHarness(bool isolated, int cpus = 0);
   ~NetperfHarness();
 
   NetperfMeasurement Run(const NetperfConfig& config);

@@ -34,8 +34,7 @@ struct CpuSet::Cpu {
   bool busy = false;
 };
 
-CpuSet::CpuSet(Kernel* kernel, int ncpus, SmpOptions options)
-    : kernel_(kernel), options_(options) {
+CpuSet::CpuSet(Kernel* kernel, int ncpus) {
   if (ncpus < 1) {
     ncpus = 1;
   }
@@ -48,11 +47,8 @@ CpuSet::CpuSet(Kernel* kernel, int ncpus, SmpOptions options)
     cpu->owner = this;
     // Create contexts on the constructing thread so ids are deterministic
     // (boot context 0, then CPUs in order) regardless of thread scheduling.
-    cpu->ctx = kernel_->CreateKthread();
+    cpu->ctx = kernel->CreateKthread();
     cpus_.push_back(std::move(cpu));
-  }
-  if (options_.deterministic) {
-    return;
   }
   for (auto& cpu : cpus_) {
     Cpu* raw = cpu.get();
@@ -61,19 +57,17 @@ CpuSet::CpuSet(Kernel* kernel, int ncpus, SmpOptions options)
 }
 
 CpuSet::~CpuSet() {
-  if (!options_.deterministic) {
-    Barrier();
-    for (auto& cpu : cpus_) {
-      {
-        std::lock_guard<std::mutex> lock(cpu->mu);
-        cpu->stop = true;
-      }
-      cpu->cv.notify_all();
+  Barrier();
+  for (auto& cpu : cpus_) {
+    {
+      std::lock_guard<std::mutex> lock(cpu->mu);
+      cpu->stop = true;
     }
-    for (auto& cpu : cpus_) {
-      if (cpu->thread.joinable()) {
-        cpu->thread.join();
-      }
+    cpu->cv.notify_all();
+  }
+  for (auto& cpu : cpus_) {
+    if (cpu->thread.joinable()) {
+      cpu->thread.join();
     }
   }
   // All CPU readers are gone; everything retired is now reclaimable.
@@ -142,15 +136,6 @@ void CpuSet::WorkerLoop(Cpu* cpu) {
 
 void CpuSet::RunOn(int cpu_index, std::function<void()> fn) {
   Cpu* cpu = cpus_.at(cpu_index).get();
-  if (options_.deterministic) {
-    // Inline, in program order, under the target CPU's context.
-    KthreadContext* prev = kernel_->current();
-    kernel_->SwitchTo(cpu->ctx);
-    fn();
-    kernel_->SwitchTo(prev);
-    lxfi::EpochReclaimer::Global().TryReclaim();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(cpu->mu);
     cpu->queue.push_back(std::move(fn));
@@ -160,10 +145,6 @@ void CpuSet::RunOn(int cpu_index, std::function<void()> fn) {
 
 void CpuSet::CallOn(int cpu_index, std::function<void()> fn) {
   Cpu* cpu = cpus_.at(cpu_index).get();
-  if (options_.deterministic) {
-    RunOn(cpu_index, std::move(fn));
-    return;
-  }
   if (tls_cpu_token == cpu) {
     fn();  // self-IPI shortcut: run inline, synchronously
     return;
@@ -187,9 +168,6 @@ void CpuSet::CallOn(int cpu_index, std::function<void()> fn) {
 }
 
 void CpuSet::Barrier() {
-  if (options_.deterministic) {
-    return;
-  }
   if (tls_cpu_token != nullptr) {
     Panic("CpuSet::Barrier called from a CPU thread (would deadlock)");
   }

@@ -12,14 +12,8 @@
 //
 // Cross-CPU calls (the IPI analogue) enqueue a function on the target CPU's
 // run queue and wait for its completion; a CPU "IPI-ing" itself runs the
-// function inline, like a self-IPI shortcut.
-//
-// Deterministic mode (SmpOptions::deterministic) creates no host threads:
-// RunOn/CallOn execute inline on the caller under a SwitchTo to the target
-// CPU's kthread context, in exact program order — the mode tests use when
-// they want SMP topology (per-CPU contexts, ids) with single-threaded
-// semantics. With real threads, per-CPU order is FIFO but cross-CPU
-// interleaving is genuinely nondeterministic, which is the point.
+// function inline, like a self-IPI shortcut. Per-CPU order is FIFO but
+// cross-CPU interleaving is genuinely nondeterministic, which is the point.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +28,11 @@ namespace kern {
 
 class Kernel;
 
-struct SmpOptions {
-  // Run everything inline on the calling thread (no host threads).
-  bool deterministic = false;
-};
-
 class CpuSet {
  public:
   // Spawns `ncpus` simulated CPUs for `kernel`. The count is clamped to
   // kMaxSimulatedCpus (shard 0 belongs to the harness main thread).
-  CpuSet(Kernel* kernel, int ncpus, SmpOptions options = {});
+  CpuSet(Kernel* kernel, int ncpus);
   ~CpuSet();  // drains every queue, then joins the CPU threads
 
   CpuSet(const CpuSet&) = delete;
@@ -74,8 +63,6 @@ class CpuSet {
   struct Cpu;
   void WorkerLoop(Cpu* cpu);
 
-  Kernel* kernel_;
-  SmpOptions options_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
 };
 

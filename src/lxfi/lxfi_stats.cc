@@ -107,7 +107,6 @@ std::string LxfiStats::DumpJson(const Runtime& rt, const std::string& tag) {
     open_row(std::string("guard:") + GuardTypeName(t));
     bool first = false;
     AppendField(&out, "count", guards.count(t), &first);
-    AppendField(&out, "time_ns", guards.time_ns(t), &first);
     out += "}";
   }
   open_row("trace");

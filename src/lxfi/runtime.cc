@@ -66,20 +66,8 @@ const char* GuardTypeName(GuardType type) {
   return "?";
 }
 
-std::string GuardStats::Report() const {
-  std::string out;
-  for (int i = 0; i < static_cast<int>(GuardType::kCount); ++i) {
-    auto t = static_cast<GuardType>(i);
-    out += StrFormat("%-20s count=%12llu mean=%8.1f ns total=%10.3f ms\n", GuardTypeName(t),
-                     static_cast<unsigned long long>(count(t)), MeanNs(t),
-                     static_cast<double>(time_ns(t)) / 1e6);
-  }
-  return out;
-}
-
 Runtime::Runtime(kern::Kernel* kernel, RuntimeOptions options)
     : kernel_(kernel), options_(options) {
-  guards_.timing_enabled = options_.guard_timing;
   if (options_.partitioned_heaps) {
     EnablePartitionedHeaps();
   }
@@ -507,23 +495,8 @@ void Runtime::RevokeEverywhere(const Capability& cap) {
 
 // --- instrumentation checks -----------------------------------------------------
 
-void Runtime::CheckWrite(const void* dst, size_t size) {
-  Principal* p = CurrentPrincipal();
-  if (p == nullptr) {
-    return;  // trusted (core kernel) context
-  }
-  uintptr_t addr = reinterpret_cast<uintptr_t>(dst);
-  if (LXFI_UNLIKELY(guards_.timing_enabled)) {
-    GuardScope<true> guard(&guards_, GuardType::kMemWrite);
-    CheckWriteBody(p, addr, size);
-    return;
-  }
-  GuardScope<false> guard(&guards_, GuardType::kMemWrite);
-  CheckWriteBody(p, addr, size);
-}
-
 // The two halves of the write-memo protocol, kept in exactly one place each
-// so the store guard (CheckWriteBody, which wedges the kernel-stack test
+// so the store guard (CheckWrite, which wedges the kernel-stack test
 // between them) and OwnsWriteFast (LxfiCheck, no stack grant) cannot drift.
 LXFI_ALWAYS_INLINE bool Runtime::WriteMemoProbe(EnforcementContext& ec, uintptr_t addr,
                                                 size_t size) {
@@ -551,7 +524,13 @@ LXFI_ALWAYS_INLINE bool Runtime::WriteTableProbe(Principal* p, EnforcementContex
   return true;
 }
 
-void Runtime::CheckWriteBody(Principal* p, uintptr_t addr, size_t size) {
+void Runtime::CheckWrite(const void* dst, size_t size) {
+  Principal* p = CurrentPrincipal();
+  if (p == nullptr) {
+    return;  // trusted (core kernel) context
+  }
+  guards_.Count(GuardType::kMemWrite);
+  uintptr_t addr = reinterpret_cast<uintptr_t>(dst);
   EnforcementContext& ec = p->ctx();
   // Partitioned-heap fast path: the overwhelmingly common store — a module
   // writing memory it kmalloc'd itself — resolves on the principal's own
@@ -630,17 +609,7 @@ void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name)
 
 void Runtime::CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
                                       uintptr_t target) {
-  if (LXFI_UNLIKELY(guards_.timing_enabled)) {
-    GuardScope<true> guard(&guards_, GuardType::kIndCallAll);
-    IndirectCallBody<true>(pptr, fnptr_type, target);
-    return;
-  }
-  GuardScope<false> guard(&guards_, GuardType::kIndCallAll);
-  IndirectCallBody<false>(pptr, fnptr_type, target);
-}
-
-template <bool kTimed>
-void Runtime::IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target) {
+  guards_.Count(GuardType::kIndCallAll);
   if (target >= kern::kModuleTextBase) {
     guards_.Count(GuardType::kIndCallModule);
   }
@@ -648,7 +617,7 @@ void Runtime::IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr
   if (LXFI_LIKELY(writer_set_.Empty(slot))) {
     return;  // fast path: no principal could have written this slot
   }
-  GuardScope<kTimed> full_guard(&guards_, GuardType::kIndCallFull);
+  guards_.Count(GuardType::kIndCallFull);
   const WriterVec writers = writer_set_.WritersFor(slot);
   if (writers.empty()) {
     return;
@@ -932,7 +901,7 @@ void Runtime::VisitPrincipals(const std::function<void(Principal*)>& fn) const {
 
 void Runtime::ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& env,
                           bool from_module) {
-  GuardScopeDyn guard(&guards_, GuardType::kAnnotationAction);
+  guards_.Count(GuardType::kAnnotationAction);
   switch (op) {
     case Action::Op::kCheck:
       if (from_module && !OwnsForEnforcement(env.principal, cap)) {
@@ -1143,63 +1112,48 @@ Principal* Runtime::SelectCalleePrincipal(const GuardProgram* prog, ModuleCtx* m
 // --- wrapper entry/exit --------------------------------------------------------------
 
 uint64_t Runtime::WrapperEnter(Principal* switch_to, const char* what) {
-  auto body = [&] {
-    ShadowStack* shadow = CurrentShadow();
-    uint64_t token = shadow->Push(shadow->current, what);
-    shadow->current = switch_to;
-    // Per-principal crossing metrics are a static key, same as tracing: one
-    // relaxed load when off, a frame timestamp when on (read back at exit).
-    if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
-      shadow->SetTopEnterNs(MonotonicNowNs());
-    }
-    TRACE_EVENT(TraceEvent::kGuardEnter,
-                TraceIdOf(switch_to != nullptr ? switch_to : shadow->TopSavedPrincipal()), token,
-                shadow->depth());
-    return token;
-  };
-  if (LXFI_UNLIKELY(guards_.timing_enabled)) {
-    GuardScope<true> guard(&guards_, GuardType::kFunctionEntry);
-    return body();
+  guards_.Count(GuardType::kFunctionEntry);
+  ShadowStack* shadow = CurrentShadow();
+  uint64_t token = shadow->Push(shadow->current, what);
+  shadow->current = switch_to;
+  // Per-principal crossing metrics are a static key, same as tracing: one
+  // relaxed load when off, a frame timestamp when on (read back at exit).
+  if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
+    shadow->SetTopEnterNs(MonotonicNowNs());
   }
-  GuardScope<false> guard(&guards_, GuardType::kFunctionEntry);
-  return body();
+  TRACE_EVENT(TraceEvent::kGuardEnter,
+              TraceIdOf(switch_to != nullptr ? switch_to : shadow->TopSavedPrincipal()), token,
+              shadow->depth());
+  return token;
 }
 
 void Runtime::WrapperExit(uint64_t token, const char* what) {
-  auto body = [&] {
-    ShadowStack* shadow = CurrentShadow();
-    // Crossing attribution mirrors CallerPrincipal(): the module principal
-    // still current (kernel->module call about to return), or the caller the
-    // frame saved (module->kernel import whose wrapper dropped privilege).
-    // The delta lands in the attributed principal's per-CPU shard — the one
-    // the crossing's CALL check already pulled into cache.
-    uint64_t crossing_ns = 0;
-    if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
-      uint64_t enter_ns = shadow->TopEnterNs();
-      Principal* attributed =
-          shadow->current != nullptr ? shadow->current : shadow->TopSavedPrincipal();
-      if (enter_ns != 0 && attributed != nullptr) {
-        crossing_ns = MonotonicNowNs() - enter_ns;
-        attributed->ctx().CountCrossing(crossing_ns);
-      }
+  guards_.Count(GuardType::kFunctionExit);
+  ShadowStack* shadow = CurrentShadow();
+  // Crossing attribution mirrors CallerPrincipal(): the module principal
+  // still current (kernel->module call about to return), or the caller the
+  // frame saved (module->kernel import whose wrapper dropped privilege).
+  // The delta lands in the attributed principal's per-CPU shard — the one
+  // the crossing's CALL check already pulled into cache.
+  uint64_t crossing_ns = 0;
+  if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
+    uint64_t enter_ns = shadow->TopEnterNs();
+    Principal* attributed =
+        shadow->current != nullptr ? shadow->current : shadow->TopSavedPrincipal();
+    if (enter_ns != 0 && attributed != nullptr) {
+      crossing_ns = MonotonicNowNs() - enter_ns;
+      attributed->ctx().CountCrossing(crossing_ns);
     }
-    bool ok = false;
-    Principal* saved = shadow->Pop(token, &ok);
-    if (!ok) {
-      RaiseViolation(ViolationKind::kShadowStack,
-                     StrFormat("return-path corruption detected leaving %s", what));
-      return;
-    }
-    shadow->current = saved;
-    TRACE_EVENT(TraceEvent::kGuardExit, TraceIdOf(saved), token, crossing_ns);
-  };
-  if (LXFI_UNLIKELY(guards_.timing_enabled)) {
-    GuardScope<true> guard(&guards_, GuardType::kFunctionExit);
-    body();
+  }
+  bool ok = false;
+  Principal* saved = shadow->Pop(token, &ok);
+  if (!ok) {
+    RaiseViolation(ViolationKind::kShadowStack,
+                   StrFormat("return-path corruption detected leaving %s", what));
     return;
   }
-  GuardScope<false> guard(&guards_, GuardType::kFunctionExit);
-  body();
+  shadow->current = saved;
+  TRACE_EVENT(TraceEvent::kGuardExit, TraceIdOf(saved), token, crossing_ns);
 }
 
 void Runtime::WrapperAbort(uint64_t token, const char* what) {

@@ -28,10 +28,6 @@ namespace lxfi {
 
 struct RuntimeOptions {
   ViolationPolicy policy = ViolationPolicy::kThrow;
-  // Collect per-guard wall time (Figure 13). Off by default: timing itself
-  // costs two clock reads per guard. When off, guards compile down to a
-  // counter increment (GuardScope<false>).
-  bool guard_timing = false;
   // Per-principal partitioned heaps (IA2-style): each principal's kmalloc
   // allocations come from its own arena slot, so the store guard's common
   // case — a module writing memory it allocated itself — collapses to a
@@ -291,8 +287,6 @@ class Runtime : public kern::IsolationHooks {
                   bool post);
 
   // --- enforcement fast-path internals ------------------------------------
-  // Store-guard body shared by the timed and counter-only entry paths.
-  void CheckWriteBody(Principal* p, uintptr_t addr, size_t size);
   // The write-memo protocol, one copy of each half: memo probe (count +
   // hit test) and table probe (fallback chain + memo fill).
   bool WriteMemoProbe(EnforcementContext& ec, uintptr_t addr, size_t size);
@@ -301,9 +295,6 @@ class Runtime : public kern::IsolationHooks {
   // writer-page attribution. Module load's initial CALL capabilities use it
   // directly; the kModuleLoad record announces them.
   void GrantQuiet(Principal* p, const Capability& cap);
-  // Indirect-call body shared by the timed and counter-only entry paths.
-  template <bool kTimed>
-  void IndirectCallBody(const void* pptr, const char* fnptr_type, uintptr_t target);
 
   kern::Kernel* kernel_;
   RuntimeOptions options_;

@@ -43,6 +43,23 @@ TEST_P(NetperfWorkload, IsolationGuardsEveryPacket) {
   }
 }
 
+TEST_P(NetperfWorkload, ConsecutiveRunsReportTheSameCounts) {
+  // Guard and NIC counters only grow; each Run reports its own packets and
+  // guards as after minus before, so a warmed harness repeats its figures.
+  eval::NetperfHarness harness(/*isolated=*/true);
+  eval::NetperfMeasurement first = harness.Run({GetParam(), 1000});
+  EXPECT_EQ(first.packets, 1000u);
+  EXPECT_GT(first.guard_counts[static_cast<int>(lxfi::GuardType::kFunctionEntry)], 0u);
+  for (int run = 2; run <= 3; ++run) {
+    eval::NetperfMeasurement m = harness.Run({GetParam(), 1000});
+    EXPECT_EQ(m.packets, first.packets) << "run " << run;
+    for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
+      EXPECT_EQ(m.guard_counts[i], first.guard_counts[i])
+          << "run " << run << ", " << lxfi::GuardTypeName(static_cast<lxfi::GuardType>(i));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(All, NetperfWorkload,
                          ::testing::Values(eval::NetWorkload::kUdpStreamTx,
                                            eval::NetWorkload::kUdpStreamRx,

@@ -1,6 +1,6 @@
 // Tests for the SMP subsystem (src/kernel/smp.h): per-CPU contexts and
-// CPU-local current(), run queues, cross-CPU calls, deterministic mode, and
-// thread-safe kthread creation.
+// CPU-local current(), run queues, cross-CPU calls, and thread-safe kthread
+// creation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,31 +38,6 @@ TEST(Kthread, IdsAreUniqueUnderConcurrentCreation) {
     }
   }
   EXPECT_EQ(ids.size(), 1u + kThreads * kPerThread);
-}
-
-TEST(CpuSet, DeterministicModeRunsInlineUnderCpuContext) {
-  kern::Kernel kernel;
-  kern::KthreadContext* boot = kernel.current();
-  kern::SmpOptions options;
-  options.deterministic = true;
-  kern::CpuSet cpus(&kernel, 2, options);
-  ASSERT_EQ(cpus.ncpus(), 2);
-  // Contexts were created in order after the boot context.
-  EXPECT_EQ(cpus.ctx(0)->id, boot->id + 1);
-  EXPECT_EQ(cpus.ctx(1)->id, boot->id + 2);
-
-  std::vector<int> order;
-  for (int i = 0; i < 2; ++i) {
-    cpus.RunOn(i, [&, i] {
-      EXPECT_EQ(kernel.current(), cpus.ctx(i));
-      order.push_back(i);
-    });
-  }
-  // Inline execution: everything already happened, in program order, and
-  // the boot context is restored.
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(kernel.current(), boot);
-  cpus.Barrier();  // no-op, must not deadlock
 }
 
 TEST(CpuSet, ThreadedCpusHaveCpuLocalCurrentAndShards) {
