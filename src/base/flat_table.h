@@ -1,8 +1,9 @@
 // Open-addressing hash containers for the enforcement hot path.
 //
-// FlatTable maps uint64_t keys to values; FlatSet is the value-less variant.
-// Layout and policy are chosen for the reference monitor's access pattern —
-// a successful lookup on every module store and kernel indirect call:
+// FlatTable<V> maps uint64_t keys to values; FlatTable<void> is the same
+// table as a key set, with no value storage. Layout and policy are chosen
+// for the reference monitor's access pattern — a successful lookup on every
+// module store and kernel indirect call:
 //
 //   * the key array doubles as the occupancy map (0 = empty; the rare
 //     genuine zero key lives in a dedicated side slot), so probing touches
@@ -27,8 +28,9 @@
 //     way tombstone schemes do. Backward shift also keeps the window scan
 //     sound: a live key can never sit on the far side of an empty slot
 //     from its home, so "any lane matches" is exactly "present";
-//   * values sit in their own array and are only touched after a key hit,
-//     keeping the probe loop's cache footprint at one word per slot.
+//   * a map's values sit in their own array and are only touched after a
+//     key hit, keeping the probe loop's cache footprint at one word per
+//     slot; a set allocates no value array at all.
 //
 // Read-mostly mode (the seqlock read path): geometry and slot storage live
 // in one heap-allocated Rep published through an atomic pointer, so a
@@ -37,14 +39,15 @@
 // around relaxed-atomic slot loads and retry if a writer intervened;
 // writers (serialized externally, e.g. by the per-principal Spinlock) bump
 // the SeqCount around every mutation and retire replaced Reps through the
-// quiescent-state EpochReclaimer instead of freeing them, so a reader still
-// probing a superseded array never touches freed memory.
+// quiescent-state EpochReclaimer::Global() instead of freeing them, so a
+// reader still probing a superseded array never touches freed memory. With
+// no reader registered, a retired Rep is freed at once.
 //
-// FlatSet and FlatRangeMap back the capability tables and have only that
-// lock-free probe, always retiring through EpochReclaimer::Global(). The
-// general FlatTable keeps a plain probe for single-threaded owners and for
-// writers under their lock; its *Concurrent probes need a reclaimer
-// attached via SetReclaimer.
+// Both containers (FlatTable and FlatRangeMap) follow that protocol for
+// every table: their lookups (Contains, FindValueConcurrent, FlatRangeMap's
+// probes) are lock-free from any thread, and each runs one seqlock read
+// loop that first skips tables with no elements. Find and the mutators are
+// for the serialized writer.
 //
 // Keys are restricted to uint64_t because every enforcement key already is
 // one (bucket index, page number, text address, interned REF hash).
@@ -71,16 +74,20 @@ inline constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;  // 2^64 / φ
 // per-lane wraparound masking.
 inline constexpr size_t kWindow = 4;
 
-// Grow at 1/2 load: with power-of-two growth the live load factor stays in
-// (0.25, 0.5], keeping linear-probe chains well inside one or two windows.
+// Grow at 1/2 load, doubling: with power-of-two growth the live load factor
+// stays in (0.25, 0.5], keeping linear-probe chains well inside one or two
+// windows.
 inline constexpr bool NeedsGrow(size_t size_after_insert, size_t capacity) {
   return size_after_insert * 2 > capacity;
+}
+inline constexpr size_t GrownCapacity(size_t capacity) {
+  return capacity == 0 ? kMinCapacity : capacity * 2;
 }
 
 // Relaxed-atomic slot accessors. On the write side every slot store goes
 // through RelaxedStore so concurrent seqlock readers race only with atomics
-// (TSan-clean); RelaxedLoad is used by the concurrent probes. Both compile
-// to plain moves on x86/arm64, so the single-threaded paths cost nothing.
+// (TSan-clean); RelaxedLoad is used by the probes. Both compile to plain
+// moves on x86/arm64, so the single-threaded paths cost nothing.
 inline uint64_t RelaxedLoad(const uint64_t* p) { return __atomic_load_n(p, __ATOMIC_RELAXED); }
 inline void RelaxedStore(uint64_t* p, uint64_t v) { __atomic_store_n(p, v, __ATOMIC_RELAXED); }
 
@@ -94,138 +101,160 @@ inline void PublishRep(Rep** slot, Rep* rep) {
   __atomic_store_n(slot, rep, __ATOMIC_RELEASE);
 }
 
-// Element counts of the lock-free containers: written by the (serialized)
-// writer, read by lock-free probes as an emptiness early-out. A reader that
-// races a 0 -> 1 insert sees the table empty, as if it ran just before it.
+// Element counts: written by the (serialized) writer, read by lock-free
+// probes as an emptiness early-out. A reader that races a 0 -> 1 insert
+// sees the table empty, as if it ran just before it.
 inline size_t LoadSize(const size_t* p) { return __atomic_load_n(p, __ATOMIC_RELAXED); }
 inline void StoreSize(size_t* p, size_t v) { __atomic_store_n(p, v, __ATOMIC_RELAXED); }
+
+// The header of every Rep: the geometry of one capacity generation,
+// immutable after construction. The slot array lives inline after the Rep
+// (one load resolves geometry and array base together), so probe depth
+// matches a direct member array.
+struct Geometry {
+  size_t cap;
+  size_t mask;
+  unsigned shift;
+
+  size_t IndexOf(uint64_t key) const { return static_cast<size_t>((key * kGolden) >> shift); }
+};
+
+// Allocates a Rep (derived from Geometry) followed by `capacity + mirror`
+// zeroed slots of type Slot.
+template <typename Rep, typename Slot>
+Rep* MakeRep(size_t capacity, size_t mirror) {
+  size_t nslots = capacity + mirror;
+  void* mem = ::operator new(sizeof(Rep) + nslots * sizeof(Slot));
+  Rep* rep = new (mem) Rep();
+  rep->cap = capacity;
+  rep->mask = capacity - 1;
+  rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+  Slot* slots = reinterpret_cast<Slot*>(rep + 1);
+  for (size_t i = 0; i < nslots; ++i) {
+    slots[i] = Slot{};
+  }
+  return rep;
+}
 
 // Frees a replaced Rep after a grace period of the global reclaimer (at
 // once when no reader is registered).
 template <typename Rep>
 inline void RetireRep(Rep* rep) {
   if (rep != nullptr) {
-    EpochReclaimer::Global().Retire([rep] { Rep::Destroy(rep); });
+    EpochReclaimer::Global().Retire([rep] {
+      rep->~Rep();
+      ::operator delete(rep);
+    });
   }
 }
+
+// First empty slot on `key`'s probe chain (writer side; `rep` has one).
+// Rep::KeyAt(i) reads slot i's key.
+template <typename Rep>
+size_t FreeSlot(const Rep* rep, uint64_t key) {
+  size_t i = rep->IndexOf(key);
+  while (rep->KeyAt(i) != 0) {
+    i = (i + 1) & rep->mask;
+  }
+  return i;
+}
+
+// Backward-shift erase of slot `hole`: moves each later entry of the probe
+// chain that may sit in the hole back into it via move(from, to), and
+// returns the slot left empty at the end (the caller clears it), so no
+// tombstone is left behind.
+template <typename Rep, typename Move>
+size_t ShiftBack(const Rep* rep, size_t hole, Move&& move) {
+  size_t i = hole;
+  while (true) {
+    i = (i + 1) & rep->mask;
+    uint64_t key = rep->KeyAt(i);
+    if (key == 0) {
+      return hole;
+    }
+    // The entry at i may move into the hole iff doing so does not place it
+    // before its ideal slot in probe order.
+    size_t ideal = rep->IndexOf(key);
+    if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
+      move(i, hole);
+      hole = i;
+    }
+  }
+}
+
+// The rehash loop: moves every occupied slot of *slot's Rep (if any) into
+// `fresh` via move(old_slot, fresh_slot), publishes `fresh` and retires the
+// old Rep.
+template <typename Rep, typename Move>
+void Rehash(SeqCount& seq, Rep** slot, Rep* fresh, Move&& move) {
+  Rep* old = *slot;
+  if (old != nullptr) {
+    for (size_t i = 0; i < old->cap; ++i) {
+      uint64_t key = old->KeyAt(i);
+      if (key != 0) {
+        move(i, FreeSlot(fresh, key));
+      }
+    }
+  }
+  seq.WriteBegin();
+  PublishRep(slot, fresh);
+  seq.WriteEnd();
+  RetireRep(old);
+}
+
+// Value storage of a FlatTable<void> (a set): occupies no space.
+struct NoValue {};
 
 }  // namespace flat_internal
 
 template <typename V>
 class FlatTable {
-  // Slot storage (geometry + arrays) for one capacity generation. Geometry
-  // is immutable after construction; only slot contents mutate in place.
-  // The key array lives inline after the header (one load resolves rep and
-  // the array base together), so probe depth matches a direct member array;
-  // the value array is only touched after a key hit and may stay a vector.
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-    std::vector<V> vals;  // cap slots
+  static constexpr bool kSet = std::is_void_v<V>;
+  static constexpr bool kMap = !kSet;
+  // What a slot holds besides its key (nothing, for a set).
+  using Value = std::conditional_t<kSet, flat_internal::NoValue, V>;
+  using Values = std::conditional_t<kSet, flat_internal::NoValue, std::vector<Value>>;
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  // Header + inline key array (cap + kWindow-1 mirror slots; 0 = empty).
+  // A map's value array is only touched after a key hit and may stay a
+  // vector.
+  struct Rep : flat_internal::Geometry {
+    [[no_unique_address]] Values vals;  // cap slots (maps only)
 
     uint64_t* keys() { return reinterpret_cast<uint64_t*>(this + 1); }
     const uint64_t* keys() const { return reinterpret_cast<const uint64_t*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nkeys = capacity + flat_internal::kWindow - 1;
-      void* mem = ::operator new(sizeof(Rep) + nkeys * sizeof(uint64_t));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      rep->vals.resize(capacity);
-      for (size_t i = 0; i < nkeys; ++i) {
-        rep->keys()[i] = 0;
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
+    uint64_t KeyAt(size_t i) const { return keys()[i]; }
   };
 
  public:
   FlatTable() = default;
-  ~FlatTable() { DisposeRep(rep_); }
+  ~FlatTable() { flat_internal::RetireRep(rep_); }
 
   FlatTable(const FlatTable&) = delete;
   FlatTable& operator=(const FlatTable&) = delete;
 
-  size_t size() const { return size_ + (HasZero() ? 1 : 0); }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
-
-  // Attaches the grace-period reclaimer: replaced slot arrays are retired
-  // instead of freed, which is what makes the *Concurrent probes safe
-  // against rehash. Set once, before any concurrent reader exists.
-  void SetReclaimer(EpochReclaimer* reclaimer) { reclaimer_ = reclaimer; }
 
   void Clear() {
     seq_.WriteBegin();
     Rep* old = rep_;
     flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
-    size_ = 0;
+    flat_internal::StoreSize(&size_, 0);
     SetHasZero(false);
-    zero_val_ = V{};
+    if constexpr (kMap) {
+      StoreVal(&zero_val_, Value{});
+    }
     seq_.WriteEnd();
-    DisposeRep(old);
+    flat_internal::RetireRep(old);
   }
 
-  V* Find(uint64_t key) {
-    if (LXFI_UNLIKELY(key == 0)) {
-      return HasZero() ? &zero_val_ : nullptr;
-    }
-    if (size_ == 0) {
-      return nullptr;
-    }
-    Rep* rep = rep_;
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      const uint64_t* w = keys + i;
-      uint64_t c0 = w[0], c1 = w[1], c2 = w[2], c3 = w[3];
-      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
-        // Arithmetic lane select: which lane matched is random per query, so
-        // this must not become a branch tree (it would mispredict per hit).
-        size_t n0 = c0 != key, n01 = n0 & (c1 != key), n012 = n01 & (c2 != key);
-        return &rep->vals[(i + n0 + n01 + n012) & mask];
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return nullptr;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-  }
-
-  const V* Find(uint64_t key) const { return const_cast<FlatTable*>(this)->Find(key); }
-
-  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-
-  // Lock-free key-presence probe for concurrent readers (seqlock protocol;
-  // see file comment). Requires a reclaimer to be attached if writers can
-  // rehash concurrently.
-  bool ContainsConcurrent(uint64_t key) const {
-    if (LXFI_UNLIKELY(key == 0)) {
-      return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
-    }
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        continue;
-      }
-      int found = ProbeKeyConcurrent(rep, key);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
+  // Lock-free key-presence probe (seqlock protocol; see file comment). Reads
+  // keys only — a map's value array is never touched.
+  bool Contains(uint64_t key) const {
+    return Lookup(key, [](const Value*) {}, nullptr);
   }
 
   // Lock-free lookup of a pointer-sized trivially copyable value (e.g. the
@@ -233,211 +262,137 @@ class FlatTable {
   // false when absent. `retries`, when non-null, counts seqlock validation
   // failures (reads that overlapped a writer and looped) — the dcache storm
   // test uses it to prove the retry path is actually exercised.
-  bool FindValueConcurrent(uint64_t key, V* out, RelaxedCell* retries = nullptr) const {
+  bool FindValueConcurrent(uint64_t key, Value* out, RelaxedCell* retries = nullptr) const
+    requires kMap
+  {
     static_assert(std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t),
                   "concurrent value loads require word-sized trivially copyable values");
+    uint64_t raw = 0;
+    auto load = [&raw](const V* v) {
+      raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(v));
+    };
+    if (!Lookup(key, load, retries)) {
+      return false;
+    }
+    __builtin_memcpy(out, &raw, sizeof(V));
+    return true;
+  }
+
+  // Writer-side lookup: the value for `key`, or null.
+  Value* Find(uint64_t key)
+    requires kMap
+  {
     if (LXFI_UNLIKELY(key == 0)) {
-      if (!__atomic_load_n(&has_zero_, __ATOMIC_RELAXED)) {
-        return false;
-      }
-      uint64_t raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&zero_val_));
-      __builtin_memcpy(out, &raw, sizeof(V));
+      return HasZero() ? &zero_val_ : nullptr;
+    }
+    size_t slot;
+    return rep_ != nullptr && ProbeWindows(rep_, key, &slot) == 1 ? &rep_->vals[slot] : nullptr;
+  }
+
+  const Value* Find(uint64_t key) const
+    requires kMap
+  {
+    return const_cast<FlatTable*>(this)->Find(key);
+  }
+
+  // Set insert; returns true if the key was newly inserted. A key already
+  // present costs one probe and writes nothing (no seqlock section, no
+  // rehash), so steady-state re-grants stay pure lookups.
+  bool Insert(uint64_t key)
+    requires kSet
+  {
+    if (key == 0 ? HasZero() : SlotOf(key) != kNoSlot) {
+      return false;
+    }
+    Add(key, Value{});
+    return true;
+  }
+
+  // Map insert or overwrite; returns true if the key was newly inserted.
+  bool Insert(uint64_t key, Value value)
+    requires kMap
+  {
+    Value* existing = Find(key);
+    if (existing == nullptr) {
+      Add(key, std::move(value));
       return true;
     }
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      if (rep == nullptr) {
-        if (seq_.ReadValidate(s)) {
-          return false;
-        }
-        if (retries != nullptr) {
-          ++*retries;
-        }
-        continue;
-      }
-      const uint64_t* keys = rep->keys();
-      const size_t mask = rep->mask;
-      size_t i = IndexOf(rep, key);
-      uint64_t raw = 0;
-      int found = -1;
-      for (size_t steps = 0; steps <= rep->cap; ++steps) {
-        uint64_t k = flat_internal::RelaxedLoad(keys + i);
-        if (k == key) {
-          raw = flat_internal::RelaxedLoad(reinterpret_cast<const uint64_t*>(&rep->vals[i]));
-          found = 1;
-          break;
-        }
-        if (k == 0) {
-          found = 0;
-          break;
-        }
-        i = (i + 1) & mask;
-      }
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        if (found == 1) {
-          __builtin_memcpy(out, &raw, sizeof(V));
-          return true;
-        }
-        return false;
-      }
-      if (retries != nullptr) {
-        ++*retries;
-      }
-      CpuRelax();
-    }
+    seq_.WriteBegin();
+    StoreVal(existing, std::move(value));
+    seq_.WriteEnd();
+    return false;
   }
 
   // Returns the value for `key`, inserting a default-constructed one first
-  // if absent.
-  V& GetOrInsert(uint64_t key) {
+  // if absent. An existing key is a pure lookup, even at the load threshold.
+  Value& GetOrInsert(uint64_t key)
+    requires kMap
+  {
     if (key == 0) {
-      SetHasZero(true);
+      if (!HasZero()) {
+        Add(0, Value{});
+      }
       return zero_val_;
     }
-    // Probe for an existing entry before considering growth, so a duplicate
-    // insert at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          return rep_->vals[i];
-        }
-        i = (i + 1) & rep_->mask;
-      }
+    size_t i = SlotOf(key);
+    if (i == kNoSlot) {
+      i = Add(key, Value{});
     }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    ++size_;
     return rep_->vals[i];
   }
 
-  // Inserts or overwrites; returns true if the key was newly inserted.
-  // Value and key land in ONE seqlock write section: a two-section insert
-  // (key published with a default value, value stored later) would let
-  // FindValueConcurrent validate in the gap and return the default.
-  bool Insert(uint64_t key, V value) {
-    if (key == 0) {
-      bool added = !HasZero();
-      seq_.WriteBegin();
-      StoreVal(&zero_val_, std::move(value));
-      SetHasZero(true);
-      seq_.WriteEnd();
-      return added;
-    }
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          seq_.WriteBegin();
-          StoreVal(&rep_->vals[i], std::move(value));
-          seq_.WriteEnd();
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
-      }
-    }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreVal(&rep_->vals[i], std::move(value));
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    ++size_;
-    return true;
-  }
-
-  // Backward-shift erase: removes `key` and re-packs the probe window so no
-  // tombstone is left behind. Returns true if the key was present.
+  // Backward-shift erase (see flat_internal::ShiftBack). Returns true if the
+  // key was present.
   bool Erase(uint64_t key) {
-    if (key == 0) {
-      if (!HasZero()) {
-        return false;
-      }
-      seq_.WriteBegin();
-      SetHasZero(false);
-      zero_val_ = V{};
-      seq_.WriteEnd();
-      return true;
-    }
-    if (size_ == 0) {
+    size_t i = key == 0 ? 0 : SlotOf(key);
+    if (key == 0 ? !HasZero() : i == kNoSlot) {
       return false;
     }
-    Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->keys()[i] == key) {
-        break;
-      }
-      if (rep->keys()[i] == 0) {
-        return false;
-      }
-      i = (i + 1) & rep->mask;
-    }
     seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->keys()[i] == 0) {
-        break;
+    if (key == 0) {
+      SetHasZero(false);
+      if constexpr (kMap) {
+        StoreVal(&zero_val_, Value{});
       }
-      // The entry at i may move into the hole iff doing so does not place it
-      // before its ideal slot in probe order.
-      size_t ideal = IndexOf(rep, rep->keys()[i]);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreKey(rep, hole, rep->keys()[i]);
-        MoveVal(&rep->vals[hole], &rep->vals[i]);
-        hole = i;
+    } else {
+      Rep* rep = rep_;
+      size_t hole = flat_internal::ShiftBack(rep, i, [rep](size_t from, size_t to) {
+        StoreKey(rep, to, rep->keys()[from]);
+        if constexpr (kMap) {
+          StoreVal(&rep->vals[to], std::move(rep->vals[from]));
+        }
+      });
+      StoreKey(rep, hole, 0);
+      if constexpr (kMap) {
+        StoreVal(&rep->vals[hole], Value{});
       }
     }
-    StoreKey(rep, hole, 0);
-    StoreVal(&rep->vals[hole], V{});
     seq_.WriteEnd();
-    --size_;
+    flat_internal::StoreSize(&size_, size_ - 1);
     return true;
   }
 
-  // Visits every (key, value); order is unspecified. `fn` must not mutate
-  // the table.
+  // Visits every key (set) or every (key, value) (map); order is
+  // unspecified. `fn` must not mutate the table.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (HasZero()) {
-      fn(uint64_t{0}, zero_val_);
-    }
-    if (rep_ == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
-        fn(rep_->keys()[i], rep_->vals[i]);
+      if constexpr (kSet) {
+        fn(uint64_t{0});
+      } else {
+        fn(uint64_t{0}, zero_val_);
       }
     }
-  }
-
-  // Visits every (key, value&); `fn` may mutate values but not insert/erase.
-  template <typename Fn>
-  void ForEachMut(Fn&& fn) {
-    if (HasZero()) {
-      fn(uint64_t{0}, zero_val_);
-    }
     if (rep_ == nullptr) {
       return;
     }
     for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
+      if (rep_->keys()[i] == 0) {
+        continue;
+      }
+      if constexpr (kSet) {
+        fn(rep_->keys()[i]);
+      } else {
         fn(rep_->keys()[i], rep_->vals[i]);
       }
     }
@@ -447,9 +402,11 @@ class FlatTable {
   // number erased. (Collect-then-erase so backward shifts cannot skip or
   // revisit live entries mid-scan.)
   template <typename Pred>
-  size_t EraseIf(Pred&& pred) {
+  size_t EraseIf(Pred&& pred)
+    requires kMap
+  {
     std::vector<uint64_t> victims;
-    ForEach([&](uint64_t key, const V& value) {
+    ForEach([&](uint64_t key, const Value& value) {
       if (pred(key, value)) {
         victims.push_back(key);
       }
@@ -461,12 +418,149 @@ class FlatTable {
   }
 
  private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
+  static Rep* NewRep(size_t capacity) {
+    Rep* rep = flat_internal::MakeRep<Rep, uint64_t>(capacity, flat_internal::kWindow - 1);
+    if constexpr (kMap) {
+      rep->vals.resize(capacity);
+    }
+    return rep;
   }
 
   bool HasZero() const { return has_zero_; }
   void SetHasZero(bool v) { __atomic_store_n(&has_zero_, v, __ATOMIC_RELAXED); }
+
+  // The one lock-free lookup: the element-count early-out (most tables
+  // probed on enforcement paths are empty: skip the seqlock), then one
+  // seqlock-validated section — the zero key's side slot, or ProbeWindows.
+  // For a map, `on_hit(value)` runs inside the section on `key`'s value
+  // slot, may make only relaxed loads from it, and counts only once the
+  // section validates. `retries`, when non-null, counts sections that
+  // overlapped a writer.
+  template <typename OnHit>
+  bool Lookup(uint64_t key, OnHit&& on_hit, RelaxedCell* retries) const {
+    if (flat_internal::LoadSize(&size_) == 0) {
+      return false;
+    }
+    if (LXFI_UNLIKELY(key == 0)) {
+      return ReadValidated(
+          [&](const Rep*) {
+            bool found = __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
+            if constexpr (kMap) {
+              if (found) {
+                on_hit(&zero_val_);
+              }
+            }
+            return found ? 1 : 0;
+          },
+          retries);
+    }
+    return ReadValidated(
+        [&](const Rep* rep) {
+          size_t slot = 0;
+          int found = rep == nullptr ? 0 : ProbeWindows(rep, key, &slot);
+          if constexpr (kMap) {
+            if (found == 1) {
+              on_hit(&rep->vals[slot]);
+            }
+          }
+          return found;
+        },
+        retries);
+  }
+
+  // The seqlock read loop: runs `section(rep)` on the published Rep (1 hit,
+  // 0 miss, -1 torn) until a run validates.
+  template <typename Section>
+  bool ReadValidated(Section&& section, RelaxedCell* retries) const {
+    while (true) {
+      uint64_t s = seq_.ReadBegin();
+      int found = section(flat_internal::AcquireRep(&rep_));
+      if (found >= 0 && seq_.ReadValidate(s)) {
+        return found == 1;
+      }
+      if (retries != nullptr) {
+        ++*retries;
+      }
+      CpuRelax();
+    }
+  }
+
+  // The window probe behind every lookup: one 4-slot window per round over
+  // `rep`'s keys (non-zero `key`). Returns 1 on a hit, with the slot in
+  // *slot; 0 on a miss; -1 if it overran the table — torn state under a
+  // concurrent writer, which Lookup revalidates and retries (the writer
+  // probing its own table never sees it).
+  static int ProbeWindows(const Rep* rep, uint64_t key, size_t* slot) {
+    const uint64_t* keys = rep->keys();
+    const size_t mask = rep->mask;
+    size_t i = rep->IndexOf(key);
+    for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
+      uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
+      uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
+      uint64_t c2 = flat_internal::RelaxedLoad(keys + i + 2);
+      uint64_t c3 = flat_internal::RelaxedLoad(keys + i + 3);
+      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
+        // Arithmetic lane select: which lane matched is random per query, so
+        // this must not become a branch tree (it would mispredict per hit).
+        // Presence-only callers discard *slot and the compiler drops this.
+        size_t n0 = c0 != key, n01 = n0 & (c1 != key), n012 = n01 & (c2 != key);
+        *slot = (i + n0 + n01 + n012) & mask;
+        return 1;
+      }
+      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
+        return 0;
+      }
+      i = (i + flat_internal::kWindow) & mask;
+    }
+    return -1;
+  }
+
+  // The mutators' search: the slot holding non-zero `key`, or kNoSlot. A
+  // one-slot walk: a key being erased or re-inserted usually sits at its
+  // home slot, where this is cheaper than loading a whole window and
+  // selecting the lane.
+  size_t SlotOf(uint64_t key) const {
+    if (rep_ == nullptr) {
+      return kNoSlot;
+    }
+    for (size_t i = rep_->IndexOf(key); rep_->KeyAt(i) != 0; i = (i + 1) & rep_->mask) {
+      if (rep_->KeyAt(i) == key) {
+        return i;
+      }
+    }
+    return kNoSlot;
+  }
+
+  // Adds absent `key` (growing first if needed); returns its slot (0 for
+  // the zero key). Value and key land in ONE seqlock write section: a
+  // two-section insert (key published with a default value, value stored
+  // later) would let FindValueConcurrent validate in the gap and return the
+  // default.
+  size_t Add(uint64_t key, Value value) {
+    if (key != 0 && flat_internal::NeedsGrow(size_ + 1, capacity())) {
+      Rep* old = rep_;
+      Rep* fresh = NewRep(flat_internal::GrownCapacity(capacity()));
+      flat_internal::Rehash(seq_, &rep_, fresh, [old, fresh](size_t from, size_t to) {
+        StoreKey(fresh, to, old->keys()[from]);
+        if constexpr (kMap) {
+          fresh->vals[to] = std::move(old->vals[from]);
+        }
+      });
+    }
+    size_t i = key == 0 ? 0 : flat_internal::FreeSlot(rep_, key);
+    seq_.WriteBegin();
+    if constexpr (kMap) {
+      StoreVal(key == 0 ? &zero_val_ : &rep_->vals[i], std::move(value));
+    }
+    if (key == 0) {
+      SetHasZero(true);
+    } else {
+      StoreKey(rep_, i, key);
+    }
+    seq_.WriteEnd();
+    flat_internal::StoreSize(&size_, size_ + 1);
+    return i;
+  }
 
   // All key writes go through here to keep the mirrored tail coherent.
   static void StoreKey(Rep* rep, size_t i, uint64_t v) {
@@ -478,86 +572,21 @@ class FlatTable {
 
   // Value stores: atomic for word-sized trivially copyable values (the kinds
   // FindValueConcurrent may race with), plain otherwise.
-  static void StoreVal(V* dst, V v) {
-    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t)) {
+  static void StoreVal(Value* dst, Value v) {
+    if constexpr (std::is_trivially_copyable_v<Value> && sizeof(Value) == sizeof(uint64_t)) {
       uint64_t raw;
-      __builtin_memcpy(&raw, &v, sizeof(V));
+      __builtin_memcpy(&raw, &v, sizeof(Value));
       flat_internal::RelaxedStore(reinterpret_cast<uint64_t*>(dst), raw);
     } else {
       *dst = std::move(v);
     }
   }
 
-  static void MoveVal(V* dst, V* src) {
-    if constexpr (std::is_trivially_copyable_v<V> && sizeof(V) == sizeof(uint64_t)) {
-      StoreVal(dst, *src);
-    } else {
-      *dst = std::move(*src);
-    }
-  }
-
-  // Keys-only concurrent window probe: 1 found, 0 absent, -1 overran the
-  // table (torn state; caller revalidates and retries).
-  static int ProbeKeyConcurrent(const Rep* rep, uint64_t key) {
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = (key * flat_internal::kGolden) >> rep->shift;
-    for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
-      uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
-      uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
-      uint64_t c2 = flat_internal::RelaxedLoad(keys + i + 2);
-      uint64_t c3 = flat_internal::RelaxedLoad(keys + i + 3);
-      if ((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key)) {
-        return 1;
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return 0;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-    return -1;
-  }
-
-  void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    size_ = 0;
-    if (old != nullptr) {
-      for (size_t i = 0; i < old->cap; ++i) {
-        if (old->keys()[i] != 0) {
-          size_t j = IndexOf(fresh, old->keys()[i]);
-          while (fresh->keys()[j] != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreKey(fresh, j, old->keys()[i]);
-          fresh->vals[j] = std::move(old->vals[i]);
-          ++size_;
-        }
-      }
-    }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  void DisposeRep(Rep* rep) {
-    if (rep == nullptr) {
-      return;
-    }
-    if (reclaimer_ != nullptr) {
-      reclaimer_->Retire([rep] { Rep::Destroy(rep); });
-    } else {
-      Rep::Destroy(rep);
-    }
-  }
-
   Rep* rep_ = nullptr;
-  size_t size_ = 0;  // non-zero-key entries
+  size_t size_ = 0;  // entries, the zero key included
   bool has_zero_ = false;
-  V zero_val_{};
+  [[no_unique_address]] Value zero_val_{};
   SeqCount seq_;
-  EpochReclaimer* reclaimer_ = nullptr;
 };
 
 // Same-hash collision chains over FlatTable<T*> values (the dcache child
@@ -638,38 +667,16 @@ class FlatRangeMap {
     uintptr_t hi;
   };
 
-  // Header + inline slot array (cap slots + 1 mirror slot): one load
-  // resolves geometry and array base together, matching the probe depth of
-  // a direct member array.
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-
+  // Header + inline slot array (cap slots + 1 mirror slot).
+  struct Rep : flat_internal::Geometry {
     Slot* slots() { return reinterpret_cast<Slot*>(this + 1); }
     const Slot* slots() const { return reinterpret_cast<const Slot*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nslots = capacity + 1;
-      void* mem = ::operator new(sizeof(Rep) + nslots * sizeof(Slot));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      for (size_t i = 0; i < nslots; ++i) {
-        rep->slots()[i] = Slot{0, 0, 0};
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
+    uint64_t KeyAt(size_t i) const { return slots()[i].key; }
   };
 
  public:
   FlatRangeMap() = default;
-  ~FlatRangeMap() { DisposeRep(rep_); }
+  ~FlatRangeMap() { flat_internal::RetireRep(rep_); }
 
   FlatRangeMap(const FlatRangeMap&) = delete;
   FlatRangeMap& operator=(const FlatRangeMap&) = delete;
@@ -684,7 +691,7 @@ class FlatRangeMap {
     flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
     flat_internal::StoreSize(&size_, 0);
     seq_.WriteEnd();
-    DisposeRep(old);
+    flat_internal::RetireRep(old);
   }
 
   // True iff some range stored under `key` fully contains [addr, end);
@@ -707,22 +714,17 @@ class FlatRangeMap {
   bool Insert(uint64_t key, uintptr_t lo, uintptr_t hi) {
     // Probe for an exact duplicate before considering growth, so a repeat
     // grant at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->slots()[i].key != 0) {
-        if (rep_->slots()[i].key == key && rep_->slots()[i].lo == lo && rep_->slots()[i].hi == hi) {
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
-      }
+    if (SlotOf(key, lo, hi) != kNoSlot) {
+      return false;
     }
     if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
+      Rep* old = rep_;
+      Rep* fresh = flat_internal::MakeRep<Rep, Slot>(flat_internal::GrownCapacity(capacity()), 1);
+      flat_internal::Rehash(seq_, &rep_, fresh, [old, fresh](size_t from, size_t to) {
+        StoreSlot(fresh, to, old->slots()[from]);
+      });
     }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->slots()[i].key != 0) {
-      i = (i + 1) & rep_->mask;
-    }
+    size_t i = flat_internal::FreeSlot(rep_, key);
     seq_.WriteBegin();
     StoreSlot(rep_, i, Slot{key, lo, hi});
     seq_.WriteEnd();
@@ -732,33 +734,14 @@ class FlatRangeMap {
 
   // Removes the exact (key, [lo, hi)) slot; backward-shift re-pack.
   bool EraseExact(uint64_t key, uintptr_t lo, uintptr_t hi) {
-    if (size_ == 0) {
+    size_t i = SlotOf(key, lo, hi);
+    if (i == kNoSlot) {
       return false;
     }
     Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->slots()[i].key == 0) {
-        return false;
-      }
-      if (rep->slots()[i].key == key && rep->slots()[i].lo == lo && rep->slots()[i].hi == hi) {
-        break;
-      }
-      i = (i + 1) & rep->mask;
-    }
     seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->slots()[i].key == 0) {
-        break;
-      }
-      size_t ideal = IndexOf(rep, rep->slots()[i].key);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreSlot(rep, hole, rep->slots()[i]);
-        hole = i;
-      }
-    }
+    size_t hole = flat_internal::ShiftBack(
+        rep, i, [rep](size_t from, size_t to) { StoreSlot(rep, to, rep->slots()[from]); });
     StoreSlot(rep, hole, Slot{0, 0, 0});
     seq_.WriteEnd();
     flat_internal::StoreSize(&size_, size_ - 1);
@@ -768,16 +751,13 @@ class FlatRangeMap {
   // Visits every range stored under `key` (duplicate-key chain walk).
   template <typename Fn>
   void ForEachWithKey(uint64_t key, Fn&& fn) const {
-    if (size_ == 0) {
+    if (rep_ == nullptr) {
       return;
     }
-    const Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (rep->slots()[i].key != 0) {
-      if (rep->slots()[i].key == key) {
-        fn(rep->slots()[i].lo, rep->slots()[i].hi);
+    for (size_t i = rep_->IndexOf(key); rep_->KeyAt(i) != 0; i = (i + 1) & rep_->mask) {
+      if (rep_->KeyAt(i) == key) {
+        fn(rep_->slots()[i].lo, rep_->slots()[i].hi);
       }
-      i = (i + 1) & rep->mask;
     }
   }
 
@@ -795,8 +775,20 @@ class FlatRangeMap {
   }
 
  private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  // Writer-side probe: the slot holding exactly (key, [lo, hi)), or kNoSlot.
+  size_t SlotOf(uint64_t key, uintptr_t lo, uintptr_t hi) const {
+    if (rep_ == nullptr) {
+      return kNoSlot;
+    }
+    for (size_t i = rep_->IndexOf(key); rep_->KeyAt(i) != 0; i = (i + 1) & rep_->mask) {
+      const Slot& s = rep_->slots()[i];
+      if (s.key == key && s.lo == lo && s.hi == hi) {
+        return i;
+      }
+    }
+    return kNoSlot;
   }
 
   static void StoreField(uintptr_t* p, uintptr_t v) {
@@ -842,7 +834,7 @@ class FlatRangeMap {
                       uintptr_t* hi) {
     const Slot* s = rep->slots();
     const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
+    size_t i = rep->IndexOf(key);
     for (size_t steps = 0; steps <= rep->cap; steps += 2) {
       const uint64_t k0 = flat_internal::RelaxedLoad(&s[i].key);
       const uint64_t k1 = flat_internal::RelaxedLoad(&s[i + 1].key);
@@ -875,247 +867,8 @@ class FlatRangeMap {
     return false;
   }
 
-  void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    if (old != nullptr) {
-      for (size_t i = 0; i < old->cap; ++i) {
-        if (old->slots()[i].key != 0) {
-          size_t j = IndexOf(fresh, old->slots()[i].key);
-          while (fresh->slots()[j].key != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreSlot(fresh, j, old->slots()[i]);
-        }
-      }
-    }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  static void DisposeRep(Rep* rep) { flat_internal::RetireRep(rep); }
-
   Rep* rep_ = nullptr;
   size_t size_ = 0;
-  SeqCount seq_;
-};
-
-// Value-less FlatTable: the CALL and REF capability sets. Lock-free
-// lookups, externally serialized mutation (see FlatRangeMap).
-class FlatSet {
-  // Header + inline key array (cap + kWindow-1 mirror slots; 0 = empty).
-  struct Rep {
-    size_t cap;
-    size_t mask;
-    unsigned shift;
-
-    uint64_t* keys() { return reinterpret_cast<uint64_t*>(this + 1); }
-    const uint64_t* keys() const { return reinterpret_cast<const uint64_t*>(this + 1); }
-
-    static Rep* Make(size_t capacity) {
-      size_t nkeys = capacity + flat_internal::kWindow - 1;
-      void* mem = ::operator new(sizeof(Rep) + nkeys * sizeof(uint64_t));
-      Rep* rep = new (mem) Rep();
-      rep->cap = capacity;
-      rep->mask = capacity - 1;
-      rep->shift = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
-      for (size_t i = 0; i < nkeys; ++i) {
-        rep->keys()[i] = 0;
-      }
-      return rep;
-    }
-    static void Destroy(Rep* rep) {
-      rep->~Rep();
-      ::operator delete(rep);
-    }
-  };
-
- public:
-  FlatSet() = default;
-  ~FlatSet() { DisposeRep(rep_); }
-
-  FlatSet(const FlatSet&) = delete;
-  FlatSet& operator=(const FlatSet&) = delete;
-
-  size_t size() const { return size_ + (has_zero_ ? 1 : 0); }
-  bool empty() const { return size() == 0; }
-  size_t capacity() const { return rep_ == nullptr ? 0 : rep_->cap; }
-
-  void Clear() {
-    seq_.WriteBegin();
-    Rep* old = rep_;
-    flat_internal::PublishRep(&rep_, static_cast<Rep*>(nullptr));
-    flat_internal::StoreSize(&size_, 0);
-    __atomic_store_n(&has_zero_, false, __ATOMIC_RELAXED);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  bool Contains(uint64_t key) const {
-    if (LXFI_UNLIKELY(key == 0)) {
-      return __atomic_load_n(&has_zero_, __ATOMIC_RELAXED);
-    }
-    if (flat_internal::LoadSize(&size_) == 0) {
-      return false;
-    }
-    while (true) {
-      uint64_t s = seq_.ReadBegin();
-      const Rep* rep = flat_internal::AcquireRep(&rep_);
-      int found = rep == nullptr ? 0 : ProbeKey(rep, key);
-      if (found >= 0 && seq_.ReadValidate(s)) {
-        return found == 1;
-      }
-      CpuRelax();
-    }
-  }
-
-  // Returns true if the key was newly inserted.
-  bool Insert(uint64_t key) {
-    if (key == 0) {
-      bool added = !has_zero_;
-      __atomic_store_n(&has_zero_, true, __ATOMIC_RELAXED);
-      return added;
-    }
-    // Probe for an existing key before considering growth, so a duplicate
-    // insert at the load threshold stays a pure lookup.
-    if (rep_ != nullptr) {
-      size_t i = IndexOf(rep_, key);
-      while (rep_->keys()[i] != 0) {
-        if (rep_->keys()[i] == key) {
-          return false;
-        }
-        i = (i + 1) & rep_->mask;
-      }
-    }
-    if (flat_internal::NeedsGrow(size_ + 1, capacity())) {
-      Rehash(rep_ == nullptr ? flat_internal::kMinCapacity : rep_->cap * 2);
-    }
-    size_t i = IndexOf(rep_, key);
-    while (rep_->keys()[i] != 0) {
-      i = (i + 1) & rep_->mask;
-    }
-    seq_.WriteBegin();
-    StoreKey(rep_, i, key);
-    seq_.WriteEnd();
-    flat_internal::StoreSize(&size_, size_ + 1);
-    return true;
-  }
-
-  bool Erase(uint64_t key) {
-    if (key == 0) {
-      bool had = has_zero_;
-      __atomic_store_n(&has_zero_, false, __ATOMIC_RELAXED);
-      return had;
-    }
-    if (size_ == 0) {
-      return false;
-    }
-    Rep* rep = rep_;
-    size_t i = IndexOf(rep, key);
-    while (true) {
-      if (rep->keys()[i] == key) {
-        break;
-      }
-      if (rep->keys()[i] == 0) {
-        return false;
-      }
-      i = (i + 1) & rep->mask;
-    }
-    seq_.WriteBegin();
-    size_t hole = i;
-    while (true) {
-      i = (i + 1) & rep->mask;
-      if (rep->keys()[i] == 0) {
-        break;
-      }
-      size_t ideal = IndexOf(rep, rep->keys()[i]);
-      if (((i - ideal) & rep->mask) >= ((i - hole) & rep->mask)) {
-        StoreKey(rep, hole, rep->keys()[i]);
-        hole = i;
-      }
-    }
-    StoreKey(rep, hole, 0);
-    seq_.WriteEnd();
-    flat_internal::StoreSize(&size_, size_ - 1);
-    return true;
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    if (has_zero_) {
-      fn(uint64_t{0});
-    }
-    if (rep_ == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < rep_->cap; ++i) {
-      if (rep_->keys()[i] != 0) {
-        fn(rep_->keys()[i]);
-      }
-    }
-  }
-
- private:
-  static size_t IndexOf(const Rep* rep, uint64_t key) {
-    return static_cast<size_t>((key * flat_internal::kGolden) >> rep->shift);
-  }
-
-  static void StoreKey(Rep* rep, size_t i, uint64_t v) {
-    flat_internal::RelaxedStore(rep->keys() + i, v);
-    if (i < flat_internal::kWindow - 1) {
-      flat_internal::RelaxedStore(rep->keys() + rep->cap + i, v);
-    }
-  }
-
-  // One 4-slot window per round: 1 found, 0 absent, -1 overran the table
-  // (torn state; the caller revalidates and retries).
-  static int ProbeKey(const Rep* rep, uint64_t key) {
-    const uint64_t* keys = rep->keys();
-    const size_t mask = rep->mask;
-    size_t i = IndexOf(rep, key);
-    for (size_t steps = 0; steps <= rep->cap; steps += flat_internal::kWindow) {
-      uint64_t c0 = flat_internal::RelaxedLoad(keys + i);
-      uint64_t c1 = flat_internal::RelaxedLoad(keys + i + 1);
-      uint64_t c2 = flat_internal::RelaxedLoad(keys + i + 2);
-      uint64_t c3 = flat_internal::RelaxedLoad(keys + i + 3);
-      if (LXFI_LIKELY((c0 == key) | (c1 == key) | (c2 == key) | (c3 == key))) {
-        return 1;
-      }
-      if ((c0 == 0) | (c1 == 0) | (c2 == 0) | (c3 == 0)) {
-        return 0;
-      }
-      i = (i + flat_internal::kWindow) & mask;
-    }
-    return -1;
-  }
-
-  void Rehash(size_t new_cap) {
-    Rep* old = rep_;
-    Rep* fresh = Rep::Make(new_cap);
-    if (old != nullptr) {
-      for (size_t i = 0; i < old->cap; ++i) {
-        if (old->keys()[i] != 0) {
-          size_t j = IndexOf(fresh, old->keys()[i]);
-          while (fresh->keys()[j] != 0) {
-            j = (j + 1) & fresh->mask;
-          }
-          StoreKey(fresh, j, old->keys()[i]);
-        }
-      }
-    }
-    seq_.WriteBegin();
-    flat_internal::PublishRep(&rep_, fresh);
-    seq_.WriteEnd();
-    DisposeRep(old);
-  }
-
-  static void DisposeRep(Rep* rep) { flat_internal::RetireRep(rep); }
-
-  Rep* rep_ = nullptr;
-  size_t size_ = 0;  // non-zero-key entries
-  bool has_zero_ = false;
   SeqCount seq_;
 };
 

@@ -106,7 +106,6 @@ Dentry* Dcache::NewDentry(SuperBlock* sb, Dentry* parent, const char* name) {
   d->parent = parent;
   d->sb = sb;
   d->depth = parent != nullptr ? parent->depth + 1 : 0;
-  d->children.SetReclaimer(&lxfi::EpochReclaimer::Global());
   return d;
 }
 

@@ -28,9 +28,6 @@ void WaitFlags(const CachedPage* page, uint32_t want) {
 }  // namespace
 
 PageCache::PageCache(Kernel* kernel) : kernel_(kernel) {
-  for (Shard& s : shards_) {
-    s.index.SetReclaimer(&lxfi::EpochReclaimer::Global());
-  }
   // Kernel-text completion handler for writeback bios. Registered on the
   // dispatch table but deliberately NOT exported through the symbol table:
   // no module can import it, so no module principal ever holds a CALL

@@ -89,10 +89,7 @@ class DoubleLockGuard {
 
 }  // namespace
 
-Vfs::Vfs(Kernel* kernel) : kernel_(kernel), chain_(kernel), dcache_(kernel) {
-  mounts_.SetReclaimer(&lxfi::EpochReclaimer::Global());
-  fstypes_.SetReclaimer(&lxfi::EpochReclaimer::Global());
-}
+Vfs::Vfs(Kernel* kernel) : kernel_(kernel), chain_(kernel), dcache_(kernel) {}
 
 Vfs::~Vfs() {
   // Subsystem teardown: no concurrent walker can exist (CPU sets are torn

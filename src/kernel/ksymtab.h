@@ -64,12 +64,7 @@ class FuncRegistry {
   // Sentinel: mint an address instead of using a caller-chosen one.
   static constexpr uintptr_t kMintAddress = ~uintptr_t{0};
 
-  FuncRegistry() {
-    // Entries (and superseded dispatch arrays) outlive their table slot by a
-    // grace period: a worker CPU that resolved an entry pointer keeps using
-    // it safely while a loader-thread unregister runs concurrently.
-    dispatch_.SetReclaimer(&lxfi::EpochReclaimer::Global());
-  }
+  FuncRegistry() = default;
 
   ~FuncRegistry() {
     // No concurrent readers can exist at registry destruction (the kernel is

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,8 @@ struct PciDev {
   // over it by the pci_iomap annotation).
   void* regs = nullptr;
   size_t regs_size = 0;
-  // Device-model backreference (e.g. the NicHw) for the simulation harness.
+  // Device-model backreference (e.g. the NicHw) for the simulation harness;
+  // the bus owns the model (PciBus::AttachModel).
   void* hw = nullptr;
 };
 
@@ -47,6 +49,14 @@ class PciBus {
   // Plugs a device into the bus; regs_size bytes of BAR0 space are carved
   // from kernel memory.
   PciDev* AddDevice(uint16_t vendor, uint16_t device, size_t regs_size, int irq);
+
+  // Hands the bus `dev`'s device model (host-side simulation state, not
+  // kernel memory): dev->hw points at it and the bus frees it with the
+  // kernel.
+  void AttachModel(PciDev* dev, std::shared_ptr<void> model) {
+    dev->hw = model.get();
+    models_.push_back(std::move(model));
+  }
 
   // pci_register_driver: matches existing devices and invokes probe through
   // the checked indirect-call path. Returns number of devices bound.
@@ -74,6 +84,7 @@ class PciBus {
   Kernel* kernel_;
   std::vector<PciDev*> devices_;
   std::vector<PciDriver*> drivers_;
+  std::vector<std::shared_ptr<void>> models_;  // device models, see AttachModel
   std::vector<IrqSlot> irqs_ = std::vector<IrqSlot>(32);
 };
 

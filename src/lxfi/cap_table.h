@@ -12,8 +12,8 @@
 // All three structures are open-addressing flat tables (src/base/flat_table.h):
 // WRITE ranges live in an interleaved FlatRangeMap (bucket key and range in
 // one 32-byte slot; a bucket covered by several ranges owns several slots on
-// one probe chain), CALL and REF in FlatSets, so the common probe touches
-// one short run of contiguous memory.
+// one probe chain), CALL and REF in key sets (FlatTable<void>, no value
+// array), so the common probe touches one short run of contiguous memory.
 //
 // Every probe is lock-free and seqlock-validated, so checks from any
 // simulated CPU may run while grants and revokes proceed; mutation must be
@@ -207,8 +207,8 @@ class CapTable {
   // interleaved (key and range in one slot) so the store-guard probe is a
   // single dependent load chain.
   FlatRangeMap write_buckets_;
-  FlatSet call_;
-  FlatSet ref_;
+  FlatTable<void> call_;
+  FlatTable<void> ref_;
 };
 
 }  // namespace lxfi

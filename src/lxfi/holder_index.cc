@@ -38,14 +38,14 @@ void HolderIndex::Note(Principal* p, const Capability& cap) {
   }
   switch (cap.kind) {
     case CapKind::kCall:
-      if (HolderKeys::Add(keys.calls, cap.addr)) {
+      if (keys.calls.Insert(cap.addr)) {
         SpinGuard guard(mu_);
         AddLocked(calls_, cap.addr, p);
       }
       return;
     case CapKind::kRef: {
       uint64_t key = CapTable::RefKey(cap.ref_type, cap.addr);
-      if (HolderKeys::Add(keys.refs, key)) {
+      if (keys.refs.Insert(key)) {
         SpinGuard guard(mu_);
         AddLocked(refs_, key, p);
       }
@@ -77,7 +77,7 @@ void HolderIndex::Note(Principal* p, const Capability& cap) {
   uint64_t fresh[kWideBuckets];
   size_t n = 0;
   for (uintptr_t b = first; b <= last; ++b) {
-    if (HolderKeys::Add(keys.buckets, b)) {
+    if (keys.buckets.Insert(b)) {
       fresh[n++] = b;
     }
   }
@@ -202,9 +202,9 @@ void HolderIndex::Forget(Principal* p) {
   keys.forgotten = true;
   {
     SpinGuard guard(mu_);
-    keys.calls.ForEach([&](uint64_t key, uint8_t) { EraseLocked(calls_, key, p); });
-    keys.refs.ForEach([&](uint64_t key, uint8_t) { EraseLocked(refs_, key, p); });
-    keys.buckets.ForEach([&](uint64_t key, uint8_t) { EraseLocked(buckets_, key, p); });
+    keys.calls.ForEach([&](uint64_t key) { EraseLocked(calls_, key, p); });
+    keys.refs.ForEach([&](uint64_t key) { EraseLocked(refs_, key, p); });
+    keys.buckets.ForEach([&](uint64_t key) { EraseLocked(buckets_, key, p); });
     for (WideRange& w : wide_) {
       w.holders.erase(std::remove(w.holders.begin(), w.holders.end(), p), w.holders.end());
     }

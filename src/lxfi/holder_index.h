@@ -53,25 +53,15 @@ using HolderVec = SmallVector<Principal*, 2>;
 // principal per loaded module).
 using HolderList = SmallVector<Principal*, 16>;
 
-// A key set only ever touched under one lock. A FlatTable without a
-// reclaimer frees replaced slot arrays at once (nothing probes it
-// lock-free); the byte value is unused.
-using LockedKeySet = FlatTable<uint8_t>;
-
 // The keys one principal is already recorded under, guarded by the
 // principal's lock: the same role Principal::writer_pages() plays for the
 // writer set. Wide ranges are not recorded here; they are rare enough to
-// take the index lock on every grant.
+// take the index lock on every grant. Recording a key already recorded —
+// the common case — is one probe and no store (FlatTable<void>::Insert).
 struct HolderKeys {
-  // Adds `key`; true when it was not yet recorded. The common case — a key
-  // already recorded — is one probe and no store.
-  static bool Add(LockedKeySet& set, uint64_t key) {
-    return set.Find(key) == nullptr && set.Insert(key, 0);
-  }
-
-  LockedKeySet calls;
-  LockedKeySet refs;
-  LockedKeySet buckets;
+  FlatTable<void> calls;
+  FlatTable<void> refs;
+  FlatTable<void> buckets;
   bool forgotten = false;  // dropped from the index: record nothing more
 };
 

@@ -24,7 +24,6 @@ ModuleCtx::ModuleCtx(Runtime* runtime, kern::Module* kmod)
       kmod_(kmod),
       shared_(this, PrincipalKind::kShared, 0),
       global_(this, PrincipalKind::kGlobal, 0) {
-  by_name_.SetReclaimer(&EpochReclaimer::Global());
   PublishSnapshot();
 }
 

@@ -75,7 +75,7 @@ class Principal {
   // only for the WriterSet clear generation it was recorded under —
   // Runtime::Grant flushes it when the generation moved (ClearRange /
   // RemoveWriter erased attribution these records would otherwise hide).
-  FlatSet& writer_pages() { return writer_pages_; }
+  FlatTable<void>& writer_pages() { return writer_pages_; }
   uint64_t writer_pages_gen() const { return writer_pages_gen_; }
   void set_writer_pages_gen(uint64_t gen) { writer_pages_gen_ = gen; }
 
@@ -150,7 +150,7 @@ class Principal {
   int heap_partition_ = kNoHeap;
   CapTable caps_;
   Spinlock lock_;
-  FlatSet writer_pages_;
+  FlatTable<void> writer_pages_;
   uint64_t writer_pages_gen_ = 0;  // guarded by lock_
   HolderKeys holder_keys_;         // guarded by lock_
   EnforcementContext shards_[kMaxCpuShards];

@@ -45,8 +45,6 @@ class WriterSet {
  public:
   static constexpr uintptr_t kPageShift = 12;
 
-  WriterSet() { pages_.SetReclaimer(&EpochReclaimer::Global()); }
-
   void AddRange(Principal* writer, uintptr_t addr, size_t size);
 
   // Called when memory is zeroed (fresh kmalloc) or an owner is destroyed:
@@ -69,7 +67,7 @@ class WriterSet {
     // and ClearRange/RemoveWriter erase entries that drain. Emptiness is
     // therefore a pure lock-free key probe — the value array is never
     // touched on the kernel's indirect-call fast path.
-    return !pages_.ContainsConcurrent(addr >> kPageShift);
+    return !pages_.Contains(addr >> kPageShift);
   }
 
   // Writers recorded for the page containing `addr`, copied under the lock

@@ -335,11 +335,10 @@ kern::NicHw* PlugInE1000Device(kern::Kernel* kernel, int irq) {
   kern::PciBus* bus = kern::GetPciBus(kernel);
   kern::PciDev* pdev = bus->AddDevice(kE1000Vendor, kE1000Device, sizeof(kern::NicRegs), irq);
   auto* regs = static_cast<kern::NicRegs*>(pdev->regs);
-  // The NicHw object is host-side simulation state, not kernel memory.
-  auto* hw = new kern::NicHw(regs);
-  pdev->hw = hw;
+  auto hw = std::make_shared<kern::NicHw>(regs);
+  bus->AttachModel(pdev, hw);
   hw->SetIrqRaiser([kernel, bus, irq](uint32_t cause) { bus->FireIrq(irq); });
-  return hw;
+  return hw.get();
 }
 
 }  // namespace mods

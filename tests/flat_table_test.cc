@@ -3,6 +3,9 @@
 // EnforcementContext memo invalidation rules.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -14,7 +17,6 @@
 
 namespace {
 
-using lxfi::FlatSet;
 using lxfi::FlatTable;
 using lxfi::SmallVector;
 
@@ -76,10 +78,12 @@ TEST(SmallVector, CopyAndMoveAcrossInlineHeapBoundary) {
   EXPECT_TRUE(copy.empty());
 }
 
-// --- FlatSet ----------------------------------------------------------------
+// --- FlatTable<void> (key set) ---------------------------------------------
 
-TEST(FlatSet, InsertContainsErase) {
-  FlatSet s;
+using KeySet = FlatTable<void>;
+
+TEST(FlatTableSet, InsertContainsErase) {
+  KeySet s;
   EXPECT_FALSE(s.Contains(42));
   EXPECT_TRUE(s.Insert(42));
   EXPECT_FALSE(s.Insert(42));  // duplicate
@@ -91,16 +95,37 @@ TEST(FlatSet, InsertContainsErase) {
   EXPECT_EQ(s.size(), 0u);
 }
 
-TEST(FlatSet, DuplicateInsertAtLoadThresholdDoesNotRehash) {
-  FlatSet s;
+TEST(FlatTableSet, ZeroKeyLivesBesideTheArray) {
+  KeySet s;
+  EXPECT_FALSE(s.Contains(0));
+  EXPECT_TRUE(s.Insert(0));
+  EXPECT_FALSE(s.Insert(0));
+  EXPECT_TRUE(s.Contains(0));
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.capacity(), 0u);  // no slot array for the zero key alone
+  std::vector<uint64_t> seen;
+  s.ForEach([&seen](uint64_t key) { seen.push_back(key); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], 0u);
+  EXPECT_TRUE(s.Erase(0));
+  EXPECT_FALSE(s.Contains(0));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(FlatTableSet, DuplicateInsertAtLoadThresholdDoesNotRehash) {
+  KeySet s;
   // Fill to exactly the grow threshold (next new insert would rehash).
   for (uint64_t i = 1; i <= 4; ++i) {
     s.Insert(i);
   }
   size_t cap = s.capacity();
-  EXPECT_FALSE(s.Insert(3));  // duplicate: pure lookup
-  EXPECT_EQ(s.capacity(), cap);
+  for (uint64_t i = 1; i <= 4; ++i) {
+    EXPECT_FALSE(s.Insert(i));  // duplicate: pure lookup
+    EXPECT_EQ(s.capacity(), cap);
+  }
+  EXPECT_EQ(s.size(), 4u);
   EXPECT_TRUE(s.Insert(99));  // genuinely new: now it may grow
+  EXPECT_GT(s.capacity(), cap);
   EXPECT_TRUE(s.Contains(99));
 }
 
@@ -114,8 +139,8 @@ TEST(FlatTable, DuplicateGetOrInsertAtLoadThresholdDoesNotRehash) {
   EXPECT_EQ(t.capacity(), cap);
 }
 
-TEST(FlatSet, GrowsThroughManyInserts) {
-  FlatSet s;
+TEST(FlatTableSet, GrowsThroughManyInserts) {
+  KeySet s;
   for (uint64_t i = 0; i < 10000; ++i) {
     EXPECT_TRUE(s.Insert(i * 0x9e3779b9ull));
   }
@@ -129,9 +154,9 @@ TEST(FlatSet, GrowsThroughManyInserts) {
 // Deletion-heavy churn: backward-shift erase must keep every remaining key
 // findable. This is the workload tombstone schemes degrade on and the one
 // that catches shift bugs (keys displaced across the erased slot).
-TEST(FlatSet, ChurnMatchesStdReference) {
+TEST(FlatTableSet, ChurnMatchesStdReference) {
   lxfi::Rng rng(1234);
-  FlatSet s;
+  KeySet s;
   std::unordered_set<uint64_t> ref;
   for (int step = 0; step < 200000; ++step) {
     // Narrow key space (512) on a table that grows to a few hundred slots:
@@ -268,6 +293,182 @@ TEST(FlatTable, SmallVectorValuesSurviveChurn) {
       ASSERT_EQ((*got)[i], expect[i]);
     }
   }
+}
+
+// The lock-free probes against a reference: after every mutation, every
+// key of the universe (0 included) must agree across the writer-side Find,
+// the lock-free Contains and FindValueConcurrent, and std::unordered_map.
+TEST(FlatTable, LockFreeProbesMatchStdReference) {
+  lxfi::Rng rng(99);
+  FlatTable<uint64_t> t;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  constexpr uint64_t kUniverse = 160;
+  for (int step = 0; step < 20000; ++step) {
+    uint64_t key = rng.Below(kUniverse);
+    switch (rng.Below(5)) {
+      case 0:
+      case 1: {
+        uint64_t value = rng.Next();
+        EXPECT_EQ(t.Insert(key, value), ref.count(key) == 0);
+        ref[key] = value;
+        break;
+      }
+      case 2: {
+        uint64_t value = rng.Next();
+        t.GetOrInsert(key) = value;
+        ref[key] = value;
+        break;
+      }
+      case 3:
+        EXPECT_EQ(t.Erase(key), ref.erase(key) != 0);
+        break;
+      default:
+        if (step % 1000 == 999) {
+          t.Clear();
+          ref.clear();
+        }
+        break;
+    }
+    ASSERT_EQ(t.size(), ref.size());
+    for (uint64_t k = 0; k < kUniverse; ++k) {
+      auto it = ref.find(k);
+      const uint64_t* found = t.Find(k);
+      uint64_t value = 0;
+      bool lock_free = t.FindValueConcurrent(k, &value);
+      ASSERT_EQ(t.Contains(k), it != ref.end()) << "key " << k << " step " << step;
+      ASSERT_EQ(lock_free, it != ref.end()) << "key " << k << " step " << step;
+      if (it == ref.end()) {
+        ASSERT_EQ(found, nullptr) << "key " << k << " step " << step;
+      } else {
+        ASSERT_NE(found, nullptr) << "key " << k << " step " << step;
+        ASSERT_EQ(*found, it->second);
+        ASSERT_EQ(value, it->second);
+      }
+    }
+  }
+}
+
+// Lock-free storm: one writer churns a map and a set through rehashes and
+// Clears while two registered EpochReclaimer::Global() readers probe them.
+// Pinned keys (0 among them) are never erased except by Clear, and the
+// writer re-inserts them right after each Clear inside an odd `phase`;
+// a probe that ran wholly inside an even phase must find every pinned key
+// with its value, and a transient key found must carry its value. Keys
+// outside the universe must never be found. Replaced slot arrays retire
+// through the reclaimer, so a reader still probing one never touches freed
+// memory (ASan/TSan builds catch a Rep freed at once).
+TEST(FlatTable, LockFreeStormAcrossRehashAndClear) {
+  constexpr uint64_t kPinned[] = {0, 1, 2, 3, 0x51, 0x1000, 0xdeadbeef, ~uint64_t{0} >> 1};
+  constexpr uint64_t kTransientBase = uint64_t{1} << 40;
+  constexpr uint64_t kTransient = 600;  // grows 8 -> 2048 slots: 8 rehashes
+  constexpr uint64_t kOutside = uint64_t{1} << 62;
+  auto value_of = [](uint64_t key) { return key * 3 + 1; };
+
+  FlatTable<uint64_t> map;
+  KeySet set;
+  std::atomic<uint64_t> phase{1};
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> checked{0};
+  std::atomic<uint64_t> failures{0};
+
+  auto add_pinned = [&] {
+    for (uint64_t k : kPinned) {
+      map.Insert(k, value_of(k));
+      set.Insert(k);
+    }
+  };
+  add_pinned();
+  phase.store(2, std::memory_order_release);
+
+  auto reader = [&](uint64_t seed) {
+    lxfi::EpochReclaimer& epochs = lxfi::EpochReclaimer::Global();
+    lxfi::EpochReclaimer::Reader* self = epochs.Register();
+    started.fetch_add(1, std::memory_order_release);
+    ASSERT_NE(self, nullptr);
+    lxfi::Rng rng(seed);
+    while (!done.load(std::memory_order_acquire)) {
+      uint64_t before = phase.load(std::memory_order_seq_cst);
+      uint64_t pinned = kPinned[rng.Below(std::size(kPinned))];
+      uint64_t value = 0;
+      bool in_map = map.FindValueConcurrent(pinned, &value);
+      bool map_has = map.Contains(pinned);
+      bool in_set = set.Contains(pinned);
+      // A transient key may or may not be present, but never with a wrong
+      // value; probing one also walks the grown arrays the writer retires.
+      uint64_t transient = kTransientBase + rng.Below(kTransient) * 0x9e3779b9ull;
+      uint64_t transient_value = 0;
+      bool wrong = map.FindValueConcurrent(transient, &transient_value) &&
+                   transient_value != value_of(transient);
+      uint64_t outside = kOutside + rng.Below(1 << 20);
+      uint64_t junk = 0;
+      bool stray = map.Contains(outside) || set.Contains(outside) ||
+                   map.FindValueConcurrent(outside, &junk);
+      uint64_t after = phase.load(std::memory_order_seq_cst);
+      if (before == after && before % 2 == 0) {
+        checked.fetch_add(1, std::memory_order_relaxed);
+        if (!in_map || value != value_of(pinned) || !map_has || !in_set) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      if (stray || wrong) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      epochs.Quiesce(self);
+    }
+    epochs.Unregister(self);
+  };
+  std::thread r1(reader, 1);
+  std::thread r2(reader, 2);
+
+  while (started.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
+  int rehashes = 0;
+  int clears = 0;
+  size_t cap = map.capacity();
+  auto note_growth = [&] {
+    if (map.capacity() != cap) {
+      cap = map.capacity();
+      ++rehashes;
+    }
+  };
+  for (int round = 0; round < 50; ++round) {
+    for (uint64_t i = 0; i < kTransient; ++i) {
+      uint64_t key = kTransientBase + i * 0x9e3779b9ull;
+      map.Insert(key, value_of(key));
+      set.Insert(key);
+      note_growth();
+    }
+    for (uint64_t i = 0; i < kTransient; ++i) {
+      uint64_t key = kTransientBase + i * 0x9e3779b9ull;
+      EXPECT_TRUE(map.Erase(key));
+      EXPECT_TRUE(set.Erase(key));
+    }
+    phase.fetch_add(1, std::memory_order_seq_cst);  // odd: pinned keys may be missing
+    map.Clear();
+    set.Clear();
+    ++clears;
+    cap = 0;
+    add_pinned();
+    phase.fetch_add(1, std::memory_order_seq_cst);
+  }
+  // Keep the readers probing the settled tables until they have checked
+  // (bounded, so a reader that failed to register cannot hang the test).
+  for (int spins = 0; checked.load(std::memory_order_relaxed) < 1000 && spins < 10000000; ++spins) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  lxfi::EpochReclaimer::Global().Synchronize();
+
+  EXPECT_GE(rehashes, 3);
+  EXPECT_GE(clears, 1);
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(map.size(), std::size(kPinned));
+  EXPECT_EQ(set.size(), std::size(kPinned));
 }
 
 // --- EnforcementContext memos ----------------------------------------------
