@@ -17,13 +17,24 @@ namespace {
 // a larger mkfs would still mount (slots past the map just stay uncached).
 constexpr uint32_t kJexMaxInodes = 64;
 
+// One journal record in memory: slot 0 holds the descriptor (or, for
+// single-block I/O, the commit block, the superblock or the journal
+// superblock) and slots 1..kJexMaxTxBlocks hold the transaction's data
+// blocks, staged in place.
+constexpr uint64_t kJexRecordSlots = 1 + kJexMaxTxBlocks;
+
 // Per-mount module state, hung off sb->s_fs_info. The single in-flight
-// journal bio and its 512-byte buffer are SEPARATE kmalloc allocations, not
+// journal bio and the record buffer are SEPARATE kmalloc allocations, not
 // members: submit_bio's pre(transfer(bio_caps(bio))) revokes whole
-// overlapping WRITE ranges, so a bio embedded in this struct would take the
-// entire JexSb capability with it on the first submit. Dedicated allocations
-// make the transfer/regrant cycle exact. The module is single-threaded per
-// superblock, so one of each suffices.
+// overlapping WRITE ranges, so a bio or buffer embedded in this struct would
+// take the entire JexSb capability with it on the first submit. The
+// transfer is not exact for the buffer: it revokes the buffer's whole
+// kmalloc grant, and the post-transfer grants back only the bio's
+// [data, data + size), a prefix of the record. The slots past the last bio
+// stay writable through the principal's own heap-partition span, which is
+// why every enforced jexfs configuration runs with partitioned heaps (the
+// end_io writer-set check needs disjoint slab pages anyway). The module is
+// single-threaded per superblock, so one bio and one record suffice.
 struct JexSb {
   kern::BlockDevice* dev = nullptr;
   JexDiskSuper sup;
@@ -34,11 +45,15 @@ struct JexSb {
   uint64_t io_done = 0;  // completions observed (end_io dispatches)
   uint64_t tx_n = 0;
   uint64_t tx_home[kJexMaxTxBlocks] = {};
-  uint8_t tx_data[kJexMaxTxBlocks][kJexBlockSize] = {};
   kern::Inode* imap[kJexMaxInodes] = {};
   kern::Bio* bio = nullptr;   // dedicated allocation (see above)
-  uint8_t* buf = nullptr;     // dedicated kJexBlockSize allocation
+  uint8_t* buf = nullptr;     // dedicated kJexRecordSlots-block record
 };
+
+uint8_t* Slot(const JexSb* js, uint64_t i) { return js->buf + i * kJexBlockSize; }
+
+// The staged image of the transaction's i-th block.
+uint8_t* TxData(const JexSb* js, uint64_t i) { return Slot(js, 1 + i); }
 
 JexfsData* DataOf(JexfsState& st) { return static_cast<JexfsData*>(st.m->data()); }
 
@@ -55,9 +70,14 @@ uint32_t NInodes(const JexSb* js) {
 //
 // Journal appends and superblock reads bypass the page cache on purpose: the
 // journal is written once, replayed once, and must be durable the instant the
-// bio completes. Each DirectIo is one synchronous 512-byte bio whose
-// completion dispatches jexfs_end_io through the checked indirect-call path
-// (bio_caps granted for exactly the completion window).
+// bio completes. Each DirectIo is one synchronous bio over the first n slots
+// of the record buffer, whose completion dispatches jexfs_end_io through the
+// checked indirect-call path (bio_caps granted for exactly the completion
+// window). A commit is two of them: [desc | data...] as one n+1-block bio,
+// then the commit block alone, submitted only after the record bio completed
+// so the commit sector can never be durable before a record sector.
+// Single-block I/O (superblock reads, the journal superblock, the commit
+// block) uses slot 0 only.
 
 void EndIo(JexfsState& st, kern::Bio* bio) {
   kern::Module& m = *st.m;
@@ -66,17 +86,14 @@ void EndIo(JexfsState& st, kern::Bio* bio) {
   lxfi::Store(m, &js->io_done, js->io_done + 1);
 }
 
-// src != null: write `src` (512 bytes) to `block`. dst != null: read `block`
-// into `dst` (a module stack buffer). Returns 0 or a negative errno.
-int DirectIo(JexfsState& st, JexSb* js, uint64_t block, const void* src, void* dst) {
+// Writes slots [0, n) to blocks [block, block + n), or reads those blocks
+// into those slots. Returns 0 or a negative errno.
+int DirectIo(JexfsState& st, JexSb* js, uint64_t block, uint64_t n, bool write) {
   kern::Module& m = *st.m;
-  if (src != nullptr) {
-    lxfi::MemCopy(m, js->buf, src, kJexBlockSize);
-  }
   lxfi::Store(m, &js->bio->sector, block);
-  lxfi::Store(m, &js->bio->size, static_cast<uint32_t>(kJexBlockSize));
+  lxfi::Store(m, &js->bio->size, static_cast<uint32_t>(n * kJexBlockSize));
   lxfi::Store<uint8_t*>(m, &js->bio->data, js->buf);
-  lxfi::Store(m, &js->bio->write, src != nullptr);
+  lxfi::Store(m, &js->bio->write, write);
   lxfi::Store(m, &js->bio->status, 0);
   lxfi::Store(m, &js->bio->end_io, m.FuncAddr("jexfs_end_io"));
   lxfi::Store<void*>(m, &js->bio->bi_private, js);
@@ -84,18 +101,35 @@ int DirectIo(JexfsState& st, JexSb* js, uint64_t block, const void* src, void* d
   if (rc == 0) {
     rc = js->io_status;
   }
-  if (rc == 0 && dst != nullptr) {
-    std::memcpy(dst, js->buf, kJexBlockSize);  // dst is a module stack local
+  return rc;
+}
+
+// Fills slot 0 with `rec`, zero-padded to a block.
+template <typename T>
+void FillSlot0(JexfsState& st, JexSb* js, const T& rec) {
+  static_assert(sizeof(T) <= kJexBlockSize);
+  uint8_t blk[kJexBlockSize] = {};
+  std::memcpy(blk, &rec, sizeof(rec));
+  lxfi::MemCopy(*st.m, Slot(js, 0), blk, kJexBlockSize);
+}
+
+// Reads `block` into slot 0 and copies its leading sizeof(T) bytes to *out.
+template <typename T>
+int ReadOneBlock(JexfsState& st, JexSb* js, uint64_t block, T* out) {
+  int rc = DirectIo(st, js, block, 1, /*write=*/false);
+  if (rc == 0) {
+    std::memcpy(out, Slot(js, 0), sizeof(T));  // out is a module stack local
   }
   return rc;
 }
 
 // --- transactions -------------------------------------------------------------
 //
-// A transaction stages full copies of every block it will touch. Commit
-// appends [desc | data... | commit] to the journal with direct bios, then
-// applies the staged images to their home blocks through the page cache
-// (dirty, durable at the next checkpoint). Abort just forgets the staging.
+// A transaction stages full copies of every block it will touch, in place in
+// the record buffer's data slots. Commit appends [desc | data... | commit]
+// to the journal with two direct bios, then applies the staged images to
+// their home blocks through the page cache (dirty, durable at the next
+// checkpoint). Abort just forgets the staging.
 
 void TxAbort(JexfsState& st, JexSb* js) {
   lxfi::Store<uint64_t>(*st.m, &js->tx_n, 0);
@@ -107,7 +141,7 @@ int TxStage(JexfsState& st, JexSb* js, uint64_t block, uint8_t** out) {
   kern::Module& m = *st.m;
   for (uint64_t i = 0; i < js->tx_n; ++i) {
     if (js->tx_home[i] == block) {
-      *out = js->tx_data[i];
+      *out = TxData(js, i);
       return 0;
     }
   }
@@ -120,10 +154,10 @@ int TxStage(JexfsState& st, JexSb* js, uint64_t block, uint8_t** out) {
   }
   uint64_t i = js->tx_n;
   lxfi::Store(m, &js->tx_home[i], block);
-  lxfi::MemCopy(m, js->tx_data[i], pg->data, kJexBlockSize);
+  lxfi::MemCopy(m, TxData(js, i), pg->data, kJexBlockSize);
   st.api.pc_brelse(pg);
   lxfi::Store(m, &js->tx_n, i + 1);
-  *out = js->tx_data[i];
+  *out = TxData(js, i);
   return 0;
 }
 
@@ -132,7 +166,7 @@ int TxStage(JexfsState& st, JexSb* js, uint64_t block, uint8_t** out) {
 int ReadBlockView(JexfsState& st, JexSb* js, uint64_t block, uint8_t* local) {
   for (uint64_t i = 0; i < js->tx_n; ++i) {
     if (js->tx_home[i] == block) {
-      std::memcpy(local, js->tx_data[i], kJexBlockSize);
+      std::memcpy(local, TxData(js, i), kJexBlockSize);
       return 0;
     }
   }
@@ -158,9 +192,8 @@ int Checkpoint(JexfsState& st, JexSb* js) {
   JexJournalSuper jsb;
   jsb.magic = kJexJournalMagic;
   jsb.epoch = js->epoch + 1;
-  uint8_t blk[kJexBlockSize] = {};
-  std::memcpy(blk, &jsb, sizeof(jsb));
-  rc = DirectIo(st, js, js->sup.journal_start, blk, nullptr);
+  FillSlot0(st, js, jsb);
+  rc = DirectIo(st, js, js->sup.journal_start, 1, /*write=*/true);
   if (rc != 0) {
     return rc;
   }
@@ -193,16 +226,13 @@ int Commit(JexfsState& st, JexSb* js) {
   desc.epoch = js->epoch;
   desc.seq = js->next_seq;
   desc.nblocks = js->tx_n;
-  desc.checksum = JexChecksum(js->tx_data[0], js->tx_n);
+  desc.checksum = JexChecksum(TxData(js, 0), js->tx_n);
   for (uint64_t i = 0; i < js->tx_n; ++i) {
     desc.home[i] = js->tx_home[i];
   }
-  uint8_t blk[kJexBlockSize] = {};
-  std::memcpy(blk, &desc, sizeof(desc));
-  int rc = DirectIo(st, js, js->head, blk, nullptr);
-  for (uint64_t i = 0; rc == 0 && i < js->tx_n; ++i) {
-    rc = DirectIo(st, js, js->head + 1 + i, js->tx_data[i], nullptr);
-  }
+  // The record bio: the descriptor in slot 0 and the staged data behind it.
+  FillSlot0(st, js, desc);
+  int rc = DirectIo(st, js, js->head, 1 + js->tx_n, /*write=*/true);
   if (rc == 0) {
     JexJournalCommit cm;
     cm.magic = kJexCommitMagic;
@@ -210,9 +240,8 @@ int Commit(JexfsState& st, JexSb* js) {
     cm.seq = desc.seq;
     cm.nblocks = desc.nblocks;
     cm.checksum = desc.checksum;
-    std::memset(blk, 0, sizeof(blk));
-    std::memcpy(blk, &cm, sizeof(cm));
-    rc = DirectIo(st, js, js->head + 1 + js->tx_n, blk, nullptr);
+    FillSlot0(st, js, cm);
+    rc = DirectIo(st, js, js->head + 1 + js->tx_n, 1, /*write=*/true);
   }
   if (rc != 0) {
     TxAbort(st, js);  // nothing applied; a torn append is discarded by replay
@@ -227,7 +256,7 @@ int Commit(JexfsState& st, JexSb* js) {
       TxAbort(st, js);
       return -kern::kEio;
     }
-    lxfi::MemCopy(m, pg->data, js->tx_data[i], kJexBlockSize);
+    lxfi::MemCopy(m, pg->data, TxData(js, i), kJexBlockSize);
     st.api.pc_mark_dirty(pg);
     st.api.pc_bwrite_done(pg);
   }
@@ -926,7 +955,7 @@ int StatFs(JexfsState& st, kern::SuperBlock* sb, kern::VfsStatFs* out) {
 // --- mount / unmount ----------------------------------------------------------
 
 // Frees a (possibly partially constructed) JexSb and its dedicated bio and
-// buffer allocations.
+// record allocations.
 void FreeJs(JexfsState& st, JexSb* js) {
   if (js->bio != nullptr) {
     st.api.kfree(js->bio);
@@ -950,7 +979,7 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
     return -kern::kEnomem;
   }
   auto* bio = static_cast<kern::Bio*>(st.api.kmalloc(sizeof(kern::Bio)));
-  auto* buf = static_cast<uint8_t*>(st.api.kmalloc(kJexBlockSize));
+  auto* buf = static_cast<uint8_t*>(st.api.kmalloc(kJexRecordSlots * kJexBlockSize));
   lxfi::Store(m, &js->bio, bio);
   lxfi::Store(m, &js->buf, buf);
   if (bio == nullptr || buf == nullptr) {
@@ -966,14 +995,12 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
   lxfi::Store(m, &js->dev, dev);
   st.api.pc_invalidate(dev);  // drop any stale pages from a prior mount
 
-  uint8_t blk[kJexBlockSize];
-  int rc = DirectIo(st, js, 0, nullptr, blk);
+  JexDiskSuper sup;
+  int rc = ReadOneBlock(st, js, 0, &sup);
   if (rc != 0) {
     FreeJs(st, js);
     return rc;
   }
-  JexDiskSuper sup;
-  std::memcpy(&sup, blk, sizeof(sup));
   if (sup.magic != kJexMagic || sup.version != kJexVersion ||
       sup.total_blocks > dev->sectors || sup.data_start >= sup.total_blocks ||
       sup.itable_start != 1 || sup.bitmap_start != sup.itable_start + sup.itable_blocks ||
@@ -985,32 +1012,32 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
   }
   lxfi::MemCopy(m, &js->sup, &sup, sizeof(sup));
 
-  rc = DirectIo(st, js, sup.journal_start, nullptr, blk);
+  JexJournalSuper jsb;
+  rc = ReadOneBlock(st, js, sup.journal_start, &jsb);
   if (rc != 0) {
     FreeJs(st, js);
     return rc;
   }
-  JexJournalSuper jsb;
-  std::memcpy(&jsb, blk, sizeof(jsb));
   if (jsb.magic != kJexJournalMagic || jsb.epoch == 0) {
     FreeJs(st, js);
     return -kern::kEinval;
   }
   lxfi::Store(m, &js->epoch, jsb.epoch);
 
-  // Journal replay: the same walk JexReplay performs on host images, with
-  // the data blocks staged through tx_data as scratch so the checksum runs
-  // over one contiguous buffer. Applies go through the page cache.
+  // Journal replay: the same walk JexReplay performs on host images, reading
+  // the way Commit writes: the descriptor, then the whole [desc | data...]
+  // record in one bio into the record slots (so the checksum runs in place
+  // over the contiguous data slots), then the commit block. Applies go
+  // through the page cache.
   uint64_t jend = sup.journal_start + sup.journal_blocks;
   uint64_t j = sup.journal_start + 1;
   uint64_t expect_seq = 0;
   uint64_t applied = 0;
   while (j + 2 <= jend) {
-    if (DirectIo(st, js, j, nullptr, blk) != 0) {
+    JexJournalDesc desc;
+    if (ReadOneBlock(st, js, j, &desc) != 0) {
       break;
     }
-    JexJournalDesc desc;
-    std::memcpy(&desc, blk, sizeof(desc));
     if (desc.magic != kJexDescMagic || desc.epoch != jsb.epoch || desc.nblocks == 0 ||
         desc.nblocks > kJexMaxTxBlocks || j + 1 + desc.nblocks + 1 > jend ||
         (expect_seq != 0 && desc.seq != expect_seq)) {
@@ -1019,28 +1046,19 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
     bool ok = true;
     for (uint64_t i = 0; ok && i < desc.nblocks; ++i) {
       uint64_t home = desc.home[i];
-      if (home == 0 || home >= sup.total_blocks ||
-          (home >= sup.journal_start && home < jend)) {
-        ok = false;
-        break;
-      }
-      if (DirectIo(st, js, j + 1 + i, nullptr, blk) != 0) {
-        ok = false;
-        break;
-      }
-      lxfi::MemCopy(m, js->tx_data[i], blk, kJexBlockSize);
+      ok = home != 0 && home < sup.total_blocks &&
+           !(home >= sup.journal_start && home < jend);
     }
-    if (!ok) {
-      break;
-    }
-    if (DirectIo(st, js, j + 1 + desc.nblocks, nullptr, blk) != 0) {
+    if (!ok || DirectIo(st, js, j, 1 + desc.nblocks, /*write=*/false) != 0) {
       break;
     }
     JexJournalCommit cm;
-    std::memcpy(&cm, blk, sizeof(cm));
+    if (ReadOneBlock(st, js, j + 1 + desc.nblocks, &cm) != 0) {
+      break;
+    }
     if (cm.magic != kJexCommitMagic || cm.epoch != desc.epoch || cm.seq != desc.seq ||
         cm.nblocks != desc.nblocks || cm.checksum != desc.checksum ||
-        JexChecksum(js->tx_data[0], desc.nblocks) != desc.checksum) {
+        JexChecksum(TxData(js, 0), desc.nblocks) != desc.checksum) {
       break;  // torn transaction: discard it and everything after
     }
     for (uint64_t i = 0; i < desc.nblocks; ++i) {
@@ -1049,7 +1067,7 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
         FreeJs(st, js);
         return -kern::kEio;
       }
-      lxfi::MemCopy(m, pg->data, js->tx_data[i], kJexBlockSize);
+      lxfi::MemCopy(m, pg->data, TxData(js, i), kJexBlockSize);
       st.api.pc_mark_dirty(pg);
       st.api.pc_bwrite_done(pg);
     }

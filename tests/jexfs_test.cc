@@ -233,6 +233,62 @@ TEST_P(JexfsParam, StatFsCountsFilesAndBytes) {
   EXPECT_EQ(out.bytes, 700u);
 }
 
+// A commit is two device writes: the [desc | data...] record as one bio,
+// then the commit block. The sector-granular write log shows the record's
+// sectors in journal order, head to head + 1 + n, with the commit last.
+TEST_P(JexfsParam, CommitWritesOneRecordBioThenTheCommitBlock) {
+  std::vector<kern::BlockWrite> log;  // outlives the rig's unmount writes
+  JexRig rig(GetParam(), /*crypt=*/false);
+  ASSERT_NE(rig.sb, nullptr);
+  rig.block->SetWriteLog(rig.raw, &log);
+  int err = 0;
+  kern::File* f = rig.vfs->Open("/mnt/shape", kern::kOCreate, &err);
+  ASSERT_NE(f, nullptr) << "err=" << err;
+  // The create committed its own transaction; its commit block was the last
+  // journal write, so the next record starts right behind it.
+  ASSERT_FALSE(log.empty());
+  mods::JexJournalCommit prev;
+  std::memcpy(&prev, log.back().data.data(), sizeof(prev));
+  ASSERT_EQ(prev.magic, mods::kJexCommitMagic);
+  const uint64_t head = log.back().sector + 1;
+
+  // Three data blocks plus the inode and bitmap blocks: n = 5 staged blocks.
+  log.clear();
+  const uint64_t writes_before = rig.raw->writes;
+  std::string data = Pattern(1500, 's');
+  ASSERT_EQ(rig.vfs->Write(f, rig.PutUser(data.data(), data.size()), data.size()),
+            static_cast<int64_t>(data.size()));
+  EXPECT_EQ(rig.raw->writes - writes_before, 2u) << "one record bio plus one commit bio";
+
+  ASSERT_FALSE(log.empty());
+  mods::JexJournalDesc desc;
+  std::memcpy(&desc, log.front().data.data(), sizeof(desc));
+  ASSERT_EQ(desc.magic, mods::kJexDescMagic);
+  const uint64_t n = desc.nblocks;
+  EXPECT_GE(n, 3u);
+  ASSERT_EQ(log.size(), n + 2);
+  std::vector<uint8_t> staged;
+  for (uint64_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].sector, head + i) << "write " << i;
+    if (i >= 1 && i <= n) {
+      staged.insert(staged.end(), log[i].data.begin(), log[i].data.end());
+    }
+  }
+  EXPECT_EQ(mods::JexChecksum(staged.data(), n), desc.checksum);
+  mods::JexJournalCommit cm;
+  std::memcpy(&cm, log.back().data.data(), sizeof(cm));
+  EXPECT_EQ(cm.magic, mods::kJexCommitMagic);
+  EXPECT_EQ(cm.seq, desc.seq);
+  EXPECT_EQ(cm.checksum, desc.checksum);
+
+  ASSERT_EQ(rig.vfs->Fsync(f), 0);
+  ASSERT_EQ(rig.vfs->Close(f), 0);
+  EXPECT_EQ(rig.ReadFile("/mnt/shape"), data);
+  if (rig.rt != nullptr) {
+    EXPECT_EQ(rig.rt->violation_count(), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(StockAndEnforced, JexfsParam, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Enforced" : "Stock";
