@@ -453,7 +453,7 @@ void RunDmCryptSectorGate(lxfibench::JsonWriter* json) {
   auto per_byte = [&](uint64_t sector) {
     for (uint32_t i = 0; i < kSector; ++i) {
       lxfi::Store(*m, &bounce[i],
-                  static_cast<uint8_t>(plain[i] ^ mods::CryptBioKeystream(kKey, sector, i)));
+                  static_cast<uint8_t>(plain[i] ^ mods::CryptKeystream(kKey, sector, i)));
     }
   };
   auto ranged = [&](uint64_t sector) {

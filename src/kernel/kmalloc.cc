@@ -177,6 +177,7 @@ size_t SlabAllocator::TeardownPartition(int id) {
   for (auto& list : part->partial) {
     list.clear();
   }
+  part->free_large.clear();
   part->live = 0;
   part->torn_down = true;
   // LIFO slot recycle keeps the layout deterministic: the next partition
@@ -274,13 +275,26 @@ void* SlabAllocator::AllocFromClass(Partition* part, size_t class_index, size_t 
 
 void* SlabAllocator::AllocLarge(Partition* part, size_t size) {
   size_t pages = (size + kPageSize - 1) / kPageSize;
-  void* p = part != nullptr ? SlotPages(part, pages * kPageSize)
-                            : arena_->Allocate(pages * kPageSize, kPageSize);
-  if (p == nullptr) {
-    return nullptr;
+  size_t bytes = pages * kPageSize;
+  // Reuse the most recently freed run of exactly this size in this heap, so
+  // a steady alloc/free cycle of one large size stops consuming pages.
+  std::vector<FreeRun>& runs = part != nullptr ? part->free_large : free_large_;
+  void* p = nullptr;
+  for (size_t i = runs.size(); i > 0; --i) {
+    if (runs[i - 1].bytes == bytes) {
+      p = runs[i - 1].base;
+      runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(i - 1));
+      break;
+    }
   }
-  pages_allocated_ += pages;
-  live_[reinterpret_cast<uintptr_t>(p)] = LiveObject{size, SIZE_MAX, pages * kPageSize};
+  if (p == nullptr) {
+    p = part != nullptr ? SlotPages(part, bytes) : arena_->Allocate(bytes, kPageSize);
+    if (p == nullptr) {
+      return nullptr;
+    }
+    pages_allocated_ += pages;
+  }
+  live_[reinterpret_cast<uintptr_t>(p)] = LiveObject{size, SIZE_MAX, bytes};
   if (part != nullptr) {
     ++part->live;
   }
@@ -367,10 +381,11 @@ void SlabAllocator::FreeGlobal(void* ptr) {
     --part->live;
   }
   if (obj.class_index == SIZE_MAX) {
-    // Large allocation: pages are returned to the arena only on arena reset;
-    // a bump arena cannot reclaim. This mirrors a leaky __get_free_pages and
-    // is fine for bounded test/benchmark lifetimes. (Partition slot pages
-    // come back wholesale at TeardownPartition.)
+    // Large allocation: a bump arena cannot take the pages back, so the run
+    // waits for the next large allocation of the same size in the same heap
+    // (AllocLarge). Partition slot pages come back wholesale at
+    // TeardownPartition.
+    (part != nullptr ? part->free_large : free_large_).push_back(FreeRun{obj.large_bytes, ptr});
     return;
   }
   uintptr_t page_base = reinterpret_cast<uintptr_t>(ptr) & ~(kPageSize - 1);

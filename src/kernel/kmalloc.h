@@ -150,6 +150,13 @@ class SlabAllocator {
     size_t large_bytes;  // only for large allocations
   };
 
+  // A freed large allocation's page run, kept for the next large allocation
+  // of exactly as many bytes in the same heap (the arena cannot reclaim).
+  struct FreeRun {
+    size_t bytes;
+    void* base;
+  };
+
   // One fixed slot of the partition region. Pages are bump-allocated from
   // the slot, so every object the partition ever hands out stays inside
   // [lo, hi) and teardown is a single range sweep.
@@ -163,6 +170,7 @@ class SlabAllocator {
     bool torn_down = false;
     size_t live = 0;  // live_ entries inside the slot
     std::array<std::vector<SlabPage*>, kClassSizes.size()> partial;
+    std::vector<FreeRun> free_large;
   };
 
   // Per-CPU magazine: a few exact-size bins of recycled objects plus the
@@ -206,6 +214,7 @@ class SlabAllocator {
   bool smp_cache_ = false;
   // Per-class list of pages that still have free objects (shared heap).
   std::array<std::vector<SlabPage*>, kClassSizes.size()> partial_;
+  std::vector<FreeRun> free_large_;  // shared-heap large runs awaiting reuse
   std::unordered_map<uintptr_t, SlabPage*> page_of_;  // page base -> slab page
   std::unordered_map<uintptr_t, LiveObject> live_;
   size_t pages_allocated_ = 0;

@@ -8,7 +8,7 @@ namespace mods {
 void CryptXorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32_t n,
                        uint8_t key, uint64_t sector) {
   lxfi::StoreEach(m, dst, n, [&](size_t i) {
-    return static_cast<uint8_t>(src[i] ^ CryptBioKeystream(key, sector, i));
+    return static_cast<uint8_t>(src[i] ^ CryptKeystream(key, sector, i));
   });
 }
 

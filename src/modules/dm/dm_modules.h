@@ -45,22 +45,18 @@ struct DmCryptState {
 kern::ModuleDef DmCryptModuleDef();
 std::shared_ptr<DmCryptState> GetDmCrypt(kern::Module& m);
 
-// Keystream byte `i` (0 <= i < kSectorSize) of `sector` (sector-tweaked
-// XOR). The tweak is per sector, like dm-crypt's plain64 IV: a sector
-// encrypts the same whether it travels alone or inside a multi-sector bio,
-// so data written in one bio can be read back in another shape.
+// Keystream byte `i` of a bio that starts at `sector` (sector-tweaked XOR).
+// Byte i lies in sector + i / kSectorSize at offset i % kSectorSize, and the
+// tweak is per sector, like dm-crypt's plain64 IV: a sector encrypts the
+// same whether it travels alone or inside a multi-sector bio, so data
+// written in one bio shape can be read back in another.
 inline uint8_t CryptKeystream(uint8_t key, uint64_t sector, size_t i) {
-  return static_cast<uint8_t>(key ^ (sector * 131) ^ (i * 17));
-}
-
-// Keystream byte `i` of a bio that starts at `sector`: byte i lies in
-// sector + i / kSectorSize at offset i % kSectorSize.
-inline uint8_t CryptBioKeystream(uint8_t key, uint64_t sector, size_t i) {
-  return CryptKeystream(key, sector + i / kern::kSectorSize, i % kern::kSectorSize);
+  return static_cast<uint8_t>(key ^ ((sector + i / kern::kSectorSize) * 131) ^
+                              ((i % kern::kSectorSize) * 17));
 }
 
 // crypt_map's payload transform, as module `m`: dst[i] = src[i] ^
-// CryptBioKeystream(key, sector, i) for i < n, under one ranged store guard
+// CryptKeystream(key, sector, i) for i < n, under one ranged store guard
 // over dst (lxfi::StoreEach). dst may equal src (in-place).
 void CryptXorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32_t n,
                        uint8_t key, uint64_t sector);

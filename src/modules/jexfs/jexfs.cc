@@ -6,6 +6,7 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/types.h"
 #include "src/lxfi/mem.h"
+#include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
 #include "src/modules/jexfs/jexfs_format.h"
 
@@ -33,7 +34,8 @@ constexpr uint64_t kJexRecordSlots = 1 + kJexMaxTxBlocks;
 // [data, data + size), a prefix of the record. The slots past the last bio
 // stay writable through the principal's own heap-partition span, which is
 // why every enforced jexfs configuration runs with partitioned heaps (the
-// end_io writer-set check needs disjoint slab pages anyway). The module is
+// end_io writer-set check needs disjoint slab pages anyway) and why Mount
+// fails with -ENOMEM when the record lands outside that span. The module is
 // single-threaded per superblock, so one bio and one record suffice.
 struct JexSb {
   kern::BlockDevice* dev = nullptr;
@@ -988,6 +990,17 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
   }
   lxfi::Runtime* rt = lxfi::RuntimeOf(m);
   if (rt != nullptr) {
+    // The record slots past the last bio stay writable only through this
+    // principal's heap-partition span (see JexSb). A record that fell back
+    // to the shared heap (partitions off, every slot taken, or this slot
+    // exhausted) would fault on the next transaction's staging: refuse the
+    // mount instead.
+    lxfi::Principal* self = rt->CurrentPrincipal();
+    if (self == nullptr || !self->ArenaContains(reinterpret_cast<uintptr_t>(buf),
+                                                kJexRecordSlots * kJexBlockSize)) {
+      FreeJs(st, js);
+      return -kern::kEnomem;
+    }
     // The journal bio must resolve to this mount's principal when its
     // completion dispatches (the end_io annotation is principal(bio)).
     rt->PrincAlias(sb, bio);

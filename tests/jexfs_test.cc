@@ -42,14 +42,14 @@ void MkfsThroughDevice(kern::Kernel* kernel, kern::BlockDevice* top) {
 }
 
 struct JexRig {
-  JexRig(bool isolated, bool crypt) {
+  JexRig(bool isolated, bool crypt, bool partitions = true) {
     kernel = std::make_unique<kern::Kernel>(256ull << 20);
     if (isolated) {
       // Same configuration as the fsperf block harness: per-principal heap
       // partitions keep jexfs and dm-crypt allocations on disjoint pages,
       // so neither becomes a page-writer of the other's end_io slots.
       lxfi::RuntimeOptions options;
-      options.partitioned_heaps = true;
+      options.partitioned_heaps = partitions;
       rt = std::make_unique<lxfi::Runtime>(kernel.get(), options);
     }
     lxfi::InstallKernelApi(kernel.get(), rt.get());
@@ -345,6 +345,69 @@ TEST(JexfsOverDmCrypt, RemountPersistsThroughTheStack) {
   rig.sb = rig.vfs->Mount("jexfs", "/mnt");
   ASSERT_NE(rig.sb, nullptr);
   EXPECT_EQ(rig.ReadFile("/mnt/keep"), data);
+  EXPECT_EQ(rig.rt->violation_count(), 0u);
+}
+
+
+// A transaction of 8 data blocks plus the inode block makes a 10-sector
+// record bio, larger than the biggest slab size class, so dm-crypt's bounce
+// buffer for it is a page-granular kmalloc. Each freed bounce serves the
+// next one of its size, so repeated large commits (and the checkpoints they
+// force) allocate no new slab pages once warm.
+TEST(JexfsOverDmCrypt, LargeTransactionsKeepSlabPagesFlat) {
+  JexRig rig(/*isolated=*/true, /*crypt=*/true);
+  ASSERT_NE(rig.sb, nullptr);
+  int err = 0;
+  kern::File* f = rig.vfs->Open("/mnt/big", kern::kOCreate, &err);
+  ASSERT_NE(f, nullptr) << "err=" << err;
+  std::string data;
+  auto overwrite = [&](int round) {
+    data = Pattern(4000, static_cast<char>('a' + round % 20));
+    ASSERT_EQ(rig.vfs->Seek(f, 0), 0);
+    ASSERT_EQ(rig.vfs->Write(f, rig.PutUser(data.data(), data.size()), data.size()),
+              static_cast<int64_t>(data.size()));
+  };
+  // Warm up past a journal wrap so every size class and cached page exists.
+  for (int round = 0; round < 10; ++round) {
+    overwrite(round);
+  }
+  const size_t pages = rig.kernel->slab().pages_allocated();
+  for (int round = 10; round < 50; ++round) {
+    overwrite(round);
+  }
+  EXPECT_EQ(rig.kernel->slab().pages_allocated(), pages);
+  ASSERT_EQ(rig.vfs->Close(f), 0);
+  EXPECT_EQ(rig.ReadFile("/mnt/big"), data);
+  EXPECT_EQ(rig.rt->violation_count(), 0u);
+}
+
+// Enforced jexfs needs its record buffer inside the mount principal's heap
+// partition (see JexSb in jexfs.cc). With partitions off the buffer lands in
+// the shared heap, and Mount refuses with -ENOMEM instead of leaving a
+// WRITE violation for the second transaction's staging.
+TEST(JexfsEnforced, MountWithoutHeapPartitionsFailsClosed) {
+  JexRig rig(/*isolated=*/true, /*crypt=*/false, /*partitions=*/false);
+  EXPECT_EQ(rig.sb, nullptr);
+  EXPECT_EQ(rig.rt->violation_count(), 0u);
+}
+
+
+// Each mount kmallocs a 29 KiB journal record inside the mount principal's
+// 1 MiB heap partition. Unmount frees it and the next mount reuses its pages,
+// so any number of remounts keeps the record in the partition (Mount above
+// would refuse one that fell outside) and allocates no new slab pages.
+TEST(JexfsEnforced, RemountsReuseTheRecordPages) {
+  JexRig rig(/*isolated=*/true, /*crypt=*/false);
+  ASSERT_NE(rig.sb, nullptr);
+  rig.WriteFile("/mnt/keep", Pattern(700, 'k'));
+  const size_t pages = rig.kernel->slab().pages_allocated();
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0) << "remount " << i;
+    rig.sb = rig.vfs->Mount("jexfs", "/mnt");
+    ASSERT_NE(rig.sb, nullptr) << "remount " << i;
+  }
+  EXPECT_EQ(rig.kernel->slab().pages_allocated(), pages);
+  EXPECT_EQ(rig.ReadFile("/mnt/keep"), Pattern(700, 'k'));
   EXPECT_EQ(rig.rt->violation_count(), 0u);
 }
 

@@ -84,6 +84,31 @@ TEST_F(SlabTest, LargeAllocationSpansPages) {
   slab_.Free(p);
 }
 
+// A freed large allocation's pages serve the next large allocation of the
+// same page count, zeroed again; another size takes fresh pages.
+TEST_F(SlabTest, FreedLargeAllocationIsReused) {
+  auto* p = static_cast<uint8_t*>(slab_.Alloc(7 * 4096 + 512));
+  ASSERT_NE(p, nullptr);
+  p[100] = 0xab;
+  const size_t pages = slab_.pages_allocated();
+  slab_.Free(p);
+  for (int round = 0; round < 50; ++round) {
+    auto* q = static_cast<uint8_t*>(slab_.Alloc(7 * 4096 + 1));  // same 8 pages
+    ASSERT_EQ(q, p) << "round " << round;
+    EXPECT_EQ(q[100], 0u);
+    EXPECT_EQ(slab_.AllocSize(q), 7u * 4096 + 1);
+    EXPECT_EQ(slab_.UsableSize(q), 8u * 4096);
+    q[100] = 0xcd;
+    slab_.Free(q);
+  }
+  EXPECT_EQ(slab_.pages_allocated(), pages);
+  void* other = slab_.Alloc(2 * 4096);
+  EXPECT_NE(other, p);
+  EXPECT_EQ(slab_.pages_allocated(), pages + 2);
+  EXPECT_THROW(slab_.Free(p), kern::KernelPanic) << "a reused-then-freed run is not live";
+  slab_.Free(other);
+}
+
 TEST_F(SlabTest, PageExhaustionReturnsNull) {
   lxfi::Arena tiny(16 << 10);
   kern::SlabAllocator slab(&tiny);
