@@ -48,8 +48,6 @@ const char* TraceEventName(TraceEvent event) {
       return "pagecache-hit";
     case TraceEvent::kPagecacheMiss:
       return "pagecache-miss";
-    case TraceEvent::kPagecacheRetry:
-      return "pagecache-retry";
     case TraceEvent::kBioSubmit:
       return "bio-submit";
     case TraceEvent::kBioComplete:

@@ -60,7 +60,6 @@ enum class TraceEvent : uint16_t {
   kDcacheRetry,
   kPagecacheHit,
   kPagecacheMiss,
-  kPagecacheRetry,
   // Block layer (src/kernel/block).
   kBioSubmit,        // arg0 = sector, arg1 = size | (write << 63)
   kBioComplete,      // arg0 = sector, arg1 = status (two's complement)

@@ -29,15 +29,14 @@ int BlockLayer::RamIo(BlockDevice* dev, Bio* bio) {
   if (bio->write) {
     std::memcpy(disk, bio->data, bio->size);
     __atomic_fetch_add(&dev->writes, 1, __ATOMIC_RELAXED);
-    auto log = write_logs_.find(dev);
-    if (log != write_logs_.end()) {
+    if (dev->write_log != nullptr) {
       // Record sector-granular so a log prefix is a power cut at any write
       // boundary, even mid-bio.
       for (uint32_t off = 0; off < bio->size; off += kSectorSize) {
         BlockWrite w;
         w.sector = bio->sector + off / kSectorSize;
         w.data.assign(bio->data + off, bio->data + off + kSectorSize);
-        log->second->push_back(std::move(w));
+        dev->write_log->push_back(std::move(w));
       }
     }
   } else {
@@ -52,8 +51,8 @@ int BlockLayer::SubmitBio(BlockDevice* dev, Bio* bio) {
   // arg1 packs direction into the top bit so one record carries both.
   TRACE_EVENT(lxfi::TraceEvent::kBioSubmit, 0, bio->sector,
               static_cast<uint64_t>(bio->size) | (bio->write ? uint64_t{1} << 63 : 0));
-  auto it = dm_targets_.find(dev);
-  if (it == dm_targets_.end()) {
+  DmTarget* target = dev->target;
+  if (target == nullptr) {
     int rc = RamIo(dev, bio);
     TRACE_EVENT(lxfi::TraceEvent::kBioComplete, 0, bio->sector,
                 static_cast<uint64_t>(static_cast<int64_t>(bio->status)));
@@ -63,7 +62,6 @@ int BlockLayer::SubmitBio(BlockDevice* dev, Bio* bio) {
     return rc;
   }
   // Device-mapper path: ask the module's target to map the bio.
-  DmTarget* target = it->second;
   int rc = kernel_->IndirectCall<int, DmTarget*, Bio*>(&target->type->map, "target_type::map",
                                                        target, bio);
   if (rc == kDmMapioRemapped) {
@@ -128,20 +126,18 @@ BlockDevice* BlockLayer::DmCreate(const std::string& name, const std::string& ty
     }
   }
   devices_.push_back(dm_dev);
-  dm_targets_[dm_dev] = target;
+  dm_dev->target = target;
   return dm_dev;
 }
 
 void BlockLayer::DmRemove(BlockDevice* dm_dev) {
-  auto it = dm_targets_.find(dm_dev);
-  if (it == dm_targets_.end()) {
-    return;
+  DmTarget* target = dm_dev->target;
+  if (target == nullptr) {
+    return;  // not a dm device
   }
-  DmTarget* target = it->second;
   if (target->type->dtr != 0) {
     kernel_->IndirectCall<void, DmTarget*>(&target->type->dtr, "target_type::dtr", target);
   }
-  dm_targets_.erase(it);
   for (auto dit = devices_.begin(); dit != devices_.end(); ++dit) {
     if (*dit == dm_dev) {
       devices_.erase(dit);
@@ -162,17 +158,10 @@ BlockDevice* BlockLayer::FindDevice(const std::string& name) const {
 }
 
 void BlockLayer::SetWriteLog(BlockDevice* dev, std::vector<BlockWrite>* log) {
-  if (log == nullptr) {
-    write_logs_.erase(dev);
-  } else {
-    write_logs_[dev] = log;
-  }
+  dev->write_log = log;
 }
 
-DmTarget* BlockLayer::TargetOf(BlockDevice* dm_dev) {
-  auto it = dm_targets_.find(dm_dev);
-  return it == dm_targets_.end() ? nullptr : it->second;
-}
+DmTarget* BlockLayer::TargetOf(BlockDevice* dm_dev) { return dm_dev->target; }
 
 BlockLayer* GetBlockLayer(Kernel* kernel) { return kernel->EnsureSubsystem<BlockLayer>(kernel); }
 

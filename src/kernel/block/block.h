@@ -5,7 +5,8 @@
 // to module-provided target `map` functions through checked indirect calls.
 // Each mapped device is one LXFI principal in the annotated modules, which
 // is how a compromise through one USB disk cannot touch the system disk
-// (§2.1's dm-crypt scenario).
+// (§2.1's dm-crypt scenario). A device carries its own dm target, write log
+// and page-cache index, so a bio finds its target with one load.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +14,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/sync.h"
 #include "src/kernel/types.h"
 
 namespace kern {
 
 class Kernel;
 class Module;
+struct CachedPage;
+struct DmTarget;
 
 inline constexpr size_t kSectorSize = 512;
 
@@ -38,21 +42,30 @@ inline constexpr int kDmMapioSubmitted = 0;
 inline constexpr int kDmMapioRemapped = 1;
 inline constexpr int kDmMapioKill = 2;
 
-struct BlockDevice {
-  char name[24] = {};
-  uint64_t sectors = 0;
-  uint8_t* backing = nullptr;  // RAM disk storage (kernel-owned), null for dm
-  void* private_data = nullptr;
-  uint64_t reads = 0;   // completed bios; atomic: CPUs fill pages concurrently
-  uint64_t writes = 0;
-};
-
 // One completed sector-granular write, as recorded by the write log: the
 // crash-consistency harness replays prefixes of this sequence to model a
 // power cut at every write boundary.
 struct BlockWrite {
   uint64_t sector = 0;
   std::vector<uint8_t> data;
+};
+
+// Per-device block state hangs off the device itself, the way Linux hangs a
+// bdev's page mapping and dm table off it: no layer keeps a side map keyed
+// by BlockDevice*.
+struct BlockDevice {
+  char name[24] = {};
+  uint64_t sectors = 0;
+  uint8_t* backing = nullptr;  // RAM disk storage (kernel-owned), null for dm
+  DmTarget* target = nullptr;  // the mapping target of a dm device, null for a RAM disk
+  std::vector<BlockWrite>* write_log = nullptr;  // see BlockLayer::SetWriteLog
+  // Page cache index (src/kernel/fs/pagecache.h): `sectors` slots in host
+  // memory the cache owns, allocated on the first cached access and
+  // published with a release store; `page_lock` serializes its fills.
+  CachedPage** pages = nullptr;
+  lxfi::Spinlock page_lock;
+  uint64_t reads = 0;   // completed bios; atomic: CPUs fill pages concurrently
+  uint64_t writes = 0;
 };
 
 // Module-provided target type (module memory).
@@ -91,6 +104,7 @@ class BlockLayer {
                         BlockDevice* underlying, const std::string& params);
   void DmRemove(BlockDevice* dm_dev);
 
+  // The target mapping `dm_dev` (null for a RAM disk).
   DmTarget* TargetOf(BlockDevice* dm_dev);
 
   // dm_get_device: looks a registered device up by name (nullptr if absent).
@@ -108,8 +122,6 @@ class BlockLayer {
   Kernel* kernel_;
   std::vector<BlockDevice*> devices_;
   std::unordered_map<std::string, DmTargetType*> target_types_;
-  std::unordered_map<BlockDevice*, DmTarget*> dm_targets_;
-  std::unordered_map<BlockDevice*, std::vector<BlockWrite>*> write_logs_;
 };
 
 BlockLayer* GetBlockLayer(Kernel* kernel);

@@ -1,31 +1,12 @@
 #include "src/kernel/fs/pagecache.h"
 
 #include <thread>
-#include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/trace.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/panic.h"
 
 namespace kern {
-namespace {
-
-// Spins until `page`'s flags contain every bit of `want` (acquire: the data
-// a waiter reads afterwards was written before the release-store of the bit).
-void WaitFlags(const CachedPage* page, uint32_t want) {
-  int spins = 0;
-  while ((PageCache::FlagsOf(page) & want) != want) {
-    if (LXFI_UNLIKELY(++spins > 128)) {
-      std::this_thread::yield();
-      spins = 0;
-    } else {
-      lxfi::CpuRelax();
-    }
-  }
-}
-
-}  // namespace
 
 PageCache::PageCache(Kernel* kernel) : kernel_(kernel) {
   // Kernel-text completion handler for writeback bios. Registered on the
@@ -33,34 +14,22 @@ PageCache::PageCache(Kernel* kernel) : kernel_(kernel) {
   // no module can import it, so no module principal ever holds a CALL
   // capability for it — a forged bio->end_io pointing here is exactly the
   // attack the indirect-call writer-set check blocks (blockfs exploit test).
-  PageCache* pc = this;
-  end_io_addr_ = kernel->funcs().Register<void(Bio*)>(
-      TextKind::kKernelText, "pagecache_end_io", [pc](Bio* bio) { pc->OnWritebackDone(bio); });
+  end_io_addr_ = kernel->funcs().Register<void(Bio*)>(TextKind::kKernelText, "pagecache_end_io",
+                                                      &PageCache::OnWritebackDone);
 }
 
 PageCache::~PageCache() {
-  // Subsystem teardown: no concurrent prober can exist. Drain retirements
+  // Subsystem teardown: no concurrent reader can exist. Drain retirements
   // first (they capture this kernel's slab), then free what remains.
   lxfi::EpochReclaimer::Global().Synchronize();
-  for (Shard& s : shards_) {
-    s.index.ForEach([this](uint64_t, CachedPage* const& head) {
-      for (CachedPage* p = head; p != nullptr;) {
-        CachedPage* next = p->hash_next;
+  for (const OwnedIndex& index : indexes_) {
+    for (uint64_t b = 0; b < index.sectors; ++b) {
+      if (CachedPage* p = index.slots[b]) {
         p->~CachedPage();
         kernel_->slab().Free(p);
-        p = next;
       }
-    });
+    }
   }
-  lxfi::EpochReclaimer::Global().Synchronize();
-}
-
-uint64_t PageCache::PageKey(const BlockDevice* dev, uint64_t block) const {
-  uint64_t h = lxfi::HashCombine(lxfi::Mix64(reinterpret_cast<uint64_t>(dev)), lxfi::Mix64(block));
-  if (LXFI_UNLIKELY(hash_buckets_ != 0)) {
-    h = h % hash_buckets_ + 1;
-  }
-  return h + (h == 0);
 }
 
 void PageCache::LockBusy(CachedPage* page) {
@@ -81,79 +50,75 @@ void PageCache::UnlockBusy(CachedPage* page) {
   __atomic_fetch_and(&page->flags, ~kPcBusy, __ATOMIC_RELEASE);
 }
 
+int PageCache::Submit(BlockDevice* dev, Bio* bio) {
+  try {
+    return GetBlockLayer(kernel_)->SubmitBio(dev, bio);
+  } catch (const KernelPanic&) {
+    throw;
+  } catch (...) {
+    return -kEio;
+  }
+}
+
+CachedPage* PageCache::Fill(BlockDevice* dev, uint64_t block) {
+  void* mem = kernel_->slab().Alloc(sizeof(CachedPage));
+  if (mem == nullptr) {
+    return nullptr;
+  }
+  CachedPage* p = new (mem) CachedPage();
+  p->dev = dev;
+  p->block = block;
+  Bio bio;
+  bio.sector = block;
+  bio.size = kPcBlockSize;
+  bio.data = p->data;
+  bio.write = false;
+  if (Submit(dev, &bio) != 0) {
+    p->~CachedPage();
+    kernel_->slab().Free(p);
+    return nullptr;
+  }
+  return p;
+}
+
 CachedPage* PageCache::Grab(BlockDevice* dev, uint64_t block) {
   if (dev == nullptr || block >= dev->sectors) {
     return nullptr;
   }
-  uint64_t key = PageKey(dev, block);
-  Shard& shard = ShardFor(key);
   Stat& stat = stats_[lxfi::ThisShardIndex()];
-  // Hit path: one seqlock-validated probe, an immutable-field chain walk,
-  // no lock, no allocation. Retry tracing brackets the probe only while
-  // tracing is live — the disabled path adds one relaxed load.
-  const bool tracing = LXFI_UNLIKELY(lxfi::TraceBuffer::EnabledRelaxed());
-  const uint64_t retries_before = tracing ? stat.retries.value() : 0;
-  CachedPage* p = nullptr;
-  if (shard.index.FindValueConcurrent(key, &p, &stat.retries)) {
-    while (p != nullptr && !(p->dev == dev && p->block == block)) {
-      p = lxfi::flat_chain::Next(&p->hash_next);
+  // Hit path: two acquire loads, no lock, no allocation.
+  CachedPage** slots = __atomic_load_n(&dev->pages, __ATOMIC_ACQUIRE);
+  CachedPage* p = slots != nullptr ? __atomic_load_n(&slots[block], __ATOMIC_ACQUIRE) : nullptr;
+  uint64_t locked_hit = 0;
+  if (p == nullptr) {
+    lxfi::SpinGuard guard(dev->page_lock);
+    slots = __atomic_load_n(&dev->pages, __ATOMIC_RELAXED);
+    if (slots == nullptr) {
+      auto owned = std::make_unique<CachedPage*[]>(dev->sectors);
+      slots = owned.get();
+      {
+        lxfi::SpinGuard indexes_guard(indexes_mu_);
+        indexes_.push_back(OwnedIndex{std::move(owned), dev->sectors});
+      }
+      __atomic_store_n(&dev->pages, slots, __ATOMIC_RELEASE);
     }
-  } else {
-    p = nullptr;
-  }
-  if (tracing && stat.retries.value() != retries_before) {
-    TRACE_EVENT(lxfi::TraceEvent::kPagecacheRetry, 0, block,
-                stat.retries.value() - retries_before);
-  }
-  bool fill = false;
-  if (p != nullptr) {
-    __atomic_add_fetch(&p->holds, 1u, __ATOMIC_RELAXED);
-    ++stat.hits;
-    TRACE_EVENT(lxfi::TraceEvent::kPagecacheHit, 0, block, 0);
-  } else {
-    lxfi::SpinGuard guard(shard.mu);
-    // The lock-free miss may have raced a concurrent insert; the locked
-    // probe is authoritative.
-    CachedPage* const* head = shard.index.Find(key);
-    p = head != nullptr ? *head : nullptr;
-    while (p != nullptr && !(p->dev == dev && p->block == block)) {
-      p = lxfi::flat_chain::Next(&p->hash_next);
+    // A concurrent miss may have filled the slot while this one waited.
+    p = __atomic_load_n(&slots[block], __ATOMIC_RELAXED);
+    if (p == nullptr) {
+      p = Fill(dev, block);
+      if (p != nullptr) {
+        p->holds = 1;
+        __atomic_store_n(&slots[block], p, __ATOMIC_RELEASE);
+        ++stat.misses;
+        TRACE_EVENT(lxfi::TraceEvent::kPagecacheMiss, 0, block, 0);
+      }
+      return p;
     }
-    if (p != nullptr) {
-      __atomic_add_fetch(&p->holds, 1u, __ATOMIC_RELAXED);
-      ++stat.hits;
-      TRACE_EVENT(lxfi::TraceEvent::kPagecacheHit, 0, block, 1);
-    } else {
-      void* mem = kernel_->slab().Alloc(sizeof(CachedPage));
-      KERN_BUG_ON(mem == nullptr);
-      p = new (mem) CachedPage();
-      p->dev = dev;
-      p->block = block;
-      p->key = key;
-      p->owner = this;
-      p->holds = 1;
-      // Published not-yet-uptodate: concurrent finders wait on the flag
-      // below while this thread fills outside the shard lock.
-      lxfi::flat_chain::InsertLocked<&CachedPage::hash_next>(shard.index, key, p);
-      fill = true;
-      ++stat.misses;
-      TRACE_EVENT(lxfi::TraceEvent::kPagecacheMiss, 0, block, 0);
-    }
+    locked_hit = 1;
   }
-  if (fill) {
-    Bio bio;
-    bio.sector = block;
-    bio.size = kPcBlockSize;
-    bio.data = p->data;
-    bio.write = false;
-    // Bounds were pre-checked against dev->sectors, and dm targets remap
-    // in-range sectors to in-range sectors, so the fill cannot fail.
-    int rc = GetBlockLayer(kernel_)->SubmitBio(dev, &bio);
-    KERN_BUG_ON(rc != 0);
-    __atomic_fetch_or(&p->flags, kPcUptodate, __ATOMIC_RELEASE);
-  } else {
-    WaitFlags(p, kPcUptodate);
-  }
+  __atomic_add_fetch(&p->holds, 1u, __ATOMIC_RELAXED);
+  ++stat.hits;
+  TRACE_EVENT(lxfi::TraceEvent::kPagecacheHit, 0, block, locked_hit);
   return p;
 }
 
@@ -192,13 +157,11 @@ int PageCache::BwriteDone(CachedPage* page) {
 }
 
 void PageCache::OnWritebackDone(Bio* bio) {
-  auto* page = static_cast<CachedPage*>(bio->bi_private);
+  // Success clears dirty; the bit stays set on failure so the page is
+  // retried by the next Sync.
   if (bio->status == 0) {
-    // Success clears dirty; the bit stays set on failure so the page is
-    // retried by the next Sync.
+    auto* page = static_cast<CachedPage*>(bio->bi_private);
     __atomic_fetch_and(&page->flags, ~kPcDirty, __ATOMIC_RELEASE);
-  } else {
-    page->owner->io_errors_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -206,77 +169,63 @@ int PageCache::Sync(BlockDevice* dev) {
   if (dev == nullptr) {
     return -kEinval;
   }
-  BlockLayer* block = GetBlockLayer(kernel_);
-  int written = 0;
-  std::vector<CachedPage*> pages;
-  for (Shard& shard : shards_) {
-    pages.clear();
-    {
-      lxfi::SpinGuard guard(shard.mu);
-      shard.index.ForEach([&](uint64_t, CachedPage* const& head) {
-        for (CachedPage* p = head; p != nullptr; p = p->hash_next) {
-          if (p->dev == dev) {
-            pages.push_back(p);
-          }
-        }
-      });
-    }
-    for (CachedPage* p : pages) {
-      if ((FlagsOf(p) & kPcDirty) == 0) {
-        continue;
-      }
-      // The busy bit excludes the module write window for the duration of
-      // the copy-out: the device never sees a torn block.
-      LockBusy(p);
-      if ((FlagsOf(p) & kPcDirty) != 0) {
-        Bio bio;
-        bio.sector = p->block;
-        bio.size = kPcBlockSize;
-        bio.data = p->data;
-        bio.write = true;
-        bio.end_io = end_io_addr_;
-        bio.bi_private = p;
-        int rc = block->SubmitBio(dev, &bio);
-        KERN_BUG_ON(rc != 0);
-        writebacks_.fetch_add(1, std::memory_order_relaxed);
-        ++written;
-      }
-      UnlockBusy(p);
-    }
+  CachedPage** slots = __atomic_load_n(&dev->pages, __ATOMIC_ACQUIRE);
+  if (slots == nullptr) {
+    return 0;
   }
-  return written;
+  Stat& stat = stats_[lxfi::ThisShardIndex()];
+  int written = 0;
+  int first_error = 0;
+  for (uint64_t b = 0; b < dev->sectors; ++b) {
+    CachedPage* p = __atomic_load_n(&slots[b], __ATOMIC_ACQUIRE);
+    if (p == nullptr || (FlagsOf(p) & kPcDirty) == 0) {
+      continue;
+    }
+    // The busy bit excludes the module write window for the duration of
+    // the copy-out: the device never sees a torn block.
+    LockBusy(p);
+    if ((FlagsOf(p) & kPcDirty) != 0) {
+      Bio bio;
+      bio.sector = b;
+      bio.size = kPcBlockSize;
+      bio.data = p->data;
+      bio.write = true;
+      bio.end_io = end_io_addr_;
+      bio.bi_private = p;
+      int rc = Submit(dev, &bio);
+      if (rc == 0) {
+        ++stat.writebacks;
+        ++written;
+      } else {
+        ++stat.io_errors;
+        first_error = first_error != 0 ? first_error : rc;
+      }
+    }
+    UnlockBusy(p);
+  }
+  return first_error != 0 ? first_error : written;
 }
 
 void PageCache::Invalidate(BlockDevice* dev) {
-  if (dev == nullptr) {
+  CachedPage** slots = dev == nullptr ? nullptr : __atomic_load_n(&dev->pages, __ATOMIC_ACQUIRE);
+  if (slots == nullptr) {
     return;
   }
   Kernel* kernel = kernel_;
-  for (Shard& shard : shards_) {
-    std::vector<CachedPage*> victims;
-    {
-      lxfi::SpinGuard guard(shard.mu);
-      shard.index.ForEach([&](uint64_t, CachedPage* const& head) {
-        for (CachedPage* p = head; p != nullptr; p = p->hash_next) {
-          if (p->dev == dev) {
-            victims.push_back(p);
-          }
-        }
-      });
-      for (CachedPage* p : victims) {
-        lxfi::flat_chain::UnlinkLocked<&CachedPage::hash_next>(shard.index, p->key, p);
-      }
+  lxfi::SpinGuard guard(dev->page_lock);
+  for (uint64_t b = 0; b < dev->sectors; ++b) {
+    CachedPage* p = __atomic_exchange_n(&slots[b], nullptr, __ATOMIC_RELAXED);
+    if (p == nullptr) {
+      continue;
     }
-    for (CachedPage* p : victims) {
-      // The caller guarantees no holder of this device's pages remains.
-      KERN_BUG_ON(__atomic_load_n(&p->holds, __ATOMIC_RELAXED) != 0);
-      // A lock-free prober of a neighboring (same-shard) chain may still
-      // hold a pointer: wait out the grace period.
-      lxfi::EpochReclaimer::Global().Retire([kernel, p] {
-        p->~CachedPage();
-        kernel->slab().Free(p);
-      });
-    }
+    // The caller guarantees no holder of this device's pages remains.
+    KERN_BUG_ON(__atomic_load_n(&p->holds, __ATOMIC_RELAXED) != 0);
+    // A lock-free reader may still hold the slot's old pointer: wait out
+    // the grace period.
+    lxfi::EpochReclaimer::Global().Retire([kernel, p] {
+      p->~CachedPage();
+      kernel->slab().Free(p);
+    });
   }
 }
 

@@ -1,4 +1,4 @@
-// Kernel-owned buffer/page cache keyed by (block device, block number).
+// Kernel-owned buffer/page cache: one page per (block device, block number).
 //
 // The block-backed filesystem path (src/modules/jexfs) never reads the disk
 // directly for its home blocks: it goes through this cache, which gives the
@@ -22,53 +22,57 @@
 //                  call end_io path module completions use.
 //   pc_invalidate  drops every page of a device (unmount).
 //
-// Concurrency (mirrors the dcache, docs/smp_enforcement.md): lookups on the
-// hit path are lock-free — a seqlock-validated FlatTable probe plus an
-// immutable-key collision-chain walk — and misses serialize per shard, fill
-// the page outside the shard lock, and publish readiness with one release
-// store of the uptodate bit. Writeback and the module write window mutually
-// exclude through the busy bit (acquire CAS / release clear), which is what
-// makes the 3-CPU read/writeback storm TSan-clean. Retired pages wait out an
-// epoch grace period because a lock-free prober may still hold a chain
-// pointer to them.
+// Index: each device carries one array of `dev->sectors` page pointers
+// (BlockDevice::pages), allocated from host memory on its first access and
+// owned by the cache, which frees it at teardown without touching the
+// device (DmRemove may have freed it). A hit is an acquire load of the array
+// and one of the slot. A miss fills under the device's own lock
+// (BlockDevice::page_lock, never a cache-wide one: a dm target's map may
+// pc_bget the device beneath it) and publishes the filled page with one
+// release store. Sync and Invalidate walk only that device's slots. The
+// busy bit (acquire fetch_or / release clear) excludes writeback from the
+// module write window, which keeps the 3-CPU read/writeback storm
+// TSan-clean; invalidated pages wait out an epoch grace period because a
+// lock-free reader may still hold their pointer.
+//
+// Failures: a fill whose bio fails, or is killed by a violation inside a dm
+// target's map, returns null and publishes nothing. A failed writeback
+// leaves its page dirty and counts one io_error; Sync writes the remaining
+// pages, then returns the first negative errno, and the next Sync retries
+// the page.
 //
 // There is no eviction: the cache is bounded by the (small, simulated)
 // devices it fronts, and pc_invalidate reclaims a device's pages wholesale.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
-#include "src/base/flat_table.h"
 #include "src/base/sync.h"
 #include "src/kernel/block/block.h"
 
 namespace kern {
 
 class Kernel;
-class PageCache;
 
 inline constexpr uint32_t kPcBlockSize = kSectorSize;
 
 // CachedPage::flags bits (atomic).
-inline constexpr uint32_t kPcUptodate = 1u << 0;  // data holds the block
-inline constexpr uint32_t kPcDirty = 1u << 1;     // needs writeback
-inline constexpr uint32_t kPcBusy = 1u << 2;      // exclusive writer/writeback
+inline constexpr uint32_t kPcDirty = 1u << 0;  // needs writeback
+inline constexpr uint32_t kPcBusy = 1u << 1;   // exclusive writer/writeback
 
-// Kernel-owned cache entry. dev/block/key are immutable after publication
-// (the lock-free probe compares them with plain loads); flags and holds are
-// atomic on both sides. Modules receive a REF for the whole struct but a
-// WRITE capability only ever covers `data` — keep it last so the header
-// cannot be reached through the data window by an off-by-one.
+// Kernel-owned cache entry, published only once `data` holds the block.
+// dev/block are immutable after publication; flags and holds are atomic on
+// both sides. Modules receive a REF for the whole struct but a WRITE
+// capability only ever covers `data` — keep it last so the header cannot be
+// reached through the data window by an off-by-one.
 struct CachedPage {
   BlockDevice* dev = nullptr;
   uint64_t block = 0;
-  uint64_t key = 0;            // hash of (dev, block): the index key
-  CachedPage* hash_next = nullptr;  // same-key collision chain (atomic)
-  PageCache* owner = nullptr;
-  uint32_t flags = 0;          // kPc* bits (atomic)
-  uint32_t holds = 0;          // outstanding bget/bwrite holds (atomic)
+  uint32_t flags = 0;  // kPc* bits (atomic)
+  uint32_t holds = 0;  // outstanding bget/bwrite holds (atomic)
   uint8_t data[kPcBlockSize] = {};
 };
 
@@ -78,7 +82,8 @@ class PageCache {
   ~PageCache();
 
   // --- module-facing surface (exported as pc_*) --------------------------
-  // Shared hold; fills from the device on a miss. Null on I/O error.
+  // Shared hold; fills from the device on a miss. Null on I/O error or
+  // when `block` is past the device's end.
   CachedPage* Bget(BlockDevice* dev, uint64_t block);
   // Exclusive hold: owns the page's busy bit until BwriteDone.
   CachedPage* Bwrite(BlockDevice* dev, uint64_t block);
@@ -86,53 +91,51 @@ class PageCache {
   int Brelse(CachedPage* page);
   int BwriteDone(CachedPage* page);
   // Writes every dirty page of `dev` back through SubmitBio. Returns the
-  // number of pages written (negative errno only on submission failure).
+  // number of pages written, or the first failed page's negative errno.
   int Sync(BlockDevice* dev);
   // Drops every page of `dev`. No hold may be outstanding.
   void Invalidate(BlockDevice* dev);
 
-  // --- stats / test hooks ------------------------------------------------
+  // --- stats ------------------------------------------------------------
   uint64_t hits() const { return SumShards(&Stat::hits); }
   uint64_t misses() const { return SumShards(&Stat::misses); }
-  uint64_t seqlock_retries() const { return SumShards(&Stat::retries); }
-  uint64_t writebacks() const { return writebacks_.load(std::memory_order_relaxed); }
-  uint64_t io_errors() const { return io_errors_.load(std::memory_order_relaxed); }
+  uint64_t writebacks() const { return SumShards(&Stat::writebacks); }
+  uint64_t io_errors() const { return SumShards(&Stat::io_errors); }
 
   // The kernel-text address writeback completions dispatch through; the
   // forged-end_io exploit test uses it as the hijack target.
   uintptr_t end_io_addr_for_test() const { return end_io_addr_; }
-
-  // Collapses the (dev, block) key into `buckets` distinct nonzero values,
-  // forcing collision chains for the differential test; 0 restores the full
-  // hash. Flip only while the cache is empty and unreferenced.
-  void set_hash_buckets_for_test(uint64_t buckets) { hash_buckets_ = buckets; }
 
   static uint32_t FlagsOf(const CachedPage* page) {
     return __atomic_load_n(&page->flags, __ATOMIC_ACQUIRE);
   }
 
  private:
-  static constexpr size_t kNumShards = 16;
-
   struct alignas(lxfi::kCacheLineSize) Stat {
     lxfi::RelaxedCell hits;
     lxfi::RelaxedCell misses;
-    lxfi::RelaxedCell retries;
+    lxfi::RelaxedCell writebacks;
+    lxfi::RelaxedCell io_errors;
   };
 
-  struct Shard {
-    lxfi::Spinlock mu;                    // serializes index writers
-    lxfi::FlatTable<CachedPage*> index;   // key -> collision chain head
+  // A device index the cache allocated; kept apart from the device so
+  // teardown never dereferences one.
+  struct OwnedIndex {
+    std::unique_ptr<CachedPage*[]> slots;
+    uint64_t sectors;
   };
 
-  uint64_t PageKey(const BlockDevice* dev, uint64_t block) const;
-  Shard& ShardFor(uint64_t key) { return shards_[(key * 0x9E3779B97F4A7C15ull) >> 60]; }
-  // Finds or creates the page and takes one hold; fills on miss.
+  // Finds or fills the page and takes one hold.
   CachedPage* Grab(BlockDevice* dev, uint64_t block);
-  // Spins until the busy bit is acquired (page must be uptodate).
+  // Reads `block` into a new, unpublished page; null on failure.
+  CachedPage* Fill(BlockDevice* dev, uint64_t block);
+  // SubmitBio for the cache's own bios: a violation that kills the request
+  // inside a dm target's map fails it with -EIO; kernel panics propagate.
+  int Submit(BlockDevice* dev, Bio* bio);
+  // Spins until the busy bit is acquired.
   static void LockBusy(CachedPage* page);
   static void UnlockBusy(CachedPage* page);
-  void OnWritebackDone(Bio* bio);
+  static void OnWritebackDone(Bio* bio);
 
   uint64_t SumShards(lxfi::RelaxedCell Stat::* field) const {
     uint64_t sum = 0;
@@ -143,12 +146,10 @@ class PageCache {
   }
 
   Kernel* kernel_;
-  uint64_t hash_buckets_ = 0;
   uintptr_t end_io_addr_ = 0;
-  std::array<Shard, kNumShards> shards_;
   std::array<Stat, lxfi::kMaxCpuShards> stats_;
-  std::atomic<uint64_t> writebacks_{0};
-  std::atomic<uint64_t> io_errors_{0};
+  lxfi::Spinlock indexes_mu_;  // guards indexes_ (never held across I/O)
+  std::vector<OwnedIndex> indexes_;
 };
 
 PageCache* GetPageCache(Kernel* kernel);

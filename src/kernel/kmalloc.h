@@ -177,12 +177,14 @@ class SlabAllocator {
   // ptr->size record that lets Free() classify a recycled pointer without
   // the global lock. Only ever touched by its shard's thread. The record's
   // top bit tracks "currently in the bin", so a same-CPU double-kfree still
-  // panics like the uncached path. (A double-free that crosses CPUs while
-  // the object sits in another CPU's bin is the one case the cache cannot
-  // see; the cache is only enabled by SMP harnesses, never for the exploit
-  // or regression suites.) With partitions enabled a bin is keyed by
-  // (requested size, partition), so recycled objects never migrate across
-  // principals; the record encodes the partition id alongside the size.
+  // panics like the uncached path. A double kfree across CPUs does not: each
+  // CPU checks only its own record, so the object lands in both CPUs' bins
+  // and the next same-size kmalloc on each CPU returns the same pointer —
+  // two live owners of one object, silently. The cache is only enabled by
+  // SMP harnesses, never for the exploit or regression suites. With
+  // partitions enabled a bin is keyed by (requested size, partition), so
+  // recycled objects never migrate across principals; the record encodes
+  // the partition id alongside the size.
   static constexpr uint64_t kCacheInBin = 1ull << 63;
   static constexpr uint64_t kCachePidShift = 32;
   static constexpr uint64_t kCacheSizeMask = (1ull << kCachePidShift) - 1;

@@ -1,8 +1,9 @@
 // Page cache unit tests: a differential check against a naive block map
-// under forced hash collisions (the lock-free index must behave exactly
-// like the obvious one), stats accounting, and a 3-CPU read/writeback
-// storm that runs under TSan in CI (busy-bit exclusion between the module
-// write window and Sync's copy-out is what keeps it clean).
+// (the lock-free index must behave exactly like the obvious one), stats
+// accounting, several devices in one cache, fill and writeback failures
+// through a failing dm target, and a 3-CPU read/writeback storm that runs
+// under TSan in CI (busy-bit exclusion between the module write window and
+// Sync's copy-out is what keeps it clean).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,31 +11,35 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/kernel/block/block.h"
 #include "src/kernel/fs/pagecache.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/smp.h"
+#include "src/lxfi/violation.h"
 
 namespace {
 
 constexpr uint64_t kSectors = 64;
 
 struct PcRig {
-  explicit PcRig(uint64_t hash_buckets = 0) {
+  PcRig() {
     kernel = std::make_unique<kern::Kernel>();
     block = kern::GetBlockLayer(kernel.get());
-    dev = block->CreateRamDisk("pcdisk0", kSectors);
-    // Deterministic initial disk content: sector s is filled with (s ^ 0xA5).
+    dev = NewDisk("pcdisk0", 0xA5);
+    pc = kern::GetPageCache(kernel.get());
+  }
+
+  // A RAM disk whose sector s is filled with (s ^ salt).
+  kern::BlockDevice* NewDisk(const std::string& name, uint8_t salt) {
+    kern::BlockDevice* disk = block->CreateRamDisk(name, kSectors);
     for (uint64_t s = 0; s < kSectors; ++s) {
-      std::memset(dev->backing + s * kern::kSectorSize, static_cast<int>(s ^ 0xA5),
+      std::memset(disk->backing + s * kern::kSectorSize, static_cast<int>(s ^ salt),
                   kern::kSectorSize);
     }
-    pc = kern::GetPageCache(kernel.get());
-    if (hash_buckets != 0) {
-      pc->set_hash_buckets_for_test(hash_buckets);
-    }
+    return disk;
   }
 
   std::unique_ptr<kern::Kernel> kernel;
@@ -50,12 +55,9 @@ uint64_t Lcg(uint64_t* s) {
 }
 
 // Drives a random bget/bwrite/sync sequence against the cache and an
-// std::map reference model in lockstep. `hash_buckets` = 3 collapses the
-// (dev, block) key into three values, so almost every page lives on a
-// multi-entry collision chain — the chain walk and the full-hash fast path
-// must be indistinguishable.
-void RunDifferential(uint64_t hash_buckets, uint64_t seed) {
-  PcRig rig(hash_buckets);
+// std::map reference model in lockstep.
+void RunDifferential(uint64_t seed) {
+  PcRig rig;
   // Reference model: expected content of each cached block, and of the disk.
   std::map<uint64_t, std::array<uint8_t, kern::kSectorSize>> model;
   auto expected = [&](uint64_t b) {
@@ -118,12 +120,7 @@ void RunDifferential(uint64_t hash_buckets, uint64_t seed) {
   EXPECT_EQ(rig.pc->io_errors(), 0u);
 }
 
-TEST(PageCache, DifferentialAgainstNaiveMap) { RunDifferential(/*hash_buckets=*/0, 0xC0FFEE); }
-
-TEST(PageCache, DifferentialUnderForcedCollisions) {
-  RunDifferential(/*hash_buckets=*/3, 0xBADF00D);
-  RunDifferential(/*hash_buckets=*/1, 0xFEEDFACE);  // every key collides
-}
+TEST(PageCache, DifferentialAgainstNaiveMap) { RunDifferential(0xC0FFEE); }
 
 TEST(PageCache, StatsAccounting) {
   PcRig rig;
@@ -168,6 +165,134 @@ TEST(PageCache, InvalidateDropsDeviceAndRefills) {
   EXPECT_EQ(rig.pc->misses(), misses + 1) << "invalidate must drop the cached page";
   EXPECT_EQ(again->data[0], 0x77) << "refill reads what Sync made durable";
   rig.pc->Brelse(again);
+}
+
+// Two RAM disks in one cache: each device's pages live in its own index, so
+// syncing or invalidating one never touches the other.
+TEST(PageCache, DevicesAreIndependent) {
+  PcRig rig;
+  kern::BlockDevice* a = rig.dev;
+  kern::BlockDevice* b = rig.NewDisk("pcdisk1", 0x3C);
+  for (kern::BlockDevice* dev : {a, b}) {
+    kern::CachedPage* p = rig.pc->Bwrite(dev, 5);
+    ASSERT_NE(p, nullptr);
+    std::memset(p->data, dev == a ? 0xAA : 0xBB, kern::kSectorSize);
+    rig.pc->MarkDirty(p);
+    rig.pc->BwriteDone(p);
+  }
+  EXPECT_EQ(rig.pc->Sync(a), 1) << "Sync(a) writes only a's dirty page";
+  EXPECT_EQ(a->backing[5 * kern::kSectorSize], 0xAA);
+  EXPECT_EQ(b->backing[5 * kern::kSectorSize], 5 ^ 0x3C) << "b's disk is untouched";
+  kern::CachedPage* pb = rig.pc->Bget(b, 5);
+  ASSERT_NE(pb, nullptr);
+  EXPECT_NE(kern::PageCache::FlagsOf(pb) & kern::kPcDirty, 0u) << "b's page is still dirty";
+  EXPECT_EQ(pb->data[0], 0xBB);
+  rig.pc->Brelse(pb);
+
+  rig.pc->Invalidate(a);
+  uint64_t hits = rig.pc->hits();
+  uint64_t misses = rig.pc->misses();
+  pb = rig.pc->Bget(b, 5);
+  ASSERT_NE(pb, nullptr);
+  EXPECT_EQ(rig.pc->hits(), hits + 1) << "invalidating a leaves b cached";
+  EXPECT_EQ(rig.pc->misses(), misses);
+  rig.pc->Brelse(pb);
+  EXPECT_EQ(rig.pc->Sync(b), 1);
+  EXPECT_EQ(b->backing[5 * kern::kSectorSize], 0xBB);
+}
+
+TEST(PageCache, BlockPastTheEndIsRefusedUncounted) {
+  PcRig rig;
+  EXPECT_EQ(rig.pc->Bget(rig.dev, kSectors), nullptr);
+  EXPECT_EQ(rig.pc->Bwrite(rig.dev, kSectors), nullptr);
+  EXPECT_EQ(rig.pc->hits() + rig.pc->misses(), 0u);
+  kern::CachedPage* last = rig.pc->Bget(rig.dev, kSectors - 1);
+  ASSERT_NE(last, nullptr);
+  rig.pc->Brelse(last);
+  EXPECT_EQ(rig.pc->misses(), 1u);
+}
+
+// A kernel-text dm target over the rig's disk that remaps every bio until
+// told to fail one sector, either with -EIO or by throwing the violation an
+// isolation policy raises when it kills a request inside a target's map.
+struct FailingTarget {
+  static constexpr uint64_t kNone = ~0ull;
+  uint64_t fail_sector = kNone;
+  bool throw_violation = false;
+  kern::DmTargetType type;
+};
+
+kern::BlockDevice* CreateFailingDevice(PcRig& rig, FailingTarget* ft) {
+  ft->type.name = "failing";
+  ft->type.map = rig.kernel->funcs().Register<int(kern::DmTarget*, kern::Bio*)>(
+      kern::TextKind::kKernelText, "failing_map", [ft](kern::DmTarget*, kern::Bio* bio) {
+        if (bio->sector != ft->fail_sector) {
+          return kern::kDmMapioRemapped;
+        }
+        if (ft->throw_violation) {
+          throw lxfi::LxfiViolation(lxfi::ViolationKind::kWrite, "failing_map");
+        }
+        return -kern::kEio;
+      });
+  EXPECT_EQ(rig.block->RegisterTargetType(&ft->type), 0);
+  return rig.block->DmCreate("failing0", "failing", rig.dev, "");
+}
+
+TEST(PageCacheFailure, FailedFillPublishesNothing) {
+  for (bool throw_violation : {false, true}) {
+    PcRig rig;
+    FailingTarget ft;
+    kern::BlockDevice* dev = CreateFailingDevice(rig, &ft);
+    ASSERT_NE(dev, nullptr);
+    ft.fail_sector = 9;
+    ft.throw_violation = throw_violation;
+    size_t live = rig.kernel->slab().live_objects();
+    EXPECT_EQ(rig.pc->Bget(dev, 9), nullptr);
+    EXPECT_EQ(rig.pc->Bwrite(dev, 9), nullptr);
+    EXPECT_EQ(rig.pc->misses(), 0u) << "a failed fill is not a miss";
+    EXPECT_EQ(rig.kernel->slab().live_objects(), live) << "a failed fill leaks no page";
+    // Nothing was published: once the device recovers, the block fills.
+    ft.fail_sector = FailingTarget::kNone;
+    kern::CachedPage* p = rig.pc->Bget(dev, 9);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->data[0], 9 ^ 0xA5);
+    EXPECT_EQ(rig.pc->misses(), 1u);
+    EXPECT_EQ(rig.kernel->slab().live_objects(), live + 1);
+    rig.pc->Brelse(p);
+  }
+}
+
+TEST(PageCacheFailure, FailedWritebackStaysDirtyForTheNextSync) {
+  for (bool throw_violation : {false, true}) {
+    PcRig rig;
+    FailingTarget ft;
+    kern::BlockDevice* dev = CreateFailingDevice(rig, &ft);
+    ASSERT_NE(dev, nullptr);
+    for (uint64_t b : {3, 4}) {
+      kern::CachedPage* p = rig.pc->Bwrite(dev, b);
+      ASSERT_NE(p, nullptr);
+      std::memset(p->data, 0x60 + static_cast<int>(b), kern::kSectorSize);
+      rig.pc->MarkDirty(p);
+      rig.pc->BwriteDone(p);
+    }
+    ft.fail_sector = 3;
+    ft.throw_violation = throw_violation;
+    EXPECT_EQ(rig.pc->Sync(dev), -kern::kEio);
+    EXPECT_EQ(rig.pc->io_errors(), 1u);
+    EXPECT_EQ(rig.pc->writebacks(), 1u) << "Sync goes on past the failed page";
+    EXPECT_EQ(rig.dev->backing[3 * kern::kSectorSize], 3 ^ 0xA5);
+    EXPECT_EQ(rig.dev->backing[4 * kern::kSectorSize], 0x64);
+    kern::CachedPage* p = rig.pc->Bget(dev, 3);
+    ASSERT_NE(p, nullptr);
+    EXPECT_NE(kern::PageCache::FlagsOf(p) & kern::kPcDirty, 0u);
+    EXPECT_EQ(kern::PageCache::FlagsOf(p) & kern::kPcBusy, 0u);
+    rig.pc->Brelse(p);
+    ft.fail_sector = FailingTarget::kNone;
+    EXPECT_EQ(rig.pc->Sync(dev), 1) << "the next Sync retries only the failed page";
+    EXPECT_EQ(rig.dev->backing[3 * kern::kSectorSize], 0x63);
+    EXPECT_EQ(rig.pc->io_errors(), 1u);
+    EXPECT_EQ(rig.pc->writebacks(), 2u);
+  }
 }
 
 // 3-CPU storm: every worker pushes per-worker patterns through the
