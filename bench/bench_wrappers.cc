@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/gbench_json.h"
+#include "bench/paired_timing.h"
 #include "src/base/clock.h"
 #include "src/base/trace.h"
 #include "src/kernel/kernel.h"
@@ -182,12 +183,15 @@ BENCHMARK(BM_DirectKmallocKfree);
 // the same call bracketed by two more disabled TRACE_EVENTs. The marginal
 // cost of disabled tracepoints on a genuine wrapper crossing must stay
 // within 3%, asserted before the benchmark tables run so CI trips on it.
+// The two sides run in alternating short windows and the gate reads the
+// median paired ratio (bench/paired_timing.h).
 void RunDisabledTraceGate() {
   Fixture& f = F();
   lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
   lxfi::TraceBuffer::SetEnabled(false);
   lxfi::TraceBuffer::Global().ResetForTest();
-  constexpr uint64_t kCalls = 200000;
+  constexpr int kPairs = 41;
+  constexpr uint64_t kCallsPerWindow = 20000;
 
   auto plain_op = [&](uint64_t) { f.printk("x"); };
   auto gated_op = [&](uint64_t i) {
@@ -195,31 +199,15 @@ void RunDisabledTraceGate() {
     f.printk("x");
     TRACE_EVENT(lxfi::TraceEvent::kGuardExit, 1, i, 0);
   };
-  auto time_ns = [&](auto&& op) {
-    uint64_t t0 = lxfi::MonotonicNowNs();
-    for (uint64_t i = 0; i < kCalls; ++i) {
-      op(i);
-    }
-    return static_cast<double>(lxfi::MonotonicNowNs() - t0) / kCalls;
-  };
-  auto best = [&](auto&& op) {
-    time_ns(op);  // warm
-    double t = time_ns(op);
-    for (int rep = 0; rep < 7; ++rep) {
-      t = std::min(t, time_ns(op));
-    }
-    return t;
-  };
-
-  double t_plain = best(plain_op);
-  double t_gated = best(gated_op);
-  double overhead_pct = (t_gated / t_plain - 1.0) * 100.0;
-  std::printf("trace gate: wrapped crossing %.2f ns, +2 disabled tracepoints %.2f ns (%+.2f%%)\n",
-              t_plain, t_gated, overhead_pct);
-  if (t_gated > 1.03 * t_plain) {
+  lxfibench::PairedTiming t = lxfibench::TimePaired(kPairs, kCallsPerWindow, plain_op, gated_op);
+  std::printf(
+      "trace gate: wrapped crossing %.2f ns, +2 disabled tracepoints %.2f ns "
+      "(median paired %+.2f%%)\n",
+      t.a_ns, t.b_ns, t.OverheadPct());
+  if (t.ratio > 1.03) {
     std::fprintf(stderr,
                  "FAILED: disabled tracepoints add %.2f%% to a wrapped crossing (gate: 3%%)\n",
-                 overhead_pct);
+                 t.OverheadPct());
     std::exit(1);
   }
 }

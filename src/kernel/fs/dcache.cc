@@ -64,6 +64,12 @@ uint64_t* LockrefOf(Dentry* d) { return reinterpret_cast<uint64_t*>(&d->flags); 
 
 }  // namespace
 
+Dcache::Dcache(Kernel* kernel) : kernel_(kernel) {
+  kernel->counters().Register(this, "dcache", &stats_);
+}
+
+Dcache::~Dcache() { kernel_->counters().Unregister(this); }
+
 bool Dcache::TryOpenRef(Dentry* dentry) {
   uint64_t cur = __atomic_load_n(LockrefOf(dentry), __ATOMIC_ACQUIRE);
   for (;;) {
@@ -148,7 +154,7 @@ Dentry* Dcache::Lookup(Dentry* parent, std::string_view name) {
   }
   // Seqlock-retry tracing reads the shard counter around the probe, but only
   // when tracing is live: the disabled path stays the bare lock-free walk.
-  lxfi::RelaxedCell& retry_cell = shards_[lxfi::ThisShardIndex()].retries;
+  lxfi::RelaxedCell& retry_cell = stats_.Local(DcacheCounter::kSeqlockRetries);
   const bool tracing = LXFI_UNLIKELY(lxfi::TraceBuffer::EnabledRelaxed());
   const uint64_t retries_before = tracing ? retry_cell.value() : 0;
   Dentry* d = nullptr;

@@ -37,10 +37,10 @@
 //             period.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
+#include "src/base/counters.h"
 #include "src/base/flat_table.h"
 #include "src/base/hash.h"
 #include "src/base/sync.h"
@@ -93,9 +93,16 @@ struct Dentry {
   lxfi::FlatTable<Dentry*> children; // child index: name_hash -> chain head
 };
 
+enum class DcacheCounter { kSeqlockRetries, kNegativeHits, kCount };
+inline const char* CounterName(DcacheCounter c) {
+  return lxfi::CounterNameIn(c, {"seqlock_retries", "negative_hits"});
+}
+
 class Dcache {
  public:
-  explicit Dcache(Kernel* kernel) : kernel_(kernel) {}
+  // Registers the counters as "dcache" with the kernel's registry.
+  explicit Dcache(Kernel* kernel);
+  ~Dcache();
 
   // Cached negative dentries per directory. Misses beyond the bound still
   // dispatch the module lookup every time (bounded memory beats unbounded
@@ -173,9 +180,9 @@ class Dcache {
   }
 
   // --- stats / test hooks ------------------------------------------------
-  uint64_t seqlock_retries() const { return SumShards(&Shard::retries); }
-  uint64_t negative_hits() const { return SumShards(&Shard::neg_hits); }
-  void CountNegativeHit() { ++shards_[lxfi::ThisShardIndex()].neg_hits; }
+  uint64_t seqlock_retries() const { return stats_.count(DcacheCounter::kSeqlockRetries); }
+  uint64_t negative_hits() const { return stats_.count(DcacheCounter::kNegativeHits); }
+  void CountNegativeHit() { stats_.Count(DcacheCounter::kNegativeHits); }
 
   // Collapses the name hash into `buckets` distinct nonzero keys, forcing
   // same-key collision chains the differential test can exercise (1 =
@@ -191,22 +198,9 @@ class Dcache {
   }
 
  private:
-  struct alignas(lxfi::kCacheLineSize) Shard {
-    lxfi::RelaxedCell retries;
-    lxfi::RelaxedCell neg_hits;
-  };
-
-  uint64_t SumShards(lxfi::RelaxedCell Shard::* field) const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) {
-      sum += (s.*field).value();
-    }
-    return sum;
-  }
-
   Kernel* kernel_;
   uint64_t hash_buckets_ = 0;
-  std::array<Shard, lxfi::kMaxCpuShards> shards_;
+  lxfi::PerCpuCounters<DcacheCounter> stats_;
 };
 
 }  // namespace kern

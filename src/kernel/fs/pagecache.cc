@@ -16,9 +16,11 @@ PageCache::PageCache(Kernel* kernel) : kernel_(kernel) {
   // attack the indirect-call writer-set check blocks (blockfs exploit test).
   end_io_addr_ = kernel->funcs().Register<void(Bio*)>(TextKind::kKernelText, "pagecache_end_io",
                                                       &PageCache::OnWritebackDone);
+  kernel->counters().Register(this, "pagecache", &stats_);
 }
 
 PageCache::~PageCache() {
+  kernel_->counters().Unregister(this);
   // Subsystem teardown: no concurrent reader can exist. Drain retirements
   // first (they capture this kernel's slab), then free what remains.
   lxfi::EpochReclaimer::Global().Synchronize();
@@ -85,7 +87,6 @@ CachedPage* PageCache::Grab(BlockDevice* dev, uint64_t block) {
   if (dev == nullptr || block >= dev->sectors) {
     return nullptr;
   }
-  Stat& stat = stats_[lxfi::ThisShardIndex()];
   // Hit path: two acquire loads, no lock, no allocation.
   CachedPage** slots = __atomic_load_n(&dev->pages, __ATOMIC_ACQUIRE);
   CachedPage* p = slots != nullptr ? __atomic_load_n(&slots[block], __ATOMIC_ACQUIRE) : nullptr;
@@ -109,7 +110,7 @@ CachedPage* PageCache::Grab(BlockDevice* dev, uint64_t block) {
       if (p != nullptr) {
         p->holds = 1;
         __atomic_store_n(&slots[block], p, __ATOMIC_RELEASE);
-        ++stat.misses;
+        stats_.Count(PageCacheCounter::kMisses);
         TRACE_EVENT(lxfi::TraceEvent::kPagecacheMiss, 0, block, 0);
       }
       return p;
@@ -117,7 +118,7 @@ CachedPage* PageCache::Grab(BlockDevice* dev, uint64_t block) {
     locked_hit = 1;
   }
   __atomic_add_fetch(&p->holds, 1u, __ATOMIC_RELAXED);
-  ++stat.hits;
+  stats_.Count(PageCacheCounter::kHits);
   TRACE_EVENT(lxfi::TraceEvent::kPagecacheHit, 0, block, locked_hit);
   return p;
 }
@@ -173,7 +174,6 @@ int PageCache::Sync(BlockDevice* dev) {
   if (slots == nullptr) {
     return 0;
   }
-  Stat& stat = stats_[lxfi::ThisShardIndex()];
   int written = 0;
   int first_error = 0;
   for (uint64_t b = 0; b < dev->sectors; ++b) {
@@ -194,10 +194,10 @@ int PageCache::Sync(BlockDevice* dev) {
       bio.bi_private = p;
       int rc = Submit(dev, &bio);
       if (rc == 0) {
-        ++stat.writebacks;
+        stats_.Count(PageCacheCounter::kWritebacks);
         ++written;
       } else {
-        ++stat.io_errors;
+        stats_.Count(PageCacheCounter::kIoErrors);
         first_error = first_error != 0 ? first_error : rc;
       }
     }

@@ -45,11 +45,11 @@
 // devices it fronts, and pc_invalidate reclaims a device's pages wholesale.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/base/counters.h"
 #include "src/base/sync.h"
 #include "src/kernel/block/block.h"
 
@@ -76,6 +76,11 @@ struct CachedPage {
   uint8_t data[kPcBlockSize] = {};
 };
 
+enum class PageCacheCounter { kHits, kMisses, kWritebacks, kIoErrors, kCount };
+inline const char* CounterName(PageCacheCounter c) {
+  return lxfi::CounterNameIn(c, {"hits", "misses", "writebacks", "io_errors"});
+}
+
 class PageCache {
  public:
   explicit PageCache(Kernel* kernel);
@@ -96,11 +101,11 @@ class PageCache {
   // Drops every page of `dev`. No hold may be outstanding.
   void Invalidate(BlockDevice* dev);
 
-  // --- stats ------------------------------------------------------------
-  uint64_t hits() const { return SumShards(&Stat::hits); }
-  uint64_t misses() const { return SumShards(&Stat::misses); }
-  uint64_t writebacks() const { return SumShards(&Stat::writebacks); }
-  uint64_t io_errors() const { return SumShards(&Stat::io_errors); }
+  // --- stats (registered as "pagecache") --------------------------------
+  uint64_t hits() const { return stats_.count(PageCacheCounter::kHits); }
+  uint64_t misses() const { return stats_.count(PageCacheCounter::kMisses); }
+  uint64_t writebacks() const { return stats_.count(PageCacheCounter::kWritebacks); }
+  uint64_t io_errors() const { return stats_.count(PageCacheCounter::kIoErrors); }
 
   // The kernel-text address writeback completions dispatch through; the
   // forged-end_io exploit test uses it as the hijack target.
@@ -111,13 +116,6 @@ class PageCache {
   }
 
  private:
-  struct alignas(lxfi::kCacheLineSize) Stat {
-    lxfi::RelaxedCell hits;
-    lxfi::RelaxedCell misses;
-    lxfi::RelaxedCell writebacks;
-    lxfi::RelaxedCell io_errors;
-  };
-
   // A device index the cache allocated; kept apart from the device so
   // teardown never dereferences one.
   struct OwnedIndex {
@@ -137,17 +135,9 @@ class PageCache {
   static void UnlockBusy(CachedPage* page);
   static void OnWritebackDone(Bio* bio);
 
-  uint64_t SumShards(lxfi::RelaxedCell Stat::* field) const {
-    uint64_t sum = 0;
-    for (const Stat& s : stats_) {
-      sum += (s.*field).value();
-    }
-    return sum;
-  }
-
   Kernel* kernel_;
   uintptr_t end_io_addr_ = 0;
-  std::array<Stat, lxfi::kMaxCpuShards> stats_;
+  lxfi::PerCpuCounters<PageCacheCounter> stats_;
   lxfi::Spinlock indexes_mu_;  // guards indexes_ (never held across I/O)
   std::vector<OwnedIndex> indexes_;
 };

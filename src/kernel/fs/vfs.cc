@@ -89,9 +89,12 @@ class DoubleLockGuard {
 
 }  // namespace
 
-Vfs::Vfs(Kernel* kernel) : kernel_(kernel), chain_(kernel), dcache_(kernel) {}
+Vfs::Vfs(Kernel* kernel) : kernel_(kernel), chain_(kernel), dcache_(kernel) {
+  kernel->counters().Register(this, "vfs", &stats_);
+}
 
 Vfs::~Vfs() {
+  kernel_->counters().Unregister(this);
   // Subsystem teardown: no concurrent walker can exist (CPU sets are torn
   // down before their kernel). Drain every deleter retired during the
   // session first — they capture this kernel's slab — then free what is
@@ -262,7 +265,7 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
     return nullptr;
   }
   Dentry* probe = dcache_.NewDentry(parent->sb, parent, name);
-  lookup_dispatches_.fetch_add(1, std::memory_order_relaxed);
+  stats_.Count(VfsCounter::kLookupDispatches);
   Inode* found = kernel_->IndirectCall<Inode*, Inode*, Dentry*>(
       &dir->i_op->lookup, "inode_operations::lookup", dir, probe);
   if (found != nullptr) {

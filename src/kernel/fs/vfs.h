@@ -146,6 +146,11 @@ struct VfsStatFs {
   char fsname[kVfsNameMax + 1] = {};
 };
 
+enum class VfsCounter { kLookupDispatches, kCount };
+inline const char* CounterName(VfsCounter c) {
+  return lxfi::CounterNameIn(c, {"lookup_dispatches"});
+}
+
 class Vfs {
  public:
   explicit Vfs(Kernel* kernel);
@@ -218,10 +223,8 @@ class Vfs {
 
   // Module lookup dispatches actually performed (misses that were not
   // answered by a cached negative dentry). Tests use it to prove that a
-  // repeated miss costs zero module crossings.
-  uint64_t lookup_dispatches() const {
-    return lookup_dispatches_.load(std::memory_order_relaxed);
-  }
+  // repeated miss costs zero module crossings. Registered as "vfs".
+  uint64_t lookup_dispatches() const { return stats_.count(VfsCounter::kLookupDispatches); }
 
  private:
   // Resolves one missing component through inode_operations::lookup;
@@ -269,7 +272,7 @@ class Vfs {
   lxfi::FlatTable<FsTypeEntry*> fstypes_;  // name hash -> chain head
   std::atomic<size_t> mount_count_{0};
   std::atomic<size_t> open_files_{0};
-  std::atomic<uint64_t> lookup_dispatches_{0};
+  lxfi::PerCpuCounters<VfsCounter> stats_;
 };
 
 Vfs* GetVfs(Kernel* kernel);

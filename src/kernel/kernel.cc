@@ -1,6 +1,7 @@
 #include "src/kernel/kernel.h"
 
 #include "src/base/log.h"
+#include "src/base/trace.h"
 #include "src/kernel/panic.h"
 
 namespace kern {
@@ -8,6 +9,10 @@ namespace kern {
 Kernel::Kernel(size_t arena_bytes) : arena_(arena_bytes), slab_(&arena_) {
   procs_ = std::make_unique<ProcessTable>(this);
   CreateKthread();  // boot context
+  counters_.Register(this, "trace", [](const lxfi::CounterRegistry::Sink& sink) {
+    sink("drops", lxfi::TraceBuffer::Global().TotalDrops());
+    sink("enabled", lxfi::TraceBuffer::EnabledRelaxed() ? 1 : 0);
+  });
 }
 
 Kernel::~Kernel() = default;

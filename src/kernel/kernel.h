@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/base/arena.h"
+#include "src/base/counters.h"
 #include "src/kernel/isolation.h"
 #include "src/kernel/kmalloc.h"
 #include "src/kernel/ksymtab.h"
@@ -119,6 +120,10 @@ class Kernel {
   }
 
   // --- Subsystems ---------------------------------------------------------
+  // Every named counter set of this kernel and its runtime (one Snapshot()
+  // covers the whole kernel); outlives the subsystems.
+  lxfi::CounterRegistry& counters() { return counters_; }
+
   // Typed singleton slots for net/pci/block/sound substrates, created on
   // first use so kernel.h need not know their types.
   template <typename T, typename... A>
@@ -154,6 +159,7 @@ class Kernel {
   KthreadContext* current_ctx_ = nullptr;  // main-thread current
 
   std::vector<std::unique_ptr<Module>> modules_;
+  lxfi::CounterRegistry counters_;
   std::unordered_map<std::type_index, std::shared_ptr<void>> subsystems_;
 };
 

@@ -204,10 +204,7 @@ void* SlabAllocator::AllocIn(int id, size_t size) {
       if (bin.requested == size && bin.pid == id && !bin.objs.empty()) {
         void* p = bin.objs.back();
         bin.objs.pop_back();
-        if (uint64_t* rec = cache.cached_size.Find(reinterpret_cast<uintptr_t>(p))) {
-          *rec &= ~kCacheInBin;  // back in circulation
-        }
-        std::memset(p, 0, size);
+        std::memset(p, 0, size);  // clears the free mark too
         return p;
       }
     }
@@ -307,63 +304,52 @@ void SlabAllocator::Free(void* ptr) {
   }
   if (smp_cache_) {
     CpuCache& cache = caches_[lxfi::ThisShardIndex()];
-    // Recycled object this shard has seen before: return it to the bin with
-    // no global work. (The live_ entry persists with the same requested
-    // size, which is exactly what the next same-size Alloc will hand out.)
-    if (uint64_t* rec = cache.cached_size.Find(reinterpret_cast<uintptr_t>(ptr))) {
-      if ((*rec & kCacheInBin) != 0) {
-        // The pointer is sitting in the magazine right now: this is the
-        // double-kfree the uncached path panics on; preserve that.
-        Panic("kfree of pointer already free in the per-CPU slab cache (double free)");
-      }
-      size_t size_only = static_cast<size_t>(*rec & kCacheSizeMask);
-      int pid = static_cast<int>((*rec & ~kCacheInBin) >> kCachePidShift) - 1;
-      for (CpuCache::Bin& bin : cache.bins) {
-        if (bin.requested == size_only && bin.pid == pid && bin.objs.size() < kCacheBinCap) {
-          bin.objs.push_back(ptr);
-          *rec |= kCacheInBin;
-          return;
-        }
-      }
-      // Bin full: really free it, and drop the record so a future
-      // reallocation with a different size cannot alias it.
-      cache.cached_size.Erase(reinterpret_cast<uintptr_t>(ptr));
-      FreeGlobal(ptr);
-      return;
-    }
-    // First sighting on this shard: stash class-backed objects, keeping the
-    // live_ entry (same requested size) so introspection stays truthful.
-    size_t stash_requested = 0;
-    int stash_pid = kNoPartition;
-    {
+    uint64_t* rec = cache.cached_size.Find(reinterpret_cast<uintptr_t>(ptr));
+    uint64_t fresh = 0;
+    if (rec == nullptr) {
+      // First sighting on this shard: classify under the lock. The live_
+      // entry stays (same requested size), so introspection stays truthful.
       lxfi::SpinGuard guard(mu_);
       auto it = live_.find(reinterpret_cast<uintptr_t>(ptr));
       if (it == live_.end()) {
         Panic("kfree of unknown or already-freed pointer (slab corruption)");
       }
-      if (it->second.class_index != SIZE_MAX && it->second.requested > 0) {
-        stash_requested = it->second.requested;
+      if (it->second.class_index != SIZE_MAX) {
         Partition* part = PartitionOfLocked(reinterpret_cast<uintptr_t>(ptr));
-        stash_pid = part == nullptr ? kNoPartition : part->id;
+        fresh = it->second.requested |
+                (static_cast<uint64_t>((part == nullptr ? kNoPartition : part->id) + 1)
+                 << kCachePidShift);
       }
     }
-    if (stash_requested != 0) {
+    // A known slab object (recorded here, or live): its first word is safe
+    // to read, and carries the mark if any CPU already freed it.
+    uint64_t record = rec != nullptr ? *rec : fresh;
+    if (record != 0) {
+      auto* mark = static_cast<uint64_t*>(ptr);
+      if (*mark == FreeMark(ptr)) {
+        Panic("kfree of pointer already free in a per-CPU slab cache (double free)");
+      }
+      *mark = FreeMark(ptr);
+      size_t requested = static_cast<size_t>(record & kCacheSizeMask);
+      int pid = static_cast<int>(record >> kCachePidShift) - 1;
       for (CpuCache::Bin& bin : cache.bins) {
-        if (((bin.requested == stash_requested && bin.pid == stash_pid) || bin.requested == 0) &&
+        if (((bin.requested == requested && bin.pid == pid) ||
+             (rec == nullptr && bin.requested == 0)) &&
             bin.objs.size() < kCacheBinCap) {
-          bin.requested = stash_requested;
-          bin.pid = stash_pid;
+          bin.requested = requested;
+          bin.pid = pid;
           bin.objs.push_back(ptr);
-          cache.cached_size.Insert(reinterpret_cast<uintptr_t>(ptr),
-                                   stash_requested |
-                                       (static_cast<uint64_t>(stash_pid + 1) << kCachePidShift) |
-                                       kCacheInBin);
+          if (rec == nullptr) {
+            cache.cached_size.Insert(reinterpret_cast<uintptr_t>(ptr), fresh);
+          }
           return;
         }
       }
+      // No bin: really free it (the mark stays until the next kmalloc), and
+      // drop the record so a reallocation with a different size cannot
+      // alias it.
+      cache.cached_size.Erase(reinterpret_cast<uintptr_t>(ptr));
     }
-    FreeGlobal(ptr);
-    return;
   }
   FreeGlobal(ptr);
 }

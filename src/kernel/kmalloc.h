@@ -175,17 +175,20 @@ class SlabAllocator {
 
   // Per-CPU magazine: a few exact-size bins of recycled objects plus the
   // ptr->size record that lets Free() classify a recycled pointer without
-  // the global lock. Only ever touched by its shard's thread. The record's
-  // top bit tracks "currently in the bin", so a same-CPU double-kfree still
-  // panics like the uncached path. A double kfree across CPUs does not: each
-  // CPU checks only its own record, so the object lands in both CPUs' bins
-  // and the next same-size kmalloc on each CPU returns the same pointer —
-  // two live owners of one object, silently. The cache is only enabled by
-  // SMP harnesses, never for the exploit or regression suites. With
-  // partitions enabled a bin is keyed by (requested size, partition), so
-  // recycled objects never migrate across principals; the record encodes
-  // the partition id alongside the size.
-  static constexpr uint64_t kCacheInBin = 1ull << 63;
+  // the global lock. Only ever touched by its shard's thread. With the
+  // magazine on, a freed slab object's first word holds FreeMark() until a
+  // kmalloc hands it out again (objects are 32-byte aligned, so the mark's
+  // low byte is 0x1f, which the zeroing memset clears). Every CPU sees the
+  // object's memory, so a double kfree panics like the uncached path
+  // whichever CPU's bin, or the shared freelist, the first kfree reached,
+  // and the mark adds no shared cache line to the per-packet pair. The
+  // cache is only enabled by SMP harnesses, never for the exploit or
+  // regression suites. With partitions enabled a bin is keyed by (requested
+  // size, partition), so recycled objects never migrate across principals;
+  // the record encodes the partition id alongside the size.
+  static uint64_t FreeMark(const void* obj) {
+    return reinterpret_cast<uintptr_t>(obj) ^ 0xf4ee5ab1f4ee5a1full;
+  }
   static constexpr uint64_t kCachePidShift = 32;
   static constexpr uint64_t kCacheSizeMask = (1ull << kCachePidShift) - 1;
   static constexpr size_t kCacheBins = 4;
@@ -197,7 +200,7 @@ class SlabAllocator {
       std::vector<void*> objs;
     };
     std::array<Bin, kCacheBins> bins;
-    lxfi::FlatTable<uint64_t> cached_size;  // ptr -> requested | (pid+1)<<32 | in-bin
+    lxfi::FlatTable<uint64_t> cached_size;  // ptr -> requested | (pid+1)<<32
   };
 
   static int ClassIndexFor(size_t size);

@@ -43,7 +43,17 @@ const char* ModuleHealthName(ModuleHealth health) {
 }
 
 Containment::Containment(Runtime* runtime, ContainmentOptions options)
-    : runtime_(runtime), options_(options) {}
+    : runtime_(runtime), options_(options) {
+  runtime_->kernel()->counters().Register(
+      this, "containment", [this](const CounterRegistry::Sink& sink) {
+        sink("quarantines", quarantines());
+        sink("reboots", reboots());
+        sink("retired", retired());
+        sink("backoff_ns", backoff_ns());
+      });
+}
+
+Containment::~Containment() { runtime_->kernel()->counters().Unregister(this); }
 
 void Containment::OnViolation(Principal* p, ViolationKind kind, uint64_t fault_addr) {
   (void)fault_addr;

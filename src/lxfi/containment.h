@@ -56,7 +56,10 @@ const char* ModuleHealthName(ModuleHealth health);
 
 class Containment {
  public:
+  // Registers the counters below as "containment". They stay atomics: any
+  // host thread may raise a violation, and host threads share shard 0.
   Containment(Runtime* runtime, ContainmentOptions options = {});
+  ~Containment();
 
   Containment(const Containment&) = delete;
   Containment& operator=(const Containment&) = delete;

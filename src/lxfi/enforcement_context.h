@@ -63,6 +63,7 @@ struct alignas(kCacheLineSize) EnforcementContext {
   uintptr_t call_target[2] = {0, 0};
   uint64_t call_epoch[2] = {0, 0};
   uint8_t call_mru = 0;
+  uint8_t pre_mru = 0;  // pre_memo's LRU bit; sits in this line's padding
 
   // Guard counters (always on; single-writer per shard, race-free reads).
   RelaxedCell write_checks;
@@ -116,7 +117,11 @@ struct alignas(kCacheLineSize) EnforcementContext {
     uint64_t epoch = 0;
   };
   PreMemoEntry pre_memo[2];
-  uint8_t pre_mru = 0;
+
+  // Shared-heap fallbacks (partition slot exhausted or none carved): each
+  // is also traced (kArenaFallback) and revoked at quarantine. Cold, so it
+  // takes the tail slot and leaves the hot fields where they were.
+  RelaxedCell arena_fallbacks;
 
   bool WriteMemoHit(uintptr_t addr, size_t size) {
     if (LXFI_UNLIKELY(write_epoch != RevocationEpoch::CurrentRelaxed())) {

@@ -1,16 +1,14 @@
 // Guard accounting (Figure 13).
 //
-// Every runtime check ("guard") increments a counter by type. Counts are all
-// the runtime keeps: bench_guards reads them for the guards-per-packet
-// column of the UDP_STREAM TX workload and times each guard's entry point
-// itself, so no guard pays for a clock read.
+// Every runtime check ("guard") increments a per-CPU counter by type (a TLS
+// load and a plain increment, src/base/counters.h). Counts are all the
+// runtime keeps: bench_guards reads them for the guards-per-packet column of
+// the UDP_STREAM TX workload and times each guard's entry point itself, so
+// no guard pays for a clock read. The runtime registers them with its
+// kernel's counter registry as "guard.<GuardTypeName>".
 #pragma once
 
-#include <array>
-#include <cstdint>
-
-#include "src/base/compiler.h"
-#include "src/base/sync.h"
+#include "src/base/counters.h"
 
 namespace lxfi {
 
@@ -26,33 +24,16 @@ enum class GuardType : int {
   kCount,
 };
 
-const char* GuardTypeName(GuardType type);
+// The name table (PerCpuCounters finds it as CounterName).
+inline const char* CounterName(GuardType type) {
+  return CounterNameIn(type, {"annotation-action", "function-entry", "function-exit",
+                              "mem-write-check", "kernel-indcall-all", "kernel-indcall-full",
+                              "kernel-indcall-module"});
+}
+inline const char* GuardTypeName(GuardType type) { return CounterName(type); }
 
-// Sharded per-CPU: each simulated CPU increments its own cache-line-aligned
-// shard (plain single-writer increments — no lock prefix, so single-core
-// cost is identical to a flat array), and readers sum shards. Reads are
-// race-free (RelaxedCell) but not a linearizable snapshot; callers read
-// after a CpuSet barrier for exact totals, which is what every bench and
-// eval harness does. Counters only grow: a caller that wants the guards of
-// one run subtracts a count taken before it.
-class GuardStats {
- public:
-  void Count(GuardType type) { ++shards_[ThisShardIndex()].counts[static_cast<size_t>(type)]; }
-
-  uint64_t count(GuardType type) const {
-    uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.counts[static_cast<size_t>(type)];
-    }
-    return total;
-  }
-
- private:
-  struct alignas(kCacheLineSize) Shard {
-    std::array<RelaxedCell, static_cast<size_t>(GuardType::kCount)> counts;
-  };
-
-  std::array<Shard, kMaxCpuShards> shards_;
-};
+// Counters only grow: a caller that wants the guards of one run subtracts a
+// count taken before it.
+using GuardStats = PerCpuCounters<GuardType>;
 
 }  // namespace lxfi

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/base/string_util.h"
-#include "src/base/trace.h"
-#include "src/lxfi/containment.h"
 #include "src/lxfi/principal.h"
 #include "src/lxfi/runtime.h"
 
@@ -32,8 +30,8 @@ std::vector<LxfiStats::PrincipalMetrics> LxfiStats::Collect(const Runtime& rt) {
       m.call_memo_hits += ec.call_memo_hits.value();
       m.pre_checks += ec.pre_checks.value();
       m.pre_memo_hits += ec.pre_memo_hits.value();
+      m.arena_fallbacks += ec.arena_fallbacks.value();
     }
-    m.arena_fallbacks = p->arena_fallbacks();
     out.push_back(std::move(m));
   });
   // Deterministic order for golden output and stable JSON artifacts.
@@ -101,29 +99,21 @@ std::string LxfiStats::DumpJson(const Runtime& rt, const std::string& tag) {
     }
     out += "}";
   }
-  const GuardStats& guards = rt.guards();
-  for (int i = 0; i < static_cast<int>(GuardType::kCount); ++i) {
-    auto t = static_cast<GuardType>(i);
-    open_row(std::string("guard:") + GuardTypeName(t));
-    bool first = false;
-    AppendField(&out, "count", guards.count(t), &first);
-    out += "}";
+  // One row per registered counter set: "pagecache.hits" lands in the
+  // "pagecache" row as "hits". The snapshot is sorted, so a row's counters
+  // are adjacent.
+  std::string row;
+  for (const auto& [name, value] : rt.kernel()->counters().Snapshot()) {
+    size_t dot = name.find('.');
+    if (name.compare(0, dot, row) != 0) {
+      out += row.empty() ? "" : "}";
+      row = name.substr(0, dot);
+      open_row(row);
+    }
+    bool first = false;  // "name" already emitted
+    AppendField(&out, name.c_str() + dot + 1, value, &first);
   }
-  open_row("trace");
-  bool first = false;
-  AppendField(&out, "enabled", TraceBuffer::EnabledRelaxed() ? 1 : 0, &first);
-  AppendField(&out, "drops", TraceBuffer::Global().TotalDrops(), &first);
-  AppendField(&out, "violations", rt.violation_count(), &first);
-  out += "}";
-  if (const Containment* c = rt.containment(); c != nullptr) {
-    open_row("containment");
-    bool cf = false;
-    AppendField(&out, "quarantines", c->quarantines(), &cf);
-    AppendField(&out, "reboots", c->reboots(), &cf);
-    AppendField(&out, "retired", c->retired(), &cf);
-    AppendField(&out, "backoff_ns", c->backoff_ns(), &cf);
-    out += "}";
-  }
+  out += row.empty() ? "" : "}";
   out += "\n  ]\n}\n";
   return out;
 }

@@ -49,16 +49,17 @@ class LxfiStats {
     uint64_t pre_checks = 0;
     uint64_t pre_memo_hits = 0;
     // Allocations that fell back to the shared heap because the principal's
-    // partition slot was exhausted (Principal::arena_fallbacks; each one is
-    // also a kArenaFallback trace event and a containment revocation).
+    // partition slot was exhausted (each one is also a kArenaFallback trace
+    // event and a containment revocation).
     uint64_t arena_fallbacks = 0;
   };
 
   static std::vector<PrincipalMetrics> Collect(const Runtime& rt);
 
-  // JSON snapshot: per-principal rows, per-guard-type rows from GuardStats,
-  // and one trace row (drops, violation count). `tag` becomes the "bench"
-  // key so --stats artifacts merge cleanly next to throughput rows.
+  // JSON snapshot: one "principal:<name>" row per principal, then one row
+  // per prefix of rt.kernel()->counters().Snapshot() ("guard", "pagecache",
+  // ...), each counter a field. `tag` becomes the "bench" key so --stats
+  // artifacts merge cleanly next to throughput rows.
   static std::string DumpJson(const Runtime& rt, const std::string& tag = "lxfi_stats");
 
  private:

@@ -126,13 +126,6 @@ class Principal {
   uintptr_t arena_hi() const { return arena_hi_.load(std::memory_order_relaxed); }
   int heap_partition() const { return heap_partition_; }
 
-  // Allocations that silently fell back to the shared heap because the
-  // principal's partition slot was exhausted (or no slot could be carved) —
-  // each one weakens isolation, so it is counted, traced (kArenaFallback)
-  // and revoked at quarantine time like arena memory.
-  void NoteArenaFallback() { arena_fallbacks_.fetch_add(1, std::memory_order_relaxed); }
-  uint64_t arena_fallbacks() const { return arena_fallbacks_.load(std::memory_order_relaxed); }
-
   std::string DebugName() const;
 
  private:
@@ -146,9 +139,10 @@ class Principal {
   std::atomic<uintptr_t> arena_lo_{UINTPTR_MAX};
   std::atomic<uintptr_t> arena_hi_{0};
   std::atomic<bool> arena_sealed_{false};
-  std::atomic<uint64_t> arena_fallbacks_{0};
   int heap_partition_ = kNoHeap;
-  CapTable caps_;
+  // Starts a cache line, so the store guard's bucket probe and the CALL set
+  // share one line after the arena span's.
+  alignas(kCacheLineSize) CapTable caps_;
   Spinlock lock_;
   FlatTable<void> writer_pages_;
   uint64_t writer_pages_gen_ = 0;  // guarded by lock_

@@ -44,28 +44,6 @@ const char* ViolationKindName(ViolationKind kind) {
   return "?";
 }
 
-const char* GuardTypeName(GuardType type) {
-  switch (type) {
-    case GuardType::kAnnotationAction:
-      return "annotation-action";
-    case GuardType::kFunctionEntry:
-      return "function-entry";
-    case GuardType::kFunctionExit:
-      return "function-exit";
-    case GuardType::kMemWrite:
-      return "mem-write-check";
-    case GuardType::kIndCallAll:
-      return "kernel-indcall-all";
-    case GuardType::kIndCallFull:
-      return "kernel-indcall-full";
-    case GuardType::kIndCallModule:
-      return "kernel-indcall-module";
-    case GuardType::kCount:
-      break;
-  }
-  return "?";
-}
-
 Runtime::Runtime(kern::Kernel* kernel, RuntimeOptions options)
     : kernel_(kernel), options_(options) {
   if (options_.partitioned_heaps) {
@@ -87,9 +65,16 @@ Runtime::Runtime(kern::Kernel* kernel, RuntimeOptions options)
     pthread_attr_destroy(&attr);
   }
   kernel_->set_isolation(this);
+  CounterRegistry& counters = kernel_->counters();
+  counters.Register(this, "guard", &guards_);
+  counters.Register(this, "lxfi", &stats_);
+  counters.Register(this, "lxfi", [this](const CounterRegistry::Sink& sink) {
+    sink("violations", violation_count());
+  });
 }
 
 Runtime::~Runtime() {
+  kernel_->counters().Unregister(this);
   // Drop the cached shadow-stack pointers so a later Runtime on the same
   // kernel cannot observe pointers into this one's freed shadow map. Only
   // safe while we are still the kernel's isolation: once replaced, kthread
@@ -339,7 +324,7 @@ void* Runtime::PartitionedAlloc(size_t size) {
   // isolation the partition was supposed to provide.
   if (obj != nullptr &&
       !caller->ArenaContains(reinterpret_cast<uintptr_t>(obj), size > 0 ? size : 1)) {
-    caller->NoteArenaFallback();
+    ++caller->ctx().arena_fallbacks;
     caller->module()->RecordArenaFallback(caller, reinterpret_cast<uintptr_t>(obj), size);
     TRACE_EVENT(TraceEvent::kArenaFallback, caller->trace_id(),
                 reinterpret_cast<uint64_t>(obj), static_cast<uint64_t>(size));
@@ -470,7 +455,7 @@ bool Runtime::Owns(Principal* p, const Capability& cap) const {
 void Runtime::RevokeEverywhere(const Capability& cap) {
   TRACE_EVENT(TraceEvent::kCapRevoke, 0, cap.addr,
               static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
-  ++revoke_counts_[ThisShardIndex()].n;
+  stats_.Count(RuntimeCounter::kRevokes);
   // The holder list is copied under the index lock and walked after it is
   // released (lock order: principal, then index). Each holder is
   // pre-filtered lock-free, so a stale entry costs one probe and the

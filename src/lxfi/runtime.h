@@ -58,6 +58,10 @@ class Containment;
 using WrapFactory =
     std::function<std::any(Runtime*, ModuleCtx*, const AnnotationSet*, const std::string&)>;
 
+// Registered as "lxfi" (with the violation count), beside "guard".
+enum class RuntimeCounter { kRevokes, kCount };
+inline const char* CounterName(RuntimeCounter c) { return CounterNameIn(c, {"revokes"}); }
+
 class Runtime : public kern::IsolationHooks {
  public:
   explicit Runtime(kern::Kernel* kernel, RuntimeOptions options = {});
@@ -116,13 +120,7 @@ class Runtime : public kern::IsolationHooks {
   void SealPrincipalHeap(Principal* p);
   // Per-object RevokeEverywhere calls since construction; the bulk-teardown
   // tests assert module unload leaves this untouched.
-  uint64_t revoke_everywhere_count() const {
-    uint64_t n = 0;
-    for (const RevokeCount& shard : revoke_counts_) {
-      n += shard.n;
-    }
-    return n;
-  }
+  uint64_t revoke_everywhere_count() const { return stats_.count(RuntimeCounter::kRevokes); }
 
   // --- capability operations ----------------------------------------------
   // Every capability enters a table here: the holder index records the
@@ -203,7 +201,6 @@ class Runtime : public kern::IsolationHooks {
   // Containment engine consulted under ViolationPolicy::kQuarantine
   // (containment.h). Not owned; null means the policy degrades to kThrow.
   void set_containment(Containment* containment) { containment_ = containment; }
-  Containment* containment() const { return containment_; }
   // Lock-free count of violations since construction / the last
   // ClearViolations (any thread).
   uint64_t violation_count() const {
@@ -318,12 +315,7 @@ class Runtime : public kern::IsolationHooks {
   std::array<ViolationRecord, kViolationRingSize> violation_ring_;
   uintptr_t stack_lo_ = 0;
   uintptr_t stack_hi_ = 0;
-  // Per-CPU, like GuardStats: every transfer bumps it, and a shared atomic
-  // add would cost each one a locked instruction.
-  struct alignas(64) RevokeCount {
-    RelaxedCell n;
-  };
-  RevokeCount revoke_counts_[kMaxCpuShards];
+  PerCpuCounters<RuntimeCounter> stats_;
   Containment* containment_ = nullptr;
 };
 

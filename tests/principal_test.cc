@@ -186,11 +186,18 @@ TEST(GuardStats, CountsPerType) {
   stats.Count(lxfi::GuardType::kMemWrite);
   stats.Count(lxfi::GuardType::kMemWrite);
   stats.Count(lxfi::GuardType::kFunctionEntry);
-  EXPECT_EQ(stats.count(lxfi::GuardType::kMemWrite), 2u);
+  stats.Add(lxfi::GuardType::kIndCallAll, 5);
+  lxfi::SetThisShardIndex(3);  // another CPU's row sums into the same count
+  stats.Count(lxfi::GuardType::kMemWrite);
+  lxfi::SetThisShardIndex(0);
+  EXPECT_EQ(stats.count(lxfi::GuardType::kMemWrite), 3u);
   EXPECT_EQ(stats.count(lxfi::GuardType::kFunctionEntry), 1u);
+  EXPECT_EQ(stats.count(lxfi::GuardType::kIndCallAll), 5u);
   EXPECT_EQ(stats.count(lxfi::GuardType::kFunctionExit), 0u);
   for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
-    EXPECT_STRNE(lxfi::GuardTypeName(static_cast<lxfi::GuardType>(i)), "?");
+    auto t = static_cast<lxfi::GuardType>(i);
+    EXPECT_STRNE(lxfi::GuardTypeName(t), "?");
+    EXPECT_STREQ(CounterName(t), lxfi::GuardTypeName(t));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/arena.h"
+#include "src/base/sync.h"
 #include "src/kernel/kmalloc.h"
 #include "src/kernel/panic.h"
 
@@ -66,6 +67,32 @@ TEST_F(SlabTest, DoubleFreePanics) {
   void* p = slab_.Alloc(64);
   slab_.Free(p);
   EXPECT_THROW(slab_.Free(p), kern::KernelPanic);
+}
+
+// With the per-CPU magazine on, a kfree on CPU 1 parks the object in CPU 1's
+// bin. A second kfree of it on CPU 2 must panic like the uncached path, not
+// park it in CPU 2's bin too, which would hand one object to two owners.
+// The second case runs the same double kfree through CPU 2's record path (an
+// object CPU 2 has recycled before).
+TEST_F(SlabTest, CrossCpuDoubleFreePanics) {
+  slab_.EnableSmpCache();
+  void* p = slab_.Alloc(64);
+  lxfi::SetThisShardIndex(1);
+  slab_.Free(p);
+  lxfi::SetThisShardIndex(2);
+  EXPECT_THROW(slab_.Free(p), kern::KernelPanic);
+  EXPECT_NE(slab_.Alloc(64), p);
+  lxfi::SetThisShardIndex(1);
+  EXPECT_EQ(slab_.Alloc(64), p) << "CPU 1's bin still holds the object, once";
+
+  lxfi::SetThisShardIndex(2);
+  slab_.Free(p);
+  EXPECT_EQ(slab_.Alloc(64), p);  // CPU 2 now has a record for p
+  lxfi::SetThisShardIndex(1);
+  slab_.Free(p);
+  lxfi::SetThisShardIndex(2);
+  EXPECT_THROW(slab_.Free(p), kern::KernelPanic);
+  lxfi::SetThisShardIndex(0);
 }
 
 TEST_F(SlabTest, FreeUnknownPointerPanics) {

@@ -1,14 +1,22 @@
 // lxfi-trace: trace-ring integrity, static-key gating, per-principal
-// metrics differential, violation flight recorder, and the GuardStats
-// Reset race regression.
+// metrics differential, violation flight recorder, the per-CPU counter
+// storm, and the kernel counter registry (snapshot vs accessors, lifetime,
+// DumpJson golden).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/counters.h"
 #include "src/base/trace.h"
+#include "src/eval/fsperf.h"
+#include "src/kernel/fs/pagecache.h"
+#include "src/kernel/fs/vfs.h"
+#include "src/lxfi/containment.h"
 #include "src/lxfi/lxfi_stats.h"
 #include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
@@ -226,7 +234,12 @@ TEST(LxfiStatsDifferential, CrossingsMatchFunctionExitGuards) {
   std::string json = lxfi::LxfiStats::DumpJson(*rt);
   EXPECT_NE(json.find("\"bench\": \"lxfi_stats\""), std::string::npos) << json;
   EXPECT_NE(json.find("principal:"), std::string::npos) << json;
-  EXPECT_NE(json.find("guard:"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"name\": \"guard\", \"annotation-action\": "), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"function-exit\": " +
+                      std::to_string(rt->guards().count(lxfi::GuardType::kFunctionExit))),
+            std::string::npos)
+      << json;
   lxfi::LxfiStats::SetEnabled(false);
 }
 
@@ -293,27 +306,41 @@ TEST(FlightRecorder, AttributesPrincipalAndFaultAddress) {
   EXPECT_EQ(rec.seq, 1u);
 }
 
-// --- GuardStats cross-shard reads vs concurrent shard writers (TSan) ---------
+// --- PerCpuCounters: cross-shard reads vs concurrent shard writers (TSan) ----
 //
-// Each shard has one writer doing a plain (non-RMW) increment; readers sum
-// every shard while the writers run. This storm is the TSan witness that the
-// cross-shard read is race-free, and the exact total after the join shows
-// that no increment was lost.
-TEST(GuardStatsShards, CountRaceFreeAgainstConcurrentReader) {
+// Each shard has one writer doing plain (non-RMW) Count and Add; a reader
+// sums every shard, directly and through a registry snapshot, while the
+// writers run. This storm is the TSan witness that cross-shard reads are
+// race-free, and the exact totals after the join show that no increment
+// was lost.
+enum class StormCounter { kCounted, kAdded, kIdle, kCount };
+const char* CounterName(StormCounter c) {
+  static constexpr const char* kNames[] = {"counted", "added", "idle"};
+  return kNames[static_cast<int>(c)];
+}
+
+TEST(PerCpuCountersStorm, CountAndAddRaceFreeAgainstConcurrentReaders) {
   constexpr uint64_t kPerWriter = 200000;
-  lxfi::GuardStats stats;
+  constexpr int kWriters = 3;
+  lxfi::PerCpuCounters<StormCounter> stats;
+  lxfi::CounterRegistry registry;
+  registry.Register(&stats, "storm", &stats);
   std::atomic<bool> stop{false};
-  std::thread reader([&stats, &stop] {
+  std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      EXPECT_LE(stats.count(lxfi::GuardType::kMemWrite), 2 * kPerWriter);
+      EXPECT_LE(stats.count(StormCounter::kCounted), kWriters * kPerWriter);
+      auto snap = registry.Snapshot();
+      EXPECT_LE(snap.at("storm.added"), 3 * kWriters * kPerWriter);
+      EXPECT_EQ(snap.size(), 3u);
     }
   });
   std::vector<std::thread> writers;
-  for (int shard = 1; shard <= 2; ++shard) {
+  for (int shard = 1; shard <= kWriters; ++shard) {
     writers.emplace_back([&stats, shard] {
       lxfi::SetThisShardIndex(shard);
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        stats.Count(lxfi::GuardType::kMemWrite);
+        stats.Count(StormCounter::kCounted);
+        stats.Add(StormCounter::kAdded, 3);
       }
     });
   }
@@ -322,8 +349,120 @@ TEST(GuardStatsShards, CountRaceFreeAgainstConcurrentReader) {
   }
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  EXPECT_EQ(stats.count(lxfi::GuardType::kMemWrite), 2 * kPerWriter);
-  EXPECT_EQ(stats.count(lxfi::GuardType::kFunctionEntry), 0u);
+  EXPECT_EQ(stats.count(StormCounter::kCounted), kWriters * kPerWriter);
+  EXPECT_EQ(stats.count(StormCounter::kAdded), 3 * kWriters * kPerWriter);
+  EXPECT_EQ(stats.count(StormCounter::kIdle), 0u);
+  auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.at("storm.counted"), kWriters * kPerWriter);
+  EXPECT_EQ(snap.at("storm.added"), 3 * kWriters * kPerWriter);
+  registry.Unregister(&stats);
+  EXPECT_TRUE(registry.Snapshot().empty());
+}
+
+// --- the kernel counter registry ---------------------------------------------
+
+// Every snapshot entry equals the accessor it replaced.
+void ExpectSnapshotMatchesAccessors(eval::FsperfHarness& h, const lxfi::Containment& c) {
+  const std::map<std::string, uint64_t> snap = h.kernel()->counters().Snapshot();
+  auto at = [&snap](const std::string& name) {
+    auto it = snap.find(name);
+    EXPECT_NE(it, snap.end()) << name;
+    return it == snap.end() ? ~0ull : it->second;
+  };
+  const lxfi::Runtime& rt = *h.runtime();
+  for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
+    auto t = static_cast<lxfi::GuardType>(i);
+    EXPECT_EQ(at(std::string("guard.") + lxfi::GuardTypeName(t)), rt.guards().count(t));
+  }
+  EXPECT_EQ(at("lxfi.revokes"), rt.revoke_everywhere_count());
+  EXPECT_EQ(at("lxfi.violations"), rt.violation_count());
+  EXPECT_EQ(at("trace.drops"), TraceBuffer::Global().TotalDrops());
+  EXPECT_EQ(at("vfs.lookup_dispatches"), h.vfs()->lookup_dispatches());
+  EXPECT_EQ(at("dcache.negative_hits"), h.vfs()->dcache().negative_hits());
+  EXPECT_EQ(at("dcache.seqlock_retries"), h.vfs()->dcache().seqlock_retries());
+  EXPECT_EQ(at("containment.quarantines"), c.quarantines());
+  EXPECT_EQ(at("containment.reboots"), c.reboots());
+  EXPECT_EQ(at("containment.retired"), c.retired());
+  EXPECT_EQ(at("containment.backoff_ns"), c.backoff_ns());
+  if (const auto* pc = h.kernel()->GetSubsystem<kern::PageCache>()) {
+    EXPECT_EQ(at("pagecache.hits"), pc->hits());
+    EXPECT_EQ(at("pagecache.misses"), pc->misses());
+    EXPECT_EQ(at("pagecache.writebacks"), pc->writebacks());
+    EXPECT_EQ(at("pagecache.io_errors"), pc->io_errors());
+  } else {
+    EXPECT_EQ(snap.count("pagecache.hits"), 0u);
+  }
+}
+
+TEST(CounterSnapshot, MatchesAccessorsAfterRamfsAndJexfsRuns) {
+  for (bool block : {false, true}) {
+    SCOPED_TRACE(block ? "jexfs over dm-crypt" : "ramfs");
+    eval::FsperfHarnessOptions options;
+    options.isolated = true;
+    options.block_backing = block;
+    options.dm_crypt = block;
+    eval::FsperfHarness h(options);
+    lxfi::Containment containment(h.runtime());
+    eval::FsperfConfig config;
+    config.files = 24;
+    config.fsync_phase = block;
+    config.rename_phase = true;
+    eval::FsperfMeasurement m = h.Run(config);
+    EXPECT_EQ(m.violations, 0u);
+    EXPECT_GT(h.vfs()->lookup_dispatches(), 0u);
+    EXPECT_GT(h.runtime()->revoke_everywhere_count(), 0u);
+    if (block) {
+      const auto* pc = h.kernel()->GetSubsystem<kern::PageCache>();
+      ASSERT_NE(pc, nullptr);
+      EXPECT_GT(pc->hits(), 0u);
+      EXPECT_GT(pc->writebacks(), 0u);
+    }
+    ExpectSnapshotMatchesAccessors(h, containment);
+  }
+}
+
+// A counter owner leaves the snapshot when it dies (ASan checks that no
+// snapshot reads its freed counters), and owners sharing a name sum.
+TEST(CounterSnapshot, DestroyedOwnersLeaveTheSnapshot) {
+  kern::Kernel kernel;
+  auto vfs = std::make_unique<kern::Vfs>(&kernel);
+  auto pc = std::make_unique<kern::PageCache>(&kernel);
+  kern::Dcache extra(&kernel);
+  vfs->dcache().CountNegativeHit();
+  extra.CountNegativeHit();
+  auto snap = kernel.counters().Snapshot();
+  EXPECT_EQ(snap.count("vfs.lookup_dispatches"), 1u);
+  EXPECT_EQ(snap.count("pagecache.hits"), 1u);
+  EXPECT_EQ(snap.at("dcache.negative_hits"), 2u);
+
+  vfs.reset();
+  snap = kernel.counters().Snapshot();
+  EXPECT_EQ(snap.count("vfs.lookup_dispatches"), 0u);
+  EXPECT_EQ(snap.at("dcache.negative_hits"), 1u) << "only the surviving dcache counts";
+  EXPECT_EQ(snap.count("pagecache.hits"), 1u);
+
+  pc.reset();
+  snap = kernel.counters().Snapshot();
+  EXPECT_EQ(snap.count("pagecache.hits"), 0u);
+  EXPECT_EQ(snap.size(), 4u) << "only the dcache's and the kernel's trace counters remain";
+}
+
+// The whole DumpJson layout of a fresh runtime: no principals yet, then one
+// row per registered counter set, fields in name order.
+TEST(LxfiStatsGolden, FreshRuntimeDumpsOneRowPerCounterSet) {
+  TraceBuffer::Global().ResetForTest();
+  Bench bench(/*isolated=*/true);
+  EXPECT_EQ(lxfi::LxfiStats::DumpJson(*bench.rt, "golden"),
+            "{\n"
+            "  \"bench\": \"golden\",\n"
+            "  \"results\": [\n"
+            "    {\"name\": \"guard\", \"annotation-action\": 0, \"function-entry\": 0, "
+            "\"function-exit\": 0, \"kernel-indcall-all\": 0, \"kernel-indcall-full\": 0, "
+            "\"kernel-indcall-module\": 0, \"mem-write-check\": 0},\n"
+            "    {\"name\": \"lxfi\", \"revokes\": 0, \"violations\": 0},\n"
+            "    {\"name\": \"trace\", \"drops\": 0, \"enabled\": 0}\n"
+            "  ]\n"
+            "}\n");
 }
 
 }  // namespace
