@@ -70,7 +70,7 @@ template <typename Op>
 double TimedGuard(const lxfi::GuardStats& g, GuardType type, uint64_t iters, Op&& op) {
   uint64_t before = g.count(type);
   double ns = BestNs(iters, op);
-  Require(g.count(type) - before == iters * (kReps + 1), lxfi::GuardTypeName(type));
+  Require(g.count(type) - before == iters * (kReps + 1), lxfi::CounterName(type));
   return ns;
 }
 
@@ -273,10 +273,10 @@ int main(int argc, char** argv) {
     if (!nested) {
       rows_sum += ns_per_pkt;
     }
-    std::printf("%-22s %10llu %12.3f %14.1f %14.1f%s\n", lxfi::GuardTypeName(t),
+    std::printf("%-22s %10llu %12.3f %14.1f %14.1f%s\n", lxfi::CounterName(t),
                 static_cast<unsigned long long>(m.guard_counts[i]), per_pkt, gt.ns[i],
                 ns_per_pkt, nested ? "  *" : "");
-    json.AddRow(lxfi::GuardTypeName(t))
+    json.AddRow(lxfi::CounterName(t))
         .Set("count", static_cast<double>(m.guard_counts[i]))
         .Set("per_packet", per_pkt)
         .Set("ns_per_guard", gt.ns[i])

@@ -32,7 +32,7 @@ int main() {
   double pkts = static_cast<double>(rx.packets);
   for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
     auto t = static_cast<lxfi::GuardType>(i);
-    std::printf("  %-22s %6.1f\n", lxfi::GuardTypeName(t),
+    std::printf("  %-22s %6.1f\n", lxfi::CounterName(t),
                 static_cast<double>(rx.guard_counts[i]) / pkts);
   }
   std::printf("\nzero violations: %llu — the annotated interface contracts all held\n",

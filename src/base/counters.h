@@ -1,15 +1,14 @@
 // Per-CPU counters and the named registry every counter owner joins.
 //
-// PerCpuCounters<Enum>: each simulated CPU (ThisShardIndex()) increments its
-// own cache-line-aligned row of RelaxedCells, so Count() is a TLS load plus a
-// plain increment, and count() sums the rows (race-free, not linearizable:
-// read after a CpuSet barrier or a join for exact totals). `Enum` ends in
-// kCount and has a name table, `const char* CounterName(Enum)`, found by
-// argument-dependent lookup (CounterNameIn checks that it is complete).
+// PerCpuCounters<Enum>: each simulated CPU (ThisShardIndex()) bumps its own
+// cache-line-aligned row of RelaxedCells, so Count() is a TLS load plus a
+// plain increment; count() sums the rows (race-free, not linearizable: read
+// after a CpuSet barrier or a join for exact totals). `Enum` ends in kCount
+// and has a name table `CounterName(Enum)`, found by argument-dependent lookup.
 //
-// CounterRegistry: an owner registers its set under a prefix when it is
-// built and unregisters when it dies; Snapshot() returns "prefix.name" ->
-// value for every live set, summing sets that share a name. Cold path only.
+// CounterRegistry: an owner registers its sets under a prefix when built and
+// unregisters first thing when it dies; Snapshot() returns "prefix.name" ->
+// value for every live set, summing same-named sets. Cold path only.
 #pragma once
 
 #include <array>
@@ -40,7 +39,6 @@ class PerCpuCounters {
   void Add(Enum e, uint64_t n) { Local(e).Add(n); }
   // The calling CPU's cell, for code that hands a counter to a callee.
   RelaxedCell& Local(Enum e) { return shards_[ThisShardIndex()][static_cast<size_t>(e)]; }
-
   uint64_t count(Enum e) const {
     uint64_t total = 0;
     for (const Row& row : shards_) {
@@ -51,7 +49,6 @@ class PerCpuCounters {
 
  private:
   struct alignas(kCacheLineSize) Row : std::array<RelaxedCell, kSize> {};
-
   std::array<Row, kMaxCpuShards> shards_;
 };
 
@@ -72,14 +69,13 @@ class CounterRegistry {
       }
     });
   }
-  // Drops every set `owner` registered.
   void Unregister(const void* owner) {
     std::lock_guard<std::mutex> lock(mu_);
     std::erase_if(entries_, [owner](const Entry& e) { return e.owner == owner; });
   }
 
-  // Sources run under the lock: an owner unregisters first thing in its
-  // destructor, so it waits out a running snapshot and none reads it dead.
+  // Sources run under the lock, so an unregistering owner waits out a
+  // running snapshot and none reads it dead.
   std::map<std::string, uint64_t> Snapshot() const {
     std::map<std::string, uint64_t> out;
     std::lock_guard<std::mutex> lock(mu_);
@@ -95,7 +91,6 @@ class CounterRegistry {
     std::string prefix;
     Source source;
   };
-
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
 };

@@ -5,7 +5,7 @@
 // runtime keeps: bench_guards reads them for the guards-per-packet column of
 // the UDP_STREAM TX workload and times each guard's entry point itself, so
 // no guard pays for a clock read. The runtime registers them with its
-// kernel's counter registry as "guard.<GuardTypeName>".
+// kernel's counter registry as "guard.<CounterName>".
 #pragma once
 
 #include "src/base/counters.h"
@@ -30,7 +30,6 @@ inline const char* CounterName(GuardType type) {
                               "mem-write-check", "kernel-indcall-all", "kernel-indcall-full",
                               "kernel-indcall-module"});
 }
-inline const char* GuardTypeName(GuardType type) { return CounterName(type); }
 
 // Counters only grow: a caller that wants the guards of one run subtracts a
 // count taken before it.

@@ -140,9 +140,7 @@ class Principal {
   std::atomic<uintptr_t> arena_hi_{0};
   std::atomic<bool> arena_sealed_{false};
   int heap_partition_ = kNoHeap;
-  // Starts a cache line, so the store guard's bucket probe and the CALL set
-  // share one line after the arena span's.
-  alignas(kCacheLineSize) CapTable caps_;
+  CapTable caps_;
   Spinlock lock_;
   FlatTable<void> writer_pages_;
   uint64_t writer_pages_gen_ = 0;  // guarded by lock_

@@ -1,4 +1,4 @@
-// Base-utility tests: arena, rng, strings, hashing, clocks.
+// Base-utility tests: arena, rng, stats, strings, hashing, clocks.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,6 +7,7 @@
 #include "src/base/clock.h"
 #include "src/base/hash.h"
 #include "src/base/rng.h"
+#include "src/base/stats.h"
 #include "src/base/string_util.h"
 
 namespace {
@@ -73,6 +74,35 @@ TEST(Rng, GeometricMeanRoughlyCalibrated) {
   double mean = sum / kSamples;
   EXPECT_GT(mean, 6.5);
   EXPECT_LT(mean, 9.5);
+}
+
+TEST(RunningStat, Moments) {
+  lxfi::RunningStat st;
+  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
+    st.Add(x);
+  }
+  EXPECT_EQ(st.count(), 8u);
+  EXPECT_DOUBLE_EQ(st.mean(), 5.0);
+  EXPECT_EQ(st.min(), 2.0);
+  EXPECT_EQ(st.max(), 9.0);
+  EXPECT_NEAR(st.stddev(), 2.138, 0.01);  // sample stddev
+}
+
+TEST(LatencyHistogram, QuantilesMonotone) {
+  lxfi::LatencyHistogram h;
+  for (uint64_t i = 1; i <= 1000; ++i) {
+    h.Add(i * 10);
+  }
+  EXPECT_EQ(h.count(), 1000u);
+  EXPECT_LE(h.QuantileNs(0.5), h.QuantileNs(0.99));
+  EXPECT_GT(h.mean_ns(), 0.0);
+}
+
+TEST(Percentile, ExactValues) {
+  std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_DOUBLE_EQ(lxfi::Percentile(v, 0), 1.0);
+  EXPECT_DOUBLE_EQ(lxfi::Percentile(v, 100), 10.0);
+  EXPECT_NEAR(lxfi::Percentile(v, 50), 5.5, 1e-9);
 }
 
 TEST(StringUtil, SplitAndTrim) {

@@ -55,7 +55,7 @@ TEST_P(NetperfWorkload, ConsecutiveRunsReportTheSameCounts) {
     EXPECT_EQ(m.packets, first.packets) << "run " << run;
     for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
       EXPECT_EQ(m.guard_counts[i], first.guard_counts[i])
-          << "run " << run << ", " << lxfi::GuardTypeName(static_cast<lxfi::GuardType>(i));
+          << "run " << run << ", " << lxfi::CounterName(static_cast<lxfi::GuardType>(i));
     }
   }
 }

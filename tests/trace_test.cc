@@ -372,7 +372,7 @@ void ExpectSnapshotMatchesAccessors(eval::FsperfHarness& h, const lxfi::Containm
   const lxfi::Runtime& rt = *h.runtime();
   for (int i = 0; i < static_cast<int>(lxfi::GuardType::kCount); ++i) {
     auto t = static_cast<lxfi::GuardType>(i);
-    EXPECT_EQ(at(std::string("guard.") + lxfi::GuardTypeName(t)), rt.guards().count(t));
+    EXPECT_EQ(at(std::string("guard.") + lxfi::CounterName(t)), rt.guards().count(t));
   }
   EXPECT_EQ(at("lxfi.revokes"), rt.revoke_everywhere_count());
   EXPECT_EQ(at("lxfi.violations"), rt.violation_count());
