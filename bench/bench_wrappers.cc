@@ -213,34 +213,37 @@ void RunDisabledTraceGate() {
 }
 
 // Pre-gbench module-scaling gate: the kmalloc/kfree transfer pair with 512
-// unrelated modules loaded may cost at most 1.2x the pair with none. The
-// four fixtures are timed round-robin in short windows, best of 24 each, so
-// host drift hits every column alike and a noisy window cannot decide.
+// unrelated modules loaded may cost at most 1.2x the pair with none. Each
+// column runs against N=0 in alternating short windows and reads the median
+// paired ratio (bench/paired_timing.h), so a noisy window spoils one pair,
+// not the verdict.
 void RunModuleScalingGate() {
-  constexpr uint64_t kPairs = 4000;
-  constexpr size_t kColumns = sizeof(kExtraModules) / sizeof(kExtraModules[0]);
-  double best[kColumns];
-  for (int rep = 0; rep < 25; ++rep) {
-    for (size_t i = 0; i < kColumns; ++i) {
-      Fixture& f = Loaded(kExtraModules[i]);
-      lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
-      uint64_t t0 = lxfi::MonotonicNowNs();
-      for (uint64_t n = 0; n < kPairs; ++n) {
-        f.kfree(f.kmalloc(128));
-      }
-      double ns = static_cast<double>(lxfi::MonotonicNowNs() - t0) / kPairs;
-      if (rep == 1 || (rep > 1 && ns < best[i])) {  // rep 0 warms up
-        best[i] = ns;
-      }
-    }
+  constexpr int kPairs = 41;
+  constexpr uint64_t kPairsPerWindow = 4000;
+  for (int n : kExtraModules) {
+    Loaded(n);  // build every fixture before any timing
   }
+  Fixture& base = Loaded(0);
+  lxfi::ScopedPrincipal base_as_module(base.rt.get(), base.shared());
+  auto base_op = [&base](uint64_t) { base.kfree(base.kmalloc(128)); };
   std::printf("module-scaling gate: kmalloc/kfree pair with N unrelated modules loaded\n");
-  for (size_t i = 0; i < kColumns; ++i) {
-    std::printf("  N=%-4d %8.1f ns  (%.2fx)\n", kExtraModules[i], best[i], best[i] / best[0]);
+  double ratio = 1.0;
+  for (int n : kExtraModules) {
+    if (n == 0) {
+      continue;
+    }
+    Fixture& f = Loaded(n);
+    lxfi::ScopedPrincipal as_module(f.rt.get(), f.shared());
+    auto op = [&f](uint64_t) { f.kfree(f.kmalloc(128)); };
+    lxfibench::PairedTiming t = lxfibench::TimePaired(kPairs, kPairsPerWindow, base_op, op);
+    std::printf("  N=%-4d %8.1f ns  vs N=0 %8.1f ns  (median paired %.3fx)\n", n, t.b_ns, t.a_ns,
+                t.ratio);
+    ratio = t.ratio;
   }
-  if (best[kColumns - 1] > 1.2 * best[0]) {
+  constexpr int kMost = kExtraModules[sizeof(kExtraModules) / sizeof(kExtraModules[0]) - 1];
+  if (ratio > 1.2) {
     std::fprintf(stderr, "FAILED: the pair costs %.2fx with %d modules loaded (gate: 1.2x)\n",
-                 best[kColumns - 1] / best[0], kExtraModules[kColumns - 1]);
+                 ratio, kMost);
     std::exit(1);
   }
 }

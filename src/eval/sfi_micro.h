@@ -30,10 +30,6 @@ struct MicroResult {
   uint64_t ops = 0;
   uint64_t stores = 0;
   uint64_t guards = 0;
-
-  double SlowdownPct() const {
-    return base_ns == 0 ? 0.0 : 100.0 * (instrumented_ns - base_ns) / base_ns;
-  }
 };
 
 // Runs all three microbenchmarks; `scale` multiplies iteration counts.

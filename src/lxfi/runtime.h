@@ -201,7 +201,6 @@ class Runtime : public kern::IsolationHooks {
   // Containment engine consulted under ViolationPolicy::kQuarantine
   // (containment.h). Not owned; null means the policy degrades to kThrow.
   void set_containment(Containment* containment) { containment_ = containment; }
-  Containment* containment() const { return containment_; }
   // Lock-free count of violations since construction / the last
   // ClearViolations (any thread).
   uint64_t violation_count() const {

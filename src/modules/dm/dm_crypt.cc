@@ -14,10 +14,36 @@ void CryptXorTransform(kern::Module& m, uint8_t* dst, const uint8_t* src, uint32
 
 namespace {
 
+// Frees a target's private state and whatever of its I/O buffers exist.
+void FreeTarget(DmCryptState& st, DmCryptTarget* priv) {
+  for (uint8_t* bounce : priv->bounce) {
+    if (bounce != nullptr) {
+      st.api.kfree(bounce);
+    }
+  }
+  if (priv->sub != nullptr) {
+    st.api.kfree(priv->sub);
+  }
+  st.api.kfree(priv);
+}
+
 int Ctr(DmCryptState& st, kern::DmTarget* target, const char* params) {
   kern::Module& m = *st.m;
   auto* priv = static_cast<DmCryptTarget*>(st.api.kmalloc(sizeof(DmCryptTarget)));
   if (priv == nullptr) {
+    return -kern::kEnomem;
+  }
+  // DmCreate runs no dtr after a failed ctr, so a partial set is freed here.
+  auto* sub = static_cast<kern::Bio*>(st.api.kmalloc(sizeof(kern::Bio)));
+  lxfi::Store(m, &priv->sub, sub);
+  bool ok = sub != nullptr;
+  for (int b = 0; ok && b < kCryptBounces; ++b) {
+    auto* bounce = static_cast<uint8_t*>(st.api.kmalloc((size_t{1} << b) * kern::kSectorSize));
+    lxfi::Store(m, &priv->bounce[b], bounce);
+    ok = bounce != nullptr;
+  }
+  if (!ok) {
+    FreeTarget(st, priv);
     return -kern::kEnomem;
   }
   uint8_t key = 0;
@@ -31,43 +57,61 @@ int Ctr(DmCryptState& st, kern::DmTarget* target, const char* params) {
 
 void Dtr(DmCryptState& st, kern::DmTarget* target) {
   if (target->private_data != nullptr) {
-    st.api.kfree(target->private_data);
+    FreeTarget(st, static_cast<DmCryptTarget*>(target->private_data));
   }
+}
+
+// Points the target's sub-bio at [data, data + size) of the underlying
+// device from `sector` and submits it.
+int SubmitSub(DmCryptState& st, kern::DmTarget* target, kern::Bio* sub, uint64_t sector,
+              uint8_t* data, uint32_t size) {
+  kern::Module& m = *st.m;
+  lxfi::Store(m, &sub->sector, sector);
+  lxfi::Store(m, &sub->size, size);
+  lxfi::Store(m, &sub->data, data);
+  return st.api.submit_bio(target->underlying, sub);
 }
 
 int Map(DmCryptState& st, kern::DmTarget* target, kern::Bio* bio) {
   kern::Module& m = *st.m;
   auto* priv = static_cast<DmCryptTarget*>(target->private_data);
+  lxfi::SpinGuard guard(priv->lock);
   lxfi::Store(m, &priv->ios, priv->ios + 1);
-
-  // Bounce buffer + module-owned bio for the underlying device.
-  auto* bounce = static_cast<uint8_t*>(st.api.kmalloc(bio->size));
-  auto* sub = static_cast<kern::Bio*>(st.api.kmalloc(sizeof(kern::Bio)));
-  if (bounce == nullptr || sub == nullptr) {
-    st.api.kfree(bounce);
-    st.api.kfree(sub);
-    return -kern::kEnomem;  // the core records the failure on the bio
-  }
-  lxfi::Store(m, &sub->sector, bio->sector);
-  lxfi::Store(m, &sub->size, bio->size);
-  lxfi::Store(m, &sub->data, bounce);
-  lxfi::Store(m, &sub->write, bio->write);
-
-  int rc;
-  if (bio->write) {
-    CryptXorTransform(m, bounce, bio->data, bio->size, priv->key, bio->sector);
-    rc = st.api.submit_bio(target->underlying, sub);
-  } else {
-    rc = st.api.submit_bio(target->underlying, sub);
+  lxfi::Store(m, &priv->sub->write, bio->write);
+  // Negative errnos tell the core to fail the bio (the target holds no
+  // capability over the submitter's struct); 0 is DM_MAPIO_SUBMITTED.
+  if (!bio->write) {
+    // In place: the map transfer already handed this target the payload,
+    // so the sub-bio moves exactly that grant down and back.
+    int rc = SubmitSub(st, target, priv->sub, bio->sector, bio->data, bio->size);
     if (rc == 0) {
-      CryptXorTransform(m, bio->data, bounce, bio->size, priv->key, bio->sector);
+      CryptXorTransform(m, bio->data, bio->data, bio->size, priv->key, bio->sector);
     }
+    return rc;
   }
-  st.api.kfree(sub);
-  st.api.kfree(bounce);
-  // DM_MAPIO_SUBMITTED on success; a negative errno tells the core to fail
-  // the bio (the target holds no capability over the submitter's struct).
-  return rc;
+  if (bio->size % kern::kSectorSize != 0) {
+    return -kern::kEinval;  // a partial sector fills no whole bounce
+  }
+  // Largest bounce that fits first: each piece fills one whole bounce, so
+  // an n-sector write takes at most log2(n) + 1 pieces, plus one per
+  // further 64 sectors.
+  const uint32_t sectors = bio->size / kern::kSectorSize;
+  for (uint32_t done = 0; done < sectors;) {
+    int b = kCryptBounces - 1;
+    while ((1u << b) > sectors - done) {
+      --b;
+    }
+    const uint32_t bytes = (1u << b) * kern::kSectorSize;
+    const uint64_t sector = bio->sector + done;
+    CryptXorTransform(m, priv->bounce[b], bio->data + done * kern::kSectorSize, bytes, priv->key,
+                      sector);
+    int rc = SubmitSub(st, target, priv->sub, sector, priv->bounce[b], bytes);
+    if (rc != 0) {
+      return rc;
+    }
+    done += 1u << b;
+  }
+  return 0;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 
+#include "src/base/sync.h"
 #include "src/kernel/block/block.h"
 #include "src/kernel/module.h"
 
@@ -31,9 +32,28 @@ struct DmImports {
 // XOR-keystream "encryption": not cryptography, but it exercises exactly the
 // data paths the real dm-crypt does (bounce buffers, in-place transforms,
 // nested submit_bio), which is what the isolation evaluation needs.
+//
+// Each target owns its I/O buffers for its whole life, like Linux dm-crypt's
+// per-target mempool and bio_set: crypt_ctr allocates one sub-bio and one
+// bounce of each power-of-two size from 1 to 64 sectors, and crypt_dtr
+// frees them, so crypt_map allocates nothing. A write goes down as pieces,
+// each filling one whole bounce, so every range submit_bio transfers is
+// exactly one kmalloc grant and its post-transfer hands back exactly what
+// the pre-transfer revoked. A read needs no bounce: the sub-bio points at
+// the caller's payload, which is decrypted in place.
+inline constexpr int kCryptBounces = 7;
+
 struct DmCryptTarget {
   uint8_t key = 0;
   uint64_t ios = 0;
+  // Serializes crypt_map's use of sub and bounce. It is per target, not per
+  // module: crypt stacked on crypt runs two targets of this module on one
+  // call path, and a module-wide lock held across submit_bio would wait on
+  // itself. A host lock word in the target's own allocation, so taking it
+  // costs no crossing.
+  lxfi::Spinlock lock;
+  kern::Bio* sub = nullptr;
+  uint8_t* bounce[kCryptBounces] = {};  // bounce[b] holds 2^b sectors
 };
 
 struct DmCryptState {

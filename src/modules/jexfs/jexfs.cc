@@ -19,10 +19,10 @@ namespace {
 constexpr uint32_t kJexMaxInodes = 64;
 
 // One journal record in memory: slot 0 holds the descriptor (or, for
-// single-block I/O, the commit block, the superblock or the journal
-// superblock) and slots 1..kJexMaxTxBlocks hold the transaction's data
-// blocks, staged in place.
-constexpr uint64_t kJexRecordSlots = 1 + kJexMaxTxBlocks;
+// single-block I/O, the superblock or the journal superblock), slots
+// 1..n hold the transaction's n data blocks, staged in place, and slot
+// n + 1 the commit block, so [desc | data... | commit] goes down as one bio.
+constexpr uint64_t kJexRecordSlots = 2 + kJexMaxTxBlocks;
 
 // Per-mount module state, hung off sb->s_fs_info. The single in-flight
 // journal bio and the record buffer are SEPARATE kmalloc allocations, not
@@ -75,11 +75,12 @@ uint32_t NInodes(const JexSb* js) {
 // bio completes. Each DirectIo is one synchronous bio over the first n slots
 // of the record buffer, whose completion dispatches jexfs_end_io through the
 // checked indirect-call path (bio_caps granted for exactly the completion
-// window). A commit is two of them: [desc | data...] as one n+1-block bio,
-// then the commit block alone, submitted only after the record bio completed
-// so the commit sector can never be durable before a record sector.
-// Single-block I/O (superblock reads, the journal superblock, the commit
-// block) uses slot 0 only.
+// window). A commit is one of them, [desc | data... | commit] as one
+// n+2-block bio: its sectors may become durable in any order, and replay
+// discards a record whose commit block is durable before some earlier
+// sector, because the commit repeats the descriptor's fields and carries the
+// data checksum (JBD2's checksummed async commit). Single-block I/O
+// (superblock reads, the journal superblock) uses slot 0 only.
 
 void EndIo(JexfsState& st, kern::Bio* bio) {
   kern::Module& m = *st.m;
@@ -106,13 +107,13 @@ int DirectIo(JexfsState& st, JexSb* js, uint64_t block, uint64_t n, bool write) 
   return rc;
 }
 
-// Fills slot 0 with `rec`, zero-padded to a block.
+// Fills slot `i` with `rec`, zero-padded to a block.
 template <typename T>
-void FillSlot0(JexfsState& st, JexSb* js, const T& rec) {
+void FillSlot(JexfsState& st, JexSb* js, uint64_t i, const T& rec) {
   static_assert(sizeof(T) <= kJexBlockSize);
   uint8_t blk[kJexBlockSize] = {};
   std::memcpy(blk, &rec, sizeof(rec));
-  lxfi::MemCopy(*st.m, Slot(js, 0), blk, kJexBlockSize);
+  lxfi::MemCopy(*st.m, Slot(js, i), blk, kJexBlockSize);
 }
 
 // Reads `block` into slot 0 and copies its leading sizeof(T) bytes to *out.
@@ -129,7 +130,7 @@ int ReadOneBlock(JexfsState& st, JexSb* js, uint64_t block, T* out) {
 //
 // A transaction stages full copies of every block it will touch, in place in
 // the record buffer's data slots. Commit appends [desc | data... | commit]
-// to the journal with two direct bios, then applies the staged images to
+// to the journal with one direct bio, then applies the staged images to
 // their home blocks through the page cache (dirty, durable at the next
 // checkpoint). Abort just forgets the staging.
 
@@ -194,7 +195,7 @@ int Checkpoint(JexfsState& st, JexSb* js) {
   JexJournalSuper jsb;
   jsb.magic = kJexJournalMagic;
   jsb.epoch = js->epoch + 1;
-  FillSlot0(st, js, jsb);
+  FillSlot(st, js, 0, jsb);
   rc = DirectIo(st, js, js->sup.journal_start, 1, /*write=*/true);
   if (rc != 0) {
     return rc;
@@ -232,19 +233,17 @@ int Commit(JexfsState& st, JexSb* js) {
   for (uint64_t i = 0; i < js->tx_n; ++i) {
     desc.home[i] = js->tx_home[i];
   }
-  // The record bio: the descriptor in slot 0 and the staged data behind it.
-  FillSlot0(st, js, desc);
-  int rc = DirectIo(st, js, js->head, 1 + js->tx_n, /*write=*/true);
-  if (rc == 0) {
-    JexJournalCommit cm;
-    cm.magic = kJexCommitMagic;
-    cm.epoch = desc.epoch;
-    cm.seq = desc.seq;
-    cm.nblocks = desc.nblocks;
-    cm.checksum = desc.checksum;
-    FillSlot0(st, js, cm);
-    rc = DirectIo(st, js, js->head + 1 + js->tx_n, 1, /*write=*/true);
-  }
+  JexJournalCommit cm;
+  cm.magic = kJexCommitMagic;
+  cm.epoch = desc.epoch;
+  cm.seq = desc.seq;
+  cm.nblocks = desc.nblocks;
+  cm.checksum = desc.checksum;
+  // The record bio: the descriptor in slot 0, the staged data behind it and
+  // the commit block last.
+  FillSlot(st, js, 0, desc);
+  FillSlot(st, js, 1 + js->tx_n, cm);
+  int rc = DirectIo(st, js, js->head, need, /*write=*/true);
   if (rc != 0) {
     TxAbort(st, js);  // nothing applied; a torn append is discarded by replay
     return rc;
@@ -1038,19 +1037,20 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
   lxfi::Store(m, &js->epoch, jsb.epoch);
 
   // Journal replay: the same walk JexReplay performs on host images, reading
-  // the way Commit writes: the descriptor, then the whole [desc | data...]
-  // record in one bio into the record slots (so the checksum runs in place
-  // over the contiguous data slots), then the commit block. Applies go
+  // the way Commit writes: one bio fills the record slots from the journal
+  // at j, which covers the longest [desc | data... | commit] record, so the
+  // checksum runs in place over the contiguous data slots. Applies go
   // through the page cache.
   uint64_t jend = sup.journal_start + sup.journal_blocks;
   uint64_t j = sup.journal_start + 1;
   uint64_t expect_seq = 0;
   uint64_t applied = 0;
   while (j + 2 <= jend) {
-    JexJournalDesc desc;
-    if (ReadOneBlock(st, js, j, &desc) != 0) {
+    if (DirectIo(st, js, j, std::min(kJexRecordSlots, jend - j), /*write=*/false) != 0) {
       break;
     }
+    JexJournalDesc desc;
+    std::memcpy(&desc, Slot(js, 0), sizeof(desc));
     if (desc.magic != kJexDescMagic || desc.epoch != jsb.epoch || desc.nblocks == 0 ||
         desc.nblocks > kJexMaxTxBlocks || j + 1 + desc.nblocks + 1 > jend ||
         (expect_seq != 0 && desc.seq != expect_seq)) {
@@ -1062,14 +1062,9 @@ int Mount(JexfsState& st, kern::FileSystemType* fstype, kern::SuperBlock* sb,
       ok = home != 0 && home < sup.total_blocks &&
            !(home >= sup.journal_start && home < jend);
     }
-    if (!ok || DirectIo(st, js, j, 1 + desc.nblocks, /*write=*/false) != 0) {
-      break;
-    }
     JexJournalCommit cm;
-    if (ReadOneBlock(st, js, j + 1 + desc.nblocks, &cm) != 0) {
-      break;
-    }
-    if (cm.magic != kJexCommitMagic || cm.epoch != desc.epoch || cm.seq != desc.seq ||
+    std::memcpy(&cm, Slot(js, 1 + desc.nblocks), sizeof(cm));
+    if (!ok || cm.magic != kJexCommitMagic || cm.epoch != desc.epoch || cm.seq != desc.seq ||
         cm.nblocks != desc.nblocks || cm.checksum != desc.checksum ||
         JexChecksum(TxData(js, 0), desc.nblocks) != desc.checksum) {
       break;  // torn transaction: discard it and everything after

@@ -18,12 +18,14 @@
 //
 // Journal protocol (docs/block_fs_enforcement.md):
 //   - A transaction stages full copies of every block it touches. Commit
-//     appends [desc | data... | commit] to the journal with direct bios,
+//     appends [desc | data... | commit] to the journal as one direct bio,
 //     then applies the staged blocks to their home locations through the
 //     page cache (dirty, not yet durable).
 //   - The commit record repeats the descriptor's (epoch, seq, nblocks) and
-//     carries an FNV-1a checksum over the data blocks; a torn append fails
-//     one of those equalities and the transaction is discarded by replay.
+//     carries an FNV-1a checksum over the data blocks. The bio's sectors
+//     may become durable in any order; a torn append, even one whose commit
+//     sector landed before a stale descriptor or data sector, fails one of
+//     those equalities and the transaction is discarded by replay.
 //   - A checkpoint makes the home blocks durable (pc_sync), then bumps the
 //     journal epoch with a single journal-superblock write and resets the
 //     head. Replay only applies records of the current epoch, so a crash on

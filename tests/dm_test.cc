@@ -2,11 +2,17 @@
 // per-device principal isolation, on stock and isolated kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "src/kernel/block/block.h"
 #include "src/kernel/kernel.h"
+#include "src/kernel/smp.h"
+#include "src/lxfi/kernel_api.h"
+#include "src/lxfi/runtime.h"
 #include "src/modules/dm/dm_modules.h"
 #include "tests/testbench.h"
 
@@ -138,10 +144,11 @@ TEST_P(DmTest, DmCryptMultiSectorBioMatchesPerSectorBios) {
   }
 }
 
-// A bio longer than the biggest slab size class (17 sectors here) needs a
-// page-granular bounce buffer. It reads back in any shape, leaves the same
-// ciphertext as per-sector writes, and once warm allocates no new slab
-// pages: each freed bounce run serves the next bounce of its size.
+// A bio longer than the biggest slab size class (17 sectors here) goes
+// through the target's page-granular bounces as a 16-sector and a 1-sector
+// piece. It reads back in any shape, leaves the same ciphertext as
+// per-sector writes, and allocates no new slab pages: crypt_ctr allocated
+// every bounce before the first bio.
 TEST_P(DmTest, DmCryptLargeBioReusesSlabPages) {
   ASSERT_NE(bench_.kernel->LoadModule(mods::DmCryptModuleDef()), nullptr);
   kern::BlockDevice* crypt = block_->DmCreate("crypt0", "crypt", origin_, "secretkey");
@@ -206,6 +213,76 @@ TEST_P(DmTest, DmCryptStoreGuardsDoNotGrowWithPayload) {
   EXPECT_EQ(write_1024, write_512);
   EXPECT_GT(read_512, 0u);
   EXPECT_EQ(read_1024, read_512);
+}
+
+// Three CPUs write disjoint sector ranges through one crypt target, in bios
+// of 1 to 16 sectors, so their writes interleave on the target's shared
+// sub-bio and bounces. Each CPU reads its range back after every round, and
+// the final ciphertext equals what a single CPU writes through a second
+// target with the same key.
+TEST_P(DmTest, DmCryptThreeCpusShareOneTarget) {
+  ASSERT_NE(bench_.kernel->LoadModule(mods::DmCryptModuleDef()), nullptr);
+  kern::BlockDevice* disk2 = block_->CreateRamDisk("disk2", 64);
+  kern::BlockDevice* crypt = block_->DmCreate("crypt0", "crypt", origin_, "secretkey");
+  kern::BlockDevice* solo = block_->DmCreate("crypt1", "crypt", disk2, "secretkey");
+  ASSERT_NE(crypt, nullptr);
+  ASSERT_NE(solo, nullptr);
+  constexpr int kCpus = 3;
+  constexpr uint32_t kSectors = 16;  // per CPU: sectors [16 w, 16 w + 16)
+  constexpr uint32_t kBytes = kSectors * kern::kSectorSize;
+  constexpr int kRounds = 60;
+  auto pattern = [](int w, int round, uint32_t i) {
+    return static_cast<uint8_t>(i * 7 + static_cast<uint32_t>(w * 31 + round * 13));
+  };
+  std::atomic<int> errors{0};
+  {
+    kern::CpuSet cpus(bench_.kernel.get(), kCpus);
+    for (int w = 0; w < kCpus; ++w) {
+      cpus.RunOn(w, [&, w] {
+        const uint64_t base = static_cast<uint64_t>(w) * kSectors;
+        std::vector<uint8_t> plain(kBytes);
+        std::vector<uint8_t> buf(kBytes);
+        uint64_t lcg = 0x9e37 + static_cast<uint64_t>(w);
+        for (int round = 0; round < kRounds; ++round) {
+          for (uint32_t i = 0; i < kBytes; ++i) {
+            plain[i] = pattern(w, round, i);
+          }
+          buf = plain;
+          for (uint32_t done = 0; done < kSectors;) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            uint32_t n = 1 + static_cast<uint32_t>(lcg >> 33) % (kSectors - done);
+            if (Io(crypt, base + done, buf.data() + done * kern::kSectorSize,
+                   n * kern::kSectorSize, true) != 0) {
+              errors.fetch_add(1, std::memory_order_relaxed);
+            }
+            done += n;
+          }
+          std::vector<uint8_t> back(kBytes);
+          if (Io(crypt, base, back.data(), kBytes, false) != 0 || back != plain) {
+            errors.fetch_add(1, std::memory_order_relaxed);
+          }
+          kern::CpuSet::QuiescePoint();
+        }
+      });
+    }
+    cpus.Barrier();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  std::vector<uint8_t> buf(kCpus * kBytes);
+  for (int w = 0; w < kCpus; ++w) {
+    for (uint32_t i = 0; i < kBytes; ++i) {
+      buf[w * kBytes + i] = pattern(w, kRounds - 1, i);
+    }
+  }
+  ASSERT_EQ(Io(solo, 0, buf.data(), kCpus * kBytes, true), 0);
+  std::vector<uint8_t> shared_cipher(kCpus * kBytes);
+  std::vector<uint8_t> solo_cipher(kCpus * kBytes);
+  ASSERT_EQ(Io(origin_, 0, shared_cipher.data(), kCpus * kBytes, false), 0);
+  ASSERT_EQ(Io(disk2, 0, solo_cipher.data(), kCpus * kBytes, false), 0);
+  EXPECT_EQ(shared_cipher, solo_cipher);
+  if (bench_.rt != nullptr) {
+    EXPECT_EQ(bench_.rt->violation_count(), 0u);
+  }
 }
 
 TEST_P(DmTest, DmCryptDifferentKeysDifferentCiphertext) {
@@ -274,6 +351,60 @@ INSTANTIATE_TEST_SUITE_P(StockAndLxfi, DmTest, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Lxfi" : "Stock";
                          });
+
+// DmCreate runs no dtr after a failed ctr, so crypt_ctr must free what it
+// allocated before the allocation that failed. The heap is filled to the
+// last object, then one object is freed in each size class the block core
+// and crypt_ctr need up to the 2 KiB bounce, but none for the 4 KiB one:
+// ctr fails halfway through its bounce set and the heap must hold exactly
+// as many live objects as before DmCreate.
+TEST(DmCryptCtr, FailureFreesThePartialBounceSet) {
+  kern::Kernel kernel(4ull << 20);
+  lxfi::Runtime rt(&kernel);
+  lxfi::InstallKernelApi(&kernel, &rt);
+  kern::BlockLayer* block = kern::GetBlockLayer(&kernel);
+  kern::BlockDevice* disk = block->CreateRamDisk("disk0", 64);
+  ASSERT_NE(kernel.LoadModule(mods::DmCryptModuleDef()), nullptr);
+
+  kern::SlabAllocator& slab = kernel.slab();
+  // One object of every slab class and bounce size first, so each has a
+  // page or run to free into; then the rest of the heap, largest first.
+  std::vector<size_t> sizes(kern::SlabAllocator::kClassSizes.begin(),
+                            kern::SlabAllocator::kClassSizes.end());
+  sizes.insert(sizes.end(), {size_t{8} << 10, size_t{16} << 10, size_t{32} << 10});
+  std::map<size_t, std::vector<void*>> fill;
+  for (size_t size : sizes) {
+    fill[size].push_back(slab.Alloc(size));
+    ASSERT_NE(fill[size].back(), nullptr);
+  }
+  for (auto size = sizes.rbegin(); size != sizes.rend(); ++size) {
+    while (void* p = slab.Alloc(*size)) {
+      fill[*size].push_back(p);
+    }
+  }
+  // Frees one object of the class that serves `need` bytes.
+  auto free_one_for = [&](size_t need) {
+    size_t size = *std::lower_bound(sizes.begin(), sizes.end(), need);
+    slab.Free(fill[size].back());
+    fill[size].pop_back();
+  };
+  for (size_t need : {sizeof(kern::BlockDevice), sizeof(kern::DmTarget),
+                      sizeof(mods::DmCryptTarget), sizeof(kern::Bio), size_t{512}, size_t{1024},
+                      size_t{2048}}) {
+    free_one_for(need);
+  }
+  const size_t live = slab.live_objects();
+  EXPECT_EQ(block->DmCreate("crypt0", "crypt", disk, "k"), nullptr);
+  EXPECT_EQ(slab.live_objects(), live) << "crypt_ctr leaked part of its bounce set";
+  EXPECT_EQ(rt.violation_count(), 0u);
+
+  for (auto& [size, objs] : fill) {
+    for (void* p : objs) {
+      slab.Free(p);
+    }
+  }
+  EXPECT_NE(block->DmCreate("crypt0", "crypt", disk, "k"), nullptr) << "the heap was too small";
+}
 
 // --- per-device principal isolation (the §2.1 scenario) ------------------------
 

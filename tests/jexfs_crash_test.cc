@@ -224,6 +224,85 @@ TEST(JexfsCrash, SweepEveryWriteBoundary) {
   }
 }
 
+// A commit is one [desc | data... | commit] bio, and a device may make its
+// sectors durable in any order. For every commit bio in the log, build each
+// image in which the commit sector is durable but one earlier sector of the
+// same bio (the descriptor or a data block) still holds its old bytes:
+// replay must discard that transaction, apply exactly what the image from
+// before the bio applies, and leave an image fsck accepts.
+TEST(JexfsCrash, CommitDurableBeforeAnEarlierSectorIsDiscarded) {
+  CrashRig rig;
+  ASSERT_NE(rig.sb, nullptr);
+  rig.WriteFile("/mnt/a", Pattern(1500, 'a'));
+  ASSERT_EQ(rig.vfs->Mkdir("/mnt/d"), 0);
+  rig.WriteFile("/mnt/d/b", Pattern(2600, 'b'));
+  rig.FsyncFile("/mnt/a");
+  ASSERT_EQ(rig.vfs->Rename("/mnt/a", "/mnt/d/a2"), 0);
+  rig.WriteFile("/mnt/c", Pattern(900, 'c'));
+  ASSERT_EQ(rig.vfs->Unlink("/mnt/d/b"), 0);
+  ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0);
+  EXPECT_EQ(rig.rt->violation_count(), 0u);
+
+  const mods::JexDiskSuper sup = SuperOf(rig.base.data());
+  const uint64_t jend = sup.journal_start + sup.journal_blocks;
+  const size_t img_bytes = kDiskBlocks * mods::kJexBlockSize;
+  size_t commits = 0;
+  size_t torn = 0;
+  for (size_t start = 0; start < rig.log.size(); ++start) {
+    const uint64_t head = rig.log[start].sector;
+    mods::JexJournalDesc desc;
+    std::memcpy(&desc, rig.log[start].data.data(), sizeof(desc));
+    if (head <= sup.journal_start || head >= jend || desc.magic != mods::kJexDescMagic) {
+      continue;
+    }
+    // The bio's n + 2 sectors are consecutive in the log, the commit last.
+    const uint64_t n = desc.nblocks;
+    const size_t end = start + n + 2;
+    ASSERT_LE(end, rig.log.size());
+    for (uint64_t i = 0; i < n + 2; ++i) {
+      ASSERT_EQ(rig.log[start + i].sector, head + i) << "commit seq " << desc.seq;
+    }
+    mods::JexJournalCommit cm;
+    std::memcpy(&cm, rig.log[end - 1].data.data(), sizeof(cm));
+    ASSERT_EQ(cm.magic, mods::kJexCommitMagic);
+    ASSERT_EQ(cm.seq, desc.seq);
+    ++commits;
+
+    const std::vector<uint8_t> old_img = rig.ImageAtCut(start);
+    const std::vector<uint8_t> new_img = rig.ImageAtCut(end);
+    std::vector<uint8_t> expect = old_img;
+    const int applied_before = mods::JexReplay(expect.data(), kDiskBlocks);
+    ASSERT_GE(applied_before, 0);
+    std::vector<uint8_t> whole = new_img;
+    ASSERT_EQ(mods::JexReplay(whole.data(), kDiskBlocks), applied_before + 1)
+        << "the whole bio must commit its transaction (seq " << desc.seq << ")";
+
+    for (uint64_t i = 0; i < n + 1; ++i) {
+      const size_t off = (head + i) * mods::kJexBlockSize;
+      if (std::memcmp(old_img.data() + off, new_img.data() + off, mods::kJexBlockSize) == 0) {
+        continue;  // the old sector held the same bytes: nothing is stale
+      }
+      ++torn;
+      std::vector<uint8_t> img = new_img;
+      std::memcpy(img.data() + off, old_img.data() + off, mods::kJexBlockSize);
+      ASSERT_EQ(mods::JexReplay(img.data(), kDiskBlocks), applied_before)
+          << "seq " << desc.seq << ": stale sector " << head + i << " was replayed";
+      std::string why;
+      ASSERT_TRUE(mods::JexFsck(img.data(), kDiskBlocks, &why))
+          << "seq " << desc.seq << ", stale sector " << head + i << ": " << why;
+      // Outside the bio's own journal sectors, the image is exactly the
+      // replayed image from before the bio: nothing of it reached a home.
+      const size_t bio_lo = head * mods::kJexBlockSize;
+      const size_t bio_hi = (head + n + 2) * mods::kJexBlockSize;
+      ASSERT_EQ(std::memcmp(img.data(), expect.data(), bio_lo), 0) << "seq " << desc.seq;
+      ASSERT_EQ(std::memcmp(img.data() + bio_hi, expect.data() + bio_hi, img_bytes - bio_hi), 0)
+          << "seq " << desc.seq;
+    }
+  }
+  EXPECT_GE(commits, 4u) << "the workload must commit several transactions";
+  EXPECT_GT(torn, commits) << "each commit bio must yield torn images";
+}
+
 // Remount spot checks: images cut at interesting boundaries must mount in a
 // fresh kernel through the module's own replay path and serve reads.
 TEST(JexfsCrash, CutImagesRemountThroughTheModule) {
