@@ -161,25 +161,28 @@ GuardTimes TimeGuards(lxfi::Runtime* rt, kern::Kernel* k, const eval::NetperfMea
 
   // Kernel indirect calls. A host-heap slot no module ever wrote takes the
   // writer-set fast path; the driver's ndo_start_xmit slot, written by the
-  // module at probe, takes the full check the transmit path pays.
+  // module at probe, takes the full check the transmit path pays. The
+  // dispatch lookup belongs to the call (a stock kernel does it too), so
+  // the rows time the check against entries looked up once here.
   std::vector<uintptr_t> kernel_slots = {k->symtab().Find("kfree_skb"),
                                          dev->ops->ndo_start_xmit};
   Require(kernel_slots[0] != 0 && kernel_slots[0] < kern::kModuleTextBase &&
               kernel_slots[1] >= kern::kModuleTextBase,
           "indirect-call targets: kernel text and module text");
+  const kern::DispatchEntry* kfree_skb_fn = k->funcs().Lookup(kernel_slots[0]);
+  const kern::DispatchEntry* xmit = k->funcs().Lookup(kernel_slots[1]);
   uint64_t full_before = g.count(GuardType::kIndCallFull);
   gt.indcall_fast = TimedGuard(g, GuardType::kIndCallAll, kIters, [&](uint64_t) {
-    rt->CheckKernelIndirectCall(&kernel_slots[0], "dst_ops::output", kernel_slots[0]);
+    rt->CheckKernelIndirectCall(&kernel_slots[0], kern::kDstOutput, kernel_slots[0], kfree_skb_fn);
   });
   gt.ns[Idx(GuardType::kIndCallModule)] =
       TimedGuard(g, GuardType::kIndCallModule, kIters, [&](uint64_t) {
-        rt->CheckKernelIndirectCall(&kernel_slots[1], "net_device_ops::ndo_start_xmit",
-                                    kernel_slots[1]);
+        rt->CheckKernelIndirectCall(&kernel_slots[1], kern::kNdoStartXmit, kernel_slots[1], xmit);
       });
   Require(g.count(GuardType::kIndCallFull) == full_before, "host-heap slots take the fast path");
   double full_ns = TimedGuard(g, GuardType::kIndCallFull, kIters, [&](uint64_t) {
-    rt->CheckKernelIndirectCall(&dev->ops->ndo_start_xmit, "net_device_ops::ndo_start_xmit",
-                                dev->ops->ndo_start_xmit);
+    rt->CheckKernelIndirectCall(&dev->ops->ndo_start_xmit, kern::kNdoStartXmit,
+                                dev->ops->ndo_start_xmit, xmit);
   });
   gt.ns[Idx(GuardType::kIndCallFull)] = full_ns;
   double all = static_cast<double>(m.guard_counts[Idx(GuardType::kIndCallAll)]);

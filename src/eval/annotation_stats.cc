@@ -25,7 +25,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 }
 
 // Function-pointer types are either struct members ("net_device_ops::...")
-// or named callback typedefs ("irq_handler_t", "timer_fn").
+// or named callback typedefs (irq_handler_t, timer_fn).
 bool IsFnptrType(const std::string& name) {
   return name.find("::") != std::string::npos || EndsWith(name, "_t") || EndsWith(name, "_fn");
 }

@@ -57,13 +57,12 @@ int BlockLayer::SubmitBio(BlockDevice* dev, Bio* bio) {
     TRACE_EVENT(lxfi::TraceEvent::kBioComplete, 0, bio->sector,
                 static_cast<uint64_t>(static_cast<int64_t>(bio->status)));
     if (bio->end_io != 0) {
-      kernel_->IndirectCall<void, Bio*>(&bio->end_io, "bio_end_io_t", bio);
+      kernel_->IndirectCall(&bio->end_io, kBioEndIo, bio);
     }
     return rc;
   }
   // Device-mapper path: ask the module's target to map the bio.
-  int rc = kernel_->IndirectCall<int, DmTarget*, Bio*>(&target->type->map, "target_type::map",
-                                                       target, bio);
+  int rc = kernel_->IndirectCall(&target->type->map, kDmMap, target, bio);
   if (rc == kDmMapioRemapped) {
     // The core submits to the underlying device on the target's behalf.
     rc = SubmitBio(target->underlying, bio);
@@ -79,7 +78,7 @@ int BlockLayer::SubmitBio(BlockDevice* dev, Bio* bio) {
   TRACE_EVENT(lxfi::TraceEvent::kBioComplete, 0, bio->sector,
               static_cast<uint64_t>(static_cast<int64_t>(bio->status)));
   if (bio->end_io != 0) {
-    kernel_->IndirectCall<void, Bio*>(&bio->end_io, "bio_end_io_t", bio);
+    kernel_->IndirectCall(&bio->end_io, kBioEndIo, bio);
   }
   return rc;
 }
@@ -116,9 +115,7 @@ BlockDevice* BlockLayer::DmCreate(const std::string& name, const std::string& ty
   target->dm_dev = dm_dev;
 
   if (tt->second->ctr != 0) {
-    int rc = kernel_->IndirectCall<int, DmTarget*, const char*>(&tt->second->ctr,
-                                                                "target_type::ctr", target,
-                                                                params.c_str());
+    int rc = kernel_->IndirectCall(&tt->second->ctr, kDmCtr, target, params.c_str());
     if (rc != 0) {
       kernel_->slab().Free(tgt_mem);
       kernel_->slab().Free(dev_mem);
@@ -136,7 +133,7 @@ void BlockLayer::DmRemove(BlockDevice* dm_dev) {
     return;  // not a dm device
   }
   if (target->type->dtr != 0) {
-    kernel_->IndirectCall<void, DmTarget*>(&target->type->dtr, "target_type::dtr", target);
+    kernel_->IndirectCall(&target->type->dtr, kDmDtr, target);
   }
   for (auto dit = devices_.begin(); dit != devices_.end(); ++dit) {
     if (*dit == dm_dev) {

@@ -33,9 +33,10 @@ struct Bio {
   bool write = false;
   int status = 0;
   // Completion callback (module- or kernel-provided).
-  uintptr_t end_io = 0;  // void(Bio*)
+  uintptr_t end_io = 0;
   void* bi_private = nullptr;
 };
+inline constexpr FnPtrType<void(Bio*)> kBioEndIo{"bio_end_io_t"};
 
 // dm target map() outcomes (include/linux/device-mapper.h).
 inline constexpr int kDmMapioSubmitted = 0;
@@ -71,11 +72,14 @@ struct BlockDevice {
 // Module-provided target type (module memory).
 struct DmTargetType {
   const char* name = nullptr;
-  uintptr_t ctr = 0;  // int(DmTarget*, const char* params)
-  uintptr_t dtr = 0;  // void(DmTarget*)
-  uintptr_t map = 0;  // int(DmTarget*, Bio*)
+  uintptr_t ctr = 0;
+  uintptr_t dtr = 0;
+  uintptr_t map = 0;
   Module* module = nullptr;
 };
+inline constexpr FnPtrType<int(DmTarget*, const char* params)> kDmCtr{"target_type::ctr"};
+inline constexpr FnPtrType<void(DmTarget*)> kDmDtr{"target_type::dtr"};
+inline constexpr FnPtrType<int(DmTarget*, Bio*)> kDmMap{"target_type::map"};
 
 struct DmTarget {
   DmTargetType* type = nullptr;

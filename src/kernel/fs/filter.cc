@@ -163,8 +163,7 @@ int FilterChain::RunPre(FilterCtx* ctx, FilterRun* run) {
       ++run->ran;
       continue;
     }
-    int rc = kernel_->IndirectCall<int, VfsFilter*, FilterCtx*>(&f->pre_op, "vfs_filter::pre_op",
-                                                                f, ctx);
+    int rc = kernel_->IndirectCall(&f->pre_op, kFilterPreOp, f, ctx);
     ++run->ran;
     if (rc != 0) {
       return rc;
@@ -185,8 +184,7 @@ void FilterChain::RunPost(FilterCtx* ctx, const FilterRun& run) {
     if (f->post_op == 0) {
       continue;
     }
-    kernel_->IndirectCall<void, VfsFilter*, FilterCtx*>(&f->post_op, "vfs_filter::post_op", f,
-                                                        ctx);
+    kernel_->IndirectCall(&f->post_op, kFilterPostOp, f, ctx);
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include "src/base/small_vector.h"
 #include "src/base/sync.h"
+#include "src/kernel/types.h"
 
 namespace kern {
 
@@ -30,6 +31,8 @@ class Module;
 struct File;
 struct Inode;
 struct Dentry;
+struct VfsFilter;
+struct FilterCtx;
 
 // The VFS operations filters interpose on.
 enum class VfsOp : int {
@@ -74,8 +77,8 @@ struct FilterCtx {
 struct VfsFilter {
   const char* name = nullptr;
   int priority = 0;       // lower value runs earlier on the pre side
-  uintptr_t pre_op = 0;   // int(VfsFilter*, FilterCtx*): 0 = continue, <0 veto
-  uintptr_t post_op = 0;  // void(VfsFilter*, FilterCtx*)
+  uintptr_t pre_op = 0;   // 0 = continue, <0 veto
+  uintptr_t post_op = 0;
   void* private_data = nullptr;
   Module* module = nullptr;
   // Mount scope: when non-null, the filter's hooks run only for operations
@@ -89,6 +92,9 @@ struct VfsFilter {
 // and how many pre hooks ran. RunPost unwinds exactly that snapshot, so a
 // filter (un)registering mid-operation can never mispair pre and post
 // hooks.
+inline constexpr FnPtrType<int(VfsFilter*, FilterCtx*)> kFilterPreOp{"vfs_filter::pre_op"};
+inline constexpr FnPtrType<void(VfsFilter*, FilterCtx*)> kFilterPostOp{"vfs_filter::post_op"};
+
 struct FilterRun {
   lxfi::SmallVector<VfsFilter*, 8> snap;
   int ran = 0;

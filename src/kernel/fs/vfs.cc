@@ -266,8 +266,7 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
   }
   Dentry* probe = dcache_.NewDentry(parent->sb, parent, name);
   stats_.Count(VfsCounter::kLookupDispatches);
-  Inode* found = kernel_->IndirectCall<Inode*, Inode*, Dentry*>(
-      &dir->i_op->lookup, "inode_operations::lookup", dir, probe);
+  Inode* found = kernel_->IndirectCall(&dir->i_op->lookup, kInodeLookup, dir, probe);
   if (found != nullptr) {
     if (DInstantiate(probe, found) != 0) {
       // Lost a race (or the module lied about the inode); the existing
@@ -462,14 +461,12 @@ SuperBlock* Vfs::Mount(const char* fsname, const char* where) {
   std::snprintf(sb->id, sizeof(sb->id), "%s", comp);
   Dentry* root = dcache_.NewDentry(sb, nullptr, "/");
 
-  int rc = kernel_->IndirectCall<int, FileSystemType*, SuperBlock*, Dentry*>(
-      &fstype->mount, "file_system_type::mount", fstype, sb, root);
+  int rc = kernel_->IndirectCall(&fstype->mount, kFsMount, fstype, sb, root);
   bool root_ok = rc == 0 && (Dcache::FlagsOf(root) & kDentryPositive) != 0 &&
                  (Dcache::FlagsOf(root) & kDentryDir) != 0;
   if (!root_ok) {
     if (rc == 0 && fstype->kill_sb != 0) {
-      kernel_->IndirectCall<void, FileSystemType*, SuperBlock*>(
-          &fstype->kill_sb, "file_system_type::kill_sb", fstype, sb);
+      kernel_->IndirectCall(&fstype->kill_sb, kFsKillSb, fstype, sb);
     }
     // The tree was never reachable by a walker (the mount is unpublished).
     dcache_.FreeTreeNow(root);
@@ -494,8 +491,7 @@ SuperBlock* Vfs::Mount(const char* fsname, const char* where) {
     // Mountpoint taken between the pre-check and publication; back out
     // through the module so its capabilities and state are reclaimed.
     if (fstype->kill_sb != 0) {
-      kernel_->IndirectCall<void, FileSystemType*, SuperBlock*>(
-          &fstype->kill_sb, "file_system_type::kill_sb", fstype, sb);
+      kernel_->IndirectCall(&fstype->kill_sb, kFsKillSb, fstype, sb);
     }
     dcache_.FreeTreeNow(root);
     kernel_->slab().Free(sb);
@@ -526,8 +522,7 @@ int Vfs::Unmount(const char* where) {
     mount_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   if (sb->type->kill_sb != 0 && !TypeQuarantined(sb)) {
-    kernel_->IndirectCall<void, FileSystemType*, SuperBlock*>(
-        &sb->type->kill_sb, "file_system_type::kill_sb", sb->type, sb);
+    kernel_->IndirectCall(&sb->type->kill_sb, kFsKillSb, sb->type, sb);
   }
   // A walker that resolved the mount entry before the unlink may still be
   // inside the tree: everything goes through the reclaimer's grace period.
@@ -628,13 +623,8 @@ int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
   }
   Inode* dir = Dcache::InodeOf(parent);
   const uintptr_t* slot = nullptr;
-  const char* type = nullptr;
-  if (op == VfsOp::kCreate) {
-    slot = dir->i_op != nullptr ? &dir->i_op->create : nullptr;
-    type = "inode_operations::create";
-  } else {
-    slot = dir->i_op != nullptr ? &dir->i_op->mkdir : nullptr;
-    type = "inode_operations::mkdir";
+  if (dir->i_op != nullptr) {
+    slot = op == VfsOp::kCreate ? &dir->i_op->create : &dir->i_op->mkdir;
   }
   if (slot == nullptr || *slot == 0) {
     return -kEinval;
@@ -647,7 +637,8 @@ int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
   FilterRun run;
   rc = chain_.RunPre(&ctx, &run);
   if (rc == 0) {
-    rc = kernel_->IndirectCall<int, Inode*, Dentry*, uint32_t>(slot, type, dir, dentry, mode);
+    rc = kernel_->IndirectCall(slot, op == VfsOp::kCreate ? kInodeCreate : kInodeMkdir, dir, dentry,
+                               mode);
   }
   ctx.result = rc;
   chain_.RunPost(&ctx, run);
@@ -732,8 +723,7 @@ File* Vfs::Open(const char* path, int flags, int* err) {
   FilterRun run;
   rc = chain_.RunPre(&ctx, &run);
   if (rc == 0 && file->f_op->open != 0) {
-    rc = kernel_->IndirectCall<int, Inode*, File*>(&file->f_op->open, "file_operations::open",
-                                                   inode, file);
+    rc = kernel_->IndirectCall(&file->f_op->open, kFileOpen, inode, file);
   }
   ctx.result = rc;
   chain_.RunPost(&ctx, run);
@@ -761,8 +751,7 @@ int Vfs::Close(File* file) {
   // drains (ForceUnmountModule waits on it) — it just skips the module
   // dispatch, the same way the forced unmount skips kill_sb.
   if (file->f_op != nullptr && file->f_op->release != 0 && !TypeQuarantined(file->inode->sb)) {
-    rc = kernel_->IndirectCall<int, Inode*, File*>(&file->f_op->release,
-                                                   "file_operations::release", file->inode, file);
+    rc = kernel_->IndirectCall(&file->f_op->release, kFileRelease, file->inode, file);
   }
   Dcache::AddOpenCount(file->dentry, -1);
   __atomic_sub_fetch(&file->inode->sb->open_files, 1u, __ATOMIC_RELAXED);
@@ -788,8 +777,7 @@ int64_t Vfs::Read(File* file, uintptr_t ubuf, uint64_t n) {
   FilterRun run;
   int64_t result = chain_.RunPre(&ctx, &run);
   if (result == 0) {
-    result = kernel_->IndirectCall<int64_t, File*, uintptr_t, uint64_t, uint64_t>(
-        &file->f_op->read, "file_operations::read", file, ubuf, n, file->pos);
+    result = kernel_->IndirectCall(&file->f_op->read, kFileRead, file, ubuf, n, file->pos);
   }
   ctx.result = result;
   chain_.RunPost(&ctx, run);
@@ -816,8 +804,7 @@ int64_t Vfs::Write(File* file, uintptr_t ubuf, uint64_t n) {
   FilterRun run;
   int64_t result = chain_.RunPre(&ctx, &run);
   if (result == 0) {
-    result = kernel_->IndirectCall<int64_t, File*, uintptr_t, uint64_t, uint64_t>(
-        &file->f_op->write, "file_operations::write", file, ubuf, n, file->pos);
+    result = kernel_->IndirectCall(&file->f_op->write, kFileWrite, file, ubuf, n, file->pos);
   }
   ctx.result = result;
   chain_.RunPost(&ctx, run);
@@ -850,6 +837,9 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
   if (slot == nullptr || *slot == 0) {
     return -kEinval;
   }
+  // Resolve the leaf as Walk does (it may be uncached after a remount); the
+  // locked probe below re-checks it.
+  LookupChild(parent, leaf.c_str());
   Dentry* child;
   {
     lxfi::SpinGuard guard(dcache_.writer_lock(parent));
@@ -900,8 +890,7 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
   FilterRun run;
   rc = chain_.RunPre(&ctx, &run);
   if (rc == 0) {
-    rc = kernel_->IndirectCall<int, Inode*, Dentry*>(
-        slot, dir ? "inode_operations::rmdir" : "inode_operations::unlink", dirnode, child);
+    rc = kernel_->IndirectCall(slot, dir ? kInodeRmdir : kInodeUnlink, dirnode, child);
   }
   ctx.result = rc;
   chain_.RunPost(&ctx, run);
@@ -937,7 +926,7 @@ int Vfs::Fsync(File* file) {
   FilterRun run;
   int rc = chain_.RunPre(&ctx, &run);
   if (rc == 0 && file->f_op->fsync != 0) {
-    rc = kernel_->IndirectCall<int, File*>(&file->f_op->fsync, "file_operations::fsync", file);
+    rc = kernel_->IndirectCall(&file->f_op->fsync, kFileFsync, file);
   }
   ctx.result = rc;
   chain_.RunPost(&ctx, run);
@@ -970,6 +959,9 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
       olddir->i_op->rename == 0) {
     return -kEinval;
   }
+  // Resolve both leaves as Walk does; the locked probes below re-check them.
+  LookupChild(oparent, oleaf.c_str());
+  LookupChild(nparent, nleaf.c_str());
   // The destination reservation: a negative dentry carrying the moving
   // mark, linked before the module dispatch so no concurrent create or
   // rename can claim the name while the move commits on disk
@@ -1027,8 +1019,7 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
   FilterRun run;
   rc = chain_.RunPre(&ctx, &run);
   if (rc == 0) {
-    rc = kernel_->IndirectCall<int, Inode*, Dentry*, Inode*, Dentry*>(
-        &olddir->i_op->rename, "inode_operations::rename", olddir, od, newdir, nd);
+    rc = kernel_->IndirectCall(&olddir->i_op->rename, kInodeRename, olddir, od, newdir, nd);
   }
   ctx.result = rc;
   chain_.RunPost(&ctx, run);
@@ -1073,8 +1064,7 @@ int Vfs::Stat(const char* path, VfsStat* out) {
   rc = chain_.RunPre(&ctx, &run);
   if (rc == 0) {
     if (inode->i_op != nullptr && inode->i_op->getattr != 0) {
-      rc = kernel_->IndirectCall<int, Inode*, VfsStat*>(&inode->i_op->getattr,
-                                                        "inode_operations::getattr", inode, out);
+      rc = kernel_->IndirectCall(&inode->i_op->getattr, kInodeGetattr, inode, out);
     } else {
       out->ino = inode->ino;
       out->mode = inode->mode;
@@ -1098,8 +1088,7 @@ int Vfs::StatFs(const char* where, VfsStatFs* out) {
   if (sb->s_op == nullptr || sb->s_op->statfs == 0) {
     return -kEinval;
   }
-  return kernel_->IndirectCall<int, SuperBlock*, VfsStatFs*>(&sb->s_op->statfs,
-                                                             "super_operations::statfs", sb, out);
+  return kernel_->IndirectCall(&sb->s_op->statfs, kSuperStatfs, sb, out);
 }
 
 Vfs* GetVfs(Kernel* kernel) { return kernel->EnsureSubsystem<Vfs>(kernel); }

@@ -61,40 +61,63 @@ struct SuperBlock;
 struct Inode;
 struct Dentry;
 struct File;
+struct FileSystemType;
+struct VfsStat;
+struct VfsStatFs;
 
 // Function-pointer tables. They live in module memory (rodata unless the
 // module opts out), exactly like proto_ops: the kernel dispatches through
 // them with the home-slot indirect-call check.
 struct SuperOperations {
-  uintptr_t statfs = 0;  // int(SuperBlock*, VfsStatFs*)
+  uintptr_t statfs = 0;
 };
+inline constexpr FnPtrType<int(SuperBlock*, VfsStatFs*)> kSuperStatfs{"super_operations::statfs"};
 
 struct InodeOperations {
-  uintptr_t lookup = 0;   // Inode*(Inode* dir, Dentry* dentry)
-  uintptr_t create = 0;   // int(Inode* dir, Dentry* dentry, uint32_t mode)
-  uintptr_t unlink = 0;   // int(Inode* dir, Dentry* dentry)
-  uintptr_t mkdir = 0;    // int(Inode* dir, Dentry* dentry, uint32_t mode)
-  uintptr_t rmdir = 0;    // int(Inode* dir, Dentry* dentry)
-  uintptr_t rename = 0;   // int(Inode* olddir, Dentry* odent, Inode* newdir, Dentry* ndent)
-  uintptr_t getattr = 0;  // int(Inode*, VfsStat*)
+  uintptr_t lookup = 0;
+  uintptr_t create = 0;
+  uintptr_t unlink = 0;
+  uintptr_t mkdir = 0;
+  uintptr_t rmdir = 0;
+  uintptr_t rename = 0;
+  uintptr_t getattr = 0;
 };
+inline constexpr FnPtrType<Inode*(Inode* dir, Dentry*)> kInodeLookup{"inode_operations::lookup"};
+inline constexpr FnPtrType<int(Inode*, Dentry*, uint32_t)> kInodeCreate{"inode_operations::create"};
+inline constexpr FnPtrType<int(Inode* dir, Dentry*)> kInodeUnlink{"inode_operations::unlink"};
+inline constexpr FnPtrType<int(Inode*, Dentry*, uint32_t)> kInodeMkdir{"inode_operations::mkdir"};
+inline constexpr FnPtrType<int(Inode* dir, Dentry*)> kInodeRmdir{"inode_operations::rmdir"};
+inline constexpr FnPtrType<int(Inode* olddir, Dentry* odent, Inode* newdir, Dentry* ndent)>
+    kInodeRename{"inode_operations::rename"};
+inline constexpr FnPtrType<int(Inode*, VfsStat*)> kInodeGetattr{"inode_operations::getattr"};
 
 struct FileOperations {
-  uintptr_t open = 0;     // int(Inode*, File*)
-  uintptr_t release = 0;  // int(Inode*, File*)
-  uintptr_t read = 0;     // int64_t(File*, uintptr_t ubuf, uint64_t n, uint64_t pos)
-  uintptr_t write = 0;    // int64_t(File*, uintptr_t ubuf, uint64_t n, uint64_t pos)
-  uintptr_t fsync = 0;    // int(File*)
+  uintptr_t open = 0;
+  uintptr_t release = 0;
+  uintptr_t read = 0;
+  uintptr_t write = 0;
+  uintptr_t fsync = 0;
 };
+inline constexpr FnPtrType<int(Inode*, File*)> kFileOpen{"file_operations::open"};
+inline constexpr FnPtrType<int(Inode*, File*)> kFileRelease{"file_operations::release"};
+inline constexpr FnPtrType<int64_t(File*, uintptr_t ubuf, uint64_t n, uint64_t pos)> kFileRead{
+    "file_operations::read"};
+inline constexpr FnPtrType<int64_t(File*, uintptr_t ubuf, uint64_t n, uint64_t pos)> kFileWrite{
+    "file_operations::write"};
+inline constexpr FnPtrType<int(File*)> kFileFsync{"file_operations::fsync"};
 
 // Module-provided filesystem type (module kmalloc memory, so the
 // register-time capability transfer moves exactly this allocation).
 struct FileSystemType {
   const char* name = nullptr;
-  uintptr_t mount = 0;    // int(FileSystemType*, SuperBlock*, Dentry* root)
-  uintptr_t kill_sb = 0;  // void(FileSystemType*, SuperBlock*)
+  uintptr_t mount = 0;
+  uintptr_t kill_sb = 0;
   Module* module = nullptr;
 };
+inline constexpr FnPtrType<int(FileSystemType*, SuperBlock*, Dentry* root)> kFsMount{
+    "file_system_type::mount"};
+inline constexpr FnPtrType<void(FileSystemType*, SuperBlock*)> kFsKillSb{
+    "file_system_type::kill_sb"};
 
 // The sb_caps grant covers ONLY the s_op/s_fs_info pair (the fields a
 // filesystem module legitimately fills at mount); type/root/next_ino and

@@ -11,6 +11,8 @@
 namespace kern {
 
 class Module;
+struct DispatchEntry;
+struct FnPtrTypeId;
 struct KthreadContext;
 
 class IsolationHooks {
@@ -28,13 +30,12 @@ class IsolationHooks {
   virtual void CallModuleExit(Module* module, const std::function<void()>& exit_fn) = 0;
 
   // The check the kernel rewriter inserts before every indirect call in core
-  // kernel code (§4.1): pptr is the address of the (possibly module-written)
-  // function-pointer slot (the intra-procedural trace-back result),
-  // fnptr_type names the pointer's declared type so the runtime can compare
-  // annotation hashes, target is the value about to be invoked. Must panic
-  // on violation.
-  virtual void CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
-                                       uintptr_t target) = 0;
+  // kernel code (§4.1): pptr is the (possibly module-written) slot, the
+  // intra-procedural trace-back result; `type` the pointer's declared type;
+  // target the value about to be invoked and `entry` its dispatch entry
+  // (null when unmapped), which the call then runs. Must panic on violation.
+  virtual void CheckKernelIndirectCall(const void* pptr, const FnPtrTypeId& type, uintptr_t target,
+                                       const DispatchEntry* entry) = 0;
 
   // Interrupt entry/exit: save/restore the current principal (§3.1).
   virtual void OnInterruptEnter(KthreadContext* ctx) = 0;

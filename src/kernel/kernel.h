@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <typeindex>
 #include <unordered_map>
 #include <vector>
@@ -106,17 +107,18 @@ class Kernel {
 
   // --- Indirect calls from core kernel code ------------------------------
   // Every indirect call site in the core kernel is "rewritten" to go through
-  // this helper (§4.1): pptr is the home slot of the function pointer (the
-  // intra-procedural trace-back result, e.g. &dev->ops->handler rather than
-  // &local_copy), fnptr_type the declared type of the pointer, from which
-  // the runtime derives the annotation hash to match against the target's.
+  // this helper (§4.1): pptr is the home slot of the function pointer (e.g.
+  // &dev->ops->handler rather than &local_copy), `type` its declared type,
+  // which fixes the signature. The check and the call share one lookup.
   template <typename Ret, typename... Args>
-  Ret IndirectCall(const uintptr_t* pptr, const char* fnptr_type, Args... args) {
+  Ret IndirectCall(const uintptr_t* pptr, const FnPtrType<Ret(Args...)>& type,
+                   std::type_identity_t<Args>... args) {
     uintptr_t target = *pptr;
+    const DispatchEntry* entry = funcs_.Lookup(target);
     if (isolation_ != nullptr) {
-      isolation_->CheckKernelIndirectCall(pptr, fnptr_type, target);
+      isolation_->CheckKernelIndirectCall(pptr, type, target, entry);
     }
-    return funcs_.Invoke<Ret, Args...>(target, args...);
+    return FuncRegistry::Call<Ret, Args...>(target, entry, args...);
   }
 
   // --- Subsystems ---------------------------------------------------------

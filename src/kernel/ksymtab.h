@@ -6,11 +6,11 @@
 //   user space    [0, 0x200000)        (attacker-mappable, including page 0)
 // Function-pointer fields in shared data structures store these addresses as
 // plain uintptr_t, so an exploit can overwrite them with arbitrary values;
-// invoking an address goes through FuncRegistry::Invoke, which is the
+// invoking an address goes through FuncRegistry::Call, which is the
 // simulation's "instruction fetch": unknown addresses fault (kernel panic,
 // like a real wild jump), registered addresses run the registered callable.
-// LXFI's indirect-call check runs before Invoke and is what distinguishes a
-// protected kernel from a stock one.
+// LXFI's indirect-call check runs between Lookup and Call, on the same
+// entry, and is what distinguishes a protected kernel from a stock one.
 //
 // Concurrency: dispatch is the one table every worker CPU probes on every
 // indirect call, and module load/unload mutates it — so Lookup is lock-free
@@ -128,11 +128,10 @@ class FuncRegistry {
     RetireEntry(old);
   }
 
-  // Control transfer to `addr`. Faults (panics) on unmapped addresses or
-  // signature mismatch, as real hardware would on a wild jump.
+  // Control transfer to `addr` through its looked-up `entry`. Faults on an
+  // unmapped address or a signature mismatch, as hardware would.
   template <typename Ret, typename... Args>
-  Ret Invoke(uintptr_t addr, Args... args) const {
-    const DispatchEntry* entry = Lookup(addr);
+  static Ret Call(uintptr_t addr, const DispatchEntry* entry, Args... args) {
     if (entry == nullptr) {
       Panic("unable to handle kernel paging request at text address " + std::to_string(addr));
     }
@@ -141,6 +140,11 @@ class FuncRegistry {
       Panic("invalid opcode: calling " + entry->name + " with mismatched signature");
     }
     return (*fn)(args...);
+  }
+
+  template <typename Ret, typename... Args>
+  Ret Invoke(uintptr_t addr, Args... args) const {
+    return Call<Ret, Args...>(addr, Lookup(addr), args...);
   }
 
   size_t size() const { return dispatch_.size(); }

@@ -15,18 +15,20 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/kernel/types.h"
+
 namespace kern {
 
 class Kernel;
 class Module;
 
 // A function defined by the module and exposed to the kernel via a function
-// pointer. `type_name` identifies the function-pointer type (e.g.
-// "net_device_ops::ndo_start_xmit") whose annotations propagate to the
-// function; `invoker` holds a std::function<Sig> with the matching signature.
+// pointer of `type` (a FnPtrType, e.g. kNdoStartXmit), whose annotations
+// propagate to the function; `invoker` holds a std::function<Sig> of that
+// type's signature (lxfi::DeclareFunction deduces it from the handle).
 struct FuncDecl {
   std::string name;
-  std::string type_name;
+  FnPtrTypeId type{};
   std::any invoker;
   // Opaque wrapper factory installed by the module rewriter (lxfi): given
   // the runtime and module context it produces the instrumented invoker.

@@ -17,7 +17,7 @@ int NetStack::RegisterNetdev(NetDevice* dev) {
   devices_.push_back(dev);
   dev->up = true;
   if (dev->ops != nullptr && dev->ops->ndo_open != 0) {
-    kernel_->IndirectCall<int, NetDevice*>(&dev->ops->ndo_open, "net_device_ops::ndo_open", dev);
+    kernel_->IndirectCall(&dev->ops->ndo_open, kNdoOpen, dev);
   }
   return 0;
 }
@@ -25,7 +25,7 @@ int NetStack::RegisterNetdev(NetDevice* dev) {
 void NetStack::UnregisterNetdev(NetDevice* dev) {
   dev->up = false;
   if (dev->ops != nullptr && dev->ops->ndo_stop != 0) {
-    kernel_->IndirectCall<int, NetDevice*>(&dev->ops->ndo_stop, "net_device_ops::ndo_stop", dev);
+    kernel_->IndirectCall(&dev->ops->ndo_stop, kNdoStop, dev);
   }
   for (auto it = devices_.begin(); it != devices_.end(); ++it) {
     if (*it == dev) {
@@ -70,8 +70,8 @@ int NetStack::ProcessBacklog(int max_packets) {
 }
 
 void NetStack::SetProtocolHandler(uint16_t protocol, ProtoHandler handler) {
-  uintptr_t addr = kernel_->funcs().Register<void(SkBuff*)>(
-      TextKind::kKernelText, "ptype_handler", std::function<void(SkBuff*)>(std::move(handler)));
+  uintptr_t addr = kernel_->funcs().Register<void(SkBuff*)>(TextKind::kKernelText, "ptype_handler",
+                                                            std::move(handler));
   ptype_slots_[protocol] = addr;
 }
 
@@ -85,7 +85,7 @@ void NetStack::DeliverOne(SkBuff* skb) {
   if (it != ptype_slots_.end()) {
     // ptype->func: a kernel-written slot; its writer set is empty, so the
     // LXFI indirect-call guard takes the fast path here.
-    kernel_->IndirectCall<void, SkBuff*>(&it->second, "packet_type::func", skb);
+    kernel_->IndirectCall(&it->second, kPacketTypeFunc, skb);
     return;
   }
   FreeSkb(kernel_, skb);  // no handler: drop
@@ -98,11 +98,9 @@ void NetStack::InstallKernelDispatch() {
   // module dispatch needs a full check. This mirrors the 1/3-vs-2/3 split
   // the paper measures on the netperf path (§8.4).
   qdisc_enqueue_slot_ = kernel_->funcs().Register<int(NetDevice*, SkBuff*)>(
-      TextKind::kKernelText, "pfifo_fast_enqueue",
-      std::function<int(NetDevice*, SkBuff*)>([this](NetDevice* dev, SkBuff* skb) -> int {
+      TextKind::kKernelText, "pfifo_fast_enqueue", [this](NetDevice* dev, SkBuff* skb) -> int {
         uint32_t len = skb->len;
-        int rc = kernel_->IndirectCall<int, SkBuff*, NetDevice*>(
-            &dev->ops->ndo_start_xmit, "net_device_ops::ndo_start_xmit", skb, dev);
+        int rc = kernel_->IndirectCall(&dev->ops->ndo_start_xmit, kNdoStartXmit, skb, dev);
         if (rc == kNetdevTxOk) {
           ++dev->tx_packets;
           dev->tx_bytes += len;
@@ -110,13 +108,11 @@ void NetStack::InstallKernelDispatch() {
           ++dev->tx_busy;
         }
         return rc;
-      }));
+      });
   dst_output_slot_ = kernel_->funcs().Register<int(NetDevice*, SkBuff*)>(
-      TextKind::kKernelText, "ip_output",
-      std::function<int(NetDevice*, SkBuff*)>([this](NetDevice* dev, SkBuff* skb) -> int {
-        return kernel_->IndirectCall<int, NetDevice*, SkBuff*>(&qdisc_enqueue_slot_,
-                                                               "qdisc::enqueue", dev, skb);
-      }));
+      TextKind::kKernelText, "ip_output", [this](NetDevice* dev, SkBuff* skb) -> int {
+        return kernel_->IndirectCall(&qdisc_enqueue_slot_, kQdiscEnqueue, dev, skb);
+      });
 }
 
 int NetStack::DevQueueXmit(NetDevice* dev, SkBuff* skb) {
@@ -127,8 +123,7 @@ int NetStack::DevQueueXmit(NetDevice* dev, SkBuff* skb) {
   EnsureKernelDispatch();  // single-threaded fallback; SMP paths installed
                            // eagerly via GetNetStack
   // dst->output: the first of the kernel-internal indirect hops.
-  return kernel_->IndirectCall<int, NetDevice*, SkBuff*>(&dst_output_slot_, "dst_ops::output",
-                                                         dev, skb);
+  return kernel_->IndirectCall(&dst_output_slot_, kDstOutput, dev, skb);
 }
 
 void NetStack::NapiSchedule(NapiStruct* napi) {
@@ -148,8 +143,7 @@ int NetStack::RunSoftirq(int budget_per_poll) {
     if (napi->poll == 0) {
       continue;
     }
-    total += kernel_->IndirectCall<int, NapiStruct*, int>(&napi->poll, "napi_struct::poll", napi,
-                                                          budget_per_poll);
+    total += kernel_->IndirectCall(&napi->poll, kNapiPoll, napi, budget_per_poll);
   }
   return total;
 }

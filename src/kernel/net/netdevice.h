@@ -26,17 +26,27 @@ struct NetDevice;
 // Function-pointer table. Lives in module memory (allocated by the module or
 // in its data sections), exactly the layout attackers overwrite.
 struct NetDeviceOps {
-  uintptr_t ndo_open = 0;        // int(NetDevice*)
-  uintptr_t ndo_stop = 0;        // int(NetDevice*)
-  uintptr_t ndo_start_xmit = 0;  // int(SkBuff*, NetDevice*)
+  uintptr_t ndo_open = 0;
+  uintptr_t ndo_stop = 0;
+  uintptr_t ndo_start_xmit = 0;
 };
+inline constexpr FnPtrType<int(NetDevice*)> kNdoOpen{"net_device_ops::ndo_open"};
+inline constexpr FnPtrType<int(NetDevice*)> kNdoStop{"net_device_ops::ndo_stop"};
+inline constexpr FnPtrType<int(SkBuff*, NetDevice*)> kNdoStartXmit{
+    "net_device_ops::ndo_start_xmit"};
 
 struct NapiStruct {
   NetDevice* dev = nullptr;
-  uintptr_t poll = 0;  // int(NapiStruct*, int budget)
+  uintptr_t poll = 0;
   int weight = 64;
   bool scheduled = false;
 };
+inline constexpr FnPtrType<int(NapiStruct*, int budget)> kNapiPoll{"napi_struct::poll"};
+
+// The transmit and receive paths' kernel-owned hops (NetStack's slots).
+inline constexpr FnPtrType<int(NetDevice*, SkBuff*)> kDstOutput{"dst_ops::output"};
+inline constexpr FnPtrType<int(NetDevice*, SkBuff*)> kQdiscEnqueue{"qdisc::enqueue"};
+inline constexpr FnPtrType<void(SkBuff*)> kPacketTypeFunc{"packet_type::func"};
 
 struct NetDevice {
   char name[16] = {};

@@ -27,8 +27,7 @@ Socket* SocketLayer::SysSocket(int family, int type) {
   sock->family = family;
   sock->type = type;
   sock->owner = kernel_->current_task();
-  int rc = kernel_->IndirectCall<int, Socket*>(&it->second->create, "net_proto_family::create",
-                                               sock);
+  int rc = kernel_->IndirectCall(&it->second->create, kProtoFamilyCreate, sock);
   if (rc != 0) {
     kernel_->slab().Free(sock);
     return nullptr;
@@ -41,9 +40,7 @@ int SocketLayer::SysBind(Socket* sock, uintptr_t uaddr, size_t len) {
   if (sock->ops == nullptr || sock->ops->bind == 0) {
     return -kEinval;
   }
-  return kernel_->IndirectCall<int, Socket*, uintptr_t, size_t>(&sock->ops->bind,
-                                                                "proto_ops::bind", sock, uaddr,
-                                                                len);
+  return kernel_->IndirectCall(&sock->ops->bind, kProtoBind, sock, uaddr, len);
 }
 
 int SocketLayer::SysIoctl(Socket* sock, unsigned cmd, uintptr_t arg) {
@@ -53,31 +50,27 @@ int SocketLayer::SysIoctl(Socket* sock, unsigned cmd, uintptr_t arg) {
   // NOTE: deliberately no check that the ioctl pointer is non-zero — a real
   // kernel jumps through whatever the ops table holds, which is exactly what
   // the econet/RDS exploits depend on.
-  return kernel_->IndirectCall<int, Socket*, unsigned, uintptr_t>(&sock->ops->ioctl,
-                                                                  "proto_ops::ioctl", sock, cmd,
-                                                                  arg);
+  return kernel_->IndirectCall(&sock->ops->ioctl, kProtoIoctl, sock, cmd, arg);
 }
 
 int SocketLayer::SysSendmsg(Socket* sock, MsgHdr* msg) {
   if (sock->ops == nullptr || sock->ops->sendmsg == 0) {
     return -kEinval;
   }
-  return kernel_->IndirectCall<int, Socket*, MsgHdr*>(&sock->ops->sendmsg, "proto_ops::sendmsg",
-                                                      sock, msg);
+  return kernel_->IndirectCall(&sock->ops->sendmsg, kProtoSendmsg, sock, msg);
 }
 
 int SocketLayer::SysRecvmsg(Socket* sock, MsgHdr* msg) {
   if (sock->ops == nullptr || sock->ops->recvmsg == 0) {
     return -kEinval;
   }
-  return kernel_->IndirectCall<int, Socket*, MsgHdr*>(&sock->ops->recvmsg, "proto_ops::recvmsg",
-                                                      sock, msg);
+  return kernel_->IndirectCall(&sock->ops->recvmsg, kProtoRecvmsg, sock, msg);
 }
 
 int SocketLayer::SysClose(Socket* sock) {
   int rc = 0;
   if (sock->ops != nullptr && sock->ops->release != 0) {
-    rc = kernel_->IndirectCall<int, Socket*>(&sock->ops->release, "proto_ops::release", sock);
+    rc = kernel_->IndirectCall(&sock->ops->release, kProtoRelease, sock);
   }
   for (auto it = sockets_.begin(); it != sockets_.end(); ++it) {
     if (*it == sock) {

@@ -16,6 +16,8 @@
 namespace kern {
 
 class Kernel;
+struct MsgHdr;
+struct Socket;
 struct Task;
 
 // Address families used by the annotated modules.
@@ -26,12 +28,17 @@ inline constexpr int kAfCan = 29;
 // Function-pointer table; lives in module memory (rodata by default, like
 // Linux's `static const struct proto_ops`).
 struct ProtoOps {
-  uintptr_t release = 0;  // int(Socket*)
-  uintptr_t bind = 0;     // int(Socket*, uintptr_t uaddr, size_t len)
-  uintptr_t ioctl = 0;    // int(Socket*, unsigned cmd, uintptr_t arg)
-  uintptr_t sendmsg = 0;  // int(Socket*, MsgHdr*)
-  uintptr_t recvmsg = 0;  // int(Socket*, MsgHdr*)
+  uintptr_t release = 0;
+  uintptr_t bind = 0;
+  uintptr_t ioctl = 0;
+  uintptr_t sendmsg = 0;
+  uintptr_t recvmsg = 0;
 };
+inline constexpr FnPtrType<int(Socket*)> kProtoRelease{"proto_ops::release"};
+inline constexpr FnPtrType<int(Socket*, uintptr_t uaddr, size_t len)> kProtoBind{"proto_ops::bind"};
+inline constexpr FnPtrType<int(Socket*, unsigned, uintptr_t)> kProtoIoctl{"proto_ops::ioctl"};
+inline constexpr FnPtrType<int(Socket*, MsgHdr*)> kProtoSendmsg{"proto_ops::sendmsg"};
+inline constexpr FnPtrType<int(Socket*, MsgHdr*)> kProtoRecvmsg{"proto_ops::recvmsg"};
 
 struct Socket {
   int family = 0;
@@ -53,8 +60,9 @@ struct MsgHdr {
 // the kernel's indirect call has a module-writable home slot.
 struct NetProtoFamily {
   int family = 0;
-  uintptr_t create = 0;  // int(Socket*)
+  uintptr_t create = 0;
 };
+inline constexpr FnPtrType<int(Socket*)> kProtoFamilyCreate{"net_proto_family::create"};
 
 class SocketLayer {
  public:

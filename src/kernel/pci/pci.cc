@@ -28,7 +28,7 @@ int PciBus::RegisterDriver(PciDriver* drv) {
   for (PciDev* dev : devices_) {
     if (dev->driver == nullptr && dev->vendor == drv->vendor && dev->device == drv->device &&
         drv->probe != 0) {
-      int rc = kernel_->IndirectCall<int, PciDev*>(&drv->probe, "pci_driver::probe", dev);
+      int rc = kernel_->IndirectCall(&drv->probe, kPciProbe, dev);
       if (rc == 0) {
         dev->driver = drv->module;
         ++bound;
@@ -43,7 +43,7 @@ int PciBus::RegisterDriver(PciDriver* drv) {
 void PciBus::UnregisterDriver(PciDriver* drv) {
   for (PciDev* dev : devices_) {
     if (dev->driver == drv->module && drv->remove != 0) {
-      kernel_->IndirectCall<void, PciDev*>(&drv->remove, "pci_driver::remove", dev);
+      kernel_->IndirectCall(&drv->remove, kPciRemove, dev);
       dev->driver = nullptr;
       dev->enabled = false;
     }
@@ -101,7 +101,7 @@ void PciBus::FireIrq(int irq) {
     return;
   }
   kernel_->DeliverInterrupt([this, &slot, irq] {
-    kernel_->IndirectCall<void, int, void*>(&slot.handler, "irq_handler_t", irq, slot.dev_id);
+    kernel_->IndirectCall(&slot.handler, kIrqHandler, irq, slot.dev_id);
   });
 }
 

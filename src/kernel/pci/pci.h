@@ -37,10 +37,13 @@ struct PciDev {
 struct PciDriver {
   uint16_t vendor = 0;
   uint16_t device = 0;
-  uintptr_t probe = 0;   // int(PciDev*)
-  uintptr_t remove = 0;  // void(PciDev*)
+  uintptr_t probe = 0;
+  uintptr_t remove = 0;
   Module* module = nullptr;
 };
+inline constexpr FnPtrType<int(PciDev*)> kPciProbe{"pci_driver::probe"};
+inline constexpr FnPtrType<void(PciDev*)> kPciRemove{"pci_driver::remove"};
+inline constexpr FnPtrType<void(int irq, void* dev_id)> kIrqHandler{"irq_handler_t"};
 
 class PciBus {
  public:

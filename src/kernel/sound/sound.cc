@@ -25,22 +25,20 @@ int SoundCore::Playback(SoundCard* card, int periods) {
   PcmSubstream* ss = card->substream;
   int rc = 0;
   if (card->ops->open != 0) {
-    rc = kernel_->IndirectCall<int, PcmSubstream*>(&card->ops->open, "pcm_ops::open", ss);
+    rc = kernel_->IndirectCall(&card->ops->open, kPcmOpen, ss);
     if (rc != 0) {
       return rc;
     }
   }
   if (card->ops->trigger != 0) {
-    rc = kernel_->IndirectCall<int, PcmSubstream*, int>(&card->ops->trigger, "pcm_ops::trigger",
-                                                        ss, kPcmTriggerStart);
+    rc = kernel_->IndirectCall(&card->ops->trigger, kPcmTrigger, ss, kPcmTriggerStart);
     if (rc != 0) {
       return rc;
     }
   }
   uint32_t last = 0;
   for (int i = 0; i < periods; ++i) {
-    uint32_t pos = kernel_->IndirectCall<uint32_t, PcmSubstream*>(&card->ops->pointer,
-                                                                  "pcm_ops::pointer", ss);
+    uint32_t pos = kernel_->IndirectCall(&card->ops->pointer, kPcmPointer, ss);
     if (ss->buffer_bytes != 0 && pos >= ss->buffer_bytes) {
       rc = -kEinval;  // driver reported a pointer outside the ring
       break;
@@ -49,11 +47,10 @@ int SoundCore::Playback(SoundCard* card, int periods) {
     (void)last;
   }
   if (card->ops->trigger != 0) {
-    kernel_->IndirectCall<int, PcmSubstream*, int>(&card->ops->trigger, "pcm_ops::trigger", ss,
-                                                   kPcmTriggerStop);
+    kernel_->IndirectCall(&card->ops->trigger, kPcmTrigger, ss, kPcmTriggerStop);
   }
   if (card->ops->close != 0) {
-    kernel_->IndirectCall<int, PcmSubstream*>(&card->ops->close, "pcm_ops::close", ss);
+    kernel_->IndirectCall(&card->ops->close, kPcmClose, ss);
   }
   return rc;
 }

@@ -15,13 +15,18 @@ namespace kern {
 
 class Kernel;
 class Module;
+struct PcmSubstream;
 
 struct PcmOps {
-  uintptr_t open = 0;     // int(PcmSubstream*)
-  uintptr_t close = 0;    // int(PcmSubstream*)
-  uintptr_t trigger = 0;  // int(PcmSubstream*, int cmd)
-  uintptr_t pointer = 0;  // uint32(PcmSubstream*)
+  uintptr_t open = 0;
+  uintptr_t close = 0;
+  uintptr_t trigger = 0;
+  uintptr_t pointer = 0;
 };
+inline constexpr FnPtrType<int(PcmSubstream*)> kPcmOpen{"pcm_ops::open"};
+inline constexpr FnPtrType<int(PcmSubstream*)> kPcmClose{"pcm_ops::close"};
+inline constexpr FnPtrType<int(PcmSubstream*, int cmd)> kPcmTrigger{"pcm_ops::trigger"};
+inline constexpr FnPtrType<uint32_t(PcmSubstream*)> kPcmPointer{"pcm_ops::pointer"};
 
 inline constexpr int kPcmTriggerStart = 1;
 inline constexpr int kPcmTriggerStop = 0;

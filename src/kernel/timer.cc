@@ -55,7 +55,7 @@ int TimerWheel::Advance(uint64_t ticks) {
   for (TimerList* timer : expired) {
     // The home slot is the timer's own function field — module-writable
     // memory, so the writer-set full check applies (§4.1).
-    kernel_->IndirectCall<void, void*>(&timer->function, "timer_fn", timer->data);
+    kernel_->IndirectCall(&timer->function, kTimerFn, timer->data);
     ++fired;
   }
   return fired;

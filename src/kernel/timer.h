@@ -23,14 +23,15 @@ namespace kern {
 
 class Kernel;
 
-// Lives in module (or kernel) memory; `function` is a text address of
-// signature void(void* data).
+// Lives in module (or kernel) memory; `function` is a text address of type
+// kTimerFn.
 struct TimerList {
   uintptr_t function = 0;
   void* data = nullptr;
   uint64_t expires = 0;  // absolute tick
   bool pending = false;
 };
+inline constexpr FnPtrType<void(void* data)> kTimerFn{"timer_fn"};
 
 class TimerWheel {
  public:

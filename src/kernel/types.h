@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/base/hash.h"
+
 namespace kern {
 
 inline constexpr size_t kPageSize = 4096;
@@ -32,5 +34,23 @@ inline constexpr int kEnotconn = 107;
 // netdev_tx_t values (include/linux/netdevice.h).
 inline constexpr int kNetdevTxOk = 0;
 inline constexpr int kNetdevTxBusy = 16;
+
+// A function-pointer type (§4.1): the name its annotations are registered
+// under and that name's FNV-1a key, computed at compile time. Declared once,
+// next to the ops struct it types; call sites and module functions take the
+// handle, so a call that does not match its signature does not compile.
+struct FnPtrTypeId {
+  const char* name;
+  uint64_t key;
+};
+
+template <typename Sig>
+struct FnPtrType;
+
+template <typename Ret, typename... Args>
+struct FnPtrType<Ret(Args...)> : FnPtrTypeId {
+  constexpr explicit FnPtrType(const char* type_name)
+      : FnPtrTypeId{type_name, lxfi::Fnv1a64(type_name)} {}
+};
 
 }  // namespace kern

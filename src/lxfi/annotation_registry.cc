@@ -44,8 +44,8 @@ lxfi::Status AnnotationRegistry::Register(const std::string& name,
   return OkStatus();
 }
 
-const AnnotationSet* AnnotationRegistry::Find(std::string_view name) const {
-  const AnnotationSet* const* slot = index_.Find(Fnv1a64(name));
+const AnnotationSet* AnnotationRegistry::Find(uint64_t key, std::string_view name) const {
+  const AnnotationSet* const* slot = index_.Find(key);
   if (slot == nullptr) {
     return nullptr;
   }

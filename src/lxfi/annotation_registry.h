@@ -1,7 +1,7 @@
 // Registry of annotation sets and capability iterators.
 //
 // Keyed by symbol name (kernel exports like "kmalloc") or function-pointer
-// type name ("net_device_ops::ndo_start_xmit"). Annotation propagation
+// type name (net_device_ops::ndo_start_xmit). Annotation propagation
 // (§4.2) gives each module-defined function the annotation set of its
 // declared function-pointer type; the §4.1 indirect-call check compares the
 // ahash of the invoked function against the ahash of the call site's pointer
@@ -11,8 +11,8 @@
 // Registration is the compile step of the annotation pipeline: Register()
 // parses the text into an AST and immediately lowers it into a GuardProgram
 // (guard_program.h), so wrapper crossings never touch the AST. Name lookups
-// (Find/AhashOf — the latter sits on the kernel indirect-call path) probe a
-// FlatTable keyed by FNV-1a of the name instead of walking a std::map of
+// probe a FlatTable keyed by FNV-1a of the name (the indirect-call check
+// passes its FnPtrType's precomputed key) instead of walking a std::map of
 // strings; the ordered map is kept for ownership and for deterministic
 // all()/uses() iteration (DumpState, the Figure 9 survey).
 #pragma once
@@ -46,13 +46,9 @@ class AnnotationRegistry {
   lxfi::Status Register(const std::string& name, const std::vector<std::string>& params,
                         const std::string& text);
 
-  const AnnotationSet* Find(std::string_view name) const;
-
-  // ahash of `name`'s annotations; 0 when unannotated.
-  uint64_t AhashOf(std::string_view name) const {
-    const AnnotationSet* set = Find(name);
-    return set == nullptr ? 0 : set->ahash;
-  }
+  const AnnotationSet* Find(std::string_view name) const { return Find(Fnv1a64(name), name); }
+  // Find by the name's precomputed FNV-1a key (a kern::FnPtrType's key).
+  const AnnotationSet* Find(uint64_t key, std::string_view name) const;
 
   // Figure 9 accounting: a module's loader calls this for every annotated
   // name the module touches (imports and function-pointer types).

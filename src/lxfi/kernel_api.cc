@@ -384,11 +384,11 @@ void InstallAnnotations(Runtime* rt) {
   // pointer inside it is vetted by the indirect-call check at expiry.
   MustRegister(rt, "mod_timer", {"timer", "expires"}, "pre(check(timer_caps(timer)))");
   MustRegister(rt, "del_timer", {"timer"}, "pre(check(timer_caps(timer)))");
-  MustRegister(rt, "timer_fn", {"data"}, "principal(data)");
+  MustRegister(rt, kern::kTimerFn.name, {"data"}, "principal(data)");
 
   // Observability: monitoring-module poll entry point (statmon dispatches
   // through a kernel-owned slot, so its hash must be registered here).
-  MustRegister(rt, "statmon::poll", {"arg"}, "");
+  MustRegister(rt, kStatmonPoll.name, {"arg"}, "");
 
   // Sound.
   MustRegister(rt, "snd_card_register", {"card"}, "pre(check(sndcard_caps(card)))");
@@ -430,29 +430,29 @@ void InstallAnnotations(Runtime* rt) {
                "post(if (return != 0) copy(ref(struct vfs_filter), flt))");
 
   // --- function-pointer types (kernel -> module) ---------------------------
-  MustRegister(rt, "pci_driver::probe", {"pcidev"},
+  MustRegister(rt, kern::kPciProbe.name, {"pcidev"},
                "principal(pcidev) pre(copy(ref(struct pci_dev), pcidev)) "
                "post(if (return < 0) transfer(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, "pci_driver::remove", {"pcidev"},
+  MustRegister(rt, kern::kPciRemove.name, {"pcidev"},
                "principal(pcidev) pre(check(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, "net_device_ops::ndo_open", {"dev"}, "principal(dev)");
-  MustRegister(rt, "net_device_ops::ndo_stop", {"dev"}, "principal(dev)");
-  MustRegister(rt, "net_device_ops::ndo_start_xmit", {"skb", "dev"},
+  MustRegister(rt, kern::kNdoOpen.name, {"dev"}, "principal(dev)");
+  MustRegister(rt, kern::kNdoStop.name, {"dev"}, "principal(dev)");
+  MustRegister(rt, kern::kNdoStartXmit.name, {"skb", "dev"},
                "principal(dev) pre(transfer(skb_caps(skb))) "
                "post(if (return == 16) transfer(skb_caps(skb)))");
-  MustRegister(rt, "napi_struct::poll", {"napi", "budget"}, "principal(napi)");
-  MustRegister(rt, "irq_handler_t", {"irq", "dev_id"}, "principal(dev_id)");
-  MustRegister(rt, "net_proto_family::create", {"sock"},
+  MustRegister(rt, kern::kNapiPoll.name, {"napi", "budget"}, "principal(napi)");
+  MustRegister(rt, kern::kIrqHandler.name, {"irq", "dev_id"}, "principal(dev_id)");
+  MustRegister(rt, kern::kProtoFamilyCreate.name, {"sock"},
                "principal(sock) pre(copy(sock_caps(sock)))");
-  MustRegister(rt, "proto_ops::release", {"sock"},
+  MustRegister(rt, kern::kProtoRelease.name, {"sock"},
                "principal(sock) post(transfer(sock_caps(sock)))");
-  MustRegister(rt, "proto_ops::bind", {"sock", "uaddr", "len"}, "principal(sock)");
-  MustRegister(rt, "proto_ops::ioctl", {"sock", "cmd", "arg"}, "principal(sock)");
-  MustRegister(rt, "proto_ops::sendmsg", {"sock", "msg"}, "principal(sock)");
-  MustRegister(rt, "proto_ops::recvmsg", {"sock", "msg"}, "principal(sock)");
-  MustRegister(rt, "target_type::ctr", {"target", "params"},
+  MustRegister(rt, kern::kProtoBind.name, {"sock", "uaddr", "len"}, "principal(sock)");
+  MustRegister(rt, kern::kProtoIoctl.name, {"sock", "cmd", "arg"}, "principal(sock)");
+  MustRegister(rt, kern::kProtoSendmsg.name, {"sock", "msg"}, "principal(sock)");
+  MustRegister(rt, kern::kProtoRecvmsg.name, {"sock", "msg"}, "principal(sock)");
+  MustRegister(rt, kern::kDmCtr.name, {"target", "params"},
                "principal(target) pre(copy(dmtarget_caps(target)))");
-  MustRegister(rt, "target_type::dtr", {"target"},
+  MustRegister(rt, kern::kDmDtr.name, {"target"},
                "principal(target) post(transfer(dmtarget_caps(target)))");
   // map() outcomes: 0 = the target completed (or dispatched) the bio itself,
   // 1 = remapped, core submits to the underlying device, 2 (kill) or a
@@ -462,21 +462,22 @@ void InstallAnnotations(Runtime* rt) {
   // never appears in the writer set of the submitter's completion slot.
   // Completion status flows back through the return value and is recorded
   // by the block core, not the target.
-  MustRegister(rt, "target_type::map", {"target", "bio"},
+  MustRegister(rt, kern::kDmMap.name, {"target", "bio"},
                "principal(target) pre(transfer(bio_data_caps(bio))) "
                "post(if (return == 0) transfer(bio_data_caps(bio))) "
                "post(if (return == 1) transfer(bio_data_caps(bio)))");
-  MustRegister(rt, "pcm_ops::open", {"ss"}, "principal(ss) pre(copy(substream_caps(ss)))");
-  MustRegister(rt, "pcm_ops::close", {"ss"}, "principal(ss) post(transfer(substream_caps(ss)))");
-  MustRegister(rt, "pcm_ops::trigger", {"ss", "cmd"}, "principal(ss)");
-  MustRegister(rt, "pcm_ops::pointer", {"ss"}, "principal(ss)");
+  MustRegister(rt, kern::kPcmOpen.name, {"ss"}, "principal(ss) pre(copy(substream_caps(ss)))");
+  MustRegister(rt, kern::kPcmClose.name, {"ss"},
+               "principal(ss) post(transfer(substream_caps(ss)))");
+  MustRegister(rt, kern::kPcmTrigger.name, {"ss", "cmd"}, "principal(ss)");
+  MustRegister(rt, kern::kPcmPointer.name, {"ss"}, "principal(ss)");
   // Completion callbacks get the bio's capabilities for exactly the
   // completion window: the kernel hands WRITE over the bio struct and its
   // payload in, and reclaims both when the callback returns. Kernel-text
   // end_io targets (the page cache's writeback completion) bypass the
   // annotation machinery entirely — the dispatch never enters a module, so
   // no grant is minted that a module could inherit.
-  MustRegister(rt, "bio_end_io_t", {"bio"},
+  MustRegister(rt, kern::kBioEndIo.name, {"bio"},
                "principal(bio) pre(copy(bio_caps(bio))) post(transfer(bio_caps(bio)))");
 
   // --- VFS function-pointer types ------------------------------------------
@@ -485,49 +486,49 @@ void InstallAnnotations(Runtime* rt) {
   // and files alias onto the same principal (lxfi_princ_alias in the
   // module), so "principal(file)" on read/write lands on the mount's
   // capability set without any extra grants per call.
-  MustRegister(rt, "file_system_type::mount", {"fstype", "sb", "root"},
+  MustRegister(rt, kern::kFsMount.name, {"fstype", "sb", "root"},
                "principal(sb) pre(copy(sb_caps(sb))) pre(copy(ref(struct super_block), sb)) "
                "pre(copy(ref(struct dentry), root))");
-  MustRegister(rt, "file_system_type::kill_sb", {"fstype", "sb"},
+  MustRegister(rt, kern::kFsKillSb.name, {"fstype", "sb"},
                "principal(sb) post(transfer(sb_caps(sb))) "
                "post(transfer(ref(struct super_block), sb))");
-  MustRegister(rt, "super_operations::statfs", {"sb", "out"},
+  MustRegister(rt, kern::kSuperStatfs.name, {"sb", "out"},
                "principal(sb) pre(copy(vfsstatfs_caps(out))) "
                "post(transfer(vfsstatfs_caps(out)))");
-  MustRegister(rt, "inode_operations::lookup", {"dir", "dentry"},
+  MustRegister(rt, kern::kInodeLookup.name, {"dir", "dentry"},
                "principal(dir) pre(copy(ref(struct dentry), dentry)) "
                "post(if (return == 0) transfer(ref(struct dentry), dentry))");
-  MustRegister(rt, "inode_operations::create", {"dir", "dentry", "mode"},
+  MustRegister(rt, kern::kInodeCreate.name, {"dir", "dentry", "mode"},
                "principal(dir) pre(copy(ref(struct dentry), dentry))");
-  MustRegister(rt, "inode_operations::mkdir", {"dir", "dentry", "mode"},
+  MustRegister(rt, kern::kInodeMkdir.name, {"dir", "dentry", "mode"},
                "principal(dir) pre(copy(ref(struct dentry), dentry))");
-  MustRegister(rt, "inode_operations::unlink", {"dir", "dentry"},
+  MustRegister(rt, kern::kInodeUnlink.name, {"dir", "dentry"},
                "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
-  MustRegister(rt, "inode_operations::rmdir", {"dir", "dentry"},
+  MustRegister(rt, kern::kInodeRmdir.name, {"dir", "dentry"},
                "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
   // Rename is same-superblock only, so olddir's principal is newdir's too;
   // both dentries are kernel-owned and passed by REF for the dispatch.
-  MustRegister(rt, "inode_operations::rename", {"olddir", "odent", "newdir", "ndent"},
+  MustRegister(rt, kern::kInodeRename.name, {"olddir", "odent", "newdir", "ndent"},
                "principal(olddir) pre(copy(ref(struct dentry), odent)) "
                "pre(copy(ref(struct dentry), ndent))");
-  MustRegister(rt, "inode_operations::getattr", {"inode", "out"},
+  MustRegister(rt, kern::kInodeGetattr.name, {"inode", "out"},
                "principal(inode) pre(copy(vfsstat_caps(out))) "
                "post(transfer(vfsstat_caps(out)))");
-  MustRegister(rt, "file_operations::open", {"inode", "file"},
+  MustRegister(rt, kern::kFileOpen.name, {"inode", "file"},
                "principal(inode) pre(copy(file_caps(file)))");
-  MustRegister(rt, "file_operations::release", {"inode", "file"},
+  MustRegister(rt, kern::kFileRelease.name, {"inode", "file"},
                "principal(file) post(transfer(file_caps(file)))");
-  MustRegister(rt, "file_operations::read", {"file", "ubuf", "n", "pos"}, "principal(file)");
-  MustRegister(rt, "file_operations::write", {"file", "ubuf", "n", "pos"}, "principal(file)");
-  MustRegister(rt, "file_operations::fsync", {"file"}, "principal(file)");
+  MustRegister(rt, kern::kFileRead.name, {"file", "ubuf", "n", "pos"}, "principal(file)");
+  MustRegister(rt, kern::kFileWrite.name, {"file", "ubuf", "n", "pos"}, "principal(file)");
+  MustRegister(rt, kern::kFileFsync.name, {"file"}, "principal(file)");
   // Filter hooks: each registered filter is its own principal, so one
   // compromised filter cannot reach its neighbours' state. The FilterCtx is
   // granted for the hook's duration only (the chain-position token lives in
   // it); the objects it points to stay off-limits.
-  MustRegister(rt, "vfs_filter::pre_op", {"flt", "ctx"},
+  MustRegister(rt, kern::kFilterPreOp.name, {"flt", "ctx"},
                "principal(flt) pre(copy(filterctx_caps(ctx))) "
                "post(transfer(filterctx_caps(ctx)))");
-  MustRegister(rt, "vfs_filter::post_op", {"flt", "ctx"},
+  MustRegister(rt, kern::kFilterPostOp.name, {"flt", "ctx"},
                "principal(flt) pre(copy(filterctx_caps(ctx))) "
                "post(transfer(filterctx_caps(ctx)))");
 }

@@ -19,25 +19,18 @@ struct NapiStruct;
 struct PciDev;
 struct PciDriver;
 struct Socket;
-struct MsgHdr;
 struct NetProtoFamily;
 struct Bio;
 struct BlockDevice;
-struct DmTarget;
 struct DmTargetType;
 struct SoundCard;
-struct PcmSubstream;
 struct Task;
 struct TimerList;
 struct FileSystemType;
 struct SuperBlock;
 struct Inode;
 struct Dentry;
-struct File;
-struct VfsStat;
-struct VfsStatFs;
 struct VfsFilter;
-struct FilterCtx;
 struct CachedPage;
 }  // namespace kern
 
@@ -45,9 +38,8 @@ namespace lxfi {
 
 class Runtime;
 
-// Signature aliases shared by exports, imports and fn-ptr types, so the
-// std::function types match exactly across ExportSymbol / GetImport /
-// IndirectCall.
+// Signature aliases of the exports. Function-pointer types (kernel ->
+// module) are kern::FnPtrType handles next to the ops structs they type.
 using KmallocSig = void*(size_t);
 using KreallocSig = void*(void*, size_t);
 using KfreeSig = void(void*);
@@ -119,41 +111,8 @@ using PcMarkDirtySig = void(kern::CachedPage*);
 using PcSyncSig = int(kern::BlockDevice*);
 using PcInvalidateSig = void(kern::BlockDevice*);
 
-// Module-function pointer type signatures (kernel -> module).
-using PciProbeSig = int(kern::PciDev*);
-using PciRemoveSig = void(kern::PciDev*);
-using NdoOpenSig = int(kern::NetDevice*);
-using NdoStartXmitSig = int(kern::SkBuff*, kern::NetDevice*);
-using NapiPollSig = int(kern::NapiStruct*, int);
-using IrqHandlerSig = void(int, void*);
-using SockCreateSig = int(kern::Socket*);
-using SockReleaseSig = int(kern::Socket*);
-using SockBindSig = int(kern::Socket*, uintptr_t, size_t);
+// kern::kProtoIoctl's signature, for the exploits' user-space payloads.
 using SockIoctlSig = int(kern::Socket*, unsigned, uintptr_t);
-using SockMsgSig = int(kern::Socket*, kern::MsgHdr*);
-using DmCtrSig = int(kern::DmTarget*, const char*);
-using DmDtrSig = void(kern::DmTarget*);
-using DmMapSig = int(kern::DmTarget*, kern::Bio*);
-using PcmOpenSig = int(kern::PcmSubstream*);
-using PcmCloseSig = int(kern::PcmSubstream*);
-using PcmTriggerSig = int(kern::PcmSubstream*, int);
-using PcmPointerSig = uint32_t(kern::PcmSubstream*);
-using BioEndIoSig = void(kern::Bio*);
-
-// VFS function-pointer types (kernel -> filesystem/filter module).
-using FsMountSig = int(kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*);
-using FsKillSbSig = void(kern::FileSystemType*, kern::SuperBlock*);
-using SuperStatfsSig = int(kern::SuperBlock*, kern::VfsStatFs*);
-using InodeLookupSig = kern::Inode*(kern::Inode*, kern::Dentry*);
-using InodeCreateSig = int(kern::Inode*, kern::Dentry*, uint32_t);
-using InodeUnlinkSig = int(kern::Inode*, kern::Dentry*);
-using InodeRenameSig = int(kern::Inode*, kern::Dentry*, kern::Inode*, kern::Dentry*);
-using InodeGetattrSig = int(kern::Inode*, kern::VfsStat*);
-using FileOpenSig = int(kern::Inode*, kern::File*);
-using FileRwSig = int64_t(kern::File*, uintptr_t, uint64_t, uint64_t);
-using FileFsyncSig = int(kern::File*);
-using FilterPreSig = int(kern::VfsFilter*, kern::FilterCtx*);
-using FilterPostSig = void(kern::VfsFilter*, kern::FilterCtx*);
 
 // Installs exports (always) and annotations + iterators (when rt != null).
 void InstallKernelApi(kern::Kernel* kernel, Runtime* rt);

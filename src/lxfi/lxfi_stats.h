@@ -21,9 +21,13 @@
 #include <string>
 #include <vector>
 
+#include "src/kernel/types.h"
 #include "src/lxfi/enforcement_context.h"
 
 namespace lxfi {
+
+// A monitoring module's (statmon's) poll entry point.
+inline constexpr kern::FnPtrType<long(void* arg)> kStatmonPoll{"statmon::poll"};
 
 class Runtime;
 

@@ -124,11 +124,11 @@ bool Runtime::OnModuleLoad(kern::Module* module) {
   // function-pointer type, verify multi-source consistency, and register the
   // instrumented wrapper under a minted module-text address (§4.2).
   for (const kern::FuncDecl& fd : module->def().functions) {
-    const AnnotationSet* type_set = annotations_.Find(fd.type_name);
+    const AnnotationSet* type_set = annotations_.Find(fd.type.key, fd.type.name);
     const AnnotationSet* fn_set = annotations_.Find(fd.name);
     if (type_set != nullptr && fn_set != nullptr && type_set->ahash != fn_set->ahash) {
       LXFI_LOG_ERROR("module %s: function %s obtains conflicting annotations from %s",
-                     module->name().c_str(), fd.name.c_str(), fd.type_name.c_str());
+                     module->name().c_str(), fd.name.c_str(), fd.type.name);
       return false;
     }
     const AnnotationSet* set = type_set != nullptr ? type_set : fn_set;
@@ -145,7 +145,7 @@ bool Runtime::OnModuleLoad(kern::Module* module) {
     module->SetFuncAddr(fd.name, addr);
     GrantQuiet(shared, Capability::Call(addr));
     if (type_set != nullptr) {
-      annotations_.NoteUse(fd.type_name, module->name());
+      annotations_.NoteUse(fd.type.name, module->name());
     }
   }
 
@@ -592,8 +592,8 @@ void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name)
   }
 }
 
-void Runtime::CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
-                                      uintptr_t target) {
+void Runtime::CheckKernelIndirectCall(const void* pptr, const kern::FnPtrTypeId& type,
+                                      uintptr_t target, const kern::DispatchEntry* entry) {
   guards_.Count(GuardType::kIndCallAll);
   if (target >= kern::kModuleTextBase) {
     guards_.Count(GuardType::kIndCallModule);
@@ -614,7 +614,7 @@ void Runtime::CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
       RaiseViolation(
           ViolationKind::kIndirectCall,
           StrFormat("kernel indirect call through %p (type %s) to %#llx: writer %s lacks CALL",
-                    pptr, fnptr_type, static_cast<unsigned long long>(target),
+                    pptr, type.name, static_cast<unsigned long long>(target),
                     writer->DebugName().c_str()),
           target);
       return;
@@ -624,22 +624,22 @@ void Runtime::CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
   // match, so a module cannot launder a function through a pointer with
   // different (weaker) annotations. Kernel functions without annotations are
   // exempt (§7).
-  const kern::DispatchEntry* entry = kernel_->funcs().Lookup(target);
   if (entry == nullptr) {
     RaiseViolation(ViolationKind::kIndirectCall,
                    StrFormat("kernel indirect call to unmapped address %#llx via %s",
-                             static_cast<unsigned long long>(target), fnptr_type),
+                             static_cast<unsigned long long>(target), type.name),
                    target);
     return;
   }
-  uint64_t type_hash = annotations_.AhashOf(fnptr_type);
   if (entry->ahash != 0 || entry->kind == kern::TextKind::kModuleText) {
+    const AnnotationSet* type_set = annotations_.Find(type.key, type.name);
+    uint64_t type_hash = type_set == nullptr ? 0 : type_set->ahash;
     if (entry->ahash != type_hash) {
       RaiseViolation(ViolationKind::kAnnotationMismatch,
                      StrFormat("function %s (ahash %#llx) invoked through pointer type %s "
                                "(ahash %#llx)",
                                entry->name.c_str(), static_cast<unsigned long long>(entry->ahash),
-                               fnptr_type, static_cast<unsigned long long>(type_hash)),
+                               type.name, static_cast<unsigned long long>(type_hash)),
                      target);
     }
   }

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/compiler.h"
 #include "src/kernel/isolation.h"
 #include "src/kernel/kernel.h"
 #include "src/lxfi/annotation_registry.h"
@@ -84,8 +85,8 @@ class Runtime : public kern::IsolationHooks {
   void OnModuleUnload(kern::Module* module) override;
   int CallModuleInit(kern::Module* module, const std::function<int()>& init) override;
   void CallModuleExit(kern::Module* module, const std::function<void()>& exit_fn) override;
-  void CheckKernelIndirectCall(const void* pptr, const char* fnptr_type,
-                               uintptr_t target) override;
+  void CheckKernelIndirectCall(const void* pptr, const kern::FnPtrTypeId& type, uintptr_t target,
+                               const kern::DispatchEntry* entry) override;
   void OnInterruptEnter(kern::KthreadContext* ctx) override;
   void OnInterruptExit(kern::KthreadContext* ctx) override;
   void OnKthreadCreate(kern::KthreadContext* ctx) override;
@@ -137,14 +138,16 @@ class Runtime : public kern::IsolationHooks {
   // kernel stack. Module locals live on host thread stacks here, so the
   // runtime treats those ranges as module-writable during enforcement: the
   // main thread's stack (captured at construction) plus the current
-  // kthread's stack bounds (captured per simulated CPU by kern::CpuSet).
+  // kthread's stack bounds (captured per simulated CPU by kern::CpuSet),
+  // and under ASan the thread's fake-stack frames.
   bool OnKernelStack(uintptr_t addr, size_t size) const {
     if (addr >= stack_lo_ && addr + size <= stack_hi_) {
       return true;
     }
     const kern::KthreadContext* ctx = kernel_->current();
-    return ctx != nullptr && ctx->stack_lo != 0 && addr >= ctx->stack_lo &&
-           addr + size <= ctx->stack_hi;
+    return (ctx != nullptr && ctx->stack_lo != 0 && addr >= ctx->stack_lo &&
+            addr + size <= ctx->stack_hi) ||
+           OnSanitizerFakeStack(addr, size);
   }
   // Ownership as the enforcement paths see it (stack grant included).
   bool OwnsForEnforcement(Principal* p, const Capability& cap) const {

@@ -154,14 +154,15 @@ std::function<Ret(Args...)> Runtime::WrapModuleFunction(ModuleCtx* mc, const Ann
 // --- module-side linkage helpers (used by module source files) ---------------
 
 // Declares a module-defined function reachable from the kernel through a
-// function pointer of type `type_name`. The rewriter output (wrapper
-// factory) travels inside the FuncDecl; a stock kernel uses the raw invoker.
+// function pointer of `type`, whose signature `fn` must have. The rewriter
+// output (wrapper factory) travels inside the FuncDecl; a stock kernel uses
+// the raw invoker.
 template <typename Ret, typename... Args>
-kern::FuncDecl DeclareFunction(std::string name, std::string type_name,
+kern::FuncDecl DeclareFunction(std::string name, const kern::FnPtrType<Ret(Args...)>& type,
                                std::type_identity_t<std::function<Ret(Args...)>> fn) {
   kern::FuncDecl decl;
   decl.name = std::move(name);
-  decl.type_name = std::move(type_name);
+  decl.type = type;
   decl.invoker = fn;
   WrapFactory factory = [fn](Runtime* rt, ModuleCtx* mc, const AnnotationSet* set,
                              const std::string& label) -> std::any {

@@ -126,22 +126,19 @@ kern::ModuleDef CanBcmModuleDef() {
       "printk",  "copy_from_user", "copy_to_user",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "bcm_create", "net_proto_family::create",
-          [st](kern::Socket* sock) { return Create(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "bcm_release", "proto_ops::release",
-          [st](kern::Socket* sock) { return Release(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*, unsigned, uintptr_t>(
-          "bcm_ioctl", "proto_ops::ioctl",
-          [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
-            return Ioctl(*st, sock, cmd, arg);
-          }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "bcm_sendmsg", "proto_ops::sendmsg",
+      lxfi::DeclareFunction("bcm_create", kern::kProtoFamilyCreate,
+                            [st](kern::Socket* sock) { return Create(*st, sock); }),
+      lxfi::DeclareFunction("bcm_release", kern::kProtoRelease,
+                            [st](kern::Socket* sock) { return Release(*st, sock); }),
+      lxfi::DeclareFunction("bcm_ioctl", kern::kProtoIoctl,
+                            [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
+                              return Ioctl(*st, sock, cmd, arg);
+                            }),
+      lxfi::DeclareFunction(
+          "bcm_sendmsg", kern::kProtoSendmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Sendmsg(*st, sock, msg); }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "bcm_recvmsg", "proto_ops::recvmsg",
+      lxfi::DeclareFunction(
+          "bcm_recvmsg", kern::kProtoRecvmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Recvmsg(*st, sock, msg); }),
   };
   def.init = [st](kern::Module& m) -> int {

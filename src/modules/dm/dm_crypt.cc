@@ -123,14 +123,11 @@ kern::ModuleDef DmCryptModuleDef() {
   def.data_size = sizeof(kern::DmTargetType);
   def.imports = DmImportNames();
   def.functions = {
-      lxfi::DeclareFunction<int, kern::DmTarget*, const char*>(
-          "crypt_ctr", "target_type::ctr",
-          [st](kern::DmTarget* t, const char* p) { return Ctr(*st, t, p); }),
-      lxfi::DeclareFunction<void, kern::DmTarget*>(
-          "crypt_dtr", "target_type::dtr", [st](kern::DmTarget* t) { Dtr(*st, t); }),
-      lxfi::DeclareFunction<int, kern::DmTarget*, kern::Bio*>(
-          "crypt_map", "target_type::map",
-          [st](kern::DmTarget* t, kern::Bio* bio) { return Map(*st, t, bio); }),
+      lxfi::DeclareFunction("crypt_ctr", kern::kDmCtr,
+                            [st](kern::DmTarget* t, const char* p) { return Ctr(*st, t, p); }),
+      lxfi::DeclareFunction("crypt_dtr", kern::kDmDtr, [st](kern::DmTarget* t) { Dtr(*st, t); }),
+      lxfi::DeclareFunction("crypt_map", kern::kDmMap,
+                            [st](kern::DmTarget* t, kern::Bio* bio) { return Map(*st, t, bio); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

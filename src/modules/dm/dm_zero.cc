@@ -30,14 +30,11 @@ kern::ModuleDef DmZeroModuleDef() {
   def.data_size = sizeof(kern::DmTargetType);
   def.imports = DmImportNames();
   def.functions = {
-      lxfi::DeclareFunction<int, kern::DmTarget*, const char*>(
-          "zero_ctr", "target_type::ctr",
-          [st](kern::DmTarget* t, const char* p) { return Ctr(*st, t, p); }),
-      lxfi::DeclareFunction<void, kern::DmTarget*>(
-          "zero_dtr", "target_type::dtr", [st](kern::DmTarget* t) { Dtr(*st, t); }),
-      lxfi::DeclareFunction<int, kern::DmTarget*, kern::Bio*>(
-          "zero_map", "target_type::map",
-          [st](kern::DmTarget* t, kern::Bio* bio) { return Map(*st, t, bio); }),
+      lxfi::DeclareFunction("zero_ctr", kern::kDmCtr,
+                            [st](kern::DmTarget* t, const char* p) { return Ctr(*st, t, p); }),
+      lxfi::DeclareFunction("zero_dtr", kern::kDmDtr, [st](kern::DmTarget* t) { Dtr(*st, t); }),
+      lxfi::DeclareFunction("zero_map", kern::kDmMap,
+                            [st](kern::DmTarget* t, kern::Bio* bio) { return Map(*st, t, bio); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

@@ -261,27 +261,24 @@ kern::ModuleDef E1000ModuleDef() {
       "spin_unlock",  "mod_timer",  "del_timer",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::PciDev*>(
-          "e1000_probe", "pci_driver::probe",
-          [st](kern::PciDev* pdev) { return Probe(*st, pdev); }),
-      lxfi::DeclareFunction<void, kern::PciDev*>(
-          "e1000_remove", "pci_driver::remove", [st](kern::PciDev* pdev) { Remove(*st, pdev); }),
-      lxfi::DeclareFunction<int, kern::NetDevice*>(
-          "e1000_open", "net_device_ops::ndo_open",
-          [st](kern::NetDevice* dev) { return Open(*st, dev); }),
-      lxfi::DeclareFunction<int, kern::NetDevice*>(
-          "e1000_stop", "net_device_ops::ndo_stop",
-          [st](kern::NetDevice* dev) { return Stop(*st, dev); }),
-      lxfi::DeclareFunction<int, kern::SkBuff*, kern::NetDevice*>(
-          "e1000_xmit", "net_device_ops::ndo_start_xmit",
+      lxfi::DeclareFunction("e1000_probe", kern::kPciProbe,
+                            [st](kern::PciDev* pdev) { return Probe(*st, pdev); }),
+      lxfi::DeclareFunction("e1000_remove", kern::kPciRemove,
+                            [st](kern::PciDev* pdev) { Remove(*st, pdev); }),
+      lxfi::DeclareFunction("e1000_open", kern::kNdoOpen,
+                            [st](kern::NetDevice* dev) { return Open(*st, dev); }),
+      lxfi::DeclareFunction("e1000_stop", kern::kNdoStop,
+                            [st](kern::NetDevice* dev) { return Stop(*st, dev); }),
+      lxfi::DeclareFunction(
+          "e1000_xmit", kern::kNdoStartXmit,
           [st](kern::SkBuff* skb, kern::NetDevice* dev) { return Xmit(*st, skb, dev); }),
-      lxfi::DeclareFunction<void, int, void*>(
-          "e1000_intr", "irq_handler_t", [st](int irq, void* dev_id) { Intr(*st, irq, dev_id); }),
-      lxfi::DeclareFunction<int, kern::NapiStruct*, int>(
-          "e1000_poll", "napi_struct::poll",
+      lxfi::DeclareFunction("e1000_intr", kern::kIrqHandler,
+                            [st](int irq, void* dev_id) { Intr(*st, irq, dev_id); }),
+      lxfi::DeclareFunction(
+          "e1000_poll", kern::kNapiPoll,
           [st](kern::NapiStruct* napi, int budget) { return Poll(*st, napi, budget); }),
-      lxfi::DeclareFunction<void, void*>(
-          "e1000_watchdog", "timer_fn", [st](void* data) { Watchdog(*st, data); }),
+      lxfi::DeclareFunction("e1000_watchdog", kern::kTimerFn,
+                            [st](void* data) { Watchdog(*st, data); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

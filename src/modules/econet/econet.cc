@@ -151,27 +151,23 @@ kern::ModuleDef EconetModuleDef() {
       "printk",  "copy_from_user", "copy_to_user",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "econet_create", "net_proto_family::create",
-          [st](kern::Socket* sock) { return Create(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "econet_release", "proto_ops::release",
-          [st](kern::Socket* sock) { return Release(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*, uintptr_t, size_t>(
-          "econet_bind", "proto_ops::bind",
-          [st](kern::Socket* sock, uintptr_t uaddr, size_t len) {
-            return Bind(*st, sock, uaddr, len);
-          }),
-      lxfi::DeclareFunction<int, kern::Socket*, unsigned, uintptr_t>(
-          "econet_ioctl", "proto_ops::ioctl",
-          [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
-            return Ioctl(*st, sock, cmd, arg);
-          }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "econet_sendmsg", "proto_ops::sendmsg",
+      lxfi::DeclareFunction("econet_create", kern::kProtoFamilyCreate,
+                            [st](kern::Socket* sock) { return Create(*st, sock); }),
+      lxfi::DeclareFunction("econet_release", kern::kProtoRelease,
+                            [st](kern::Socket* sock) { return Release(*st, sock); }),
+      lxfi::DeclareFunction("econet_bind", kern::kProtoBind,
+                            [st](kern::Socket* sock, uintptr_t uaddr, size_t len) {
+                              return Bind(*st, sock, uaddr, len);
+                            }),
+      lxfi::DeclareFunction("econet_ioctl", kern::kProtoIoctl,
+                            [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
+                              return Ioctl(*st, sock, cmd, arg);
+                            }),
+      lxfi::DeclareFunction(
+          "econet_sendmsg", kern::kProtoSendmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Sendmsg(*st, sock, msg); }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "econet_recvmsg", "proto_ops::recvmsg",
+      lxfi::DeclareFunction(
+          "econet_recvmsg", kern::kProtoRecvmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Recvmsg(*st, sock, msg); }),
   };
   def.init = [st](kern::Module& m) -> int {

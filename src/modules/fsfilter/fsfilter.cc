@@ -83,11 +83,11 @@ kern::ModuleDef FsFilterModuleDef(FsFilterConfig config) {
       "unregister_filesystem", "printk",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::VfsFilter*, kern::FilterCtx*>(
-          "fsflt_pre", "vfs_filter::pre_op",
+      lxfi::DeclareFunction(
+          "fsflt_pre", kern::kFilterPreOp,
           [st](kern::VfsFilter* flt, kern::FilterCtx* ctx) { return Pre(*st, flt, ctx); }),
-      lxfi::DeclareFunction<void, kern::VfsFilter*, kern::FilterCtx*>(
-          "fsflt_post", "vfs_filter::post_op",
+      lxfi::DeclareFunction(
+          "fsflt_post", kern::kFilterPostOp,
           [st](kern::VfsFilter* flt, kern::FilterCtx* ctx) { Post(*st, flt, ctx); }),
   };
   def.init = [st](kern::Module& m) -> int {

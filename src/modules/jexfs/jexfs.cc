@@ -1150,65 +1150,57 @@ kern::ModuleDef JexfsModuleDef(const char* fs_name, const char* device) {
       "pc_mark_dirty",  "pc_sync",      "pc_invalidate",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*>(
-          "jexfs_mount", "file_system_type::mount",
+      lxfi::DeclareFunction(
+          "jexfs_mount", kern::kFsMount,
           [st](kern::FileSystemType* t, kern::SuperBlock* sb, kern::Dentry* root) {
             return Mount(*st, t, sb, root);
           }),
-      lxfi::DeclareFunction<void, kern::FileSystemType*, kern::SuperBlock*>(
-          "jexfs_kill_sb", "file_system_type::kill_sb",
+      lxfi::DeclareFunction(
+          "jexfs_kill_sb", kern::kFsKillSb,
           [st](kern::FileSystemType* t, kern::SuperBlock* sb) { KillSb(*st, t, sb); }),
-      lxfi::DeclareFunction<void, kern::Bio*>(
-          "jexfs_end_io", "bio_end_io_t", [st](kern::Bio* bio) { EndIo(*st, bio); }),
-      lxfi::DeclareFunction<int, kern::SuperBlock*, kern::VfsStatFs*>(
-          "jexfs_statfs", "super_operations::statfs",
+      lxfi::DeclareFunction("jexfs_end_io", kern::kBioEndIo,
+                            [st](kern::Bio* bio) { EndIo(*st, bio); }),
+      lxfi::DeclareFunction(
+          "jexfs_statfs", kern::kSuperStatfs,
           [st](kern::SuperBlock* sb, kern::VfsStatFs* out) { return StatFs(*st, sb, out); }),
-      lxfi::DeclareFunction<kern::Inode*, kern::Inode*, kern::Dentry*>(
-          "jexfs_lookup", "inode_operations::lookup",
+      lxfi::DeclareFunction(
+          "jexfs_lookup", kern::kInodeLookup,
           [st](kern::Inode* dir, kern::Dentry* d) { return Lookup(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, uint32_t>(
-          "jexfs_create", "inode_operations::create",
-          [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
-            return Create(*st, dir, d, mode);
-          }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, uint32_t>(
-          "jexfs_mkdir", "inode_operations::mkdir",
-          [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
-            return Mkdir(*st, dir, d, mode);
-          }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*>(
-          "jexfs_unlink", "inode_operations::unlink",
+      lxfi::DeclareFunction("jexfs_create", kern::kInodeCreate,
+                            [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
+                              return Create(*st, dir, d, mode);
+                            }),
+      lxfi::DeclareFunction("jexfs_mkdir", kern::kInodeMkdir,
+                            [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
+                              return Mkdir(*st, dir, d, mode);
+                            }),
+      lxfi::DeclareFunction(
+          "jexfs_unlink", kern::kInodeUnlink,
           [st](kern::Inode* dir, kern::Dentry* d) { return Unlink(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*>(
-          "jexfs_rmdir", "inode_operations::rmdir",
-          [st](kern::Inode* dir, kern::Dentry* d) { return Rmdir(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, kern::Inode*, kern::Dentry*>(
-          "jexfs_rename", "inode_operations::rename",
+      lxfi::DeclareFunction("jexfs_rmdir", kern::kInodeRmdir,
+                            [st](kern::Inode* dir, kern::Dentry* d) { return Rmdir(*st, dir, d); }),
+      lxfi::DeclareFunction(
+          "jexfs_rename", kern::kInodeRename,
           [st](kern::Inode* od, kern::Dentry* odent, kern::Inode* nd, kern::Dentry* ndent) {
             return Rename(*st, od, odent, nd, ndent);
           }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::VfsStat*>(
-          "jexfs_getattr", "inode_operations::getattr",
+      lxfi::DeclareFunction(
+          "jexfs_getattr", kern::kInodeGetattr,
           [st](kern::Inode* ino, kern::VfsStat* out) { return Getattr(*st, ino, out); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::File*>(
-          "jexfs_open", "file_operations::open",
-          [st](kern::Inode* ino, kern::File* f) { return Open(*st, ino, f); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::File*>(
-          "jexfs_release", "file_operations::release",
-          [st](kern::Inode* ino, kern::File* f) { return Release(*st, ino, f); }),
-      lxfi::DeclareFunction<int64_t, kern::File*, uintptr_t, uint64_t, uint64_t>(
-          "jexfs_read", "file_operations::read",
-          [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
-            return Read(*st, f, ubuf, n, pos);
-          }),
-      lxfi::DeclareFunction<int64_t, kern::File*, uintptr_t, uint64_t, uint64_t>(
-          "jexfs_write", "file_operations::write",
-          [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
-            return Write(*st, f, ubuf, n, pos);
-          }),
-      lxfi::DeclareFunction<int, kern::File*>(
-          "jexfs_fsync", "file_operations::fsync",
-          [st](kern::File* f) { return Fsync(*st, f); }),
+      lxfi::DeclareFunction("jexfs_open", kern::kFileOpen,
+                            [st](kern::Inode* ino, kern::File* f) { return Open(*st, ino, f); }),
+      lxfi::DeclareFunction("jexfs_release", kern::kFileRelease,
+                            [st](kern::Inode* ino, kern::File* f) { return Release(*st, ino, f); }),
+      lxfi::DeclareFunction("jexfs_read", kern::kFileRead,
+                            [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
+                              return Read(*st, f, ubuf, n, pos);
+                            }),
+      lxfi::DeclareFunction("jexfs_write", kern::kFileWrite,
+                            [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
+                              return Write(*st, f, ubuf, n, pos);
+                            }),
+      lxfi::DeclareFunction("jexfs_fsync", kern::kFileFsync,
+                            [st](kern::File* f) { return Fsync(*st, f); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

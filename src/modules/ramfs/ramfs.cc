@@ -288,60 +288,54 @@ kern::ModuleDef RamfsModuleDef(bool prepopulate, const char* fs_name) {
       "copy_to_user",             "printk",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*>(
-          "ramfs_mount", "file_system_type::mount",
+      lxfi::DeclareFunction(
+          "ramfs_mount", kern::kFsMount,
           [st](kern::FileSystemType* t, kern::SuperBlock* sb, kern::Dentry* root) {
             return Mount(*st, t, sb, root);
           }),
-      lxfi::DeclareFunction<void, kern::FileSystemType*, kern::SuperBlock*>(
-          "ramfs_kill_sb", "file_system_type::kill_sb",
+      lxfi::DeclareFunction(
+          "ramfs_kill_sb", kern::kFsKillSb,
           [st](kern::FileSystemType* t, kern::SuperBlock* sb) { KillSb(*st, t, sb); }),
-      lxfi::DeclareFunction<int, kern::SuperBlock*, kern::VfsStatFs*>(
-          "ramfs_statfs", "super_operations::statfs",
+      lxfi::DeclareFunction(
+          "ramfs_statfs", kern::kSuperStatfs,
           [st](kern::SuperBlock* sb, kern::VfsStatFs* out) { return StatFs(*st, sb, out); }),
-      lxfi::DeclareFunction<kern::Inode*, kern::Inode*, kern::Dentry*>(
-          "ramfs_lookup", "inode_operations::lookup",
+      lxfi::DeclareFunction(
+          "ramfs_lookup", kern::kInodeLookup,
           [st](kern::Inode* dir, kern::Dentry* d) { return Lookup(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, uint32_t>(
-          "ramfs_create", "inode_operations::create",
-          [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
-            return Create(*st, dir, d, mode);
-          }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*>(
-          "ramfs_unlink", "inode_operations::unlink",
+      lxfi::DeclareFunction("ramfs_create", kern::kInodeCreate,
+                            [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
+                              return Create(*st, dir, d, mode);
+                            }),
+      lxfi::DeclareFunction(
+          "ramfs_unlink", kern::kInodeUnlink,
           [st](kern::Inode* dir, kern::Dentry* d) { return Unlink(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, uint32_t>(
-          "ramfs_mkdir", "inode_operations::mkdir",
-          [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
-            return Mkdir(*st, dir, d, mode);
-          }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*>(
-          "ramfs_rmdir", "inode_operations::rmdir",
+      lxfi::DeclareFunction("ramfs_mkdir", kern::kInodeMkdir,
+                            [st](kern::Inode* dir, kern::Dentry* d, uint32_t mode) {
+                              return Mkdir(*st, dir, d, mode);
+                            }),
+      lxfi::DeclareFunction(
+          "ramfs_rmdir", kern::kInodeRmdir,
           [st](kern::Inode* dir, kern::Dentry* d) { return Unlink(*st, dir, d); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::Dentry*, kern::Inode*, kern::Dentry*>(
-          "ramfs_rename", "inode_operations::rename",
+      lxfi::DeclareFunction(
+          "ramfs_rename", kern::kInodeRename,
           [st](kern::Inode* od, kern::Dentry* odent, kern::Inode* nd, kern::Dentry* ndent) {
             return Rename(*st, od, odent, nd, ndent);
           }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::VfsStat*>(
-          "ramfs_getattr", "inode_operations::getattr",
+      lxfi::DeclareFunction(
+          "ramfs_getattr", kern::kInodeGetattr,
           [st](kern::Inode* ino, kern::VfsStat* out) { return Getattr(*st, ino, out); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::File*>(
-          "ramfs_open", "file_operations::open",
-          [st](kern::Inode* ino, kern::File* f) { return Open(*st, ino, f); }),
-      lxfi::DeclareFunction<int, kern::Inode*, kern::File*>(
-          "ramfs_release", "file_operations::release",
-          [st](kern::Inode* ino, kern::File* f) { return Release(*st, ino, f); }),
-      lxfi::DeclareFunction<int64_t, kern::File*, uintptr_t, uint64_t, uint64_t>(
-          "ramfs_read", "file_operations::read",
-          [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
-            return Read(*st, f, ubuf, n, pos);
-          }),
-      lxfi::DeclareFunction<int64_t, kern::File*, uintptr_t, uint64_t, uint64_t>(
-          "ramfs_write", "file_operations::write",
-          [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
-            return Write(*st, f, ubuf, n, pos);
-          }),
+      lxfi::DeclareFunction("ramfs_open", kern::kFileOpen,
+                            [st](kern::Inode* ino, kern::File* f) { return Open(*st, ino, f); }),
+      lxfi::DeclareFunction("ramfs_release", kern::kFileRelease,
+                            [st](kern::Inode* ino, kern::File* f) { return Release(*st, ino, f); }),
+      lxfi::DeclareFunction("ramfs_read", kern::kFileRead,
+                            [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
+                              return Read(*st, f, ubuf, n, pos);
+                            }),
+      lxfi::DeclareFunction("ramfs_write", kern::kFileWrite,
+                            [st](kern::File* f, uintptr_t ubuf, uint64_t n, uint64_t pos) {
+                              return Write(*st, f, ubuf, n, pos);
+                            }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

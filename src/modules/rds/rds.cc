@@ -111,22 +111,19 @@ kern::ModuleDef RdsModuleDef(bool ops_writable) {
       "printk",  "copy_from_user", "__copy_to_user",
   };
   def.functions = {
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "rds_create", "net_proto_family::create",
-          [st](kern::Socket* sock) { return Create(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*>(
-          "rds_release", "proto_ops::release",
-          [st](kern::Socket* sock) { return Release(*st, sock); }),
-      lxfi::DeclareFunction<int, kern::Socket*, unsigned, uintptr_t>(
-          "rds_ioctl", "proto_ops::ioctl",
-          [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
-            return Ioctl(*st, sock, cmd, arg);
-          }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "rds_sendmsg", "proto_ops::sendmsg",
+      lxfi::DeclareFunction("rds_create", kern::kProtoFamilyCreate,
+                            [st](kern::Socket* sock) { return Create(*st, sock); }),
+      lxfi::DeclareFunction("rds_release", kern::kProtoRelease,
+                            [st](kern::Socket* sock) { return Release(*st, sock); }),
+      lxfi::DeclareFunction("rds_ioctl", kern::kProtoIoctl,
+                            [st](kern::Socket* sock, unsigned cmd, uintptr_t arg) {
+                              return Ioctl(*st, sock, cmd, arg);
+                            }),
+      lxfi::DeclareFunction(
+          "rds_sendmsg", kern::kProtoSendmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Sendmsg(*st, sock, msg); }),
-      lxfi::DeclareFunction<int, kern::Socket*, kern::MsgHdr*>(
-          "rds_recvmsg", "proto_ops::recvmsg",
+      lxfi::DeclareFunction(
+          "rds_recvmsg", kern::kProtoRecvmsg,
           [st](kern::Socket* sock, kern::MsgHdr* msg) { return Recvmsg(*st, sock, msg); }),
   };
   // The ops table is a `static const struct proto_ops`: the loader patches

@@ -60,17 +60,15 @@ kern::ModuleDef SndModuleDef(const std::string& name, const std::string& prefix)
   def.data_size = sizeof(SndData);
   def.imports = {"kmalloc", "kfree", "snd_card_register", "snd_card_unregister", "printk"};
   def.functions = {
-      lxfi::DeclareFunction<int, kern::PcmSubstream*>(
-          prefix + "_open", "pcm_ops::open", [st](kern::PcmSubstream* ss) { return Open(*st, ss); }),
-      lxfi::DeclareFunction<int, kern::PcmSubstream*>(
-          prefix + "_close", "pcm_ops::close",
-          [st](kern::PcmSubstream* ss) { return Close(*st, ss); }),
-      lxfi::DeclareFunction<int, kern::PcmSubstream*, int>(
-          prefix + "_trigger", "pcm_ops::trigger",
+      lxfi::DeclareFunction(prefix + "_open", kern::kPcmOpen,
+                            [st](kern::PcmSubstream* ss) { return Open(*st, ss); }),
+      lxfi::DeclareFunction(prefix + "_close", kern::kPcmClose,
+                            [st](kern::PcmSubstream* ss) { return Close(*st, ss); }),
+      lxfi::DeclareFunction(
+          prefix + "_trigger", kern::kPcmTrigger,
           [st](kern::PcmSubstream* ss, int cmd) { return Trigger(*st, ss, cmd); }),
-      lxfi::DeclareFunction<uint32_t, kern::PcmSubstream*>(
-          prefix + "_pointer", "pcm_ops::pointer",
-          [st](kern::PcmSubstream* ss) { return Pointer(*st, ss); }),
+      lxfi::DeclareFunction(prefix + "_pointer", kern::kPcmPointer,
+                            [st](kern::PcmSubstream* ss) { return Pointer(*st, ss); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

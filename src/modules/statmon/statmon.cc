@@ -1,6 +1,7 @@
 #include "src/modules/statmon/statmon.h"
 
 #include "src/kernel/kernel.h"
+#include "src/lxfi/lxfi_stats.h"
 #include "src/lxfi/mem.h"
 #include "src/lxfi/wrap.h"
 
@@ -36,8 +37,8 @@ kern::ModuleDef StatmonModuleDef(std::string module_name) {
   def.name = std::move(module_name);
   def.imports = {"kmalloc", "kfree", "printk", "lxfi_stats", "lxfi_trace_read"};
   def.functions = {
-      lxfi::DeclareFunction<long, void*>("statmon_poll", "statmon::poll",
-                                         [st](void* arg) { return Poll(*st, arg); }),
+      lxfi::DeclareFunction("statmon_poll", lxfi::kStatmonPoll,
+                            [st](void* arg) { return Poll(*st, arg); }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;

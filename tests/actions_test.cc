@@ -11,6 +11,10 @@
 
 namespace {
 
+// Test-only function-pointer types.
+constexpr kern::FnPtrType<void(void* w)> kWidgetPoke{"widget_ops::poke"};
+constexpr kern::FnPtrType<void()> kWidgetTick{"widget_ops::tick"};
+
 using lxfi::Capability;
 using lxfitest::Bench;
 
@@ -150,16 +154,14 @@ TEST_F(ActionsTest, GuardCountersTrackActions) {
 TEST(PrincipalSelection, CalleePrincipalFromAnnotation) {
   Bench bench(/*isolated=*/true);
   lxfi::Runtime* rt = bench.rt.get();
-  ASSERT_TRUE(rt->annotations()
-                  .Register("widget_ops::poke", {"w"}, "principal(w)")
-                  .ok());
+  ASSERT_TRUE(rt->annotations().Register(kWidgetPoke.name, {"w"}, "principal(w)").ok());
   lxfi::Principal* observed = nullptr;
   kern::ModuleDef def;
   def.name = "principled";
   def.data_size = 16;
   def.imports = {"printk"};
-  def.functions = {lxfi::DeclareFunction<void, void*>(
-      "poke_impl", "widget_ops::poke", [&](void*) { observed = rt->CurrentPrincipal(); })};
+  def.functions = {lxfi::DeclareFunction(
+      "poke_impl", kWidgetPoke, [&](void*) { observed = rt->CurrentPrincipal(); })};
   def.init = [](kern::Module&) { return 0; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));
   ASSERT_NE(m, nullptr);
@@ -167,35 +169,35 @@ TEST(PrincipalSelection, CalleePrincipalFromAnnotation) {
   auto* slot = static_cast<uintptr_t*>(m->data());
   *slot = m->FuncAddr("poke_impl");
   int widget = 0;
-  bench.kernel->IndirectCall<void, void*>(slot, "widget_ops::poke", &widget);
+  bench.kernel->IndirectCall(slot, kWidgetPoke, &widget);
   ASSERT_NE(observed, nullptr);
   EXPECT_EQ(observed->kind(), lxfi::PrincipalKind::kInstance);
   EXPECT_EQ(observed->name(), reinterpret_cast<uintptr_t>(&widget));
   // Same widget -> same principal; different widget -> different one.
   lxfi::Principal* first = observed;
-  bench.kernel->IndirectCall<void, void*>(slot, "widget_ops::poke", &widget);
+  bench.kernel->IndirectCall(slot, kWidgetPoke, &widget);
   EXPECT_EQ(observed, first);
   int widget2 = 0;
-  bench.kernel->IndirectCall<void, void*>(slot, "widget_ops::poke", &widget2);
+  bench.kernel->IndirectCall(slot, kWidgetPoke, &widget2);
   EXPECT_NE(observed, first);
 }
 
 TEST(PrincipalSelection, DefaultIsShared) {
   Bench bench(/*isolated=*/true);
-  ASSERT_TRUE(bench.rt->annotations().Register("widget_ops::tick", {}, "").ok());
+  ASSERT_TRUE(bench.rt->annotations().Register(kWidgetTick.name, {}, "").ok());
   lxfi::Principal* observed = nullptr;
   kern::ModuleDef def;
   def.name = "plain";
   def.data_size = 16;
   def.imports = {"printk"};
-  def.functions = {lxfi::DeclareFunction<void>(
-      "tick_impl", "widget_ops::tick", [&] { observed = bench.rt->CurrentPrincipal(); })};
+  def.functions = {lxfi::DeclareFunction(
+      "tick_impl", kWidgetTick, [&] { observed = bench.rt->CurrentPrincipal(); })};
   def.init = [](kern::Module&) { return 0; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));
   ASSERT_NE(m, nullptr);
   auto* slot = static_cast<uintptr_t*>(m->data());
   *slot = m->FuncAddr("tick_impl");
-  bench.kernel->IndirectCall<void>(slot, "widget_ops::tick");
+  bench.kernel->IndirectCall(slot, kWidgetTick);
   EXPECT_EQ(observed, bench.rt->CtxOf(m)->shared());
 }
 

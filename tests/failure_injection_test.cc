@@ -42,12 +42,12 @@ kern::ModuleDef FlakyDriverDef(std::shared_ptr<FlakyState> st) {
   def.data_size = sizeof(kern::PciDriver);
   def.imports = {"pci_register_driver", "pci_unregister_driver", "printk"};
   def.functions = {
-      lxfi::DeclareFunction<int, kern::PciDev*>("flaky_probe", "pci_driver::probe",
+      lxfi::DeclareFunction("flaky_probe", kern::kPciProbe,
                                                 [st](kern::PciDev* pdev) {
                                                   st->seen = pdev;
                                                   return st->fail_probe ? -kern::kEnodev : 0;
                                                 }),
-      lxfi::DeclareFunction<void, kern::PciDev*>("flaky_remove", "pci_driver::remove",
+      lxfi::DeclareFunction("flaky_remove", kern::kPciRemove,
                                                  [](kern::PciDev*) {}),
   };
   def.init = [st](kern::Module& m) -> int {
@@ -169,9 +169,8 @@ TEST(FailureInjection, SocketCreateFailureUnwinds) {
   def.name = "refuser";
   def.data_size = sizeof(kern::NetProtoFamily);
   def.imports = {"sock_register", "printk"};
-  def.functions = {lxfi::DeclareFunction<int, kern::Socket*>(
-      "refuse_create", "net_proto_family::create",
-      [](kern::Socket*) { return -kern::kEnomem; })};
+  def.functions = {lxfi::DeclareFunction("refuse_create", kern::kProtoFamilyCreate,
+                                         [](kern::Socket*) { return -kern::kEnomem; })};
   def.init = [](kern::Module& m) -> int {
     auto* fam = static_cast<kern::NetProtoFamily*>(m.data());
     lxfi::Store(m, &fam->family, 77);
@@ -209,15 +208,13 @@ TEST(FailureInjection, MountFailureAfterRegisterFilesystem) {
   def.data_size = sizeof(kern::FileSystemType);
   def.imports = {"register_filesystem", "unregister_filesystem", "printk"};
   def.functions = {
-      lxfi::DeclareFunction<int, kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*>(
-          "failfs_mount", "file_system_type::mount",
-          [st](kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*) {
-            ++st->mount_calls;
-            return -kern::kEnomem;
-          }),
-      lxfi::DeclareFunction<void, kern::FileSystemType*, kern::SuperBlock*>(
-          "failfs_kill_sb", "file_system_type::kill_sb",
-          [st](kern::FileSystemType*, kern::SuperBlock*) { ++st->kill_calls; }),
+      lxfi::DeclareFunction("failfs_mount", kern::kFsMount,
+                            [st](kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*) {
+                              ++st->mount_calls;
+                              return -kern::kEnomem;
+                            }),
+      lxfi::DeclareFunction("failfs_kill_sb", kern::kFsKillSb,
+                            [st](kern::FileSystemType*, kern::SuperBlock*) { ++st->kill_calls; }),
   };
   def.init = [st](kern::Module& m) -> int {
     st->register_filesystem = lxfi::GetImport<int, kern::FileSystemType*>(m, "register_filesystem");

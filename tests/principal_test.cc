@@ -168,9 +168,17 @@ TEST(AnnotationRegistry, ParseErrorSurfaces) {
   EXPECT_EQ(reg.Find("g"), nullptr) << "failed registrations leave no residue";
 }
 
-TEST(AnnotationRegistry, AhashOfUnknownIsZero) {
+TEST(AnnotationRegistry, FindByPrecomputedKey) {
   lxfi::AnnotationRegistry reg;
-  EXPECT_EQ(reg.AhashOf("nothing"), 0u);
+  constexpr kern::FnPtrType<int(void*)> kA{"a_ops::run"};
+  EXPECT_EQ(reg.Find(kA.key, kA.name), nullptr) << "unannotated type";
+  ASSERT_TRUE(reg.Register(kA.name, {"x"}, "principal(x)").ok());
+  ASSERT_TRUE(reg.Register("b_ops::run", {"x"}, "").ok());
+  EXPECT_EQ(reg.Find(kA.key, kA.name), reg.Find(kA.name));
+  // A key whose slot holds another name (a 64-bit collision) falls back to
+  // the exact, name-keyed path.
+  EXPECT_EQ(reg.Find(kA.key, "b_ops::run"), reg.Find("b_ops::run"));
+  EXPECT_EQ(reg.Find(kA.key, "c_ops::run"), nullptr);
 }
 
 TEST(AnnotationRegistry, UsageNotes) {

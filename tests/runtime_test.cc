@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/kernel/kernel.h"
+#include "src/kernel/net/socket.h"
 #include "src/lxfi/kernel_api.h"
 #include "src/lxfi/mem.h"
 #include "src/lxfi/runtime.h"
@@ -271,8 +272,8 @@ TEST(RuntimeLoad, ConflictingAnnotationPropagationRejected) {
                   .ok());
   kern::ModuleDef def;
   def.name = "conflicted";
-  def.functions = {lxfi::DeclareFunction<int, kern::Socket*>(
-      "conflicted_fn", "proto_ops::release", [](kern::Socket*) { return 0; })};
+  def.functions = {lxfi::DeclareFunction("conflicted_fn", kern::kProtoRelease,
+                                         [](kern::Socket*) { return 0; })};
   EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
 }
 

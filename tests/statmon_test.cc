@@ -26,7 +26,7 @@ long InvokePoll(Bench& bench, kern::Module* m) {
   // full indirect-call path (writer-set check, annotation-hash check,
   // wrapper) runs for every poll.
   uintptr_t slot = m->FuncAddr("statmon_poll");
-  return bench.kernel->IndirectCall<long, void*>(&slot, "statmon::poll", nullptr);
+  return bench.kernel->IndirectCall(&slot, lxfi::kStatmonPoll, nullptr);
 }
 
 TEST(Statmon, PollsMetricsAndTraceUnderEnforcement) {

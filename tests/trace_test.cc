@@ -24,6 +24,8 @@
 
 namespace {
 
+constexpr kern::FnPtrType<void(void* arg)> kStatTick{"stat_ops::tick"};
+
 using lxfi::TraceBuffer;
 using lxfi::TraceEvent;
 using lxfi::TraceRecord;
@@ -194,14 +196,13 @@ TEST(LxfiStatsDifferential, CrossingsMatchFunctionExitGuards) {
   lxfi::LxfiStats::SetEnabled(true);
   Bench bench(/*isolated=*/true);
   lxfi::Runtime* rt = bench.rt.get();
-  ASSERT_TRUE(rt->annotations().Register("stat_ops::tick", {"arg"}, "").ok());
+  ASSERT_TRUE(rt->annotations().Register(kStatTick.name, {"arg"}, "").ok());
   int hits = 0;
   kern::ModuleDef def;
   def.name = "diffmod";
   def.data_size = 16;
   def.imports = {"printk"};
-  def.functions = {lxfi::DeclareFunction<void, void*>("tick", "stat_ops::tick",
-                                                      [&hits](void*) { ++hits; })};
+  def.functions = {lxfi::DeclareFunction("tick", kStatTick, [&hits](void*) { ++hits; })};
   def.init = [](kern::Module&) { return 0; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));
   ASSERT_NE(m, nullptr);
@@ -212,7 +213,7 @@ TEST(LxfiStatsDifferential, CrossingsMatchFunctionExitGuards) {
   const uint64_t crossings_before = TotalCrossings(*rt);
   constexpr int kCalls = 257;
   for (int i = 0; i < kCalls; ++i) {
-    bench.kernel->IndirectCall<void, void*>(slot, "stat_ops::tick", nullptr);
+    bench.kernel->IndirectCall(slot, kStatTick, nullptr);
   }
   EXPECT_EQ(hits, kCalls);
   const uint64_t exits = rt->guards().count(lxfi::GuardType::kFunctionExit) - exits_before;
