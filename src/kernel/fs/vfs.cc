@@ -87,6 +87,18 @@ class DoubleLockGuard {
   lxfi::Spinlock* second_ = nullptr;
 };
 
+// The flag decode of the leaf step: 0 when the leaf names a live entry of
+// the wanted kind, else the errno unlink, rmdir and rename report for it.
+int LiveEntryOfKind(uint32_t flags, bool dir) {
+  if ((flags & (kDentryPositive | kDentryDying)) != kDentryPositive) {
+    return -kEnoent;
+  }
+  if (((flags & kDentryDir) != 0) != dir) {
+    return dir ? -kEnotdir : -kEisdir;
+  }
+  return 0;
+}
+
 }  // namespace
 
 Vfs::Vfs(Kernel* kernel) : kernel_(kernel), chain_(kernel), dcache_(kernel) {
@@ -299,15 +311,44 @@ Dentry* Vfs::LookupChild(Dentry* parent, const char* name) {
   return nullptr;  // over the bound: an uncached miss
 }
 
-int Vfs::Walk(const char* path, Dentry** out) {
+Dentry* Vfs::ProbeChild(Dentry* dir, const char* name) {
+  Dentry* d = dcache_.Lookup(dir, name);
+  if (d != nullptr && (Dcache::FlagsOf(d) & (kDentryPositive | kDentryDying)) == 0) {
+    dcache_.CountNegativeHit();  // answered with zero module dispatches
+  }
+  return d;
+}
+
+int Vfs::Walk(const char* path, Dentry** out, char* leaf) {
   if (path == nullptr || path[0] != '/') {
     return -kEinval;
   }
+  // Leaf mode: the last component must be a valid name before anything is
+  // resolved; `end` marks where it ends (trailing slashes stripped), so the
+  // walk below stops when it has extracted it.
+  const char* end = nullptr;
+  if (leaf != nullptr) {
+    end = path + std::strlen(path);
+    while (end > path && end[-1] == '/') {
+      --end;
+    }
+    const char* start = end;
+    while (start > path && start[-1] != '/') {
+      --start;
+    }
+    if (start == end || static_cast<size_t>(end - start) > kVfsNameMax) {
+      return -kEinval;
+    }
+  }
   const char* p = path;
-  char comp[kVfsNameMax + 1];
+  char buf[kVfsNameMax + 1] = {};
+  char* comp = leaf != nullptr ? leaf : buf;
   int rc = NextComponent(&p, comp);
   if (rc != 0) {
     return rc == -kEnoent ? -kEinval : rc;  // "/" itself is not addressable
+  }
+  if (p == end) {
+    return -kEinval;  // leaf mode: a mount root has no parent to stop at
   }
   SuperBlock* sb = SuperAt(comp);
   if (sb == nullptr) {
@@ -319,34 +360,23 @@ int Vfs::Walk(const char* path, Dentry** out) {
   Dentry* cur = sb->root;
   uint32_t cur_flags = Dcache::FlagsOf(cur);
   while ((rc = NextComponent(&p, comp)) == 0) {
-    if ((cur_flags & kDentryPositive) == 0 || (cur_flags & kDentryDying) != 0) {
+    if ((cur_flags & (kDentryPositive | kDentryDying)) != kDentryPositive) {
       return -kEnoent;
     }
     if ((cur_flags & kDentryDir) == 0) {
       return -kEnotdir;
     }
-    // Hit path: one lock-free seqlock-validated probe, no allocation.
-    Dentry* next = dcache_.Lookup(cur, comp);
-    if (next != nullptr) {
-      uint32_t f = Dcache::FlagsOf(next);
-      if ((f & kDentryDying) != 0) {
-        return -kEnoent;  // unlink in flight: the name is going away
-      }
-      if ((f & kDentryPositive) == 0) {
-        dcache_.CountNegativeHit();
-        return -kEnoent;  // cached negative: zero module dispatches
-      }
-      cur = next;
-      cur_flags = f;
-      continue;
+    if (p == end) {
+      *out = cur;  // leaf mode: `comp` (the caller's buffer) holds the leaf
+      return 0;
     }
-    next = LookupChild(cur, comp);
+    Dentry* next = ProbeChild(cur, comp);
     if (next == nullptr) {
-      return -kEnoent;
+      next = LookupChild(cur, comp);
     }
-    uint32_t f = Dcache::FlagsOf(next);
-    if ((f & kDentryPositive) == 0 || (f & kDentryDying) != 0) {
-      return -kEnoent;
+    uint32_t f = next != nullptr ? Dcache::FlagsOf(next) : 0;
+    if ((f & (kDentryPositive | kDentryDying)) != kDentryPositive) {
+      return -kEnoent;  // absent, cached negative, or unlink in flight
     }
     cur = next;
     cur_flags = f;
@@ -358,36 +388,34 @@ int Vfs::Walk(const char* path, Dentry** out) {
   return 0;
 }
 
-int Vfs::WalkParent(const char* path, Dentry** parent_out, std::string* leaf_out) {
-  if (path == nullptr || path[0] != '/') {
-    return -kEinval;
+template <typename Fn>
+int Vfs::StepLeaves(Leaf* a, Leaf* b, Fn&& locked) {
+  LookupChild(a->parent, a->name);
+  if (b != a) {
+    LookupChild(b->parent, b->name);
   }
-  // Find the final component, then walk the prefix.
-  const char* end = path + std::strlen(path);
-  while (end > path && end[-1] == '/') {
-    --end;
+  DoubleLockGuard guard(dcache_, a->parent, b->parent);
+  if (((Dcache::FlagsOf(a->parent) | Dcache::FlagsOf(b->parent)) & kDentryDying) != 0) {
+    return -kEnoent;  // raced an rmdir of a parent after the walk
   }
-  const char* leaf = end;
-  while (leaf > path && leaf[-1] != '/') {
-    --leaf;
+  for (Leaf* leaf : {a, b}) {
+    leaf->child = dcache_.FindChildLocked(leaf->parent, leaf->name);
+    leaf->flags = leaf->child != nullptr ? Dcache::FlagsOf(leaf->child) : 0;
   }
-  if (leaf == end || static_cast<size_t>(end - leaf) > kVfsNameMax) {
-    return -kEinval;
-  }
-  std::string prefix(path, leaf);
-  leaf_out->assign(leaf, end);
+  return locked();
+}
 
-  // The prefix must itself contain a mount component.
-  Dentry* parent = nullptr;
-  int rc = Walk(prefix.c_str(), &parent);
-  if (rc != 0) {
-    return rc;
+template <typename Call>
+auto Vfs::Dispatch(VfsOp op, FilterCtx ctx, Call&& call) -> decltype(call()) {
+  ctx.op = static_cast<int>(op);
+  FilterRun run;
+  decltype(call()) rc = chain_.RunPre(&ctx, &run);
+  if (rc == 0) {
+    rc = call();
   }
-  if ((Dcache::FlagsOf(parent) & kDentryDir) == 0) {
-    return -kEnotdir;
-  }
-  *parent_out = parent;
-  return 0;
+  ctx.result = rc;
+  chain_.RunPost(&ctx, run);
+  return rc;
 }
 
 // --- mounts -------------------------------------------------------------------
@@ -462,35 +490,27 @@ SuperBlock* Vfs::Mount(const char* fsname, const char* where) {
   Dentry* root = dcache_.NewDentry(sb, nullptr, "/");
 
   int rc = kernel_->IndirectCall(&fstype->mount, kFsMount, fstype, sb, root);
-  bool root_ok = rc == 0 && (Dcache::FlagsOf(root) & kDentryPositive) != 0 &&
-                 (Dcache::FlagsOf(root) & kDentryDir) != 0;
-  if (!root_ok) {
-    if (rc == 0 && fstype->kill_sb != 0) {
-      kernel_->IndirectCall(&fstype->kill_sb, kFsKillSb, fstype, sb);
-    }
-    // The tree was never reachable by a walker (the mount is unpublished).
-    dcache_.FreeTreeNow(root);
-    kernel_->slab().Free(sb);
-    return nullptr;
-  }
-  sb->root = root;
-  bool lost_race = false;
-  {
+  const uint32_t root_flags = Dcache::FlagsOf(root);
+  bool published = false;
+  if (rc == 0 && (root_flags & kDentryPositive) != 0 && (root_flags & kDentryDir) != 0) {
+    sb->root = root;
     lxfi::SpinGuard guard(mount_mu_);
-    lost_race = FindMountLocked(comp) != nullptr;
-    if (!lost_race) {
+    if (FindMountLocked(comp) == nullptr) {
       auto* entry = new MountEntry();
       std::snprintf(entry->name, sizeof(entry->name), "%s", comp);
       entry->hash = NameHash(comp);
       entry->sb = sb;
       lxfi::flat_chain::InsertLocked<&MountEntry::next>(mounts_, entry->hash, entry);
       mount_count_.fetch_add(1, std::memory_order_relaxed);
+      published = true;
     }
   }
-  if (lost_race) {
-    // Mountpoint taken between the pre-check and publication; back out
-    // through the module so its capabilities and state are reclaimed.
-    if (fstype->kill_sb != 0) {
+  if (!published) {
+    // A failed mount, or the mountpoint was taken between the pre-check and
+    // publication. Back a successful module mount out through kill_sb so
+    // its capabilities and state are reclaimed; the tree was never
+    // reachable by a walker.
+    if (rc == 0 && fstype->kill_sb != 0) {
       kernel_->IndirectCall(&fstype->kill_sb, kFsKillSb, fstype, sb);
     }
     dcache_.FreeTreeNow(root);
@@ -602,25 +622,27 @@ int Vfs::DInstantiate(Dentry* dentry, Inode* inode) {
 
 // --- syscall surface ----------------------------------------------------------
 
-int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
-  Dentry* parent = nullptr;
-  std::string leaf;
-  int rc = WalkParent(path, &parent, &leaf);
-  if (rc != 0) {
-    return rc;
-  }
-  {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
-    if ((Dcache::FlagsOf(parent) & kDentryDying) != 0) {
-      return -kEnoent;  // raced an rmdir of the parent after WalkParent
+int Vfs::MakeEntry(Leaf* leaf, uint32_t mode, VfsOp op, Dentry** out) {
+  // A cached name is answered lock-free, as Walk answers it; the leaf step
+  // asks the filesystem about the rest.
+  Dentry* existing = ProbeChild(leaf->parent, leaf->name);
+  if (existing == nullptr || (Dcache::FlagsOf(existing) & kDentryPositive) == 0) {
+    int rc = StepLeaves(leaf, leaf, [] { return 0; });
+    if (rc != 0) {
+      return rc;
     }
-    Dentry* existing = dcache_.FindChildLocked(parent, leaf.c_str());
-    if (existing != nullptr && (Dcache::FlagsOf(existing) & kDentryPositive) != 0) {
+    existing = (leaf->flags & kDentryPositive) != 0 ? leaf->child : nullptr;
+  }
+  if (existing != nullptr) {
+    if (op == VfsOp::kMkdir) {
       return -kEexist;
     }
-    // A cached negative stays linked: DInstantiate displaces it under the
-    // same lock when the module instantiates the new entry.
+    *out = existing;  // Open(kOCreate) of an existing name opens it
+    return 0;
   }
+  // A cached negative stays linked: DInstantiate displaces it under the
+  // parent's lock when the module instantiates the new entry.
+  Dentry* parent = leaf->parent;
   Inode* dir = Dcache::InodeOf(parent);
   const uintptr_t* slot = nullptr;
   if (dir->i_op != nullptr) {
@@ -629,19 +651,11 @@ int Vfs::MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out) {
   if (slot == nullptr || *slot == 0) {
     return -kEinval;
   }
-  Dentry* dentry = dcache_.NewDentry(parent->sb, parent, leaf.c_str());
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(op);
-  ctx.dir = dir;
-  ctx.dentry = dentry;
-  FilterRun run;
-  rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0) {
-    rc = kernel_->IndirectCall(slot, op == VfsOp::kCreate ? kInodeCreate : kInodeMkdir, dir, dentry,
-                               mode);
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
+  Dentry* dentry = dcache_.NewDentry(parent->sb, parent, leaf->name);
+  int rc = Dispatch(op, {.dir = dir, .dentry = dentry}, [&] {
+    return kernel_->IndirectCall(slot, op == VfsOp::kCreate ? kInodeCreate : kInodeMkdir, dir,
+                                 dentry, mode);
+  });
   if (rc != 0) {
     // The module failed the create; if it instantiated (and thereby linked)
     // the dentry anyway, unlink it — a failed create must not leave a live
@@ -680,11 +694,20 @@ File* Vfs::Open(const char* path, int flags, int* err) {
     return nullptr;
   };
   Dentry* dentry = nullptr;
-  int rc = Walk(path, &dentry);
-  if (rc == -kEnoent && (flags & kOCreate) != 0) {
-    rc = MakeEntry(path, kIfReg, VfsOp::kCreate, &dentry);
-    if (rc == -kEexist) {
-      rc = Walk(path, &dentry);  // lost a create race; open the winner
+  int rc = 0;
+  if ((flags & kOCreate) == 0) {
+    rc = Walk(path, &dentry);
+  } else {
+    Leaf leaf;
+    rc = Walk(path, &leaf.parent, leaf.name);
+    if (rc == 0) {
+      rc = MakeEntry(&leaf, kIfReg, VfsOp::kCreate, &dentry);
+      if (rc == -kEexist) {
+        // Lost a create race: the retry finds the winner and opens it.
+        rc = MakeEntry(&leaf, kIfReg, VfsOp::kCreate, &dentry);
+      }
+    } else if (rc == -kEinval) {
+      rc = Walk(path, &dentry);  // no leaf to create: a mount root, or a bad path
     }
   }
   if (rc != 0) {
@@ -716,17 +739,10 @@ File* Vfs::Open(const char* path, int flags, int* err) {
   file->dentry = dentry;
   file->f_op = inode->i_fop;
 
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kOpen);
-  ctx.file = file;
-  ctx.dentry = dentry;
-  FilterRun run;
-  rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0 && file->f_op->open != 0) {
-    rc = kernel_->IndirectCall(&file->f_op->open, kFileOpen, inode, file);
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
+  rc = Dispatch(VfsOp::kOpen, {.file = file, .dentry = dentry}, [&] {
+    return file->f_op->open != 0 ? kernel_->IndirectCall(&file->f_op->open, kFileOpen, inode, file)
+                                 : 0;
+  });
   if (rc != 0) {
     kernel_->slab().Free(file);
     return fail_unref(rc);
@@ -760,58 +776,34 @@ int Vfs::Close(File* file) {
   return rc;
 }
 
-int64_t Vfs::Read(File* file, uintptr_t ubuf, uint64_t n) {
-  if (file == nullptr || file->f_op == nullptr || file->f_op->read == 0) {
+int64_t Vfs::Transfer(VfsOp op, File* file, uintptr_t ubuf, uint64_t n) {
+  if (file == nullptr || file->f_op == nullptr) {
+    return -kEinval;
+  }
+  const uintptr_t* slot = op == VfsOp::kRead ? &file->f_op->read : &file->f_op->write;
+  if (*slot == 0) {
     return -kEinval;
   }
   if (TypeQuarantined(file->inode->sb)) {
     return -kEio;
   }
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kRead);
-  ctx.file = file;
-  ctx.dentry = file->dentry;
-  ctx.ubuf = ubuf;
-  ctx.len = n;
-  ctx.pos = file->pos;
-  FilterRun run;
-  int64_t result = chain_.RunPre(&ctx, &run);
-  if (result == 0) {
-    result = kernel_->IndirectCall(&file->f_op->read, kFileRead, file, ubuf, n, file->pos);
-  }
-  ctx.result = result;
-  chain_.RunPost(&ctx, run);
+  int64_t result = Dispatch(
+      op, {.file = file, .dentry = file->dentry, .ubuf = ubuf, .len = n, .pos = file->pos}, [&] {
+        return kernel_->IndirectCall(slot, op == VfsOp::kRead ? kFileRead : kFileWrite, file, ubuf,
+                                     n, file->pos);
+      });
   if (result > 0) {
     file->pos += static_cast<uint64_t>(result);
   }
   return result;
 }
 
+int64_t Vfs::Read(File* file, uintptr_t ubuf, uint64_t n) {
+  return Transfer(VfsOp::kRead, file, ubuf, n);
+}
+
 int64_t Vfs::Write(File* file, uintptr_t ubuf, uint64_t n) {
-  if (file == nullptr || file->f_op == nullptr || file->f_op->write == 0) {
-    return -kEinval;
-  }
-  if (TypeQuarantined(file->inode->sb)) {
-    return -kEio;
-  }
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kWrite);
-  ctx.file = file;
-  ctx.dentry = file->dentry;
-  ctx.ubuf = ubuf;
-  ctx.len = n;
-  ctx.pos = file->pos;
-  FilterRun run;
-  int64_t result = chain_.RunPre(&ctx, &run);
-  if (result == 0) {
-    result = kernel_->IndirectCall(&file->f_op->write, kFileWrite, file, ubuf, n, file->pos);
-  }
-  ctx.result = result;
-  chain_.RunPost(&ctx, run);
-  if (result > 0) {
-    file->pos += static_cast<uint64_t>(result);
-  }
-  return result;
+  return Transfer(VfsOp::kWrite, file, ubuf, n);
 }
 
 int Vfs::Seek(File* file, uint64_t pos) {
@@ -822,38 +814,28 @@ int Vfs::Seek(File* file, uint64_t pos) {
   return 0;
 }
 
-int Vfs::Mkdir(const char* path) { return MakeEntry(path, kIfDir, VfsOp::kMkdir, nullptr); }
+int Vfs::Mkdir(const char* path) {
+  Leaf leaf;
+  int rc = Walk(path, &leaf.parent, leaf.name);
+  return rc != 0 ? rc : MakeEntry(&leaf, kIfDir, VfsOp::kMkdir, nullptr);
+}
 
 int Vfs::RemoveEntry(const char* path, bool dir) {
-  Dentry* parent = nullptr;
-  std::string leaf;
-  int rc = WalkParent(path, &parent, &leaf);
+  Leaf leaf;
+  int rc = Walk(path, &leaf.parent, leaf.name);
   if (rc != 0) {
     return rc;
   }
-  Inode* dirnode = Dcache::InodeOf(parent);
+  Inode* dirnode = Dcache::InodeOf(leaf.parent);
   const uintptr_t* slot =
       dirnode->i_op != nullptr ? (dir ? &dirnode->i_op->rmdir : &dirnode->i_op->unlink) : nullptr;
   if (slot == nullptr || *slot == 0) {
     return -kEinval;
   }
-  // Resolve the leaf as Walk does (it may be uncached after a remount); the
-  // locked probe below re-checks it.
-  LookupChild(parent, leaf.c_str());
-  Dentry* child;
-  {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
-    child = dcache_.FindChildLocked(parent, leaf.c_str());
-    uint32_t f = child != nullptr ? Dcache::FlagsOf(child) : 0;
-    if (child == nullptr || (f & kDentryPositive) == 0 || (f & kDentryDying) != 0) {
-      return -kEnoent;
-    }
-    bool is_dir = (f & kDentryDir) != 0;
-    if (dir && !is_dir) {
-      return -kEnotdir;
-    }
-    if (!dir && is_dir) {
-      return -kEisdir;
+  rc = StepLeaves(&leaf, &leaf, [&] {
+    int e = LiveEntryOfKind(leaf.flags, dir);
+    if (e != 0) {
+      return e;
     }
     // Hide the entry from lock-free walkers for the duration of the module
     // dispatch: no new stat/open can reach the inode the module is about
@@ -861,46 +843,37 @@ int Vfs::RemoveEntry(const char* path, bool dir) {
     // mark is a lockref CAS conditional on open_count == 0 (and on no
     // dying/moving bit already set), so it can never overtake a concurrent
     // TryOpenRef — whoever's CAS lands first wins, atomically.
-    if (dir) {
-      // The empty check and the dying mark must be one atomic step with
-      // respect to links INTO the victim, and those are guarded by the
-      // victim's own child_lock — not the parent lock this block holds. A
-      // concurrent create inside the directory either commits first (we
-      // see pos_children > 0 here) or observes the dying mark under the
-      // same lock in DInstantiate/LookupChild and fails. Parent -> child
-      // is the tree order (ascending depth), so the nesting cannot
-      // deadlock.
-      lxfi::SpinGuard child_guard(child->child_lock);
-      if (child->pos_children > 0) {
-        return -kEnotempty;
-      }
-      if (!Dcache::TryFlagIfUnopened(child, kDentryDying)) {
-        return -kEbusy;  // open handles reference the dentry and inode
-      }
-    } else {
-      if (!Dcache::TryFlagIfUnopened(child, kDentryDying)) {
-        return -kEbusy;  // open handles, or a rename moving this entry
-      }
+    if (!dir) {
+      // -EBUSY: open handles, or a rename moving this entry.
+      return Dcache::TryFlagIfUnopened(leaf.child, kDentryDying) ? 0 : -kEbusy;
     }
+    // The empty check and the dying mark must be one atomic step with
+    // respect to links INTO the victim, and those are guarded by the
+    // victim's own child_lock — not the parent lock the leaf step holds. A
+    // concurrent create inside the directory either commits first (we see
+    // pos_children > 0 here) or observes the dying mark under the same lock
+    // in DInstantiate/LookupChild and fails. Parent -> child is the tree
+    // order (ascending depth), so the nesting cannot deadlock.
+    lxfi::SpinGuard child_guard(leaf.child->child_lock);
+    if (leaf.child->pos_children > 0) {
+      return -kEnotempty;
+    }
+    return Dcache::TryFlagIfUnopened(leaf.child, kDentryDying) ? 0 : -kEbusy;
+  });
+  if (rc != 0) {
+    return rc;
   }
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(dir ? VfsOp::kRmdir : VfsOp::kUnlink);
-  ctx.dir = dirnode;
-  ctx.dentry = child;
-  FilterRun run;
-  rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0) {
-    rc = kernel_->IndirectCall(slot, dir ? kInodeRmdir : kInodeUnlink, dirnode, child);
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
+  Dentry* child = leaf.child;
+  rc = Dispatch(dir ? VfsOp::kRmdir : VfsOp::kUnlink, {.dir = dirnode, .dentry = child}, [&] {
+    return kernel_->IndirectCall(slot, dir ? kInodeRmdir : kInodeUnlink, dirnode, child);
+  });
   if (rc != 0) {
     Dcache::SetDying(child, false);  // the entry lives on
     return rc;
   }
   {
-    lxfi::SpinGuard guard(dcache_.writer_lock(parent));
-    dcache_.UnlinkChildLocked(parent, child);
+    lxfi::SpinGuard guard(dcache_.writer_lock(leaf.parent));
+    dcache_.UnlinkChildLocked(leaf.parent, child);
   }
   // The child (plus, for rmdir, any cached negatives below it) may still be
   // referenced by a walker that resolved it before the dying mark.
@@ -919,37 +892,28 @@ int Vfs::Fsync(File* file) {
   if (TypeQuarantined(file->inode->sb)) {
     return -kEio;
   }
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kFsync);
-  ctx.file = file;
-  ctx.dentry = file->dentry;
-  FilterRun run;
-  int rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0 && file->f_op->fsync != 0) {
-    rc = kernel_->IndirectCall(&file->f_op->fsync, kFileFsync, file);
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
-  return rc;
+  return Dispatch(VfsOp::kFsync, {.file = file, .dentry = file->dentry}, [&] {
+    return file->f_op->fsync != 0 ? kernel_->IndirectCall(&file->f_op->fsync, kFileFsync, file) : 0;
+  });
 }
 
 int Vfs::Rename(const char* oldpath, const char* newpath) {
-  Dentry* oparent = nullptr;
-  Dentry* nparent = nullptr;
-  std::string oleaf;
-  std::string nleaf;
-  int rc = WalkParent(oldpath, &oparent, &oleaf);
+  Leaf from;
+  Leaf to;
+  int rc = Walk(oldpath, &from.parent, from.name);
   if (rc != 0) {
     return rc;
   }
-  rc = WalkParent(newpath, &nparent, &nleaf);
+  rc = Walk(newpath, &to.parent, to.name);
   if (rc != 0) {
     return rc;
   }
+  Dentry* oparent = from.parent;
+  Dentry* nparent = to.parent;
   if (oparent->sb != nparent->sb) {
     return -kExdev;
   }
-  if (oparent == nparent && oleaf == nleaf) {
+  if (oparent == nparent && std::strcmp(from.name, to.name) == 0) {
     Dentry* self = nullptr;
     return Walk(oldpath, &self);  // renaming a name onto itself: a no-op
   }
@@ -959,70 +923,47 @@ int Vfs::Rename(const char* oldpath, const char* newpath) {
       olddir->i_op->rename == 0) {
     return -kEinval;
   }
-  // Resolve both leaves as Walk does; the locked probes below re-check them.
-  LookupChild(oparent, oleaf.c_str());
-  LookupChild(nparent, nleaf.c_str());
   // The destination reservation: a negative dentry carrying the moving
   // mark, linked before the module dispatch so no concurrent create or
   // rename can claim the name while the move commits on disk
-  // (DInstantiate and the probe below refuse moving-marked entries).
-  Dentry* nd = dcache_.NewDentry(nparent->sb, nparent, nleaf.c_str());
-  Dentry* od = nullptr;
-  {
-    DoubleLockGuard guard(dcache_, oparent, nparent);
-    if (((Dcache::FlagsOf(oparent) | Dcache::FlagsOf(nparent)) & kDentryDying) != 0) {
-      dcache_.FreeNow(nd);
-      return -kEnoent;
+  // (DInstantiate and the leaf step below refuse moving-marked entries).
+  Dentry* nd = dcache_.NewDentry(nparent->sb, nparent, to.name);
+  rc = StepLeaves(&from, &to, [&] {
+    // Directories do not move (immutable depth): -EISDIR.
+    int e = LiveEntryOfKind(from.flags, /*dir=*/false);
+    if (e != 0) {
+      return e;
     }
-    od = dcache_.FindChildLocked(oparent, oleaf.c_str());
-    uint32_t f = od != nullptr ? Dcache::FlagsOf(od) : 0;
-    if (od == nullptr || (f & kDentryPositive) == 0 || (f & kDentryDying) != 0) {
-      dcache_.FreeNow(nd);
-      return -kEnoent;
+    if ((to.flags & kDentryPositive) != 0) {
+      return -kEexist;  // RENAME_NOREPLACE semantics
     }
-    if ((f & kDentryDir) != 0) {
-      dcache_.FreeNow(nd);
-      return -kEisdir;  // directories do not move (immutable depth)
-    }
-    Dentry* existing = dcache_.FindChildLocked(nparent, nleaf.c_str());
-    if (existing != nullptr) {
-      uint32_t ef = Dcache::FlagsOf(existing);
-      if ((ef & kDentryPositive) != 0) {
-        dcache_.FreeNow(nd);
-        return -kEexist;  // RENAME_NOREPLACE semantics
-      }
-      if ((ef & kDentryMoving) != 0) {
-        dcache_.FreeNow(nd);
-        return -kEbusy;  // another rename already reserved the destination
-      }
+    if ((to.flags & kDentryMoving) != 0) {
+      return -kEbusy;  // another rename already reserved the destination
     }
     // Claim the source: same CAS window as unlink, so open handles (and
     // concurrent unlinks/renames of the same entry) make this fail.
-    if (!Dcache::TryFlagIfUnopened(od, kDentryMoving)) {
-      dcache_.FreeNow(nd);
+    if (!Dcache::TryFlagIfUnopened(from.child, kDentryMoving)) {
       return -kEbusy;
     }
-    if (existing != nullptr) {
-      dcache_.UnlinkChildLocked(nparent, existing);
-      dcache_.Retire(existing);  // displace the cached negative
+    if (to.child != nullptr) {
+      dcache_.UnlinkChildLocked(nparent, to.child);
+      dcache_.Retire(to.child);  // displace the cached negative
     }
     __atomic_fetch_or(&nd->flags, kDentryMoving, __ATOMIC_RELEASE);
     dcache_.LinkChildLocked(nparent, nd);
+    return 0;
+  });
+  if (rc != 0) {
+    dcache_.FreeNow(nd);  // never published
+    return rc;
   }
   // Module dispatch outside the locks (it may block on I/O; walkers keep
   // resolving the old name meanwhile — the moving mark only blocks open,
   // unlink and competing renames).
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kRename);
-  ctx.dir = olddir;
-  ctx.dentry = od;
-  FilterRun run;
-  rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0) {
-    rc = kernel_->IndirectCall(&olddir->i_op->rename, kInodeRename, olddir, od, newdir, nd);
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
+  Dentry* od = from.child;
+  rc = Dispatch(VfsOp::kRename, {.dir = olddir, .dentry = od}, [&] {
+    return kernel_->IndirectCall(&olddir->i_op->rename, kInodeRename, olddir, od, newdir, nd);
+  });
   if (rc != 0) {
     {
       DoubleLockGuard guard(dcache_, oparent, nparent);
@@ -1057,24 +998,16 @@ int Vfs::Stat(const char* path, VfsStat* out) {
     return rc;
   }
   Inode* inode = Dcache::InodeOf(dentry);
-  FilterCtx ctx;
-  ctx.op = static_cast<int>(VfsOp::kStat);
-  ctx.dentry = dentry;
-  FilterRun run;
-  rc = chain_.RunPre(&ctx, &run);
-  if (rc == 0) {
+  return Dispatch(VfsOp::kStat, {.dentry = dentry}, [&] {
     if (inode->i_op != nullptr && inode->i_op->getattr != 0) {
-      rc = kernel_->IndirectCall(&inode->i_op->getattr, kInodeGetattr, inode, out);
-    } else {
-      out->ino = inode->ino;
-      out->mode = inode->mode;
-      out->nlink = inode->nlink;
-      out->size = inode->size;
+      return kernel_->IndirectCall(&inode->i_op->getattr, kInodeGetattr, inode, out);
     }
-  }
-  ctx.result = rc;
-  chain_.RunPost(&ctx, run);
-  return rc;
+    out->ino = inode->ino;
+    out->mode = inode->mode;
+    out->nlink = inode->nlink;
+    out->size = inode->size;
+    return 0;
+  });
 }
 
 int Vfs::StatFs(const char* where, VfsStatFs* out) {

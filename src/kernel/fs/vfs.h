@@ -35,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -250,20 +249,49 @@ class Vfs {
   uint64_t lookup_dispatches() const { return stats_.count(VfsCounter::kLookupDispatches); }
 
  private:
+  // A path's last component: Walk's leaf mode fills parent and name, the
+  // leaf step fills child (null when absent) and its flags.
+  struct Leaf {
+    Dentry* parent = nullptr;
+    char name[kVfsNameMax + 1] = {};
+    Dentry* child = nullptr;
+    uint32_t flags = 0;
+  };
+
+  // The lock-free, allocation-free dcache probe for one component. Returns
+  // the cached child (positive, negative or dying) or null on a miss; a
+  // cached negative counts as a negative hit.
+  Dentry* ProbeChild(Dentry* dir, const char* name);
   // Resolves one missing component through inode_operations::lookup;
   // caches bounded negative results in the parent index.
   Dentry* LookupChild(Dentry* parent, const char* name);
-  // Walks `path` to its dentry. The hit path — every component already in
-  // the dcache, positively or negatively — takes no lock and performs no
-  // allocation. Negative/dying components report -ENOENT without a module
-  // dispatch. WalkParent stops one component early and reports the leaf.
-  int Walk(const char* path, Dentry** out);
-  int WalkParent(const char* path, Dentry** parent_out, std::string* leaf_out);
+  // The one path resolver: ProbeChild, then LookupChild on a miss, per
+  // component, so a walk whose components are all cached takes no lock.
+  // With `leaf` (kVfsNameMax + 1 bytes) it stops one component early: *out
+  // is the live parent directory and `leaf` the unresolved last component;
+  // a path naming only a mount has no leaf (-EINVAL).
+  int Walk(const char* path, Dentry** out, char* leaf = nullptr);
+  // The one leaf step: LookupChild on each leaf (so a name that exists only
+  // on disk is found), then both parents' writer locks, the re-check of each
+  // leaf under them, and `locked` run with the locks held. `a` may be `b`.
+  template <typename Fn>
+  int StepLeaves(Leaf* a, Leaf* b, Fn&& locked);
+  // The one filtered dispatch: the filter chain's pre hooks on `ctx`, then
+  // `call` (the typed indirect call) unless a hook vetoed, then the post
+  // hooks with the result.
+  template <typename Call>
+  auto Dispatch(VfsOp op, FilterCtx ctx, Call&& call) -> decltype(call());
 
-  // Shared create/mkdir body: dispatches `op` on a fresh negative dentry.
-  int MakeEntry(const char* path, uint32_t mode, VfsOp op, Dentry** out);
-  // Shared unlink/rmdir body.
+  // Shared create/mkdir body. A name that exists (cached, or found by the
+  // leaf step through the filesystem's lookup) fails mkdir with -EEXIST and
+  // is handed to Open(kOCreate) to open; otherwise `op` is dispatched on a
+  // fresh dentry.
+  int MakeEntry(Leaf* leaf, uint32_t mode, VfsOp op, Dentry** out);
+  // Shared unlink/rmdir body: the leaf step finds the victim and marks it
+  // dying before the module dispatch.
   int RemoveEntry(const char* path, bool dir);
+  // Shared read/write body.
+  int64_t Transfer(VfsOp op, File* file, uintptr_t ubuf, uint64_t n);
 
   Kernel* kernel_;
   FilterChain chain_;

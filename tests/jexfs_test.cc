@@ -254,6 +254,69 @@ TEST_P(JexfsParam, UnlinkAndRenameFindUncachedNamesAfterRemount) {
   }
 }
 
+// Mkdir asks the filesystem before creating: after a remount it refuses
+// names that exist only on disk instead of adding a second directory entry.
+TEST_P(JexfsParam, MkdirOverUncachedNamesAfterRemountFails) {
+  JexRig rig(GetParam(), /*crypt=*/false);
+  ASSERT_NE(rig.sb, nullptr);
+  ASSERT_EQ(rig.vfs->Mkdir("/mnt/d"), 0);
+  rig.WriteFile("/mnt/f", Pattern(300, 'f'));
+  ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0);
+  rig.sb = rig.vfs->Mount("jexfs", "/mnt");
+  ASSERT_NE(rig.sb, nullptr);
+
+  EXPECT_EQ(rig.vfs->Mkdir("/mnt/d"), -kern::kEexist);
+  EXPECT_EQ(rig.vfs->Mkdir("/mnt/f"), -kern::kEexist);
+  EXPECT_EQ(rig.vfs->Unlink("/mnt/f"), 0);
+  EXPECT_EQ(rig.vfs->Rmdir("/mnt/d"), 0);
+  ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0);
+  rig.sb = rig.vfs->Mount("jexfs", "/mnt");
+  ASSERT_NE(rig.sb, nullptr);
+  kern::VfsStat st;
+  EXPECT_EQ(rig.vfs->Stat("/mnt/d", &st), -kern::kEnoent);
+  EXPECT_EQ(rig.vfs->Stat("/mnt/f", &st), -kern::kEnoent);
+  if (rig.rt != nullptr) {
+    EXPECT_EQ(rig.rt->violation_count(), 0u);
+  }
+}
+
+// Open(kOCreate) of a name that exists only on disk opens that file: same
+// inode and size, and no second directory entry.
+TEST_P(JexfsParam, OpenCreateOverUncachedNameAfterRemountOpensIt) {
+  JexRig rig(GetParam(), /*crypt=*/false);
+  ASSERT_NE(rig.sb, nullptr);
+  const std::string data = Pattern(700, 'o');
+  rig.WriteFile("/mnt/f", data);
+  kern::VfsStat before;
+  ASSERT_EQ(rig.vfs->Stat("/mnt/f", &before), 0);
+  kern::VfsStatFs fs_before;
+  ASSERT_EQ(rig.vfs->StatFs("/mnt", &fs_before), 0);
+  ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0);
+  rig.sb = rig.vfs->Mount("jexfs", "/mnt");
+  ASSERT_NE(rig.sb, nullptr);
+
+  int err = 0;
+  kern::File* f = rig.vfs->Open("/mnt/f", kern::kOCreate, &err);
+  ASSERT_NE(f, nullptr) << "err=" << err;
+  EXPECT_EQ(f->inode->ino, before.ino);
+  EXPECT_EQ(f->inode->size, data.size());
+  ASSERT_EQ(rig.vfs->Close(f), 0);
+  kern::VfsStatFs fs_after;
+  ASSERT_EQ(rig.vfs->StatFs("/mnt", &fs_after), 0);
+  EXPECT_EQ(fs_after.files, fs_before.files);
+  EXPECT_EQ(rig.ReadFile("/mnt/f"), data);
+  // One entry: once it is unlinked, a fresh mount does not find the name.
+  EXPECT_EQ(rig.vfs->Unlink("/mnt/f"), 0);
+  ASSERT_EQ(rig.vfs->Unmount("/mnt"), 0);
+  rig.sb = rig.vfs->Mount("jexfs", "/mnt");
+  ASSERT_NE(rig.sb, nullptr);
+  kern::VfsStat st;
+  EXPECT_EQ(rig.vfs->Stat("/mnt/f", &st), -kern::kEnoent);
+  if (rig.rt != nullptr) {
+    EXPECT_EQ(rig.rt->violation_count(), 0u);
+  }
+}
+
 TEST_P(JexfsParam, StatFsCountsFilesAndBytes) {
   JexRig rig(GetParam(), /*crypt=*/false);
   ASSERT_NE(rig.sb, nullptr);

@@ -156,6 +156,44 @@ TEST_P(VfsTest, ErrnoSurface) {
   EXPECT_EQ(vfs_->Rmdir("/mnt/f"), -kern::kEnotdir);
   kern::VfsStat st;
   EXPECT_EQ(vfs_->Stat("/mnt/f/notdir", &st), -kern::kEnotdir);
+  // Open(kOCreate) resolves the path to the leaf's parent: a mount root and
+  // an existing directory open as directories, a missing parent or a
+  // regular-file parent fails the walk.
+  EXPECT_EQ(vfs_->Open("/mnt", kern::kOCreate, &err), nullptr);
+  EXPECT_EQ(err, -kern::kEisdir);
+  EXPECT_EQ(vfs_->Open("/mnt/nodir/f", kern::kOCreate, &err), nullptr);
+  EXPECT_EQ(err, -kern::kEnoent);
+  EXPECT_EQ(vfs_->Open("/mnt/d", kern::kOCreate, &err), nullptr);
+  EXPECT_EQ(err, -kern::kEisdir);
+  EXPECT_EQ(vfs_->Open("/mnt/f/x", kern::kOCreate, &err), nullptr);
+  EXPECT_EQ(err, -kern::kEnotdir);
+  // Mkdir, unlink and rename need a leaf below a mount root.
+  EXPECT_EQ(vfs_->Mkdir("/mnt"), -kern::kEinval);
+  EXPECT_EQ(vfs_->Unlink("/nowhere"), -kern::kEinval);
+  EXPECT_EQ(vfs_->Rename("/mnt", "/mnt/g"), -kern::kEinval);
+}
+
+// Open(kOCreate) resolves a new name once: its miss is the one lookup
+// dispatch, and opening the name again (with or without kOCreate) costs
+// none.
+TEST_P(VfsTest, CreateCostsOneLookupDispatchAndReopenNone) {
+  ASSERT_NE(mod_, nullptr);
+  ASSERT_NE(vfs_->Mount("ramfs", "/mnt"), nullptr);
+  const uint64_t base = vfs_->lookup_dispatches();
+  int err = 0;
+  kern::File* f = vfs_->Open("/mnt/new", kern::kOCreate, &err);
+  ASSERT_NE(f, nullptr) << err;
+  ASSERT_EQ(vfs_->Close(f), 0);
+  EXPECT_EQ(vfs_->lookup_dispatches(), base + 1);
+  for (int flags : {kern::kOCreate, 0}) {
+    f = vfs_->Open("/mnt/new", flags, &err);
+    ASSERT_NE(f, nullptr) << err;
+    ASSERT_EQ(vfs_->Close(f), 0);
+  }
+  EXPECT_EQ(vfs_->lookup_dispatches(), base + 1);
+  if (GetParam()) {
+    EXPECT_EQ(bench_.rt->violation_count(), 0u);
+  }
 }
 
 TEST_P(VfsTest, StatfsCountsFilesAndBytes) {
