@@ -38,12 +38,12 @@ struct Fixture {
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "benchmod";
-    def.imports = {"printk", "kmalloc", "spin_lock", "spin_unlock"};
+    def.imports = {kern::kPrintk, kern::kKmalloc, kern::kSpinLock, kern::kSpinUnlock};
     def.init = [this](kern::Module& m) -> int {
       module = &m;
-      auto kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
-      spin_unlock = lxfi::GetImport<void, uintptr_t*>(m, "spin_unlock");
+      auto kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+      spin_lock = lxfi::GetImport(m, kern::kSpinLock);
+      spin_unlock = lxfi::GetImport(m, kern::kSpinUnlock);
       for (size_t i = 0; i < kRotate; ++i) {
         locks[i] = static_cast<uintptr_t*>(kmalloc(sizeof(uintptr_t)));
         objs[i] = kmalloc(128);
@@ -58,8 +58,8 @@ struct Fixture {
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
-  std::function<void(uintptr_t*)> spin_lock;
-  std::function<void(uintptr_t*)> spin_unlock;
+  kern::ImportFn<kern::kSpinLock> spin_lock;
+  kern::ImportFn<kern::kSpinUnlock> spin_unlock;
   uintptr_t* locks[kRotate] = {};
   void* objs[kRotate] = {};  // 128-byte targets the expr-heavy checks hit
 };

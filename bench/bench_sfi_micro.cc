@@ -331,14 +331,14 @@ void RunTraceOverheadGate(lxfibench::JsonWriter* json) {
   kern::Kernel kernel;
   lxfi::Runtime rt(&kernel);
   lxfi::InstallKernelApi(&kernel, &rt);
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(const char*)> printk;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kPrintk> printk;
   kern::ModuleDef def;
   def.name = "tracegate";
-  def.imports = {"kmalloc", "printk"};
+  def.imports = {kern::kKmalloc, kern::kPrintk};
   def.init = [&](kern::Module& m) -> int {
-    kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    printk = lxfi::GetImport<void, const char*>(m, "printk");
+    kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    printk = lxfi::GetImport(m, kern::kPrintk);
     return 0;
   };
   kern::Module* module = kernel.LoadModule(std::move(def));
@@ -423,12 +423,12 @@ void RunDmCryptSectorGate(lxfibench::JsonWriter* json) {
   kern::Kernel kernel;
   lxfi::Runtime rt(&kernel);
   lxfi::InstallKernelApi(&kernel, &rt);
-  std::function<void*(size_t)> kmalloc;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
   kern::ModuleDef def;
   def.name = "dm-crypt-sector";
-  def.imports = {"kmalloc", "kfree", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kPrintk};
   def.init = [&kmalloc](kern::Module& mod) -> int {
-    kmalloc = lxfi::GetImport<void*, size_t>(mod, "kmalloc");
+    kmalloc = lxfi::GetImport(mod, kern::kKmalloc);
     return 0;
   };
   kern::Module* m = kernel.LoadModule(std::move(def));

@@ -34,14 +34,14 @@ struct Fixture {
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "benchmod";
-    def.imports = {"printk", "kmalloc", "kfree", "spin_lock", "spin_unlock"};
+    def.imports = {kern::kPrintk, kern::kKmalloc, kern::kKfree, kern::kSpinLock, kern::kSpinUnlock};
     def.init = [this](kern::Module& m) -> int {
       module = &m;
-      printk = lxfi::GetImport<void, const char*>(m, "printk");
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      kfree = lxfi::GetImport<void, void*>(m, "kfree");
-      spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
-      spin_unlock = lxfi::GetImport<void, uintptr_t*>(m, "spin_unlock");
+      printk = lxfi::GetImport(m, kern::kPrintk);
+      kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+      kfree = lxfi::GetImport(m, kern::kKfree);
+      spin_lock = lxfi::GetImport(m, kern::kSpinLock);
+      spin_unlock = lxfi::GetImport(m, kern::kSpinUnlock);
       lock = static_cast<uintptr_t*>(kmalloc(sizeof(uintptr_t)));
       return 0;
     };
@@ -51,7 +51,7 @@ struct Fixture {
     for (int i = 0; i < extra_modules; ++i) {
       kern::ModuleDef extra;
       extra.name = "extra" + std::to_string(i);
-      extra.imports = {"printk"};
+      extra.imports = {kern::kPrintk};
       extra.init = [](kern::Module&) { return 0; };
       lxfi::ModuleCtx* mc = rt->CtxOf(kernel->LoadModule(std::move(extra)));
       for (uintptr_t name = 1; name <= 2; ++name) {
@@ -66,11 +66,11 @@ struct Fixture {
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
-  std::function<void(const char*)> printk;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<void(uintptr_t*)> spin_lock;
-  std::function<void(uintptr_t*)> spin_unlock;
+  kern::ImportFn<kern::kPrintk> printk;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kSpinLock> spin_lock;
+  kern::ImportFn<kern::kSpinUnlock> spin_unlock;
   uintptr_t* lock = nullptr;
   std::vector<uint64_t> extra_state;  // the extra instances' granted words
 };

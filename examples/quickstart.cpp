@@ -20,19 +20,19 @@ namespace {
 
 struct HelloState {
   kern::Module* m = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(uintptr_t*)> spin_lock_init;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kSpinLockInit> spin_lock_init;
   uintptr_t* my_lock = nullptr;
 };
 
 kern::ModuleDef HelloModuleDef(std::shared_ptr<HelloState> st) {
   kern::ModuleDef def;
   def.name = "hello";
-  def.imports = {"kmalloc", "kfree", "spin_lock_init", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSpinLockInit, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->spin_lock_init = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock_init");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->spin_lock_init = lxfi::GetImport(m, kern::kSpinLockInit);
     // kmalloc's post annotation grants this module WRITE over the new
     // allocation, so initializing a lock inside it is fine.
     st->my_lock = static_cast<uintptr_t*>(st->kmalloc(sizeof(uintptr_t)));

@@ -22,9 +22,9 @@ struct MicroHarness {
     lxfi::InstallKernelApi(kernel.get(), rt.get());
     kern::ModuleDef def;
     def.name = "misfit";
-    def.imports = {"kmalloc", "kfree", "printk"};
+    def.imports = {kern::kKmalloc, kern::kKfree, kern::kPrintk};
     def.init = [this](kern::Module& m) -> int {
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
+      kmalloc = lxfi::GetImport(m, kern::kKmalloc);
       module = &m;
       return 0;
     };
@@ -63,7 +63,7 @@ struct MicroHarness {
   std::unique_ptr<kern::Kernel> kernel;
   std::unique_ptr<lxfi::Runtime> rt;
   kern::Module* module = nullptr;
-  std::function<void*(size_t)> kmalloc;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
 };
 
 struct ListNode {

@@ -130,4 +130,9 @@ class BlockLayer {
 
 BlockLayer* GetBlockLayer(Kernel* kernel);
 
+inline constexpr KernelSymbol<int(BlockDevice*, Bio*)> kSubmitBio{"submit_bio"};
+inline constexpr KernelSymbol<int(DmTargetType*)> kDmRegisterTarget{"dm_register_target"};
+inline constexpr KernelSymbol<void(DmTargetType*)> kDmUnregisterTarget{"dm_unregister_target"};
+inline constexpr KernelSymbol<BlockDevice*(const char* name)> kDmGetDevice{"dm_get_device"};
+
 }  // namespace kern

@@ -138,4 +138,7 @@ class FilterChain {
   std::atomic<size_t> count_{0};       // lock-free emptiness probe for RunPre
 };
 
+inline constexpr KernelSymbol<int(VfsFilter*)> kVfsRegisterFilter{"vfs_register_filter"};
+inline constexpr KernelSymbol<int(VfsFilter*)> kVfsUnregisterFilter{"vfs_unregister_filter"};
+
 }  // namespace kern

@@ -144,4 +144,14 @@ class PageCache {
 
 PageCache* GetPageCache(Kernel* kernel);
 
+// Buffer-head exports: bget/brelse move REFs only; bwrite/bwrite_done
+// bracket the exclusive WRITE window over the page payload.
+inline constexpr KernelSymbol<CachedPage*(BlockDevice*, uint64_t block)> kPcBget{"pc_bget"};
+inline constexpr KernelSymbol<int(CachedPage*)> kPcBrelse{"pc_brelse"};
+inline constexpr KernelSymbol<CachedPage*(BlockDevice*, uint64_t block)> kPcBwrite{"pc_bwrite"};
+inline constexpr KernelSymbol<int(CachedPage*)> kPcBwriteDone{"pc_bwrite_done"};
+inline constexpr KernelSymbol<void(CachedPage*)> kPcMarkDirty{"pc_mark_dirty"};
+inline constexpr KernelSymbol<int(BlockDevice*)> kPcSync{"pc_sync"};
+inline constexpr KernelSymbol<void(BlockDevice*)> kPcInvalidate{"pc_invalidate"};
+
 }  // namespace kern

@@ -328,4 +328,13 @@ class Vfs {
 
 Vfs* GetVfs(Kernel* kernel);
 
+// Filesystem registration and the inode/dentry lifetime services.
+inline constexpr KernelSymbol<int(FileSystemType*)> kRegisterFilesystem{"register_filesystem"};
+inline constexpr KernelSymbol<int(FileSystemType*)> kUnregisterFilesystem{
+    "unregister_filesystem"};
+inline constexpr KernelSymbol<Inode*(SuperBlock*)> kIget{"iget"};
+inline constexpr KernelSymbol<void(Inode*)> kIput{"iput"};
+inline constexpr KernelSymbol<Dentry*(Dentry* parent, const char* name)> kDAlloc{"d_alloc"};
+inline constexpr KernelSymbol<int(Dentry*, Inode*)> kDInstantiate{"d_instantiate"};
+
 }  // namespace kern

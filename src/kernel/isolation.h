@@ -21,7 +21,8 @@ class IsolationHooks {
 
   // Module lifecycle. OnModuleLoad runs before the module's init function
   // (the paper's generated initialization function: grant initial
-  // capabilities, register function wrappers). Returns false to reject.
+  // capabilities, register function wrappers). Returns false to reject,
+  // having changed nothing.
   virtual bool OnModuleLoad(Module* module) = 0;
   virtual void OnModuleUnload(Module* module) = 0;
 

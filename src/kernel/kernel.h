@@ -84,12 +84,14 @@ class Kernel {
   void DeliverInterrupt(const std::function<void()>& handler);
 
   // --- Exported symbols --------------------------------------------------
-  // EXPORT_SYMBOL: registers a kernel function under `name` and returns its
-  // minted kernel-text address.
-  template <typename Sig>
-  uintptr_t ExportSymbol(const std::string& name, std::function<Sig> fn) {
-    uintptr_t addr = funcs_.Register<Sig>(TextKind::kKernelText, name, std::move(fn));
-    symtab_.Add(name, addr);
+  // EXPORT_SYMBOL: registers `fn` as the implementation of `sym` and
+  // returns its minted kernel-text address. lxfi::Export pairs this with
+  // the symbol's annotation.
+  template <typename Ret, typename... Args>
+  uintptr_t ExportSymbol(const KernelSymbol<Ret(Args...)>& sym,
+                         std::type_identity_t<std::function<Ret(Args...)>> fn) {
+    uintptr_t addr = funcs_.Register<Ret(Args...)>(TextKind::kKernelText, sym.name, std::move(fn));
+    symtab_.Add(sym.name, addr);
     return addr;
   }
 
@@ -164,5 +166,12 @@ class Kernel {
   lxfi::CounterRegistry counters_;
   std::unordered_map<std::type_index, std::shared_ptr<void>> subsystems_;
 };
+
+// Core services exported to modules: simulated single-core spinlocks (each
+// call writes the lock word) and printk.
+inline constexpr KernelSymbol<void(uintptr_t* lock)> kSpinLockInit{"spin_lock_init"};
+inline constexpr KernelSymbol<void(uintptr_t* lock)> kSpinLock{"spin_lock"};
+inline constexpr KernelSymbol<void(uintptr_t* lock)> kSpinUnlock{"spin_unlock"};
+inline constexpr KernelSymbol<void(const char* fmt)> kPrintk{"printk"};
 
 }  // namespace kern

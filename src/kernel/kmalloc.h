@@ -43,6 +43,7 @@
 #include "src/base/arena.h"
 #include "src/base/flat_table.h"
 #include "src/base/sync.h"
+#include "src/kernel/types.h"
 
 namespace kern {
 
@@ -232,5 +233,15 @@ class SlabAllocator {
   std::vector<Partition*> slot_owner_;                  // slot index -> partition (or nullptr)
   std::vector<size_t> free_slots_;                      // LIFO; pre-seeded deterministically
 };
+
+// Allocator exports. kzalloc and the coherent-DMA pair share the slab
+// implementation of kmalloc/kfree.
+inline constexpr KernelSymbol<void*(size_t size)> kKmalloc{"kmalloc"};
+inline constexpr KernelSymbol<void*(size_t size)> kKzalloc{"kzalloc"};
+inline constexpr KernelSymbol<void*(size_t size)> kDmaAllocCoherent{"dma_alloc_coherent"};
+inline constexpr KernelSymbol<void*(void* ptr, size_t size)> kKrealloc{"krealloc"};
+inline constexpr KernelSymbol<void(void* ptr)> kKfree{"kfree"};
+inline constexpr KernelSymbol<void(void* ptr)> kDmaFreeCoherent{"dma_free_coherent"};
+inline constexpr KernelSymbol<size_t(const void* ptr)> kKsize{"ksize"};
 
 }  // namespace kern

@@ -1,7 +1,8 @@
 // Kernel module representation and loading.
 //
 // A module declares: the kernel symbols it imports (its symbol table, from
-// which LXFI derives initial CALL capabilities — §3.2), the functions it
+// which LXFI derives initial CALL capabilities — §3.2; each a KernelSymbol
+// handle, so the import carries the export's signature), the functions it
 // defines that the kernel may call through function pointers (each tied to a
 // function-pointer *type* whose annotations propagate to it — §4.2), its
 // writable and read-only data section sizes, and init/exit entry points.
@@ -37,9 +38,14 @@ struct FuncDecl {
   std::any wrapper_factory;
 };
 
+// The std::function a module binds an import of `kSym` to (a field of the
+// module's api struct; lxfi::GetImport returns one).
+template <const auto& kSym>
+using ImportFn = std::function<SigOf<kSym>>;
+
 struct ModuleDef {
   std::string name;
-  std::vector<std::string> imports;
+  std::vector<KernelSymbolId> imports;  // kernel exports, by their handles
   std::vector<FuncDecl> functions;
   size_t data_size = 0;    // .data/.bss
   size_t rodata_size = 0;  // .rodata (ops tables live here unless noted)

@@ -140,4 +140,15 @@ NetStack* GetNetStack(Kernel* kernel);
 NetDevice* AllocEtherdev(Kernel* kernel, size_t priv_size);
 void FreeNetdev(Kernel* kernel, NetDevice* dev);
 
+inline constexpr KernelSymbol<SkBuff*(NetDevice*, uint32_t size)> kNetdevAllocSkb{
+    "netdev_alloc_skb"};
+inline constexpr KernelSymbol<int(SkBuff*)> kNetifRx{"netif_rx"};
+inline constexpr KernelSymbol<NetDevice*(size_t priv_size)> kAllocEtherdev{"alloc_etherdev"};
+inline constexpr KernelSymbol<void(NetDevice*)> kFreeNetdev{"free_netdev"};
+inline constexpr KernelSymbol<int(NetDevice*)> kRegisterNetdev{"register_netdev"};
+inline constexpr KernelSymbol<void(NetDevice*)> kUnregisterNetdev{"unregister_netdev"};
+inline constexpr KernelSymbol<void(NetDevice*, NapiStruct*, uintptr_t poll)> kNetifNapiAdd{
+    "netif_napi_add"};
+inline constexpr KernelSymbol<void(NapiStruct*)> kNapiSchedule{"napi_schedule"};
+
 }  // namespace kern

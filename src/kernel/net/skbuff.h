@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/kernel/types.h"
+
 namespace kern {
 
 class Kernel;
@@ -41,5 +43,9 @@ struct SkBuffQueue {
   SkBuff* Pop();
   bool empty() const { return head == nullptr; }
 };
+
+inline constexpr KernelSymbol<SkBuff*(uint32_t size)> kAllocSkb{"alloc_skb"};
+inline constexpr KernelSymbol<void(SkBuff*)> kKfreeSkb{"kfree_skb"};
+inline constexpr KernelSymbol<uint8_t*(SkBuff*, uint32_t len)> kSkbPut{"skb_put"};
 
 }  // namespace kern

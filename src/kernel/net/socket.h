@@ -91,4 +91,7 @@ class SocketLayer {
 
 SocketLayer* GetSocketLayer(Kernel* kernel);
 
+inline constexpr KernelSymbol<int(NetProtoFamily*)> kSockRegister{"sock_register"};
+inline constexpr KernelSymbol<void(int family)> kSockUnregister{"sock_unregister"};
+
 }  // namespace kern

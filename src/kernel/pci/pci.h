@@ -93,4 +93,13 @@ class PciBus {
 
 PciBus* GetPciBus(Kernel* kernel);
 
+inline constexpr KernelSymbol<int(PciDriver*)> kPciRegisterDriver{"pci_register_driver"};
+inline constexpr KernelSymbol<void(PciDriver*)> kPciUnregisterDriver{"pci_unregister_driver"};
+inline constexpr KernelSymbol<int(PciDev*)> kPciEnableDevice{"pci_enable_device"};
+inline constexpr KernelSymbol<void(PciDev*)> kPciDisableDevice{"pci_disable_device"};
+inline constexpr KernelSymbol<void*(PciDev*)> kPciIomap{"pci_iomap"};
+inline constexpr KernelSymbol<int(int irq, uintptr_t handler, void* dev_id)> kRequestIrq{
+    "request_irq"};
+inline constexpr KernelSymbol<void(int irq)> kFreeIrq{"free_irq"};
+
 }  // namespace kern

@@ -75,4 +75,8 @@ class ProcessTable {
 Cred PrepareKernelCred();
 void CommitCreds(Task* task, const Cred& cred);
 
+// Exported, but imported by none of the modules; the rootkit exploit tries
+// to reach it.
+inline constexpr KernelSymbol<void(Task*)> kDetachPid{"detach_pid"};
+
 }  // namespace kern

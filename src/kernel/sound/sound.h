@@ -68,4 +68,7 @@ class SoundCore {
 
 SoundCore* GetSoundCore(Kernel* kernel);
 
+inline constexpr KernelSymbol<int(SoundCard*)> kSndCardRegister{"snd_card_register"};
+inline constexpr KernelSymbol<void(SoundCard*)> kSndCardUnregister{"snd_card_unregister"};
+
 }  // namespace kern

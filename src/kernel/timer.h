@@ -74,4 +74,7 @@ class TimerWheel {
 
 TimerWheel* GetTimerWheel(Kernel* kernel);
 
+inline constexpr KernelSymbol<int(TimerList*, uint64_t expires)> kModTimer{"mod_timer"};
+inline constexpr KernelSymbol<int(TimerList*)> kDelTimer{"del_timer"};
+
 }  // namespace kern

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "src/base/hash.h"
 
@@ -35,22 +36,47 @@ inline constexpr int kEnotconn = 107;
 inline constexpr int kNetdevTxOk = 0;
 inline constexpr int kNetdevTxBusy = 16;
 
-// A function-pointer type (§4.1): the name its annotations are registered
-// under and that name's FNV-1a key, computed at compile time. Declared once,
-// next to the ops struct it types; call sites and module functions take the
-// handle, so a call that does not match its signature does not compile.
-struct FnPtrTypeId {
+// A name and that name's FNV-1a key, computed at compile time: the identity
+// a function-pointer type and a kernel export both carry.
+struct SymbolKey {
   const char* name;
   uint64_t key;
 };
+
+// A function-pointer type (§4.1): the name its annotations are registered
+// under. Declared once, next to the ops struct it types; call sites and
+// module functions take the handle, so a call that does not match its
+// signature does not compile.
+struct FnPtrTypeId : SymbolKey {};
 
 template <typename Sig>
 struct FnPtrType;
 
 template <typename Ret, typename... Args>
 struct FnPtrType<Ret(Args...)> : FnPtrTypeId {
+  using Signature = Ret(Args...);
   constexpr explicit FnPtrType(const char* type_name)
-      : FnPtrTypeId{type_name, lxfi::Fnv1a64(type_name)} {}
+      : FnPtrTypeId{{type_name, lxfi::Fnv1a64(type_name)}} {}
 };
+
+// A kernel export (EXPORT_SYMBOL, §3.3): the symbol name and the signature
+// its implementation, its annotation and every module import share.
+// Declared once, next to the subsystem the export calls into; a distinct
+// type from FnPtrTypeId, so neither handle passes for the other.
+struct KernelSymbolId : SymbolKey {};
+
+template <typename Sig>
+struct KernelSymbol;
+
+template <typename Ret, typename... Args>
+struct KernelSymbol<Ret(Args...)> : KernelSymbolId {
+  using Signature = Ret(Args...);
+  constexpr explicit KernelSymbol(const char* symbol_name)
+      : KernelSymbolId{{symbol_name, lxfi::Fnv1a64(symbol_name)}} {}
+};
+
+// The signature a handle (FnPtrType or KernelSymbol) declares.
+template <const auto& kHandle>
+using SigOf = typename std::remove_cvref_t<decltype(kHandle)>::Signature;
 
 }  // namespace kern

@@ -40,4 +40,11 @@ class UserSpace {
   std::vector<uint8_t> mem_;
 };
 
+inline constexpr KernelSymbol<int(uintptr_t dst, const void* src, size_t n)> kCopyToUser{
+    "copy_to_user"};
+inline constexpr KernelSymbol<int(void* dst, uintptr_t src, size_t n)> kCopyFromUser{
+    "copy_from_user"};
+inline constexpr KernelSymbol<int(uintptr_t dst, const void* src, size_t n)>
+    kCopyToUserUnchecked{"__copy_to_user"};
+
 }  // namespace kern

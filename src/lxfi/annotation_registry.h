@@ -1,6 +1,6 @@
 // Registry of annotation sets and capability iterators.
 //
-// Keyed by symbol name (kernel exports like "kmalloc") or function-pointer
+// Keyed by symbol name (kernel exports such as kmalloc) or function-pointer
 // type name (net_device_ops::ndo_start_xmit). Annotation propagation
 // (§4.2) gives each module-defined function the annotation set of its
 // declared function-pointer type; the §4.1 indirect-call check compares the

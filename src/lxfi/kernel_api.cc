@@ -22,16 +22,6 @@
 namespace lxfi {
 namespace {
 
-void MustRegister(Runtime* rt, const std::string& name, const std::vector<std::string>& params,
-                  const std::string& text) {
-  // Registration parses and compiles the set (refusing one the guard
-  // compiler rejects); wrappers bind the program pointer at wrap time.
-  lxfi::Status st = rt->annotations().Register(name, params, text);
-  if (!st.ok()) {
-    kern::Panic("kernel API annotation registration failed: " + st.ToString());
-  }
-}
-
 // --- capability iterators (the programmer-supplied iterator-funcs, §3.3) ---
 
 void InstallIterators(Runtime* rt) {
@@ -275,268 +265,35 @@ void InstallIterators(Runtime* rt) {
   });
 }
 
-// --- annotations (Figure 4 style) -------------------------------------------
-
-void InstallAnnotations(Runtime* rt) {
-  // Memory allocator.
-  MustRegister(rt, "kmalloc", {"size"}, "post(if (return != 0) transfer(write, return, size))");
-  MustRegister(rt, "kzalloc", {"size"}, "post(if (return != 0) transfer(write, return, size))");
-  MustRegister(rt, "krealloc", {"ptr", "size"},
-               "pre(transfer(alloc_caps(ptr))) post(if (return != 0) transfer(write, return, size))");
-  MustRegister(rt, "kfree", {"ptr"}, "pre(transfer(alloc_caps(ptr)))");
-  MustRegister(rt, "ksize", {"ptr"}, "pre(check(alloc_caps(ptr)))");
-  MustRegister(rt, "dma_alloc_coherent", {"size"},
-               "post(if (return != 0) transfer(write, return, size))");
-  MustRegister(rt, "dma_free_coherent", {"ptr"}, "pre(transfer(alloc_caps(ptr)))");
-
-  // The §1 motivating example: spin_lock_init writes a zero through its
-  // argument, so the caller must prove write access.
-  MustRegister(rt, "spin_lock_init", {"lock"}, "pre(check(write, lock, 8))");
-  MustRegister(rt, "spin_lock", {"lock"}, "pre(check(write, lock, 8))");
-  MustRegister(rt, "spin_unlock", {"lock"}, "pre(check(write, lock, 8))");
-
-  MustRegister(rt, "printk", {"fmt"}, "");
-
-  // Observability: kernel fills a module-supplied buffer, so the module must
-  // prove WRITE over exactly the bytes it offers (the copy_from_user
-  // pattern — the annotation language has no multiply, hence explicit byte
-  // counts rather than record counts).
-  MustRegister(rt, "lxfi_stats", {"buf", "bytes"}, "pre(check(write, buf, bytes))");
-  MustRegister(rt, "lxfi_trace_read", {"buf", "bytes"}, "pre(check(write, buf, bytes))");
-
-  // uaccess: the checked copy validates the user pointer itself; the
-  // unchecked __copy_to_user shifts the burden to the caller, hence the
-  // WRITE check — exactly what the RDS module forgot (CVE-2010-3904).
-  MustRegister(rt, "copy_to_user", {"dst", "src", "n"}, "");
-  MustRegister(rt, "copy_from_user", {"dst", "src", "n"}, "pre(check(write, dst, n))");
-  MustRegister(rt, "__copy_to_user", {"dst", "src", "n"}, "pre(check(write, dst, n))");
-
-  // Exported but not imported by any of the 10 modules; the rootkit exploit
-  // tries to reach it.
-  MustRegister(rt, "detach_pid", {"task"}, "pre(check(ref(struct task_struct), task))");
-
-  // Network.
-  MustRegister(rt, "alloc_skb", {"size"}, "post(if (return != 0) transfer(skb_caps(return)))");
-  MustRegister(rt, "netdev_alloc_skb", {"dev", "size"},
-               "pre(check(ref(struct net_device), dev)) "
-               "post(if (return != 0) transfer(skb_caps(return)))");
-  MustRegister(rt, "kfree_skb", {"skb"}, "pre(transfer(skb_caps(skb)))");
-  MustRegister(rt, "skb_put", {"skb", "len"}, "pre(check(skb_caps(skb)))");
-  MustRegister(rt, "netif_rx", {"skb"}, "pre(transfer(skb_caps(skb)))");
-  MustRegister(rt, "alloc_etherdev", {"priv_size"},
-               "post(if (return != 0) transfer(etherdev_caps(return)))");
-  MustRegister(rt, "free_netdev", {"dev"}, "pre(transfer(etherdev_caps(dev)))");
-  MustRegister(rt, "register_netdev", {"dev"}, "pre(check(ref(struct net_device), dev))");
-  MustRegister(rt, "unregister_netdev", {"dev"}, "pre(check(ref(struct net_device), dev))");
-  MustRegister(rt, "netif_napi_add", {"dev", "napi", "poll"},
-               "pre(check(ref(struct net_device), dev)) pre(check(napi_caps(napi))) "
-               "pre(check(call, poll))");
-  MustRegister(rt, "napi_schedule", {"napi"}, "pre(check(napi_caps(napi)))");
-
-  // PCI.
-  MustRegister(rt, "pci_register_driver", {"drv"}, "pre(check(pcidrv_caps(drv)))");
-  MustRegister(rt, "pci_unregister_driver", {"drv"}, "pre(check(pcidrv_caps(drv)))");
-  MustRegister(rt, "pci_enable_device", {"pcidev"}, "pre(check(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, "pci_disable_device", {"pcidev"}, "pre(check(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, "pci_iomap", {"pcidev"},
-               "pre(check(ref(struct pci_dev), pcidev)) "
-               "post(if (return != 0) transfer(pci_regs_caps(pcidev)))");
-  MustRegister(rt, "request_irq", {"irq", "handler", "dev_id"}, "pre(check(call, handler))");
-  MustRegister(rt, "free_irq", {"irq"}, "");
-
-  // Sockets. sock_register only *reads* the net_proto_family (which is
-  // usually const data); the create pointer inside it is vetted by the
-  // indirect-call check at dispatch time, so no WRITE check is demanded.
-  MustRegister(rt, "sock_register", {"fam"}, "");
-  MustRegister(rt, "sock_unregister", {"family"}, "");
-
-  // Block / device-mapper.
-  MustRegister(rt, "submit_bio", {"dev", "bio"},
-               "pre(check(ref(struct block_device), dev)) pre(transfer(bio_caps(bio))) "
-               "post(transfer(bio_caps(bio)))");
-  MustRegister(rt, "dm_register_target", {"type"}, "pre(check(dmtt_caps(type)))");
-  MustRegister(rt, "dm_unregister_target", {"type"}, "pre(check(dmtt_caps(type)))");
-  MustRegister(rt, "dm_get_device", {"name"},
-               "post(if (return != 0) copy(ref(struct block_device), return))");
-
-  // Page cache. The API is deliberately asymmetric: bget/brelse move REFs
-  // only (many holders may share a page, so releasing cannot demand
-  // exclusive WRITE), while bwrite/bwrite_done bracket the one window in
-  // which a module may store into the payload. mark_dirty demands the
-  // window be open (check, not transfer), and sync/invalidate only need
-  // the device REF the mount dispatch granted.
-  MustRegister(rt, "pc_bget", {"dev", "block"},
-               "pre(check(ref(struct block_device), dev)) "
-               "post(if (return != 0) copy(ref(struct cached_page), return))");
-  MustRegister(rt, "pc_brelse", {"page"}, "pre(check(ref(struct cached_page), page))");
-  MustRegister(rt, "pc_bwrite", {"dev", "block"},
-               "pre(check(ref(struct block_device), dev)) "
-               "post(if (return != 0) copy(ref(struct cached_page), return)) "
-               "post(if (return != 0) copy(pcdata_caps(return)))");
-  MustRegister(rt, "pc_bwrite_done", {"page"},
-               "pre(check(ref(struct cached_page), page)) "
-               "pre(transfer(pcdata_caps(page)))");
-  MustRegister(rt, "pc_mark_dirty", {"page"}, "pre(check(pcdata_caps(page)))");
-  MustRegister(rt, "pc_sync", {"dev"}, "pre(check(ref(struct block_device), dev))");
-  MustRegister(rt, "pc_invalidate", {"dev"}, "pre(check(ref(struct block_device), dev))");
-
-  // Timers: the module must own the timer_list it arms; the function
-  // pointer inside it is vetted by the indirect-call check at expiry.
-  MustRegister(rt, "mod_timer", {"timer", "expires"}, "pre(check(timer_caps(timer)))");
-  MustRegister(rt, "del_timer", {"timer"}, "pre(check(timer_caps(timer)))");
-  MustRegister(rt, kern::kTimerFn.name, {"data"}, "principal(data)");
-
-  // Observability: monitoring-module poll entry point (statmon dispatches
-  // through a kernel-owned slot, so its hash must be registered here).
-  MustRegister(rt, kStatmonPoll.name, {"arg"}, "");
-
-  // Sound.
-  MustRegister(rt, "snd_card_register", {"card"}, "pre(check(sndcard_caps(card)))");
-  MustRegister(rt, "snd_card_unregister", {"card"}, "pre(check(sndcard_caps(card)))");
-
-  // VFS. Registering a filesystem proves WRITE over the fstype struct (it
-  // must live in the module's own sections — its mount/kill_sb slots are
-  // indirect-call home slots) and mints a REF as the only unregister
-  // ticket: that REF check is what blocks a malicious module from
-  // unregistering a filesystem it does not own, and the dispatch-time
-  // annotation-hash check vets every ops pointer the kernel fetches from
-  // the (module-writable) table.
-  MustRegister(rt, "register_filesystem", {"fstype"},
-               "pre(check(fstype_caps(fstype))) "
-               "post(if (return == 0) copy(ref(struct file_system_type), fstype))");
-  MustRegister(rt, "unregister_filesystem", {"fstype"},
-               "pre(transfer(ref(struct file_system_type), fstype)) "
-               "post(if (return != 0) copy(ref(struct file_system_type), fstype))");
-  // Object lifetime: iget hands a fresh inode's WRITE to the calling
-  // principal; iput reclaims the inode and whatever module-private region
-  // still hangs off it. Dentries stay kernel-owned — modules hold REFs and
-  // edit the dcache only through d_alloc/d_instantiate.
-  MustRegister(rt, "iget", {"sb"},
-               "pre(check(ref(struct super_block), sb)) "
-               "post(if (return != 0) transfer(inode_caps(return)))");
-  MustRegister(rt, "iput", {"inode"}, "pre(transfer(inode_caps(inode)))");
-  MustRegister(rt, "d_alloc", {"parent", "name"},
-               "pre(check(ref(struct dentry), parent)) "
-               "post(if (return != 0) copy(ref(struct dentry), return))");
-  MustRegister(rt, "d_instantiate", {"dentry", "inode"},
-               "pre(check(ref(struct dentry), dentry)) pre(check(inode_caps(inode)))");
-  // Filter registration mirrors filesystem registration: prove WRITE over
-  // the registration struct, hold a REF as the unregister ticket.
-  MustRegister(rt, "vfs_register_filter", {"flt"},
-               "pre(check(filter_caps(flt))) "
-               "post(if (return == 0) copy(ref(struct vfs_filter), flt))");
-  MustRegister(rt, "vfs_unregister_filter", {"flt"},
-               "pre(transfer(ref(struct vfs_filter), flt)) "
-               "post(if (return != 0) copy(ref(struct vfs_filter), flt))");
-
-  // --- function-pointer types (kernel -> module) ---------------------------
-  MustRegister(rt, kern::kPciProbe.name, {"pcidev"},
-               "principal(pcidev) pre(copy(ref(struct pci_dev), pcidev)) "
-               "post(if (return < 0) transfer(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, kern::kPciRemove.name, {"pcidev"},
-               "principal(pcidev) pre(check(ref(struct pci_dev), pcidev))");
-  MustRegister(rt, kern::kNdoOpen.name, {"dev"}, "principal(dev)");
-  MustRegister(rt, kern::kNdoStop.name, {"dev"}, "principal(dev)");
-  MustRegister(rt, kern::kNdoStartXmit.name, {"skb", "dev"},
-               "principal(dev) pre(transfer(skb_caps(skb))) "
-               "post(if (return == 16) transfer(skb_caps(skb)))");
-  MustRegister(rt, kern::kNapiPoll.name, {"napi", "budget"}, "principal(napi)");
-  MustRegister(rt, kern::kIrqHandler.name, {"irq", "dev_id"}, "principal(dev_id)");
-  MustRegister(rt, kern::kProtoFamilyCreate.name, {"sock"},
-               "principal(sock) pre(copy(sock_caps(sock)))");
-  MustRegister(rt, kern::kProtoRelease.name, {"sock"},
-               "principal(sock) post(transfer(sock_caps(sock)))");
-  MustRegister(rt, kern::kProtoBind.name, {"sock", "uaddr", "len"}, "principal(sock)");
-  MustRegister(rt, kern::kProtoIoctl.name, {"sock", "cmd", "arg"}, "principal(sock)");
-  MustRegister(rt, kern::kProtoSendmsg.name, {"sock", "msg"}, "principal(sock)");
-  MustRegister(rt, kern::kProtoRecvmsg.name, {"sock", "msg"}, "principal(sock)");
-  MustRegister(rt, kern::kDmCtr.name, {"target", "params"},
-               "principal(target) pre(copy(dmtarget_caps(target)))");
-  MustRegister(rt, kern::kDmDtr.name, {"target"},
-               "principal(target) post(transfer(dmtarget_caps(target)))");
-  // map() outcomes: 0 = the target completed (or dispatched) the bio itself,
-  // 1 = remapped, core submits to the underlying device, 2 (kill) or a
-  // negative errno = the core fails the bio. A target receives only the
-  // bio's PAYLOAD (bio_data_caps): the struct — sector, status, and above
-  // all the end_io call target — stays with the submitter, so the target
-  // never appears in the writer set of the submitter's completion slot.
-  // Completion status flows back through the return value and is recorded
-  // by the block core, not the target.
-  MustRegister(rt, kern::kDmMap.name, {"target", "bio"},
-               "principal(target) pre(transfer(bio_data_caps(bio))) "
-               "post(if (return == 0) transfer(bio_data_caps(bio))) "
-               "post(if (return == 1) transfer(bio_data_caps(bio)))");
-  MustRegister(rt, kern::kPcmOpen.name, {"ss"}, "principal(ss) pre(copy(substream_caps(ss)))");
-  MustRegister(rt, kern::kPcmClose.name, {"ss"},
-               "principal(ss) post(transfer(substream_caps(ss)))");
-  MustRegister(rt, kern::kPcmTrigger.name, {"ss", "cmd"}, "principal(ss)");
-  MustRegister(rt, kern::kPcmPointer.name, {"ss"}, "principal(ss)");
-  // Completion callbacks get the bio's capabilities for exactly the
-  // completion window: the kernel hands WRITE over the bio struct and its
-  // payload in, and reclaims both when the callback returns. Kernel-text
-  // end_io targets (the page cache's writeback completion) bypass the
-  // annotation machinery entirely — the dispatch never enters a module, so
-  // no grant is minted that a module could inherit.
-  MustRegister(rt, kern::kBioEndIo.name, {"bio"},
-               "principal(bio) pre(copy(bio_caps(bio))) post(transfer(bio_caps(bio)))");
-
-  // --- VFS function-pointer types ------------------------------------------
-  // Each mounted superblock is one principal; the mount dispatch endows it
-  // with the superblock's WRITE plus the REFs later exports demand. Inodes
-  // and files alias onto the same principal (lxfi_princ_alias in the
-  // module), so "principal(file)" on read/write lands on the mount's
-  // capability set without any extra grants per call.
-  MustRegister(rt, kern::kFsMount.name, {"fstype", "sb", "root"},
-               "principal(sb) pre(copy(sb_caps(sb))) pre(copy(ref(struct super_block), sb)) "
-               "pre(copy(ref(struct dentry), root))");
-  MustRegister(rt, kern::kFsKillSb.name, {"fstype", "sb"},
-               "principal(sb) post(transfer(sb_caps(sb))) "
-               "post(transfer(ref(struct super_block), sb))");
-  MustRegister(rt, kern::kSuperStatfs.name, {"sb", "out"},
-               "principal(sb) pre(copy(vfsstatfs_caps(out))) "
-               "post(transfer(vfsstatfs_caps(out)))");
-  MustRegister(rt, kern::kInodeLookup.name, {"dir", "dentry"},
-               "principal(dir) pre(copy(ref(struct dentry), dentry)) "
-               "post(if (return == 0) transfer(ref(struct dentry), dentry))");
-  MustRegister(rt, kern::kInodeCreate.name, {"dir", "dentry", "mode"},
-               "principal(dir) pre(copy(ref(struct dentry), dentry))");
-  MustRegister(rt, kern::kInodeMkdir.name, {"dir", "dentry", "mode"},
-               "principal(dir) pre(copy(ref(struct dentry), dentry))");
-  MustRegister(rt, kern::kInodeUnlink.name, {"dir", "dentry"},
-               "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
-  MustRegister(rt, kern::kInodeRmdir.name, {"dir", "dentry"},
-               "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
-  // Rename is same-superblock only, so olddir's principal is newdir's too;
-  // both dentries are kernel-owned and passed by REF for the dispatch.
-  MustRegister(rt, kern::kInodeRename.name, {"olddir", "odent", "newdir", "ndent"},
-               "principal(olddir) pre(copy(ref(struct dentry), odent)) "
-               "pre(copy(ref(struct dentry), ndent))");
-  MustRegister(rt, kern::kInodeGetattr.name, {"inode", "out"},
-               "principal(inode) pre(copy(vfsstat_caps(out))) "
-               "post(transfer(vfsstat_caps(out)))");
-  MustRegister(rt, kern::kFileOpen.name, {"inode", "file"},
-               "principal(inode) pre(copy(file_caps(file)))");
-  MustRegister(rt, kern::kFileRelease.name, {"inode", "file"},
-               "principal(file) post(transfer(file_caps(file)))");
-  MustRegister(rt, kern::kFileRead.name, {"file", "ubuf", "n", "pos"}, "principal(file)");
-  MustRegister(rt, kern::kFileWrite.name, {"file", "ubuf", "n", "pos"}, "principal(file)");
-  MustRegister(rt, kern::kFileFsync.name, {"file"}, "principal(file)");
-  // Filter hooks: each registered filter is its own principal, so one
-  // compromised filter cannot reach its neighbours' state. The FilterCtx is
-  // granted for the hook's duration only (the chain-position token lives in
-  // it); the objects it points to stay off-limits.
-  MustRegister(rt, kern::kFilterPreOp.name, {"flt", "ctx"},
-               "principal(flt) pre(copy(filterctx_caps(ctx))) "
-               "post(transfer(filterctx_caps(ctx)))");
-  MustRegister(rt, kern::kFilterPostOp.name, {"flt", "ctx"},
-               "principal(flt) pre(copy(filterctx_caps(ctx))) "
-               "post(transfer(filterctx_caps(ctx)))");
-}
-
 }  // namespace
+
+void RegisterContract(Runtime* rt, const kern::SymbolKey& id, size_t arity, ParamNames params,
+                      const char* contract) {
+  if (params.size() != arity) {
+    kern::Panic(std::string("contract of '") + id.name + "' names " +
+                std::to_string(params.size()) + " parameters for " + std::to_string(arity) +
+                " arguments");
+  }
+  if (rt == nullptr) {
+    return;
+  }
+  // Registration parses and compiles the set (refusing one the guard
+  // compiler rejects); wrappers bind the program pointer at wrap time.
+  lxfi::Status st = rt->annotations().Register(
+      id.name, std::vector<std::string>(params.begin(), params.end()), contract);
+  if (!st.ok()) {
+    kern::Panic("kernel API annotation registration failed: " + st.ToString());
+  }
+}
 
 void InstallKernelApi(kern::Kernel* kernel, Runtime* rt) {
   kern::Kernel* k = kernel;
+  // Contracts resolve iterator-func names at registration, so the iterators
+  // come first. The exports below keep one fixed order: it is the order
+  // their kernel-text addresses are minted in.
+  if (rt != nullptr) {
+    InstallIterators(rt);
+  }
 
   // --- memory ---------------------------------------------------------------
   // Allocation routes through the caller's heap partition when partitioned
@@ -551,48 +308,65 @@ void InstallKernelApi(kern::Kernel* kernel, Runtime* rt) {
     }
     return p;
   };
-  k->ExportSymbol<KmallocSig>("kmalloc", kmalloc_impl);
-  k->ExportSymbol<KmallocSig>("kzalloc", kmalloc_impl);
-  k->ExportSymbol<KmallocSig>("dma_alloc_coherent", kmalloc_impl);
-  k->ExportSymbol<KreallocSig>("krealloc", [k, kmalloc_impl](void* old_p, size_t size) -> void* {
-    // Always move (and stay in the caller's partition): the fresh requested
-    // size keeps AllocSize/alloc_caps truthful, and the annotation's
-    // pre-transfer already revoked the old object's capabilities.
-    if (size == 0) {
-      if (old_p != nullptr) {
-        k->slab().Free(old_p);
-      }
-      return nullptr;
-    }
-    void* np = kmalloc_impl(size);
-    if (np == nullptr) {
-      return nullptr;
-    }
-    if (old_p != nullptr) {
-      size_t old_size = k->slab().AllocSize(old_p);
-      std::memcpy(np, old_p, old_size < size ? old_size : size);
-      k->slab().Free(old_p);
-    }
-    return np;
-  });
-  k->ExportSymbol<KfreeSig>("kfree", [k](void* p) { k->slab().Free(p); });
-  k->ExportSymbol<KfreeSig>("dma_free_coherent", [k](void* p) { k->slab().Free(p); });
-  k->ExportSymbol<KsizeSig>("ksize",
-                            [k](const void* p) -> size_t { return k->slab().UsableSize(p); });
+  const char* alloc_contract = "post(if (return != 0) transfer(write, return, size))";
+  Export(k, rt, kern::kKmalloc, {"size"}, alloc_contract, kmalloc_impl);
+  Export(k, rt, kern::kKzalloc, {"size"}, alloc_contract, kmalloc_impl);
+  Export(k, rt, kern::kDmaAllocCoherent, {"size"}, alloc_contract, kmalloc_impl);
+  Export(k, rt, kern::kKrealloc, {"ptr", "size"},
+         "pre(transfer(alloc_caps(ptr))) post(if (return != 0) transfer(write, return, size))",
+         [k, kmalloc_impl](void* old_p, size_t size) -> void* {
+           // Always move (and stay in the caller's partition): the fresh
+           // requested size keeps AllocSize/alloc_caps truthful, and the
+           // pre-transfer already revoked the old object's capabilities.
+           if (size == 0) {
+             if (old_p != nullptr) {
+               k->slab().Free(old_p);
+             }
+             return nullptr;
+           }
+           void* np = kmalloc_impl(size);
+           if (np == nullptr) {
+             return nullptr;
+           }
+           if (old_p != nullptr) {
+             size_t old_size = k->slab().AllocSize(old_p);
+             std::memcpy(np, old_p, old_size < size ? old_size : size);
+             k->slab().Free(old_p);
+           }
+           return np;
+         });
+  Export(k, rt, kern::kKfree, {"ptr"}, "pre(transfer(alloc_caps(ptr)))",
+         [k](void* p) { k->slab().Free(p); });
+  Export(k, rt, kern::kDmaFreeCoherent, {"ptr"}, "pre(transfer(alloc_caps(ptr)))",
+         [k](void* p) { k->slab().Free(p); });
+  Export(k, rt, kern::kKsize, {"ptr"}, "pre(check(alloc_caps(ptr)))",
+         [k](const void* p) -> size_t { return k->slab().UsableSize(p); });
 
   // --- spinlocks (simulated single-core: init/lock/unlock write the word) ---
-  k->ExportSymbol<SpinlockSig>("spin_lock_init", [](uintptr_t* lock) { *lock = 0; });
-  k->ExportSymbol<SpinlockSig>("spin_lock", [](uintptr_t* lock) { *lock = 1; });
-  k->ExportSymbol<SpinlockSig>("spin_unlock", [](uintptr_t* lock) { *lock = 0; });
+  // The §1 motivating example: spin_lock_init writes a zero through its
+  // argument, so the caller must prove write access. The word is stored as
+  // bytes because the exploit aims it at a 4-byte-aligned struct cred
+  // field, where a typed 8-byte store is undefined behaviour.
+  const char* lock_contract = "pre(check(write, lock, 8))";
+  auto set_word = [](uintptr_t* lock, uintptr_t v) { std::memcpy(lock, &v, sizeof(v)); };
+  Export(k, rt, kern::kSpinLockInit, {"lock"}, lock_contract,
+         [set_word](uintptr_t* lock) { set_word(lock, 0); });
+  Export(k, rt, kern::kSpinLock, {"lock"}, lock_contract,
+         [set_word](uintptr_t* lock) { set_word(lock, 1); });
+  Export(k, rt, kern::kSpinUnlock, {"lock"}, lock_contract,
+         [set_word](uintptr_t* lock) { set_word(lock, 0); });
 
-  k->ExportSymbol<PrintkSig>("printk", [](const char* msg) { LXFI_LOG_DEBUG("printk: %s", msg); });
+  Export(k, rt, kern::kPrintk, {"fmt"}, "",
+         [](const char* msg) { LXFI_LOG_DEBUG("printk: %s", msg); });
 
   // --- observability ---------------------------------------------------------
   // Both exports only ever *read* runtime state and copy into the caller's
-  // buffer — the buffer the wrapper's pre(check(write, buf, bytes)) already
-  // proved the module may write. A module can poll metrics and drain trace
-  // records, but no export hands out a pointer into the rings themselves.
-  k->ExportSymbol<LxfiStatsSig>("lxfi_stats", [rt](char* buf, size_t bytes) -> long {
+  // buffer, so the module must prove WRITE over exactly the bytes it offers
+  // (the annotation language has no multiply, hence byte counts rather than
+  // record counts). A module can poll metrics and drain trace records, but
+  // no export hands out a pointer into the rings themselves.
+  const char* buf_contract = "pre(check(write, buf, bytes))";
+  Export(k, rt, kLxfiStats, {"buf", "bytes"}, buf_contract, [rt](char* buf, size_t bytes) -> long {
     if (rt == nullptr || buf == nullptr || bytes == 0) {
       return -1;
     }
@@ -602,187 +376,327 @@ void InstallKernelApi(kern::Kernel* kernel, Runtime* rt) {
     buf[n] = '\0';
     return static_cast<long>(json.size());
   });
-  k->ExportSymbol<LxfiTraceReadSig>("lxfi_trace_read", [](void* buf, size_t bytes) -> long {
-    if (buf == nullptr) {
-      return -1;
-    }
-    size_t max = bytes / sizeof(TraceRecord);
-    return static_cast<long>(TraceBuffer::Global().DrainInto(static_cast<TraceRecord*>(buf), max));
-  });
+  Export(k, rt, kLxfiTraceRead, {"buf", "bytes"}, buf_contract,
+         [](void* buf, size_t bytes) -> long {
+           if (buf == nullptr) {
+             return -1;
+           }
+           size_t max = bytes / sizeof(TraceRecord);
+           return static_cast<long>(
+               TraceBuffer::Global().DrainInto(static_cast<TraceRecord*>(buf), max));
+         });
 
   // --- uaccess ---------------------------------------------------------------
-  k->ExportSymbol<CopyToUserSig>(
-      "copy_to_user", [k](uintptr_t dst, const void* src, size_t n) -> int {
-        return k->user().CopyToUser(dst, src, n);
-      });
-  k->ExportSymbol<CopyFromUserSig>(
-      "copy_from_user", [k](void* dst, uintptr_t src, size_t n) -> int {
-        return k->user().CopyFromUser(dst, src, n);
-      });
-  k->ExportSymbol<CopyToUserSig>(
-      "__copy_to_user", [k](uintptr_t dst, const void* src, size_t n) -> int {
-        return k->user().CopyToUserUnchecked(dst, src, n);
-      });
+  // The checked copy validates the user pointer itself; the unchecked
+  // __copy_to_user shifts the burden to the caller, hence the WRITE check —
+  // exactly what the RDS module forgot (CVE-2010-3904).
+  Export(k, rt, kern::kCopyToUser, {"dst", "src", "n"}, "",
+         [k](uintptr_t dst, const void* src, size_t n) -> int {
+           return k->user().CopyToUser(dst, src, n);
+         });
+  Export(k, rt, kern::kCopyFromUser, {"dst", "src", "n"}, "pre(check(write, dst, n))",
+         [k](void* dst, uintptr_t src, size_t n) -> int {
+           return k->user().CopyFromUser(dst, src, n);
+         });
+  Export(k, rt, kern::kCopyToUserUnchecked, {"dst", "src", "n"}, "pre(check(write, dst, n))",
+         [k](uintptr_t dst, const void* src, size_t n) -> int {
+           return k->user().CopyToUserUnchecked(dst, src, n);
+         });
 
   // --- process ---------------------------------------------------------------
-  k->ExportSymbol<DetachPidSig>("detach_pid",
-                                [k](kern::Task* task) { k->procs().DetachPid(task); });
+  Export(k, rt, kern::kDetachPid, {"task"}, "pre(check(ref(struct task_struct), task))",
+         [k](kern::Task* task) { k->procs().DetachPid(task); });
 
   // --- network ----------------------------------------------------------------
-  k->ExportSymbol<AllocSkbSig>(
-      "alloc_skb", [k](uint32_t size) -> kern::SkBuff* { return kern::AllocSkb(k, size); });
-  k->ExportSymbol<NetdevAllocSkbSig>(
-      "netdev_alloc_skb", [k](kern::NetDevice* dev, uint32_t size) -> kern::SkBuff* {
-        kern::SkBuff* skb = kern::AllocSkb(k, size);
-        if (skb != nullptr && dev != nullptr) {
-          skb->ifindex = dev->ifindex;
-        }
-        return skb;
-      });
-  k->ExportSymbol<KfreeSkbSig>("kfree_skb", [k](kern::SkBuff* skb) { kern::FreeSkb(k, skb); });
-  k->ExportSymbol<SkbPutSig>("skb_put", [](kern::SkBuff* skb, uint32_t len) -> uint8_t* {
-    return kern::SkbPut(skb, len);
-  });
-  k->ExportSymbol<NetifRxSig>("netif_rx", [k](kern::SkBuff* skb) -> int {
-    kern::GetNetStack(k)->NetifRx(skb);
-    return 0;
-  });
-  k->ExportSymbol<AllocEtherdevSig>("alloc_etherdev", [k](size_t priv_size) -> kern::NetDevice* {
-    return kern::AllocEtherdev(k, priv_size);
-  });
-  k->ExportSymbol<FreeNetdevSig>("free_netdev",
-                                 [k](kern::NetDevice* dev) { kern::FreeNetdev(k, dev); });
-  k->ExportSymbol<RegisterNetdevSig>("register_netdev", [k](kern::NetDevice* dev) -> int {
-    return kern::GetNetStack(k)->RegisterNetdev(dev);
-  });
-  k->ExportSymbol<UnregisterNetdevSig>("unregister_netdev", [k](kern::NetDevice* dev) {
-    kern::GetNetStack(k)->UnregisterNetdev(dev);
-  });
-  k->ExportSymbol<NetifNapiAddSig>(
-      "netif_napi_add", [](kern::NetDevice* dev, kern::NapiStruct* napi, uintptr_t poll) {
-        napi->dev = dev;
-        napi->poll = poll;
-        dev->napi = napi;
-      });
-  k->ExportSymbol<NapiScheduleSig>("napi_schedule", [k](kern::NapiStruct* napi) {
-    kern::GetNetStack(k)->NapiSchedule(napi);
-  });
+  Export(k, rt, kern::kAllocSkb, {"size"}, "post(if (return != 0) transfer(skb_caps(return)))",
+         [k](uint32_t size) -> kern::SkBuff* { return kern::AllocSkb(k, size); });
+  Export(k, rt, kern::kNetdevAllocSkb, {"dev", "size"},
+         "pre(check(ref(struct net_device), dev)) "
+         "post(if (return != 0) transfer(skb_caps(return)))",
+         [k](kern::NetDevice* dev, uint32_t size) -> kern::SkBuff* {
+           kern::SkBuff* skb = kern::AllocSkb(k, size);
+           if (skb != nullptr && dev != nullptr) {
+             skb->ifindex = dev->ifindex;
+           }
+           return skb;
+         });
+  Export(k, rt, kern::kKfreeSkb, {"skb"}, "pre(transfer(skb_caps(skb)))",
+         [k](kern::SkBuff* skb) { kern::FreeSkb(k, skb); });
+  Export(k, rt, kern::kSkbPut, {"skb", "len"}, "pre(check(skb_caps(skb)))",
+         [](kern::SkBuff* skb, uint32_t len) -> uint8_t* { return kern::SkbPut(skb, len); });
+  Export(k, rt, kern::kNetifRx, {"skb"}, "pre(transfer(skb_caps(skb)))",
+         [k](kern::SkBuff* skb) -> int {
+           kern::GetNetStack(k)->NetifRx(skb);
+           return 0;
+         });
+  Export(k, rt, kern::kAllocEtherdev, {"priv_size"},
+         "post(if (return != 0) transfer(etherdev_caps(return)))",
+         [k](size_t priv_size) -> kern::NetDevice* { return kern::AllocEtherdev(k, priv_size); });
+  Export(k, rt, kern::kFreeNetdev, {"dev"}, "pre(transfer(etherdev_caps(dev)))",
+         [k](kern::NetDevice* dev) { kern::FreeNetdev(k, dev); });
+  Export(k, rt, kern::kRegisterNetdev, {"dev"}, "pre(check(ref(struct net_device), dev))",
+         [k](kern::NetDevice* dev) -> int { return kern::GetNetStack(k)->RegisterNetdev(dev); });
+  Export(k, rt, kern::kUnregisterNetdev, {"dev"}, "pre(check(ref(struct net_device), dev))",
+         [k](kern::NetDevice* dev) { kern::GetNetStack(k)->UnregisterNetdev(dev); });
+  Export(k, rt, kern::kNetifNapiAdd, {"dev", "napi", "poll"},
+         "pre(check(ref(struct net_device), dev)) pre(check(napi_caps(napi))) "
+         "pre(check(call, poll))",
+         [](kern::NetDevice* dev, kern::NapiStruct* napi, uintptr_t poll) {
+           napi->dev = dev;
+           napi->poll = poll;
+           dev->napi = napi;
+         });
+  Export(k, rt, kern::kNapiSchedule, {"napi"}, "pre(check(napi_caps(napi)))",
+         [k](kern::NapiStruct* napi) { kern::GetNetStack(k)->NapiSchedule(napi); });
 
   // --- PCI ---------------------------------------------------------------------
-  k->ExportSymbol<PciRegisterDriverSig>("pci_register_driver", [k](kern::PciDriver* drv) -> int {
-    return kern::GetPciBus(k)->RegisterDriver(drv) >= 0 ? 0 : -kern::kEnodev;
-  });
-  k->ExportSymbol<PciUnregisterDriverSig>("pci_unregister_driver", [k](kern::PciDriver* drv) {
-    kern::GetPciBus(k)->UnregisterDriver(drv);
-  });
-  k->ExportSymbol<PciEnableDeviceSig>("pci_enable_device", [k](kern::PciDev* dev) -> int {
-    return kern::GetPciBus(k)->EnableDevice(dev);
-  });
-  k->ExportSymbol<PciDisableDeviceSig>("pci_disable_device",
-                                       [](kern::PciDev* dev) { dev->enabled = false; });
-  k->ExportSymbol<PciIomapSig>("pci_iomap",
-                               [](kern::PciDev* dev) -> void* { return dev->regs; });
-  k->ExportSymbol<RequestIrqSig>("request_irq",
-                                 [k](int irq, uintptr_t handler, void* dev_id) -> int {
-                                   return kern::GetPciBus(k)->RequestIrq(irq, handler, dev_id);
-                                 });
-  k->ExportSymbol<FreeIrqSig>("free_irq", [k](int irq) { kern::GetPciBus(k)->FreeIrq(irq); });
+  Export(k, rt, kern::kPciRegisterDriver, {"drv"}, "pre(check(pcidrv_caps(drv)))",
+         [k](kern::PciDriver* drv) -> int {
+           return kern::GetPciBus(k)->RegisterDriver(drv) >= 0 ? 0 : -kern::kEnodev;
+         });
+  Export(k, rt, kern::kPciUnregisterDriver, {"drv"}, "pre(check(pcidrv_caps(drv)))",
+         [k](kern::PciDriver* drv) { kern::GetPciBus(k)->UnregisterDriver(drv); });
+  Export(k, rt, kern::kPciEnableDevice, {"pcidev"}, "pre(check(ref(struct pci_dev), pcidev))",
+         [k](kern::PciDev* dev) -> int { return kern::GetPciBus(k)->EnableDevice(dev); });
+  Export(k, rt, kern::kPciDisableDevice, {"pcidev"}, "pre(check(ref(struct pci_dev), pcidev))",
+         [](kern::PciDev* dev) { dev->enabled = false; });
+  Export(k, rt, kern::kPciIomap, {"pcidev"},
+         "pre(check(ref(struct pci_dev), pcidev)) "
+         "post(if (return != 0) transfer(pci_regs_caps(pcidev)))",
+         [](kern::PciDev* dev) -> void* { return dev->regs; });
+  Export(k, rt, kern::kRequestIrq, {"irq", "handler", "dev_id"}, "pre(check(call, handler))",
+         [k](int irq, uintptr_t handler, void* dev_id) -> int {
+           return kern::GetPciBus(k)->RequestIrq(irq, handler, dev_id);
+         });
+  Export(k, rt, kern::kFreeIrq, {"irq"}, "", [k](int irq) { kern::GetPciBus(k)->FreeIrq(irq); });
 
   // --- sockets -------------------------------------------------------------------
-  k->ExportSymbol<SockRegisterSig>("sock_register", [k](kern::NetProtoFamily* fam) -> int {
+  // sock_register only *reads* the net_proto_family (which is usually const
+  // data); the create pointer inside it is vetted by the indirect-call check
+  // at dispatch time, so no WRITE check is demanded.
+  Export(k, rt, kern::kSockRegister, {"fam"}, "", [k](kern::NetProtoFamily* fam) -> int {
     return kern::GetSocketLayer(k)->RegisterFamily(fam);
   });
-  k->ExportSymbol<SockUnregisterSig>("sock_unregister", [k](int family) {
-    kern::GetSocketLayer(k)->UnregisterFamily(family);
-  });
+  Export(k, rt, kern::kSockUnregister, {"family"}, "",
+         [k](int family) { kern::GetSocketLayer(k)->UnregisterFamily(family); });
 
   // --- block / dm ------------------------------------------------------------------
-  k->ExportSymbol<SubmitBioSig>("submit_bio", [k](kern::BlockDevice* dev, kern::Bio* bio) -> int {
-    return kern::GetBlockLayer(k)->SubmitBio(dev, bio);
-  });
-  k->ExportSymbol<DmRegisterTargetSig>("dm_register_target", [k](kern::DmTargetType* t) -> int {
-    return kern::GetBlockLayer(k)->RegisterTargetType(t);
-  });
-  k->ExportSymbol<DmUnregisterTargetSig>("dm_unregister_target", [k](kern::DmTargetType* t) {
-    kern::GetBlockLayer(k)->UnregisterTargetType(t);
-  });
-  k->ExportSymbol<DmGetDeviceSig>("dm_get_device", [k](const char* name) -> kern::BlockDevice* {
-    return kern::GetBlockLayer(k)->FindDevice(name);
-  });
+  Export(k, rt, kern::kSubmitBio, {"dev", "bio"},
+         "pre(check(ref(struct block_device), dev)) pre(transfer(bio_caps(bio))) "
+         "post(transfer(bio_caps(bio)))",
+         [k](kern::BlockDevice* dev, kern::Bio* bio) -> int {
+           return kern::GetBlockLayer(k)->SubmitBio(dev, bio);
+         });
+  Export(k, rt, kern::kDmRegisterTarget, {"type"}, "pre(check(dmtt_caps(type)))",
+         [k](kern::DmTargetType* t) -> int {
+           return kern::GetBlockLayer(k)->RegisterTargetType(t);
+         });
+  Export(k, rt, kern::kDmUnregisterTarget, {"type"}, "pre(check(dmtt_caps(type)))",
+         [k](kern::DmTargetType* t) { kern::GetBlockLayer(k)->UnregisterTargetType(t); });
+  Export(k, rt, kern::kDmGetDevice, {"name"},
+         "post(if (return != 0) copy(ref(struct block_device), return))",
+         [k](const char* name) -> kern::BlockDevice* {
+           return kern::GetBlockLayer(k)->FindDevice(name);
+         });
 
   // --- page cache ------------------------------------------------------------------
-  k->ExportSymbol<PcGetSig>("pc_bget",
-                            [k](kern::BlockDevice* dev, uint64_t block) -> kern::CachedPage* {
-                              return kern::GetPageCache(k)->Bget(dev, block);
-                            });
-  k->ExportSymbol<PcPageSig>("pc_brelse", [k](kern::CachedPage* page) -> int {
-    return kern::GetPageCache(k)->Brelse(page);
-  });
-  k->ExportSymbol<PcGetSig>("pc_bwrite",
-                            [k](kern::BlockDevice* dev, uint64_t block) -> kern::CachedPage* {
-                              return kern::GetPageCache(k)->Bwrite(dev, block);
-                            });
-  k->ExportSymbol<PcPageSig>("pc_bwrite_done", [k](kern::CachedPage* page) -> int {
-    return kern::GetPageCache(k)->BwriteDone(page);
-  });
-  k->ExportSymbol<PcMarkDirtySig>("pc_mark_dirty", [k](kern::CachedPage* page) {
-    kern::GetPageCache(k)->MarkDirty(page);
-  });
-  k->ExportSymbol<PcSyncSig>("pc_sync", [k](kern::BlockDevice* dev) -> int {
-    return kern::GetPageCache(k)->Sync(dev);
-  });
-  k->ExportSymbol<PcInvalidateSig>("pc_invalidate", [k](kern::BlockDevice* dev) {
-    kern::GetPageCache(k)->Invalidate(dev);
-  });
+  // The API is deliberately asymmetric: bget/brelse move REFs only (many
+  // holders may share a page, so releasing cannot demand exclusive WRITE),
+  // while bwrite/bwrite_done bracket the one window in which a module may
+  // store into the payload. mark_dirty demands the window be open (check,
+  // not transfer), and sync/invalidate only need the device REF the mount
+  // dispatch granted.
+  Export(k, rt, kern::kPcBget, {"dev", "block"},
+         "pre(check(ref(struct block_device), dev)) "
+         "post(if (return != 0) copy(ref(struct cached_page), return))",
+         [k](kern::BlockDevice* dev, uint64_t block) -> kern::CachedPage* {
+           return kern::GetPageCache(k)->Bget(dev, block);
+         });
+  Export(k, rt, kern::kPcBrelse, {"page"}, "pre(check(ref(struct cached_page), page))",
+         [k](kern::CachedPage* page) -> int { return kern::GetPageCache(k)->Brelse(page); });
+  Export(k, rt, kern::kPcBwrite, {"dev", "block"},
+         "pre(check(ref(struct block_device), dev)) "
+         "post(if (return != 0) copy(ref(struct cached_page), return)) "
+         "post(if (return != 0) copy(pcdata_caps(return)))",
+         [k](kern::BlockDevice* dev, uint64_t block) -> kern::CachedPage* {
+           return kern::GetPageCache(k)->Bwrite(dev, block);
+         });
+  Export(k, rt, kern::kPcBwriteDone, {"page"},
+         "pre(check(ref(struct cached_page), page)) pre(transfer(pcdata_caps(page)))",
+         [k](kern::CachedPage* page) -> int { return kern::GetPageCache(k)->BwriteDone(page); });
+  Export(k, rt, kern::kPcMarkDirty, {"page"}, "pre(check(pcdata_caps(page)))",
+         [k](kern::CachedPage* page) { kern::GetPageCache(k)->MarkDirty(page); });
+  Export(k, rt, kern::kPcSync, {"dev"}, "pre(check(ref(struct block_device), dev))",
+         [k](kern::BlockDevice* dev) -> int { return kern::GetPageCache(k)->Sync(dev); });
+  Export(k, rt, kern::kPcInvalidate, {"dev"}, "pre(check(ref(struct block_device), dev))",
+         [k](kern::BlockDevice* dev) { kern::GetPageCache(k)->Invalidate(dev); });
 
   // --- timers ----------------------------------------------------------------
-  k->ExportSymbol<ModTimerSig>("mod_timer", [k](kern::TimerList* t, uint64_t expires) -> int {
-    return kern::GetTimerWheel(k)->ModTimer(t, expires);
-  });
-  k->ExportSymbol<DelTimerSig>("del_timer", [k](kern::TimerList* t) -> int {
-    return kern::GetTimerWheel(k)->DelTimer(t);
-  });
+  // The module must own the timer_list it arms; the function pointer inside
+  // it is vetted by the indirect-call check at expiry.
+  Export(k, rt, kern::kModTimer, {"timer", "expires"}, "pre(check(timer_caps(timer)))",
+         [k](kern::TimerList* t, uint64_t expires) -> int {
+           return kern::GetTimerWheel(k)->ModTimer(t, expires);
+         });
+  Export(k, rt, kern::kDelTimer, {"timer"}, "pre(check(timer_caps(timer)))",
+         [k](kern::TimerList* t) -> int { return kern::GetTimerWheel(k)->DelTimer(t); });
 
   // --- sound ---------------------------------------------------------------------------
-  k->ExportSymbol<SndCardRegisterSig>("snd_card_register", [k](kern::SoundCard* card) -> int {
-    return kern::GetSoundCore(k)->RegisterCard(card);
-  });
-  k->ExportSymbol<SndCardUnregisterSig>("snd_card_unregister", [k](kern::SoundCard* card) {
-    kern::GetSoundCore(k)->UnregisterCard(card);
-  });
+  Export(k, rt, kern::kSndCardRegister, {"card"}, "pre(check(sndcard_caps(card)))",
+         [k](kern::SoundCard* card) -> int { return kern::GetSoundCore(k)->RegisterCard(card); });
+  Export(k, rt, kern::kSndCardUnregister, {"card"}, "pre(check(sndcard_caps(card)))",
+         [k](kern::SoundCard* card) { kern::GetSoundCore(k)->UnregisterCard(card); });
 
   // --- vfs -----------------------------------------------------------------------------
-  k->ExportSymbol<RegisterFilesystemSig>("register_filesystem",
-                                         [k](kern::FileSystemType* fstype) -> int {
-                                           return kern::GetVfs(k)->RegisterFilesystem(fstype);
-                                         });
-  k->ExportSymbol<UnregisterFilesystemSig>("unregister_filesystem",
-                                           [k](kern::FileSystemType* fstype) -> int {
-                                             return kern::GetVfs(k)->UnregisterFilesystem(fstype);
-                                           });
-  k->ExportSymbol<IgetSig>(
-      "iget", [k](kern::SuperBlock* sb) -> kern::Inode* { return kern::GetVfs(k)->Iget(sb); });
-  k->ExportSymbol<IputSig>("iput", [k](kern::Inode* inode) { kern::GetVfs(k)->Iput(inode); });
-  k->ExportSymbol<DAllocSig>("d_alloc",
-                             [k](kern::Dentry* parent, const char* name) -> kern::Dentry* {
-                               return kern::GetVfs(k)->DAlloc(parent, name);
-                             });
-  k->ExportSymbol<DInstantiateSig>("d_instantiate",
-                                   [k](kern::Dentry* dentry, kern::Inode* inode) -> int {
-                                     return kern::GetVfs(k)->DInstantiate(dentry, inode);
-                                   });
-  k->ExportSymbol<VfsRegisterFilterSig>("vfs_register_filter", [k](kern::VfsFilter* flt) -> int {
-    return kern::GetVfs(k)->filters().Register(flt);
-  });
-  k->ExportSymbol<VfsUnregisterFilterSig>("vfs_unregister_filter",
-                                          [k](kern::VfsFilter* flt) -> int {
-                                            return kern::GetVfs(k)->filters().Unregister(flt);
-                                          });
+  // Registering a filesystem proves WRITE over the fstype struct (it must
+  // live in the module's own sections — its mount/kill_sb slots are
+  // indirect-call home slots) and mints a REF as the only unregister
+  // ticket: that REF check is what blocks a malicious module from
+  // unregistering a filesystem it does not own, and the dispatch-time
+  // annotation-hash check vets every ops pointer the kernel fetches from the
+  // (module-writable) table.
+  Export(k, rt, kern::kRegisterFilesystem, {"fstype"},
+         "pre(check(fstype_caps(fstype))) "
+         "post(if (return == 0) copy(ref(struct file_system_type), fstype))",
+         [k](kern::FileSystemType* fstype) -> int {
+           return kern::GetVfs(k)->RegisterFilesystem(fstype);
+         });
+  Export(k, rt, kern::kUnregisterFilesystem, {"fstype"},
+         "pre(transfer(ref(struct file_system_type), fstype)) "
+         "post(if (return != 0) copy(ref(struct file_system_type), fstype))",
+         [k](kern::FileSystemType* fstype) -> int {
+           return kern::GetVfs(k)->UnregisterFilesystem(fstype);
+         });
+  // Object lifetime: iget hands a fresh inode's WRITE to the calling
+  // principal; iput reclaims the inode and whatever module-private region
+  // still hangs off it. Dentries stay kernel-owned — modules hold REFs and
+  // edit the dcache only through d_alloc/d_instantiate.
+  Export(k, rt, kern::kIget, {"sb"},
+         "pre(check(ref(struct super_block), sb)) "
+         "post(if (return != 0) transfer(inode_caps(return)))",
+         [k](kern::SuperBlock* sb) -> kern::Inode* { return kern::GetVfs(k)->Iget(sb); });
+  Export(k, rt, kern::kIput, {"inode"}, "pre(transfer(inode_caps(inode)))",
+         [k](kern::Inode* inode) { kern::GetVfs(k)->Iput(inode); });
+  Export(k, rt, kern::kDAlloc, {"parent", "name"},
+         "pre(check(ref(struct dentry), parent)) "
+         "post(if (return != 0) copy(ref(struct dentry), return))",
+         [k](kern::Dentry* parent, const char* name) -> kern::Dentry* {
+           return kern::GetVfs(k)->DAlloc(parent, name);
+         });
+  Export(k, rt, kern::kDInstantiate, {"dentry", "inode"},
+         "pre(check(ref(struct dentry), dentry)) pre(check(inode_caps(inode)))",
+         [k](kern::Dentry* dentry, kern::Inode* inode) -> int {
+           return kern::GetVfs(k)->DInstantiate(dentry, inode);
+         });
+  // Filter registration mirrors filesystem registration: prove WRITE over
+  // the registration struct, hold a REF as the unregister ticket.
+  Export(k, rt, kern::kVfsRegisterFilter, {"flt"},
+         "pre(check(filter_caps(flt))) "
+         "post(if (return == 0) copy(ref(struct vfs_filter), flt))",
+         [k](kern::VfsFilter* flt) -> int { return kern::GetVfs(k)->filters().Register(flt); });
+  Export(k, rt, kern::kVfsUnregisterFilter, {"flt"},
+         "pre(transfer(ref(struct vfs_filter), flt)) "
+         "post(if (return != 0) copy(ref(struct vfs_filter), flt))",
+         [k](kern::VfsFilter* flt) -> int { return kern::GetVfs(k)->filters().Unregister(flt); });
 
-  if (rt != nullptr) {
-    InstallIterators(rt);
-    InstallAnnotations(rt);
-  }
+  // --- function-pointer types (kernel -> module) ---------------------------
+  Annotate(rt, kern::kTimerFn, {"data"}, "principal(data)");
+  // Observability: monitoring-module poll entry point (statmon dispatches
+  // through a kernel-owned slot, so its hash must be registered here).
+  Annotate(rt, kStatmonPoll, {"arg"}, "");
+  Annotate(rt, kern::kPciProbe, {"pcidev"},
+           "principal(pcidev) pre(copy(ref(struct pci_dev), pcidev)) "
+           "post(if (return < 0) transfer(ref(struct pci_dev), pcidev))");
+  Annotate(rt, kern::kPciRemove, {"pcidev"},
+           "principal(pcidev) pre(check(ref(struct pci_dev), pcidev))");
+  Annotate(rt, kern::kNdoOpen, {"dev"}, "principal(dev)");
+  Annotate(rt, kern::kNdoStop, {"dev"}, "principal(dev)");
+  Annotate(rt, kern::kNdoStartXmit, {"skb", "dev"},
+           "principal(dev) pre(transfer(skb_caps(skb))) "
+           "post(if (return == 16) transfer(skb_caps(skb)))");
+  Annotate(rt, kern::kNapiPoll, {"napi", "budget"}, "principal(napi)");
+  Annotate(rt, kern::kIrqHandler, {"irq", "dev_id"}, "principal(dev_id)");
+  Annotate(rt, kern::kProtoFamilyCreate, {"sock"}, "principal(sock) pre(copy(sock_caps(sock)))");
+  Annotate(rt, kern::kProtoRelease, {"sock"}, "principal(sock) post(transfer(sock_caps(sock)))");
+  Annotate(rt, kern::kProtoBind, {"sock", "uaddr", "len"}, "principal(sock)");
+  Annotate(rt, kern::kProtoIoctl, {"sock", "cmd", "arg"}, "principal(sock)");
+  Annotate(rt, kern::kProtoSendmsg, {"sock", "msg"}, "principal(sock)");
+  Annotate(rt, kern::kProtoRecvmsg, {"sock", "msg"}, "principal(sock)");
+  Annotate(rt, kern::kDmCtr, {"target", "params"},
+           "principal(target) pre(copy(dmtarget_caps(target)))");
+  Annotate(rt, kern::kDmDtr, {"target"},
+           "principal(target) post(transfer(dmtarget_caps(target)))");
+  // map() outcomes: 0 = the target completed (or dispatched) the bio itself,
+  // 1 = remapped, core submits to the underlying device, 2 (kill) or a
+  // negative errno = the core fails the bio. A target receives only the
+  // bio's PAYLOAD (bio_data_caps): the struct — sector, status, and above
+  // all the end_io call target — stays with the submitter, so the target
+  // never appears in the writer set of the submitter's completion slot.
+  // Completion status flows back through the return value and is recorded
+  // by the block core, not the target.
+  Annotate(rt, kern::kDmMap, {"target", "bio"},
+           "principal(target) pre(transfer(bio_data_caps(bio))) "
+           "post(if (return == 0) transfer(bio_data_caps(bio))) "
+           "post(if (return == 1) transfer(bio_data_caps(bio)))");
+  Annotate(rt, kern::kPcmOpen, {"ss"}, "principal(ss) pre(copy(substream_caps(ss)))");
+  Annotate(rt, kern::kPcmClose, {"ss"}, "principal(ss) post(transfer(substream_caps(ss)))");
+  Annotate(rt, kern::kPcmTrigger, {"ss", "cmd"}, "principal(ss)");
+  Annotate(rt, kern::kPcmPointer, {"ss"}, "principal(ss)");
+  // Completion callbacks get the bio's capabilities for exactly the
+  // completion window: the kernel hands WRITE over the bio struct and its
+  // payload in, and reclaims both when the callback returns. Kernel-text
+  // end_io targets (the page cache's writeback completion) bypass the
+  // annotation machinery entirely — the dispatch never enters a module, so
+  // no grant is minted that a module could inherit.
+  Annotate(rt, kern::kBioEndIo, {"bio"},
+           "principal(bio) pre(copy(bio_caps(bio))) post(transfer(bio_caps(bio)))");
+
+  // --- VFS function-pointer types ------------------------------------------
+  // Each mounted superblock is one principal; the mount dispatch endows it
+  // with the superblock's WRITE plus the REFs later exports demand. Inodes
+  // and files alias onto the same principal (lxfi_princ_alias in the
+  // module), so "principal(file)" on read/write lands on the mount's
+  // capability set without any extra grants per call.
+  Annotate(rt, kern::kFsMount, {"fstype", "sb", "root"},
+           "principal(sb) pre(copy(sb_caps(sb))) pre(copy(ref(struct super_block), sb)) "
+           "pre(copy(ref(struct dentry), root))");
+  Annotate(rt, kern::kFsKillSb, {"fstype", "sb"},
+           "principal(sb) post(transfer(sb_caps(sb))) "
+           "post(transfer(ref(struct super_block), sb))");
+  Annotate(rt, kern::kSuperStatfs, {"sb", "out"},
+           "principal(sb) pre(copy(vfsstatfs_caps(out))) post(transfer(vfsstatfs_caps(out)))");
+  Annotate(rt, kern::kInodeLookup, {"dir", "dentry"},
+           "principal(dir) pre(copy(ref(struct dentry), dentry)) "
+           "post(if (return == 0) transfer(ref(struct dentry), dentry))");
+  Annotate(rt, kern::kInodeCreate, {"dir", "dentry", "mode"},
+           "principal(dir) pre(copy(ref(struct dentry), dentry))");
+  Annotate(rt, kern::kInodeMkdir, {"dir", "dentry", "mode"},
+           "principal(dir) pre(copy(ref(struct dentry), dentry))");
+  Annotate(rt, kern::kInodeUnlink, {"dir", "dentry"},
+           "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
+  Annotate(rt, kern::kInodeRmdir, {"dir", "dentry"},
+           "principal(dir) post(if (return == 0) transfer(ref(struct dentry), dentry))");
+  // Rename is same-superblock only, so olddir's principal is newdir's too;
+  // both dentries are kernel-owned and passed by REF for the dispatch.
+  Annotate(rt, kern::kInodeRename, {"olddir", "odent", "newdir", "ndent"},
+           "principal(olddir) pre(copy(ref(struct dentry), odent)) "
+           "pre(copy(ref(struct dentry), ndent))");
+  Annotate(rt, kern::kInodeGetattr, {"inode", "out"},
+           "principal(inode) pre(copy(vfsstat_caps(out))) post(transfer(vfsstat_caps(out)))");
+  Annotate(rt, kern::kFileOpen, {"inode", "file"}, "principal(inode) pre(copy(file_caps(file)))");
+  Annotate(rt, kern::kFileRelease, {"inode", "file"},
+           "principal(file) post(transfer(file_caps(file)))");
+  Annotate(rt, kern::kFileRead, {"file", "ubuf", "n", "pos"}, "principal(file)");
+  Annotate(rt, kern::kFileWrite, {"file", "ubuf", "n", "pos"}, "principal(file)");
+  Annotate(rt, kern::kFileFsync, {"file"}, "principal(file)");
+  // Filter hooks: each registered filter is its own principal, so one
+  // compromised filter cannot reach its neighbours' state. The FilterCtx is
+  // granted for the hook's duration only (the chain-position token lives in
+  // it); the objects it points to stay off-limits.
+  Annotate(rt, kern::kFilterPreOp, {"flt", "ctx"},
+           "principal(flt) pre(copy(filterctx_caps(ctx))) post(transfer(filterctx_caps(ctx)))");
+  Annotate(rt, kern::kFilterPostOp, {"flt", "ctx"},
+           "principal(flt) pre(copy(filterctx_caps(ctx))) post(transfer(filterctx_caps(ctx)))");
 }
 
 }  // namespace lxfi

@@ -29,6 +29,15 @@ namespace lxfi {
 // A monitoring module's (statmon's) poll entry point.
 inline constexpr kern::FnPtrType<long(void* arg)> kStatmonPoll{"statmon::poll"};
 
+// Observability exports: read-only snapshots copied into a module-supplied
+// buffer the annotation has verified the module may WRITE (the
+// copy_from_user pattern). lxfi_stats fills a NUL-terminated JSON snapshot
+// and returns the full length; lxfi_trace_read drains whole TraceRecords and
+// returns the record count.
+inline constexpr kern::KernelSymbol<long(char* buf, size_t bytes)> kLxfiStats{"lxfi_stats"};
+inline constexpr kern::KernelSymbol<long(void* buf, size_t bytes)> kLxfiTraceRead{
+    "lxfi_trace_read"};
+
 class Runtime;
 
 class LxfiStats {
@@ -64,7 +73,7 @@ class LxfiStats {
   // per prefix of rt.kernel()->counters().Snapshot() ("guard", "pagecache",
   // ...), each counter a field. `tag` becomes the "bench" key so --stats
   // artifacts merge cleanly next to throughput rows.
-  static std::string DumpJson(const Runtime& rt, const std::string& tag = "lxfi_stats");
+  static std::string DumpJson(const Runtime& rt, const std::string& tag = kLxfiStats.name);
 
  private:
   static inline std::atomic<bool> enabled_{false};

@@ -3,6 +3,7 @@
 #include <pthread.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/clock.h"
 #include "src/base/compiler.h"
@@ -93,6 +94,45 @@ Runtime::~Runtime() {
 // --- module lifecycle -------------------------------------------------------
 
 bool Runtime::OnModuleLoad(kern::Module* module) {
+  const kern::ModuleDef& def = module->def();
+  // Check, then commit: every import and every function is vetted before
+  // the module gets a context, a capability or a text address, so a
+  // refused load leaves no state behind and needs no rollback.
+  //
+  // The safe default applies to imports: importing an unannotated kernel
+  // function fails the load, since LXFI could not enforce any contract on
+  // it.
+  for (const kern::KernelSymbolId& sym : def.imports) {
+    if (kernel_->symtab().Find(sym.name) == 0) {
+      LXFI_LOG_ERROR("module %s imports unknown symbol %s", module->name().c_str(), sym.name);
+      return false;
+    }
+    if (annotations_.Find(sym.key, sym.name) == nullptr) {
+      LXFI_LOG_ERROR("module %s imports unannotated kernel function %s (safe default: refuse)",
+                     module->name().c_str(), sym.name);
+      return false;
+    }
+  }
+  // Module-defined functions take their annotations from the declared
+  // function-pointer type (§4.2); a function whose own annotations differ
+  // is refused, as is one the module rewriter never processed.
+  auto sets_of = [this](const kern::FuncDecl& fd) {
+    return std::pair(annotations_.Find(fd.type.key, fd.type.name), annotations_.Find(fd.name));
+  };
+  for (const kern::FuncDecl& fd : def.functions) {
+    auto [type_set, fn_set] = sets_of(fd);
+    if (type_set != nullptr && fn_set != nullptr && type_set->ahash != fn_set->ahash) {
+      LXFI_LOG_ERROR("module %s: function %s obtains conflicting annotations from %s",
+                     module->name().c_str(), fd.name.c_str(), fd.type.name);
+      return false;
+    }
+    if (std::any_cast<WrapFactory>(&fd.wrapper_factory) == nullptr) {
+      LXFI_LOG_ERROR("module %s: function %s was not processed by the module rewriter",
+                     module->name().c_str(), fd.name.c_str());
+      return false;
+    }
+  }
+
   auto ctx = std::make_unique<ModuleCtx>(this, module);
   ModuleCtx* mc = ctx.get();
   {
@@ -102,46 +142,21 @@ bool Runtime::OnModuleLoad(kern::Module* module) {
   module->lxfi_ctx = mc;
   Principal* shared = mc->shared();
 
-  // Initial CALL capabilities: one per imported kernel symbol (§3.2). The
-  // safe default applies — importing an unannotated kernel function fails
-  // the load, since LXFI could not enforce any contract on it.
-  for (const std::string& name : module->def().imports) {
-    uintptr_t addr = kernel_->symtab().Find(name);
-    if (addr == 0) {
-      LXFI_LOG_ERROR("module %s imports unknown symbol %s", module->name().c_str(), name.c_str());
-      return false;
-    }
-    if (annotations_.Find(name) == nullptr) {
-      LXFI_LOG_ERROR("module %s imports unannotated kernel function %s (safe default: refuse)",
-                     module->name().c_str(), name.c_str());
-      return false;
-    }
-    GrantQuiet(shared, Capability::Call(addr));
-    annotations_.NoteUse(name, module->name());
+  // Initial CALL capabilities: one per imported kernel symbol (§3.2).
+  for (const kern::KernelSymbolId& sym : def.imports) {
+    GrantQuiet(shared, Capability::Call(kernel_->symtab().Find(sym.name)));
+    annotations_.NoteUse(sym.name, module->name());
   }
 
-  // Module-defined functions: propagate annotations from the declared
-  // function-pointer type, verify multi-source consistency, and register the
-  // instrumented wrapper under a minted module-text address (§4.2).
-  for (const kern::FuncDecl& fd : module->def().functions) {
-    const AnnotationSet* type_set = annotations_.Find(fd.type.key, fd.type.name);
-    const AnnotationSet* fn_set = annotations_.Find(fd.name);
-    if (type_set != nullptr && fn_set != nullptr && type_set->ahash != fn_set->ahash) {
-      LXFI_LOG_ERROR("module %s: function %s obtains conflicting annotations from %s",
-                     module->name().c_str(), fd.name.c_str(), fd.type.name);
-      return false;
-    }
+  // Register each function's instrumented wrapper under a minted
+  // module-text address.
+  for (const kern::FuncDecl& fd : def.functions) {
+    auto [type_set, fn_set] = sets_of(fd);
     const AnnotationSet* set = type_set != nullptr ? type_set : fn_set;
-    const auto* factory = std::any_cast<WrapFactory>(&fd.wrapper_factory);
-    if (factory == nullptr) {
-      LXFI_LOG_ERROR("module %s: function %s was not processed by the module rewriter",
-                     module->name().c_str(), fd.name.c_str());
-      return false;
-    }
-    std::any wrapped = (*factory)(this, mc, set, fd.name);
-    uintptr_t addr = kernel_->funcs().RegisterAny(kern::TextKind::kModuleText,
-                                                  module->name() + "." + fd.name, std::move(wrapped),
-                                                  set != nullptr ? set->ahash : 0, module);
+    std::any wrapped = (*std::any_cast<WrapFactory>(&fd.wrapper_factory))(this, mc, set, fd.name);
+    uintptr_t addr =
+        kernel_->funcs().RegisterAny(kern::TextKind::kModuleText, module->name() + "." + fd.name,
+                                     std::move(wrapped), set != nullptr ? set->ahash : 0, module);
     module->SetFuncAddr(fd.name, addr);
     GrantQuiet(shared, Capability::Call(addr));
     if (type_set != nullptr) {
@@ -580,14 +595,14 @@ bool Runtime::OwnsCallFast(Principal* p, uintptr_t target) {
   return true;
 }
 
-void Runtime::CheckCall(Principal* p, uintptr_t target, const std::string& name) {
+void Runtime::CheckCall(Principal* p, uintptr_t target, const char* name) {
   if (p == nullptr) {
     return;
   }
   if (!OwnsCallFast(p, target)) {
     RaiseViolation(ViolationKind::kCall,
                    StrFormat("%s has no CALL capability for %s (%#llx)", p->DebugName().c_str(),
-                             name.c_str(), static_cast<unsigned long long>(target)),
+                             name, static_cast<unsigned long long>(target)),
                    target);
   }
 }

@@ -164,7 +164,7 @@ class Runtime : public kern::IsolationHooks {
   // fallback principal.
   void CheckWrite(const void* dst, size_t size);
   // CALL-capability check for a module's direct (wrapped) call.
-  void CheckCall(Principal* p, uintptr_t target, const std::string& name);
+  void CheckCall(Principal* p, uintptr_t target, const char* name);
   // WRITE/CALL ownership through the principal's per-CPU memo shard
   // (positive answers are memoized; see enforcement_context.h). Public so
   // concurrency stress tests can drive the exact memoized path the guards
@@ -268,7 +268,8 @@ class Runtime : public kern::IsolationHooks {
   // Binds a wrapped import for a module (module rewriter output; §4.2
   // "function wrappers"). Declared in wrap.h.
   template <typename Ret, typename... Args>
-  std::function<Ret(Args...)> BindImport(ModuleCtx* mc, const std::string& name);
+  std::function<Ret(Args...)> BindImport(ModuleCtx* mc,
+                                         const kern::KernelSymbol<Ret(Args...)>& sym);
 
   // Wraps a module-defined function per its fn-ptr type annotations.
   template <typename Ret, typename... Args>

@@ -2,7 +2,9 @@
 //
 // Module->kernel: every imported symbol is reached through a wrapper that
 // checks the CALL capability, runs pre actions, drops to kernel privilege
-// for the call, then runs post actions.
+// for the call, then runs post actions. An import is named by its
+// kern::KernelSymbol handle, which fixes the wrapper's signature, so an
+// import that disagrees with the export does not compile.
 //
 // Kernel->module: every module-defined function the kernel can reach via a
 // function pointer is registered as a wrapped invoker that selects the
@@ -16,6 +18,7 @@
 #include <array>
 #include <exception>
 #include <functional>
+#include <string_view>
 #include <type_traits>
 
 #include "src/kernel/module.h"
@@ -64,14 +67,15 @@ class FrameGuard {
 };
 
 template <typename Ret, typename... Args>
-std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string& name) {
-  const auto& imports = mc->kmod()->def().imports;
+std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc,
+                                                const kern::KernelSymbol<Ret(Args...)>& sym) {
+  const char* name = sym.name;
   bool declared = false;
-  for (const std::string& imp : imports) {
-    declared = declared || imp == name;
+  for (const kern::KernelSymbolId& imp : mc->kmod()->def().imports) {
+    declared = declared || std::string_view(imp.name) == name;
   }
   uintptr_t kaddr = kernel_->symtab().Find(name);
-  const AnnotationSet* set = annotations_.Find(name);
+  const AnnotationSet* set = annotations_.Find(sym.key, name);
   if (!declared || kaddr == 0 || set == nullptr) {
     RaiseViolation(ViolationKind::kCall,
                    "module " + mc->name() + " binds undeclared/unannotated import '" + name + "'");
@@ -80,7 +84,8 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
   Runtime* rt = this;
   kern::Kernel* k = kernel_;
   // Bind the compiled guard program once, at wrap time: per crossing the
-  // wrapper holds the program pointer, never a name or registry lookup.
+  // wrapper holds the program pointer and the handle's name, never a
+  // registry lookup or a std::string.
   const GuardProgram* prog = ProgramOf(set);
   return [rt, k, mc, kaddr, prog, name](Args... args) -> Ret {
     Principal* caller = rt->CurrentPrincipal();
@@ -100,18 +105,18 @@ std::function<Ret(Args...)> Runtime::BindImport(ModuleCtx* mc, const std::string
     env.kernel_to_module = false;
     env.args = raw.data();
     env.nargs = raw.size();
-    env.what = name.c_str();
+    env.what = name;
     rt->RunBound(prog, env, /*post=*/false);
     if constexpr (std::is_void_v<Ret>) {
       {
-        FrameGuard frame(rt, nullptr, name.c_str());
+        FrameGuard frame(rt, nullptr, name);
         k->funcs().Invoke<Ret, Args...>(kaddr, args...);
       }
       rt->RunBound(prog, env, /*post=*/true);
     } else {
       Ret result;
       {
-        FrameGuard frame(rt, nullptr, name.c_str());
+        FrameGuard frame(rt, nullptr, name);
         result = k->funcs().Invoke<Ret, Args...>(kaddr, args...);
       }
       env.ret = ToRaw(result);
@@ -172,16 +177,19 @@ kern::FuncDecl DeclareFunction(std::string name, const kern::FnPtrType<Ret(Args.
   return decl;
 }
 
-// Resolves an imported kernel symbol for module code, wrapped under LXFI or
-// direct on a stock kernel.
+// Resolves the module's import of `sym` for module code: a wrapper under
+// LXFI, a direct call on a stock kernel. The handle fixes the returned
+// std::function's signature (a module api struct declares the field as
+// kern::ImportFn<sym>); the symbol must be in the module's def().imports.
 template <typename Ret, typename... Args>
-std::function<Ret(Args...)> GetImport(kern::Module& m, const std::string& name) {
+std::function<Ret(Args...)> GetImport(kern::Module& m,
+                                      const kern::KernelSymbol<Ret(Args...)>& sym) {
   if (m.lxfi_ctx != nullptr) {
     auto* mc = static_cast<ModuleCtx*>(m.lxfi_ctx);
-    return mc->runtime()->template BindImport<Ret, Args...>(mc, name);
+    return mc->runtime()->BindImport(mc, sym);
   }
   kern::Kernel* k = m.kernel();
-  uintptr_t addr = k->symtab().Find(name);
+  uintptr_t addr = k->symtab().Find(sym.name);
   return [k, addr](Args... args) -> Ret { return k->funcs().Invoke<Ret, Args...>(addr, args...); };
 }
 

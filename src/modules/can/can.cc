@@ -92,10 +92,8 @@ kern::ModuleDef CanModuleDef() {
   kern::ModuleDef def;
   def.name = "can";
   def.data_size = sizeof(CanData);
-  def.imports = {
-      "kmalloc", "kfree",          "sock_register", "sock_unregister",
-      "printk",  "copy_from_user", "copy_to_user",
-  };
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSockRegister, kern::kSockUnregister,
+                 kern::kPrintk, kern::kCopyFromUser, kern::kCopyToUser};
   def.functions = {
       lxfi::DeclareFunction("can_create", kern::kProtoFamilyCreate,
                             [st](kern::Socket* sock) { return Create(*st, sock); }),
@@ -119,12 +117,12 @@ kern::ModuleDef CanModuleDef() {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->sock_register = lxfi::GetImport<int, kern::NetProtoFamily*>(m, "sock_register");
-    st->sock_unregister = lxfi::GetImport<void, int>(m, "sock_unregister");
-    st->copy_from_user = lxfi::GetImport<int, void*, uintptr_t, size_t>(m, "copy_from_user");
-    st->copy_to_user = lxfi::GetImport<int, uintptr_t, const void*, size_t>(m, "copy_to_user");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->sock_register = lxfi::GetImport(m, kern::kSockRegister);
+    st->sock_unregister = lxfi::GetImport(m, kern::kSockUnregister);
+    st->copy_from_user = lxfi::GetImport(m, kern::kCopyFromUser);
+    st->copy_to_user = lxfi::GetImport(m, kern::kCopyToUser);
     auto* data = static_cast<CanData*>(m.data());
     lxfi::Store(m, &data->ops.release, m.FuncAddr("can_release"));
     lxfi::Store(m, &data->ops.bind, m.FuncAddr("can_bind"));

@@ -1,24 +1,36 @@
-// Shared import-binding helper for the dm modules.
+// Shared import list for the dm modules.
 #pragma once
+
+#include <vector>
 
 #include "src/lxfi/wrap.h"
 #include "src/modules/dm/dm_modules.h"
 
 namespace mods {
 
-inline void BindDmImports(kern::Module& m, DmImports* api) {
-  api->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-  api->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-  api->dm_register_target = lxfi::GetImport<int, kern::DmTargetType*>(m, "dm_register_target");
-  api->dm_unregister_target =
-      lxfi::GetImport<void, kern::DmTargetType*>(m, "dm_unregister_target");
-  api->submit_bio = lxfi::GetImport<int, kern::BlockDevice*, kern::Bio*>(m, "submit_bio");
-  api->dm_get_device = lxfi::GetImport<kern::BlockDevice*, const char*>(m, "dm_get_device");
+// The one list of the dm modules' imports: each DmImports field with the
+// handle it binds, in import order. DmImportNames and BindDmImports both
+// walk it.
+template <typename F>
+void ForEachDmImport(DmImports& api, F&& f) {
+  f(api.kmalloc, kern::kKmalloc);
+  f(api.kfree, kern::kKfree);
+  f(api.dm_register_target, kern::kDmRegisterTarget);
+  f(api.dm_unregister_target, kern::kDmUnregisterTarget);
+  f(api.submit_bio, kern::kSubmitBio);
+  f(api.dm_get_device, kern::kDmGetDevice);
+  f(api.printk, kern::kPrintk);
 }
 
-inline std::vector<std::string> DmImportNames() {
-  return {"kmalloc",    "kfree",      "dm_register_target", "dm_unregister_target",
-          "submit_bio", "dm_get_device", "printk"};
+inline void BindDmImports(kern::Module& m, DmImports* api) {
+  ForEachDmImport(*api, [&m](auto& field, const auto& sym) { field = lxfi::GetImport(m, sym); });
+}
+
+inline std::vector<kern::KernelSymbolId> DmImportNames() {
+  std::vector<kern::KernelSymbolId> imports;
+  DmImports api;
+  ForEachDmImport(api, [&imports](auto&, const auto& sym) { imports.push_back(sym); });
+  return imports;
 }
 
 }  // namespace mods

@@ -14,18 +14,19 @@
 
 #include "src/base/sync.h"
 #include "src/kernel/block/block.h"
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 
 namespace mods {
 
 // Common bound imports for the dm modules.
 struct DmImports {
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(kern::DmTargetType*)> dm_register_target;
-  std::function<void(kern::DmTargetType*)> dm_unregister_target;
-  std::function<int(kern::BlockDevice*, kern::Bio*)> submit_bio;
-  std::function<kern::BlockDevice*(const char*)> dm_get_device;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kDmRegisterTarget> dm_register_target;
+  kern::ImportFn<kern::kDmUnregisterTarget> dm_unregister_target;
+  kern::ImportFn<kern::kSubmitBio> submit_bio;
+  kern::ImportFn<kern::kDmGetDevice> dm_get_device;
+  kern::ImportFn<kern::kPrintk> printk;
 };
 
 // --- dm-crypt ---------------------------------------------------------------

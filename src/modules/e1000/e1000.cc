@@ -251,15 +251,14 @@ kern::ModuleDef E1000ModuleDef() {
   kern::ModuleDef def;
   def.name = "e1000";
   def.data_size = sizeof(E1000Data);
-  def.imports = {
-      "kmalloc",        "kfree",          "dma_alloc_coherent", "dma_free_coherent",
-      "alloc_etherdev", "free_netdev",    "register_netdev",    "unregister_netdev",
-      "netdev_alloc_skb", "kfree_skb",    "skb_put",            "netif_rx",
-      "netif_napi_add", "napi_schedule",  "pci_enable_device",  "pci_disable_device",
-      "pci_iomap",      "request_irq",    "free_irq",           "pci_register_driver",
-      "pci_unregister_driver", "printk",  "spin_lock_init",     "spin_lock",
-      "spin_unlock",  "mod_timer",  "del_timer",
-  };
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kDmaAllocCoherent, kern::kDmaFreeCoherent,
+                 kern::kAllocEtherdev, kern::kFreeNetdev, kern::kRegisterNetdev,
+                 kern::kUnregisterNetdev, kern::kNetdevAllocSkb, kern::kKfreeSkb, kern::kSkbPut,
+                 kern::kNetifRx, kern::kNetifNapiAdd, kern::kNapiSchedule, kern::kPciEnableDevice,
+                 kern::kPciDisableDevice, kern::kPciIomap, kern::kRequestIrq, kern::kFreeIrq,
+                 kern::kPciRegisterDriver, kern::kPciUnregisterDriver, kern::kPrintk,
+                 kern::kSpinLockInit, kern::kSpinLock, kern::kSpinUnlock, kern::kModTimer,
+                 kern::kDelTimer};
   def.functions = {
       lxfi::DeclareFunction("e1000_probe", kern::kPciProbe,
                             [st](kern::PciDev* pdev) { return Probe(*st, pdev); }),
@@ -283,30 +282,27 @@ kern::ModuleDef E1000ModuleDef() {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->dma_alloc = lxfi::GetImport<void*, size_t>(m, "dma_alloc_coherent");
-    st->alloc_etherdev = lxfi::GetImport<kern::NetDevice*, size_t>(m, "alloc_etherdev");
-    st->free_netdev = lxfi::GetImport<void, kern::NetDevice*>(m, "free_netdev");
-    st->register_netdev = lxfi::GetImport<int, kern::NetDevice*>(m, "register_netdev");
-    st->unregister_netdev = lxfi::GetImport<void, kern::NetDevice*>(m, "unregister_netdev");
-    st->netdev_alloc_skb =
-        lxfi::GetImport<kern::SkBuff*, kern::NetDevice*, uint32_t>(m, "netdev_alloc_skb");
-    st->kfree_skb = lxfi::GetImport<void, kern::SkBuff*>(m, "kfree_skb");
-    st->skb_put = lxfi::GetImport<uint8_t*, kern::SkBuff*, uint32_t>(m, "skb_put");
-    st->netif_rx = lxfi::GetImport<int, kern::SkBuff*>(m, "netif_rx");
-    st->netif_napi_add =
-        lxfi::GetImport<void, kern::NetDevice*, kern::NapiStruct*, uintptr_t>(m, "netif_napi_add");
-    st->napi_schedule = lxfi::GetImport<void, kern::NapiStruct*>(m, "napi_schedule");
-    st->pci_enable_device = lxfi::GetImport<int, kern::PciDev*>(m, "pci_enable_device");
-    st->pci_iomap = lxfi::GetImport<void*, kern::PciDev*>(m, "pci_iomap");
-    st->request_irq = lxfi::GetImport<int, int, uintptr_t, void*>(m, "request_irq");
-    st->free_irq = lxfi::GetImport<void, int>(m, "free_irq");
-    st->pci_register_driver = lxfi::GetImport<int, kern::PciDriver*>(m, "pci_register_driver");
-    st->pci_unregister_driver =
-        lxfi::GetImport<void, kern::PciDriver*>(m, "pci_unregister_driver");
-    st->mod_timer = lxfi::GetImport<int, kern::TimerList*, uint64_t>(m, "mod_timer");
-    st->del_timer = lxfi::GetImport<int, kern::TimerList*>(m, "del_timer");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->dma_alloc = lxfi::GetImport(m, kern::kDmaAllocCoherent);
+    st->alloc_etherdev = lxfi::GetImport(m, kern::kAllocEtherdev);
+    st->free_netdev = lxfi::GetImport(m, kern::kFreeNetdev);
+    st->register_netdev = lxfi::GetImport(m, kern::kRegisterNetdev);
+    st->unregister_netdev = lxfi::GetImport(m, kern::kUnregisterNetdev);
+    st->netdev_alloc_skb = lxfi::GetImport(m, kern::kNetdevAllocSkb);
+    st->kfree_skb = lxfi::GetImport(m, kern::kKfreeSkb);
+    st->skb_put = lxfi::GetImport(m, kern::kSkbPut);
+    st->netif_rx = lxfi::GetImport(m, kern::kNetifRx);
+    st->netif_napi_add = lxfi::GetImport(m, kern::kNetifNapiAdd);
+    st->napi_schedule = lxfi::GetImport(m, kern::kNapiSchedule);
+    st->pci_enable_device = lxfi::GetImport(m, kern::kPciEnableDevice);
+    st->pci_iomap = lxfi::GetImport(m, kern::kPciIomap);
+    st->request_irq = lxfi::GetImport(m, kern::kRequestIrq);
+    st->free_irq = lxfi::GetImport(m, kern::kFreeIrq);
+    st->pci_register_driver = lxfi::GetImport(m, kern::kPciRegisterDriver);
+    st->pci_unregister_driver = lxfi::GetImport(m, kern::kPciUnregisterDriver);
+    st->mod_timer = lxfi::GetImport(m, kern::kModTimer);
+    st->del_timer = lxfi::GetImport(m, kern::kDelTimer);
 
     E1000Data* data = static_cast<E1000Data*>(m.data());
     lxfi::Store(m, &data->drv.vendor, kE1000Vendor);

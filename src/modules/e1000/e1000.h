@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/net/netdevice.h"
 #include "src/kernel/net/nicsim.h"
 #include "src/kernel/pci/pci.h"
@@ -60,27 +60,27 @@ struct E1000State {
   E1000Priv* priv() const { return privs.empty() ? nullptr : privs.front(); }
 
   // Bound kernel imports.
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<void*(size_t)> dma_alloc;
-  std::function<kern::NetDevice*(size_t)> alloc_etherdev;
-  std::function<void(kern::NetDevice*)> free_netdev;
-  std::function<int(kern::NetDevice*)> register_netdev;
-  std::function<void(kern::NetDevice*)> unregister_netdev;
-  std::function<kern::SkBuff*(kern::NetDevice*, uint32_t)> netdev_alloc_skb;
-  std::function<void(kern::SkBuff*)> kfree_skb;
-  std::function<uint8_t*(kern::SkBuff*, uint32_t)> skb_put;
-  std::function<int(kern::SkBuff*)> netif_rx;
-  std::function<void(kern::NetDevice*, kern::NapiStruct*, uintptr_t)> netif_napi_add;
-  std::function<void(kern::NapiStruct*)> napi_schedule;
-  std::function<int(kern::PciDev*)> pci_enable_device;
-  std::function<void*(kern::PciDev*)> pci_iomap;
-  std::function<int(int, uintptr_t, void*)> request_irq;
-  std::function<void(int)> free_irq;
-  std::function<int(kern::PciDriver*)> pci_register_driver;
-  std::function<void(kern::PciDriver*)> pci_unregister_driver;
-  std::function<int(kern::TimerList*, uint64_t)> mod_timer;
-  std::function<int(kern::TimerList*)> del_timer;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kDmaAllocCoherent> dma_alloc;
+  kern::ImportFn<kern::kAllocEtherdev> alloc_etherdev;
+  kern::ImportFn<kern::kFreeNetdev> free_netdev;
+  kern::ImportFn<kern::kRegisterNetdev> register_netdev;
+  kern::ImportFn<kern::kUnregisterNetdev> unregister_netdev;
+  kern::ImportFn<kern::kNetdevAllocSkb> netdev_alloc_skb;
+  kern::ImportFn<kern::kKfreeSkb> kfree_skb;
+  kern::ImportFn<kern::kSkbPut> skb_put;
+  kern::ImportFn<kern::kNetifRx> netif_rx;
+  kern::ImportFn<kern::kNetifNapiAdd> netif_napi_add;
+  kern::ImportFn<kern::kNapiSchedule> napi_schedule;
+  kern::ImportFn<kern::kPciEnableDevice> pci_enable_device;
+  kern::ImportFn<kern::kPciIomap> pci_iomap;
+  kern::ImportFn<kern::kRequestIrq> request_irq;
+  kern::ImportFn<kern::kFreeIrq> free_irq;
+  kern::ImportFn<kern::kPciRegisterDriver> pci_register_driver;
+  kern::ImportFn<kern::kPciUnregisterDriver> pci_unregister_driver;
+  kern::ImportFn<kern::kModTimer> mod_timer;
+  kern::ImportFn<kern::kDelTimer> del_timer;
 };
 
 // Writable module data section: the ops table and pci_driver live here.

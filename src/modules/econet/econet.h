@@ -12,7 +12,7 @@
 #include <functional>
 #include <memory>
 
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/net/socket.h"
 
 namespace mods {
@@ -36,12 +36,12 @@ struct EconetData {
 struct EconetState {
   kern::Module* m = nullptr;
 
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(kern::NetProtoFamily*)> sock_register;
-  std::function<void(int)> sock_unregister;
-  std::function<int(void*, uintptr_t, size_t)> copy_from_user;
-  std::function<int(uintptr_t, const void*, size_t)> copy_to_user;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kSockRegister> sock_register;
+  kern::ImportFn<kern::kSockUnregister> sock_unregister;
+  kern::ImportFn<kern::kCopyFromUser> copy_from_user;
+  kern::ImportFn<kern::kCopyToUser> copy_to_user;
 
   uint64_t sends = 0;
   uint64_t binds = 0;

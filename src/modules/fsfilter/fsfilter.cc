@@ -78,10 +78,8 @@ kern::ModuleDef FsFilterModuleDef(FsFilterConfig config) {
   kern::ModuleDef def;
   def.name = st->config.module_name;
   def.data_size = sizeof(FsFilterData);
-  def.imports = {
-      "kmalloc", "kfree", "vfs_register_filter", "vfs_unregister_filter",
-      "unregister_filesystem", "printk",
-  };
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kVfsRegisterFilter, kern::kVfsUnregisterFilter,
+                 kern::kUnregisterFilesystem, kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction(
           "fsflt_pre", kern::kFilterPreOp,
@@ -93,12 +91,11 @@ kern::ModuleDef FsFilterModuleDef(FsFilterConfig config) {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->register_filter = lxfi::GetImport<int, kern::VfsFilter*>(m, "vfs_register_filter");
-    st->unregister_filter = lxfi::GetImport<int, kern::VfsFilter*>(m, "vfs_unregister_filter");
-    st->unregister_filesystem =
-        lxfi::GetImport<int, kern::FileSystemType*>(m, "unregister_filesystem");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->register_filter = lxfi::GetImport(m, kern::kVfsRegisterFilter);
+    st->unregister_filter = lxfi::GetImport(m, kern::kVfsUnregisterFilter);
+    st->unregister_filesystem = lxfi::GetImport(m, kern::kUnregisterFilesystem);
 
     st->priv = static_cast<FsFilterPriv*>(st->kmalloc(sizeof(FsFilterPriv)));
     if (st->priv == nullptr) {

@@ -17,7 +17,7 @@
 #include <string>
 
 #include "src/kernel/fs/vfs.h"
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 
 namespace mods {
 
@@ -72,11 +72,11 @@ struct FsFilterState {
   void* probe_target = nullptr;                    // kScribbleTarget
   kern::FileSystemType* victim_fstype = nullptr;   // kUnregisterVictimFs
 
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(kern::VfsFilter*)> register_filter;
-  std::function<int(kern::VfsFilter*)> unregister_filter;
-  std::function<int(kern::FileSystemType*)> unregister_filesystem;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kVfsRegisterFilter> register_filter;
+  kern::ImportFn<kern::kVfsUnregisterFilter> unregister_filter;
+  kern::ImportFn<kern::kUnregisterFilesystem> unregister_filesystem;
 
   uint64_t pre_count(kern::VfsOp op) const {
     return priv->pre_count[static_cast<int>(op)];

@@ -1140,15 +1140,11 @@ kern::ModuleDef JexfsModuleDef(const char* fs_name, const char* device) {
   kern::ModuleDef def;
   def.name = fs_name;
   def.data_size = sizeof(JexfsData);
-  def.imports = {
-      "kmalloc",        "kfree",
-      "register_filesystem",            "unregister_filesystem",
-      "iget",           "iput",         "d_instantiate",
-      "copy_from_user", "copy_to_user",
-      "submit_bio",     "dm_get_device",
-      "pc_bget",        "pc_brelse",    "pc_bwrite",  "pc_bwrite_done",
-      "pc_mark_dirty",  "pc_sync",      "pc_invalidate",
-  };
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kRegisterFilesystem,
+                 kern::kUnregisterFilesystem, kern::kIget, kern::kIput, kern::kDInstantiate,
+                 kern::kCopyFromUser, kern::kCopyToUser, kern::kSubmitBio, kern::kDmGetDevice,
+                 kern::kPcBget, kern::kPcBrelse, kern::kPcBwrite, kern::kPcBwriteDone,
+                 kern::kPcMarkDirty, kern::kPcSync, kern::kPcInvalidate};
   def.functions = {
       lxfi::DeclareFunction(
           "jexfs_mount", kern::kFsMount,
@@ -1205,30 +1201,24 @@ kern::ModuleDef JexfsModuleDef(const char* fs_name, const char* device) {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->api.kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->api.kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->api.register_filesystem =
-        lxfi::GetImport<int, kern::FileSystemType*>(m, "register_filesystem");
-    st->api.unregister_filesystem =
-        lxfi::GetImport<int, kern::FileSystemType*>(m, "unregister_filesystem");
-    st->api.iget = lxfi::GetImport<kern::Inode*, kern::SuperBlock*>(m, "iget");
-    st->api.iput = lxfi::GetImport<void, kern::Inode*>(m, "iput");
-    st->api.d_instantiate =
-        lxfi::GetImport<int, kern::Dentry*, kern::Inode*>(m, "d_instantiate");
-    st->api.copy_from_user = lxfi::GetImport<int, void*, uintptr_t, size_t>(m, "copy_from_user");
-    st->api.copy_to_user =
-        lxfi::GetImport<int, uintptr_t, const void*, size_t>(m, "copy_to_user");
-    st->api.submit_bio = lxfi::GetImport<int, kern::BlockDevice*, kern::Bio*>(m, "submit_bio");
-    st->api.dm_get_device = lxfi::GetImport<kern::BlockDevice*, const char*>(m, "dm_get_device");
-    st->api.pc_bget =
-        lxfi::GetImport<kern::CachedPage*, kern::BlockDevice*, uint64_t>(m, "pc_bget");
-    st->api.pc_brelse = lxfi::GetImport<int, kern::CachedPage*>(m, "pc_brelse");
-    st->api.pc_bwrite =
-        lxfi::GetImport<kern::CachedPage*, kern::BlockDevice*, uint64_t>(m, "pc_bwrite");
-    st->api.pc_bwrite_done = lxfi::GetImport<int, kern::CachedPage*>(m, "pc_bwrite_done");
-    st->api.pc_mark_dirty = lxfi::GetImport<void, kern::CachedPage*>(m, "pc_mark_dirty");
-    st->api.pc_sync = lxfi::GetImport<int, kern::BlockDevice*>(m, "pc_sync");
-    st->api.pc_invalidate = lxfi::GetImport<void, kern::BlockDevice*>(m, "pc_invalidate");
+    st->api.kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->api.kfree = lxfi::GetImport(m, kern::kKfree);
+    st->api.register_filesystem = lxfi::GetImport(m, kern::kRegisterFilesystem);
+    st->api.unregister_filesystem = lxfi::GetImport(m, kern::kUnregisterFilesystem);
+    st->api.iget = lxfi::GetImport(m, kern::kIget);
+    st->api.iput = lxfi::GetImport(m, kern::kIput);
+    st->api.d_instantiate = lxfi::GetImport(m, kern::kDInstantiate);
+    st->api.copy_from_user = lxfi::GetImport(m, kern::kCopyFromUser);
+    st->api.copy_to_user = lxfi::GetImport(m, kern::kCopyToUser);
+    st->api.submit_bio = lxfi::GetImport(m, kern::kSubmitBio);
+    st->api.dm_get_device = lxfi::GetImport(m, kern::kDmGetDevice);
+    st->api.pc_bget = lxfi::GetImport(m, kern::kPcBget);
+    st->api.pc_brelse = lxfi::GetImport(m, kern::kPcBrelse);
+    st->api.pc_bwrite = lxfi::GetImport(m, kern::kPcBwrite);
+    st->api.pc_bwrite_done = lxfi::GetImport(m, kern::kPcBwriteDone);
+    st->api.pc_mark_dirty = lxfi::GetImport(m, kern::kPcMarkDirty);
+    st->api.pc_sync = lxfi::GetImport(m, kern::kPcSync);
+    st->api.pc_invalidate = lxfi::GetImport(m, kern::kPcInvalidate);
 
     auto* data = static_cast<JexfsData*>(m.data());
     lxfi::Store(m, &data->sops.statfs, m.FuncAddr("jexfs_statfs"));

@@ -24,7 +24,7 @@
 #include "src/kernel/block/block.h"
 #include "src/kernel/fs/pagecache.h"
 #include "src/kernel/fs/vfs.h"
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 
 namespace mods {
 
@@ -40,24 +40,24 @@ struct JexfsData {
 };
 
 struct JexfsImports {
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(kern::FileSystemType*)> register_filesystem;
-  std::function<int(kern::FileSystemType*)> unregister_filesystem;
-  std::function<kern::Inode*(kern::SuperBlock*)> iget;
-  std::function<void(kern::Inode*)> iput;
-  std::function<int(kern::Dentry*, kern::Inode*)> d_instantiate;
-  std::function<int(void*, uintptr_t, size_t)> copy_from_user;
-  std::function<int(uintptr_t, const void*, size_t)> copy_to_user;
-  std::function<int(kern::BlockDevice*, kern::Bio*)> submit_bio;
-  std::function<kern::BlockDevice*(const char*)> dm_get_device;
-  std::function<kern::CachedPage*(kern::BlockDevice*, uint64_t)> pc_bget;
-  std::function<int(kern::CachedPage*)> pc_brelse;
-  std::function<kern::CachedPage*(kern::BlockDevice*, uint64_t)> pc_bwrite;
-  std::function<int(kern::CachedPage*)> pc_bwrite_done;
-  std::function<void(kern::CachedPage*)> pc_mark_dirty;
-  std::function<int(kern::BlockDevice*)> pc_sync;
-  std::function<void(kern::BlockDevice*)> pc_invalidate;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kRegisterFilesystem> register_filesystem;
+  kern::ImportFn<kern::kUnregisterFilesystem> unregister_filesystem;
+  kern::ImportFn<kern::kIget> iget;
+  kern::ImportFn<kern::kIput> iput;
+  kern::ImportFn<kern::kDInstantiate> d_instantiate;
+  kern::ImportFn<kern::kCopyFromUser> copy_from_user;
+  kern::ImportFn<kern::kCopyToUser> copy_to_user;
+  kern::ImportFn<kern::kSubmitBio> submit_bio;
+  kern::ImportFn<kern::kDmGetDevice> dm_get_device;
+  kern::ImportFn<kern::kPcBget> pc_bget;
+  kern::ImportFn<kern::kPcBrelse> pc_brelse;
+  kern::ImportFn<kern::kPcBwrite> pc_bwrite;
+  kern::ImportFn<kern::kPcBwriteDone> pc_bwrite_done;
+  kern::ImportFn<kern::kPcMarkDirty> pc_mark_dirty;
+  kern::ImportFn<kern::kPcSync> pc_sync;
+  kern::ImportFn<kern::kPcInvalidate> pc_invalidate;
 };
 
 struct JexfsState {

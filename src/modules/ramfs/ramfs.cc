@@ -279,14 +279,10 @@ kern::ModuleDef RamfsModuleDef(bool prepopulate, const char* fs_name) {
   kern::ModuleDef def;
   def.name = fs_name;
   def.data_size = sizeof(RamfsData);
-  def.imports = {
-      "kmalloc", "krealloc",      "kfree",
-      "ksize",
-      "register_filesystem",      "unregister_filesystem",
-      "iget",    "iput",          "d_alloc",
-      "d_instantiate",            "copy_from_user",
-      "copy_to_user",             "printk",
-  };
+  def.imports = {kern::kKmalloc, kern::kKrealloc, kern::kKfree, kern::kKsize,
+                 kern::kRegisterFilesystem, kern::kUnregisterFilesystem, kern::kIget, kern::kIput,
+                 kern::kDAlloc, kern::kDInstantiate, kern::kCopyFromUser, kern::kCopyToUser,
+                 kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction(
           "ramfs_mount", kern::kFsMount,
@@ -340,22 +336,18 @@ kern::ModuleDef RamfsModuleDef(bool prepopulate, const char* fs_name) {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->api.kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->api.krealloc = lxfi::GetImport<void*, void*, size_t>(m, "krealloc");
-    st->api.kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->api.ksize = lxfi::GetImport<size_t, const void*>(m, "ksize");
-    st->api.register_filesystem =
-        lxfi::GetImport<int, kern::FileSystemType*>(m, "register_filesystem");
-    st->api.unregister_filesystem =
-        lxfi::GetImport<int, kern::FileSystemType*>(m, "unregister_filesystem");
-    st->api.iget = lxfi::GetImport<kern::Inode*, kern::SuperBlock*>(m, "iget");
-    st->api.iput = lxfi::GetImport<void, kern::Inode*>(m, "iput");
-    st->api.d_alloc = lxfi::GetImport<kern::Dentry*, kern::Dentry*, const char*>(m, "d_alloc");
-    st->api.d_instantiate =
-        lxfi::GetImport<int, kern::Dentry*, kern::Inode*>(m, "d_instantiate");
-    st->api.copy_from_user = lxfi::GetImport<int, void*, uintptr_t, size_t>(m, "copy_from_user");
-    st->api.copy_to_user =
-        lxfi::GetImport<int, uintptr_t, const void*, size_t>(m, "copy_to_user");
+    st->api.kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->api.krealloc = lxfi::GetImport(m, kern::kKrealloc);
+    st->api.kfree = lxfi::GetImport(m, kern::kKfree);
+    st->api.ksize = lxfi::GetImport(m, kern::kKsize);
+    st->api.register_filesystem = lxfi::GetImport(m, kern::kRegisterFilesystem);
+    st->api.unregister_filesystem = lxfi::GetImport(m, kern::kUnregisterFilesystem);
+    st->api.iget = lxfi::GetImport(m, kern::kIget);
+    st->api.iput = lxfi::GetImport(m, kern::kIput);
+    st->api.d_alloc = lxfi::GetImport(m, kern::kDAlloc);
+    st->api.d_instantiate = lxfi::GetImport(m, kern::kDInstantiate);
+    st->api.copy_from_user = lxfi::GetImport(m, kern::kCopyFromUser);
+    st->api.copy_to_user = lxfi::GetImport(m, kern::kCopyToUser);
 
     auto* data = static_cast<RamfsData*>(m.data());
     lxfi::Store(m, &data->sops.statfs, m.FuncAddr("ramfs_statfs"));

@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "src/kernel/fs/vfs.h"
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 
 namespace mods {
 
@@ -29,18 +29,18 @@ struct RamfsData {
 };
 
 struct RamfsImports {
-  std::function<void*(size_t)> kmalloc;
-  std::function<void*(void*, size_t)> krealloc;
-  std::function<void(void*)> kfree;
-  std::function<size_t(const void*)> ksize;
-  std::function<int(kern::FileSystemType*)> register_filesystem;
-  std::function<int(kern::FileSystemType*)> unregister_filesystem;
-  std::function<kern::Inode*(kern::SuperBlock*)> iget;
-  std::function<void(kern::Inode*)> iput;
-  std::function<kern::Dentry*(kern::Dentry*, const char*)> d_alloc;
-  std::function<int(kern::Dentry*, kern::Inode*)> d_instantiate;
-  std::function<int(void*, uintptr_t, size_t)> copy_from_user;
-  std::function<int(uintptr_t, const void*, size_t)> copy_to_user;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKrealloc> krealloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kKsize> ksize;
+  kern::ImportFn<kern::kRegisterFilesystem> register_filesystem;
+  kern::ImportFn<kern::kUnregisterFilesystem> unregister_filesystem;
+  kern::ImportFn<kern::kIget> iget;
+  kern::ImportFn<kern::kIput> iput;
+  kern::ImportFn<kern::kDAlloc> d_alloc;
+  kern::ImportFn<kern::kDInstantiate> d_instantiate;
+  kern::ImportFn<kern::kCopyFromUser> copy_from_user;
+  kern::ImportFn<kern::kCopyToUser> copy_to_user;
 };
 
 struct RamfsState {

@@ -106,10 +106,8 @@ kern::ModuleDef RdsModuleDef(bool ops_writable) {
     def.rodata_size = sizeof(RdsData);
     def.data_size = 64;  // token .bss
   }
-  def.imports = {
-      "kmalloc", "kfree",          "sock_register",  "sock_unregister",
-      "printk",  "copy_from_user", "__copy_to_user",
-  };
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSockRegister, kern::kSockUnregister,
+                 kern::kPrintk, kern::kCopyFromUser, kern::kCopyToUserUnchecked};
   def.functions = {
       lxfi::DeclareFunction("rds_create", kern::kProtoFamilyCreate,
                             [st](kern::Socket* sock) { return Create(*st, sock); }),
@@ -141,13 +139,12 @@ kern::ModuleDef RdsModuleDef(bool ops_writable) {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->sock_register = lxfi::GetImport<int, kern::NetProtoFamily*>(m, "sock_register");
-    st->sock_unregister = lxfi::GetImport<void, int>(m, "sock_unregister");
-    st->copy_from_user = lxfi::GetImport<int, void*, uintptr_t, size_t>(m, "copy_from_user");
-    st->copy_to_user_unchecked =
-        lxfi::GetImport<int, uintptr_t, const void*, size_t>(m, "__copy_to_user");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->sock_register = lxfi::GetImport(m, kern::kSockRegister);
+    st->sock_unregister = lxfi::GetImport(m, kern::kSockUnregister);
+    st->copy_from_user = lxfi::GetImport(m, kern::kCopyFromUser);
+    st->copy_to_user_unchecked = lxfi::GetImport(m, kern::kCopyToUserUnchecked);
     return st->sock_register(&DataOf(*st)->family);
   };
   def.exit_fn = [st](kern::Module& m) { st->sock_unregister(kern::kAfRds); };

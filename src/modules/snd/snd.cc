@@ -58,7 +58,8 @@ kern::ModuleDef SndModuleDef(const std::string& name, const std::string& prefix)
   kern::ModuleDef def;
   def.name = name;
   def.data_size = sizeof(SndData);
-  def.imports = {"kmalloc", "kfree", "snd_card_register", "snd_card_unregister", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSndCardRegister, kern::kSndCardUnregister,
+                 kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction(prefix + "_open", kern::kPcmOpen,
                             [st](kern::PcmSubstream* ss) { return Open(*st, ss); }),
@@ -73,10 +74,10 @@ kern::ModuleDef SndModuleDef(const std::string& name, const std::string& prefix)
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->snd_card_register = lxfi::GetImport<int, kern::SoundCard*>(m, "snd_card_register");
-    st->snd_card_unregister = lxfi::GetImport<void, kern::SoundCard*>(m, "snd_card_unregister");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->snd_card_register = lxfi::GetImport(m, kern::kSndCardRegister);
+    st->snd_card_unregister = lxfi::GetImport(m, kern::kSndCardUnregister);
 
     auto* data = static_cast<SndData*>(m.data());
     lxfi::Store(m, &data->ops.open, m.FuncAddr(st->prefix + "_open"));

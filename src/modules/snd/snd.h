@@ -10,7 +10,7 @@
 #include <memory>
 #include <string>
 
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/sound/sound.h"
 
 namespace mods {
@@ -28,10 +28,10 @@ struct SndState {
   kern::PcmSubstream* substream = nullptr;
   SndPriv* priv = nullptr;
 
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(kern::SoundCard*)> snd_card_register;
-  std::function<void(kern::SoundCard*)> snd_card_unregister;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kSndCardRegister> snd_card_register;
+  kern::ImportFn<kern::kSndCardUnregister> snd_card_unregister;
 };
 
 // Generic PCM driver module definition, specialized by name.

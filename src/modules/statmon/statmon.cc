@@ -35,7 +35,8 @@ kern::ModuleDef StatmonModuleDef(std::string module_name) {
   auto st = std::make_shared<StatmonState>();
   kern::ModuleDef def;
   def.name = std::move(module_name);
-  def.imports = {"kmalloc", "kfree", "printk", "lxfi_stats", "lxfi_trace_read"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kPrintk, lxfi::kLxfiStats,
+                 lxfi::kLxfiTraceRead};
   def.functions = {
       lxfi::DeclareFunction("statmon_poll", lxfi::kStatmonPoll,
                             [st](void* arg) { return Poll(*st, arg); }),
@@ -43,10 +44,10 @@ kern::ModuleDef StatmonModuleDef(std::string module_name) {
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
     m.state_any() = st;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->lxfi_stats = lxfi::GetImport<long, char*, size_t>(m, "lxfi_stats");
-    st->lxfi_trace_read = lxfi::GetImport<long, void*, size_t>(m, "lxfi_trace_read");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->lxfi_stats = lxfi::GetImport(m, lxfi::kLxfiStats);
+    st->lxfi_trace_read = lxfi::GetImport(m, lxfi::kLxfiTraceRead);
 
     st->priv = static_cast<StatmonPriv*>(st->kmalloc(sizeof(StatmonPriv)));
     st->json = static_cast<char*>(st->kmalloc(st->json_cap));

@@ -16,7 +16,8 @@
 #include <string>
 
 #include "src/base/trace.h"
-#include "src/kernel/module.h"
+#include "src/kernel/kernel.h"
+#include "src/lxfi/lxfi_stats.h"
 
 namespace mods {
 
@@ -45,10 +46,10 @@ struct StatmonState {
   StatmonProbe probe = StatmonProbe::kNone;
   void* probe_target = nullptr;  // kScribbleRing: runtime-owned address
 
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<long(char*, size_t)> lxfi_stats;
-  std::function<long(void*, size_t)> lxfi_trace_read;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<lxfi::kLxfiStats> lxfi_stats;
+  kern::ImportFn<lxfi::kLxfiTraceRead> lxfi_trace_read;
 
   uint64_t polls() const { return priv->polls; }
   int64_t last_json_len() const { return priv->last_json_len; }

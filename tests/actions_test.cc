@@ -15,6 +15,12 @@ namespace {
 constexpr kern::FnPtrType<void(void* w)> kWidgetPoke{"widget_ops::poke"};
 constexpr kern::FnPtrType<void()> kWidgetTick{"widget_ops::tick"};
 
+// Test-only exports.
+constexpr kern::KernelSymbol<void*(int ok)> kGiveObject{"give_object"};
+constexpr kern::KernelSymbol<int(void* obj)> kTakeObject{"take_object"};
+constexpr kern::KernelSymbol<int(void* obj)> kTakeObjectMaybe{"take_object_maybe"};
+constexpr kern::KernelSymbol<void(void* obj)> kNeedRef{"need_ref"};
+
 using lxfi::Capability;
 using lxfitest::Bench;
 
@@ -30,42 +36,24 @@ class ActionsTest : public ::testing::Test {
     // Kernel-side objects handed out by the test APIs.
     obj_ = k->slab().Alloc(64);
 
-    k->ExportSymbol<void*(int)>("give_object", [this](int ok) -> void* {
-      return ok != 0 ? obj_ : nullptr;
-    });
-    ASSERT_TRUE(rt->annotations()
-                    .Register("give_object", {"ok"},
-                              "post(if (return != 0) copy(write, return, 64))")
-                    .ok());
-
-    k->ExportSymbol<int(void*)>("take_object", [](void*) { return 0; });
-    ASSERT_TRUE(rt->annotations()
-                    .Register("take_object", {"obj"}, "pre(transfer(write, obj, 64))")
-                    .ok());
-
-    k->ExportSymbol<int(void*)>("take_object_maybe", [this](void* p) -> int {
-      return fail_next_ ? -1 : 0;
-    });
-    ASSERT_TRUE(rt->annotations()
-                    .Register("take_object_maybe", {"obj"},
-                              "pre(transfer(write, obj, 64)) "
-                              "post(if (return < 0) transfer(write, obj, 64))")
-                    .ok());
-
-    k->ExportSymbol<void(void*)>("need_ref", [](void*) {});
-    ASSERT_TRUE(rt->annotations()
-                    .Register("need_ref", {"obj"}, "pre(check(ref(struct widget), obj))")
-                    .ok());
+    lxfi::Export(k, rt, kGiveObject, {"ok"}, "post(if (return != 0) copy(write, return, 64))",
+                 [this](int ok) -> void* { return ok != 0 ? obj_ : nullptr; });
+    lxfi::Export(k, rt, kTakeObject, {"obj"}, "pre(transfer(write, obj, 64))",
+                 [](void*) { return 0; });
+    lxfi::Export(k, rt, kTakeObjectMaybe, {"obj"},
+                 "pre(transfer(write, obj, 64)) post(if (return < 0) transfer(write, obj, 64))",
+                 [this](void*) -> int { return fail_next_ ? -1 : 0; });
+    lxfi::Export(k, rt, kNeedRef, {"obj"}, "pre(check(ref(struct widget), obj))", [](void*) {});
 
     kern::ModuleDef def;
     def.name = "actionmod";
-    def.imports = {"give_object", "take_object", "take_object_maybe", "need_ref", "printk"};
+    def.imports = {kGiveObject, kTakeObject, kTakeObjectMaybe, kNeedRef, kern::kPrintk};
     def.init = [this](kern::Module& m) -> int {
       module_ = &m;
-      give_object_ = lxfi::GetImport<void*, int>(m, "give_object");
-      take_object_ = lxfi::GetImport<int, void*>(m, "take_object");
-      take_object_maybe_ = lxfi::GetImport<int, void*>(m, "take_object_maybe");
-      need_ref_ = lxfi::GetImport<void, void*>(m, "need_ref");
+      give_object_ = lxfi::GetImport(m, kGiveObject);
+      take_object_ = lxfi::GetImport(m, kTakeObject);
+      take_object_maybe_ = lxfi::GetImport(m, kTakeObjectMaybe);
+      need_ref_ = lxfi::GetImport(m, kNeedRef);
       return 0;
     };
     ASSERT_NE(bench_.kernel->LoadModule(std::move(def)), nullptr);
@@ -78,10 +66,10 @@ class ActionsTest : public ::testing::Test {
   kern::Module* module_ = nullptr;
   void* obj_ = nullptr;
   bool fail_next_ = false;
-  std::function<void*(int)> give_object_;
-  std::function<int(void*)> take_object_;
-  std::function<int(void*)> take_object_maybe_;
-  std::function<void(void*)> need_ref_;
+  kern::ImportFn<kGiveObject> give_object_;
+  kern::ImportFn<kTakeObject> take_object_;
+  kern::ImportFn<kTakeObjectMaybe> take_object_maybe_;
+  kern::ImportFn<kNeedRef> need_ref_;
 };
 
 TEST_F(ActionsTest, PostCopyGrantsOnSuccess) {
@@ -159,7 +147,7 @@ TEST(PrincipalSelection, CalleePrincipalFromAnnotation) {
   kern::ModuleDef def;
   def.name = "principled";
   def.data_size = 16;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.functions = {lxfi::DeclareFunction(
       "poke_impl", kWidgetPoke, [&](void*) { observed = rt->CurrentPrincipal(); })};
   def.init = [](kern::Module&) { return 0; };
@@ -189,7 +177,7 @@ TEST(PrincipalSelection, DefaultIsShared) {
   kern::ModuleDef def;
   def.name = "plain";
   def.data_size = 16;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.functions = {lxfi::DeclareFunction(
       "tick_impl", kWidgetTick, [&] { observed = bench.rt->CurrentPrincipal(); })};
   def.init = [](kern::Module&) { return 0; };

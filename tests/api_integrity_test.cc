@@ -21,30 +21,27 @@ using lxfitest::Bench;
 // command. Its init is benign; each attack is a separate entry point.
 struct EvilState {
   kern::Module* m = nullptr;
-  std::function<void(uintptr_t*)> spin_lock_init;
-  std::function<int(kern::PciDev*)> pci_enable_device;
-  std::function<void(kern::NetDevice*, kern::NapiStruct*, uintptr_t)> netif_napi_add;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(kern::SkBuff*)> kfree_skb;
-  std::function<int(kern::SkBuff*)> netif_rx;
+  kern::ImportFn<kern::kSpinLockInit> spin_lock_init;
+  kern::ImportFn<kern::kPciEnableDevice> pci_enable_device;
+  kern::ImportFn<kern::kNetifNapiAdd> netif_napi_add;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfreeSkb> kfree_skb;
+  kern::ImportFn<kern::kNetifRx> netif_rx;
 };
 
 kern::ModuleDef EvilModuleDef(std::shared_ptr<EvilState> st) {
   kern::ModuleDef def;
   def.name = "evil";
-  def.imports = {"spin_lock_init", "pci_enable_device", "netif_napi_add",
-                 "kmalloc",        "kfree_skb",         "netif_rx",
-                 "printk"};
+  def.imports = {kern::kSpinLockInit, kern::kPciEnableDevice, kern::kNetifNapiAdd, kern::kKmalloc,
+                 kern::kKfreeSkb, kern::kNetifRx, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
-    st->spin_lock_init = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock_init");
-    st->pci_enable_device = lxfi::GetImport<int, kern::PciDev*>(m, "pci_enable_device");
-    st->netif_napi_add =
-        lxfi::GetImport<void, kern::NetDevice*, kern::NapiStruct*, uintptr_t>(m,
-                                                                              "netif_napi_add");
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree_skb = lxfi::GetImport<void, kern::SkBuff*>(m, "kfree_skb");
-    st->netif_rx = lxfi::GetImport<int, kern::SkBuff*>(m, "netif_rx");
+    st->spin_lock_init = lxfi::GetImport(m, kern::kSpinLockInit);
+    st->pci_enable_device = lxfi::GetImport(m, kern::kPciEnableDevice);
+    st->netif_napi_add = lxfi::GetImport(m, kern::kNetifNapiAdd);
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree_skb = lxfi::GetImport(m, kern::kKfreeSkb);
+    st->netif_rx = lxfi::GetImport(m, kern::kNetifRx);
     return 0;
   };
   return def;

@@ -26,23 +26,23 @@ using lxfitest::Bench;
 // Scratch module with the full allocation import surface.
 struct ScratchState {
   kern::Module* m = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void*(void*, size_t)> krealloc;
-  std::function<void(void*)> kfree;
-  std::function<size_t(const void*)> ksize;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKrealloc> krealloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kKsize> ksize;
 };
 
 kern::ModuleDef ScratchDef(std::shared_ptr<ScratchState> st, const char* name = "scratch") {
   kern::ModuleDef def;
   def.name = name;
   def.data_size = 128;
-  def.imports = {"kmalloc", "krealloc", "kfree", "ksize", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKrealloc, kern::kKfree, kern::kKsize, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->krealloc = lxfi::GetImport<void*, void*, size_t>(m, "krealloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->ksize = lxfi::GetImport<size_t, const void*>(m, "ksize");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->krealloc = lxfi::GetImport(m, kern::kKrealloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->ksize = lxfi::GetImport(m, kern::kKsize);
     return 0;
   };
   return def;

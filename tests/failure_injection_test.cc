@@ -33,14 +33,14 @@ struct FlakyState {
   kern::Module* m = nullptr;
   bool fail_probe = false;
   kern::PciDev* seen = nullptr;
-  std::function<int(kern::PciDriver*)> pci_register_driver;
+  kern::ImportFn<kern::kPciRegisterDriver> pci_register_driver;
 };
 
 kern::ModuleDef FlakyDriverDef(std::shared_ptr<FlakyState> st) {
   kern::ModuleDef def;
   def.name = "flaky";
   def.data_size = sizeof(kern::PciDriver);
-  def.imports = {"pci_register_driver", "pci_unregister_driver", "printk"};
+  def.imports = {kern::kPciRegisterDriver, kern::kPciUnregisterDriver, kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction("flaky_probe", kern::kPciProbe,
                                                 [st](kern::PciDev* pdev) {
@@ -52,7 +52,7 @@ kern::ModuleDef FlakyDriverDef(std::shared_ptr<FlakyState> st) {
   };
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
-    st->pci_register_driver = lxfi::GetImport<int, kern::PciDriver*>(m, "pci_register_driver");
+    st->pci_register_driver = lxfi::GetImport(m, kern::kPciRegisterDriver);
     auto* drv = static_cast<kern::PciDriver*>(m.data());
     lxfi::Store(m, &drv->vendor, uint16_t{0xaaaa});
     lxfi::Store(m, &drv->device, uint16_t{0xbbbb});
@@ -131,14 +131,14 @@ TEST(FailureInjection, KmallocExhaustionGrantsNothing) {
   lxfi::Runtime rt(&kernel);
   lxfi::InstallKernelApi(&kernel, &rt);
   struct St {
-    std::function<void*(size_t)> kmalloc;
+    kern::ImportFn<kern::kKmalloc> kmalloc;
   };
   auto st = std::make_shared<St>();
   kern::ModuleDef def;
   def.name = "hungry";
-  def.imports = {"kmalloc", "printk"};
+  def.imports = {kern::kKmalloc, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
     return 0;
   };
   kern::Module* m = kernel.LoadModule(std::move(def));
@@ -168,14 +168,14 @@ TEST(FailureInjection, SocketCreateFailureUnwinds) {
   kern::ModuleDef def;
   def.name = "refuser";
   def.data_size = sizeof(kern::NetProtoFamily);
-  def.imports = {"sock_register", "printk"};
+  def.imports = {kern::kSockRegister, kern::kPrintk};
   def.functions = {lxfi::DeclareFunction("refuse_create", kern::kProtoFamilyCreate,
                                          [](kern::Socket*) { return -kern::kEnomem; })};
   def.init = [](kern::Module& m) -> int {
     auto* fam = static_cast<kern::NetProtoFamily*>(m.data());
     lxfi::Store(m, &fam->family, 77);
     lxfi::Store(m, &fam->create, m.FuncAddr("refuse_create"));
-    return lxfi::GetImport<int, kern::NetProtoFamily*>(m, "sock_register")(fam);
+    return lxfi::GetImport(m, kern::kSockRegister)(fam);
   };
   ASSERT_NE(bench.kernel->LoadModule(std::move(def)), nullptr);
   kern::SocketLayer* sl = kern::GetSocketLayer(bench.kernel.get());
@@ -200,13 +200,13 @@ TEST(FailureInjection, MountFailureAfterRegisterFilesystem) {
   struct FailFsState {
     int mount_calls = 0;
     int kill_calls = 0;
-    std::function<int(kern::FileSystemType*)> register_filesystem;
+    kern::ImportFn<kern::kRegisterFilesystem> register_filesystem;
   };
   auto st = std::make_shared<FailFsState>();
   kern::ModuleDef def;
   def.name = "failfs";
   def.data_size = sizeof(kern::FileSystemType);
-  def.imports = {"register_filesystem", "unregister_filesystem", "printk"};
+  def.imports = {kern::kRegisterFilesystem, kern::kUnregisterFilesystem, kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction("failfs_mount", kern::kFsMount,
                             [st](kern::FileSystemType*, kern::SuperBlock*, kern::Dentry*) {
@@ -217,7 +217,7 @@ TEST(FailureInjection, MountFailureAfterRegisterFilesystem) {
                             [st](kern::FileSystemType*, kern::SuperBlock*) { ++st->kill_calls; }),
   };
   def.init = [st](kern::Module& m) -> int {
-    st->register_filesystem = lxfi::GetImport<int, kern::FileSystemType*>(m, "register_filesystem");
+    st->register_filesystem = lxfi::GetImport(m, kern::kRegisterFilesystem);
     auto* fstype = static_cast<kern::FileSystemType*>(m.data());
     lxfi::Store(m, &fstype->name, static_cast<const char*>("failfs"));
     lxfi::Store(m, &fstype->mount, m.FuncAddr("failfs_mount"));
@@ -257,18 +257,18 @@ TEST(FailureInjection, BwriteWindowOpenAtViolationStaysConsistent) {
   ASSERT_NE(dev, nullptr);
 
   struct BwState {
-    std::function<kern::BlockDevice*(const char*)> get_device;
-    std::function<kern::CachedPage*(kern::BlockDevice*, uint64_t)> bwrite;
-    std::function<int(kern::CachedPage*)> bwrite_done;
+    kern::ImportFn<kern::kDmGetDevice> get_device;
+    kern::ImportFn<kern::kPcBwrite> bwrite;
+    kern::ImportFn<kern::kPcBwriteDone> bwrite_done;
   };
   auto st = std::make_shared<BwState>();
   kern::ModuleDef def;
   def.name = "bwriter";
-  def.imports = {"dm_get_device", "pc_bwrite", "pc_bwrite_done", "printk"};
+  def.imports = {kern::kDmGetDevice, kern::kPcBwrite, kern::kPcBwriteDone, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
-    st->get_device = lxfi::GetImport<kern::BlockDevice*, const char*>(m, "dm_get_device");
-    st->bwrite = lxfi::GetImport<kern::CachedPage*, kern::BlockDevice*, uint64_t>(m, "pc_bwrite");
-    st->bwrite_done = lxfi::GetImport<int, kern::CachedPage*>(m, "pc_bwrite_done");
+    st->get_device = lxfi::GetImport(m, kern::kDmGetDevice);
+    st->bwrite = lxfi::GetImport(m, kern::kPcBwrite);
+    st->bwrite_done = lxfi::GetImport(m, kern::kPcBwriteDone);
     return 0;
   };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));

@@ -170,7 +170,7 @@ struct Rig {
     });
     kern::ModuleDef def;
     def.name = "diffmod";
-    def.imports = {"printk"};
+    def.imports = {kern::kPrintk};
     def.init = [](kern::Module&) { return 0; };
     module = kernel->LoadModule(std::move(def));
     EXPECT_NE(module, nullptr);
@@ -483,17 +483,17 @@ TEST(GuardProgram, WrapperCrossingsTransferCapabilities) {
   lxfi::InstallKernelApi(kernel.get(), rt.get());
 
   kern::Module* module = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<void(uintptr_t*)> spin_lock;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kSpinLock> spin_lock;
   kern::ModuleDef def;
   def.name = "xmod";
-  def.imports = {"kmalloc", "kfree", "spin_lock"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSpinLock};
   def.init = [&](kern::Module& m) -> int {
     module = &m;
-    kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    spin_lock = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock");
+    kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    kfree = lxfi::GetImport(m, kern::kKfree);
+    spin_lock = lxfi::GetImport(m, kern::kSpinLock);
     return 0;
   };
   ASSERT_NE(kernel->LoadModule(std::move(def)), nullptr);

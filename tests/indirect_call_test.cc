@@ -38,7 +38,7 @@ kern::ModuleDef SlotModuleDef(std::shared_ptr<SlotState> st) {
   kern::ModuleDef def;
   def.name = "slotmod";
   def.data_size = sizeof(SlotData);
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction("good_ioctl", kern::kProtoIoctl,
                             [](kern::Socket*, unsigned, uintptr_t) { return 123; }),
@@ -177,7 +177,7 @@ kern::ModuleDef OracleModuleDef(int i) {
   kern::ModuleDef def;
   def.name = "oracle" + std::to_string(i);
   def.data_size = 64;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.functions = {
       lxfi::DeclareFunction("ioctl", kern::kProtoIoctl,
                             [](kern::Socket*, unsigned, uintptr_t) { return 0; }),

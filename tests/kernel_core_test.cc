@@ -2,8 +2,12 @@
 // interrupts, module loading basics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <type_traits>
+
 #include "src/kernel/kernel.h"
 #include "src/kernel/panic.h"
+#include "src/kernel/timer.h"
 #include "src/lxfi/kernel_api.h"
 #include "tests/testbench.h"
 
@@ -96,11 +100,44 @@ TEST(FuncRegistry, AddressRangesAreDisjoint) {
   EXPECT_TRUE(kern::IsUserAddress(u));
 }
 
+constexpr kern::KernelSymbol<int()> kAnswer{"answer"};
+
+// An export handle and a function-pointer-type handle never pass for each
+// other, and an import binds exactly the export's signature.
+static_assert(!std::is_convertible_v<decltype(kern::kKmalloc), kern::FnPtrTypeId>);
+static_assert(!std::is_convertible_v<decltype(kern::kTimerFn), kern::KernelSymbolId>);
+static_assert(std::is_same_v<kern::ImportFn<kern::kKmalloc>, std::function<void*(size_t)>>);
+
 TEST(SymbolTable, ExportAndFind) {
   kern::Kernel k;
-  uintptr_t addr = k.ExportSymbol<int()>("answer", [] { return 42; });
+  uintptr_t addr = k.ExportSymbol(kAnswer, [] { return 42; });
   EXPECT_EQ(k.symtab().Find("answer"), addr);
+  EXPECT_EQ(k.funcs().Invoke<int>(addr), 42);
   EXPECT_EQ(k.symtab().Find("nope"), 0u);
+}
+
+// Every export is installed with its contract: after an isolating install
+// each symbol has an annotation set, and a stock install exports the same
+// names at the same kernel-text addresses.
+TEST(KernelApi, EveryExportCarriesItsContract) {
+  Bench isolated(/*isolated=*/true);
+  Bench stock(/*isolated=*/false);
+  const auto& symbols = isolated.kernel->symtab().symbols();
+  EXPECT_FALSE(symbols.empty());
+  for (const auto& [name, addr] : symbols) {
+    EXPECT_NE(isolated.rt->annotations().Find(name), nullptr) << name;
+  }
+  EXPECT_EQ(stock.kernel->symtab().symbols(), symbols);
+}
+
+TEST(KernelApi, ExportRefusesAParameterListOfTheWrongLength) {
+  Bench bench(/*isolated=*/true);
+  size_t funcs = bench.kernel->funcs().size();
+  EXPECT_THROW(lxfi::Export(bench.kernel.get(), bench.rt.get(), kAnswer, {"x"}, "",
+                            [] { return 42; }),
+               kern::KernelPanic);
+  EXPECT_EQ(bench.kernel->symtab().Find("answer"), 0u);
+  EXPECT_EQ(bench.kernel->funcs().size(), funcs);
 }
 
 TEST(UserSpace, CheckedCopiesRespectBounds) {
@@ -175,7 +212,7 @@ TEST(ModuleLoader, InitFailureUnwindsLoad) {
   Bench bench(/*isolated=*/true);
   kern::ModuleDef def;
   def.name = "failmod";
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.init = [](kern::Module&) { return -kern::kEnomem; };
   EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
   EXPECT_EQ(bench.kernel->FindModule("failmod"), nullptr);
@@ -187,7 +224,7 @@ TEST(ModuleLoader, SectionInitAndRelocOrdering) {
   kern::ModuleDef def;
   def.name = "ordmod";
   def.data_size = 16;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.init_sections = [&](kern::Module&) {
     EXPECT_EQ(stage, 0);
     stage = 1;
@@ -210,7 +247,7 @@ TEST(ModuleLoader, UnloadRunsExit) {
   bool exited = false;
   kern::ModuleDef def;
   def.name = "exmod";
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.init = [](kern::Module&) { return 0; };
   def.exit_fn = [&](kern::Module&) { exited = true; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));

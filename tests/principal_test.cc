@@ -20,7 +20,7 @@ class PrincipalTest : public ::testing::Test {
   PrincipalTest() : bench_(/*isolated=*/true) {
     kern::ModuleDef def;
     def.name = "pmod";
-    def.imports = {"printk"};
+    def.imports = {kern::kPrintk};
     def.init = [](kern::Module&) { return 0; };
     module_ = bench_.kernel->LoadModule(std::move(def));
   }

@@ -52,7 +52,7 @@ TEST_P(CapAlgebraProperty, RandomGrantRevokeSequence) {
   for (int i = 0; i < 3; ++i) {
     kern::ModuleDef def;
     def.name = names[i];
-    def.imports = {"printk"};
+    def.imports = {kern::kPrintk};
     def.data_size = data_sizes[i];
     def.init = [](kern::Module&) { return 0; };
     kern::Module* m = bench.kernel->LoadModule(std::move(def));
@@ -253,16 +253,16 @@ class AllocProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(AllocProperty, OwnershipMatchesLiveness) {
   Bench bench(/*isolated=*/true);
   struct St {
-    std::function<void*(size_t)> kmalloc;
-    std::function<void(void*)> kfree;
+    kern::ImportFn<kern::kKmalloc> kmalloc;
+    kern::ImportFn<kern::kKfree> kfree;
   };
   auto st = std::make_shared<St>();
   kern::ModuleDef def;
   def.name = "allocprop";
-  def.imports = {"kmalloc", "kfree", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
     return 0;
   };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));

@@ -18,21 +18,21 @@ using lxfitest::Bench;
 // A configurable scratch module for driving runtime behavior from tests.
 struct ScratchState {
   kern::Module* m = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<void(uintptr_t*)> spin_lock_init;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kSpinLockInit> spin_lock_init;
 };
 
 kern::ModuleDef ScratchDef(std::shared_ptr<ScratchState> st, const char* name = "scratch") {
   kern::ModuleDef def;
   def.name = name;
   def.data_size = 128;
-  def.imports = {"kmalloc", "kfree", "spin_lock_init", "printk"};
+  def.imports = {kern::kKmalloc, kern::kKfree, kern::kSpinLockInit, kern::kPrintk};
   def.init = [st](kern::Module& m) -> int {
     st->m = &m;
-    st->kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-    st->kfree = lxfi::GetImport<void, void*>(m, "kfree");
-    st->spin_lock_init = lxfi::GetImport<void, uintptr_t*>(m, "spin_lock_init");
+    st->kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+    st->kfree = lxfi::GetImport(m, kern::kKfree);
+    st->spin_lock_init = lxfi::GetImport(m, kern::kSpinLockInit);
     return 0;
   };
   return def;
@@ -120,8 +120,7 @@ TEST_F(RuntimeTest, SpinLockInitContractEnforced) {
 
 TEST_F(RuntimeTest, UndeclaredImportIsRejected) {
   lxfi::ScopedPrincipal as_module(&rt(), ctx()->shared());
-  EXPECT_THROW((lxfi::GetImport<void, kern::Task*>(*module_, "detach_pid")),
-               lxfi::LxfiViolation);
+  EXPECT_THROW(lxfi::GetImport(*module_, kern::kDetachPid), lxfi::LxfiViolation);
 }
 
 TEST_F(RuntimeTest, TrustedContextBypassesModuleChecks) {
@@ -235,46 +234,67 @@ TEST_F(RuntimeTest, ModuleUnloadDropsDispatchAndContext) {
   EXPECT_EQ(rt().CtxOf(module_), nullptr);
 }
 
+// A refused load leaves no trace: no principal, no module text, and no
+// DumpState row naming the module.
+void ExpectRefusedWithoutTrace(Bench& bench, kern::ModuleDef def) {
+  std::string name = def.name;
+  size_t funcs = bench.kernel->funcs().size();
+  EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
+  size_t principals = 0;
+  bench.rt->VisitPrincipals([&principals](lxfi::Principal*) { ++principals; });
+  EXPECT_EQ(principals, 0u);
+  EXPECT_EQ(bench.rt->DumpState().find(name), std::string::npos);
+  EXPECT_EQ(bench.kernel->funcs().size(), funcs);
+}
+
+constexpr kern::KernelSymbol<void()> kNonexistent{"nonexistent_symbol"};
+constexpr kern::KernelSymbol<void()> kMysteryFn{"mystery_fn"};
+
 TEST(RuntimeLoad, RejectsUnknownImport) {
   Bench bench(/*isolated=*/true);
   kern::ModuleDef def;
-  def.name = "bad";
-  def.imports = {"nonexistent_symbol"};
-  EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
+  def.name = "refused_unknown_import";
+  def.imports = {kern::kPrintk, kNonexistent};
+  ExpectRefusedWithoutTrace(bench, std::move(def));
 }
 
 TEST(RuntimeLoad, RejectsUnannotatedImportSafeDefault) {
   Bench bench(/*isolated=*/true);
   // Export a symbol with NO annotations: §2.2's safe default means a module
   // importing it must be refused.
-  bench.kernel->ExportSymbol<void()>("mystery_fn", [] {});
+  bench.kernel->ExportSymbol(kMysteryFn, [] {});
   kern::ModuleDef def;
-  def.name = "bad";
-  def.imports = {"mystery_fn"};
-  EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
+  def.name = "refused_unannotated_import";
+  def.imports = {kern::kPrintk, kMysteryFn};
+  ExpectRefusedWithoutTrace(bench, std::move(def));
 }
 
 TEST(RuntimeLoad, StockKernelAcceptsAnything) {
   Bench bench(/*isolated=*/false);
-  bench.kernel->ExportSymbol<void()>("mystery_fn", [] {});
+  bench.kernel->ExportSymbol(kMysteryFn, [] {});
   kern::ModuleDef def;
   def.name = "anything";
-  def.imports = {"mystery_fn"};
+  def.imports = {kMysteryFn};
   EXPECT_NE(bench.kernel->LoadModule(std::move(def)), nullptr);
 }
 
 TEST(RuntimeLoad, ConflictingAnnotationPropagationRejected) {
   Bench bench(/*isolated=*/true);
   // Function registered with annotations that differ from its declared
-  // function-pointer type: the multi-source consistency check must fire.
+  // function-pointer type: the multi-source consistency check must fire,
+  // and the valid function before it must not stay registered.
   ASSERT_TRUE(bench.rt->annotations()
                   .Register("conflicted_fn", {"x"}, "pre(check(write, x, 8))")
                   .ok());
   kern::ModuleDef def;
-  def.name = "conflicted";
-  def.functions = {lxfi::DeclareFunction("conflicted_fn", kern::kProtoRelease,
-                                         [](kern::Socket*) { return 0; })};
-  EXPECT_EQ(bench.kernel->LoadModule(std::move(def)), nullptr);
+  def.name = "refused_conflicted";
+  def.imports = {kern::kPrintk};
+  def.functions = {
+      lxfi::DeclareFunction("valid_fn", kern::kProtoRelease, [](kern::Socket*) { return 0; }),
+      lxfi::DeclareFunction("conflicted_fn", kern::kProtoRelease,
+                            [](kern::Socket*) { return 0; }),
+  };
+  ExpectRefusedWithoutTrace(bench, std::move(def));
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ TEST(LxfiStatsDifferential, CrossingsMatchFunctionExitGuards) {
   kern::ModuleDef def;
   def.name = "diffmod";
   def.data_size = 16;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.functions = {lxfi::DeclareFunction("tick", kStatTick, [&hits](void*) { ++hits; })};
   def.init = [](kern::Module&) { return 0; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));
@@ -286,7 +286,7 @@ TEST(FlightRecorder, AttributesPrincipalAndFaultAddress) {
   kern::ModuleDef def;
   def.name = "golden";
   def.data_size = 16;
-  def.imports = {"printk"};
+  def.imports = {kern::kPrintk};
   def.init = [](kern::Module&) { return 0; };
   kern::Module* m = bench.kernel->LoadModule(std::move(def));
   ASSERT_NE(m, nullptr);

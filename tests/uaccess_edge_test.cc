@@ -27,13 +27,14 @@ struct UaccessRig {
   UaccessRig() : bench(/*isolated=*/true) {
     kern::ModuleDef def;
     def.name = "uamod";
-    def.imports = {"kmalloc", "kfree", "copy_from_user", "copy_to_user", "printk"};
+    def.imports = {kern::kKmalloc, kern::kKfree, kern::kCopyFromUser, kern::kCopyToUser,
+                   kern::kPrintk};
     def.init = [this](kern::Module& m) -> int {
       module = &m;
-      kmalloc = lxfi::GetImport<void*, size_t>(m, "kmalloc");
-      kfree = lxfi::GetImport<void, void*>(m, "kfree");
-      copy_from_user = lxfi::GetImport<int, void*, uintptr_t, size_t>(m, "copy_from_user");
-      copy_to_user = lxfi::GetImport<int, uintptr_t, const void*, size_t>(m, "copy_to_user");
+      kmalloc = lxfi::GetImport(m, kern::kKmalloc);
+      kfree = lxfi::GetImport(m, kern::kKfree);
+      copy_from_user = lxfi::GetImport(m, kern::kCopyFromUser);
+      copy_to_user = lxfi::GetImport(m, kern::kCopyToUser);
       buf = static_cast<uint8_t*>(kmalloc(64));
       return buf != nullptr ? 0 : -kern::kEnomem;
     };
@@ -44,10 +45,10 @@ struct UaccessRig {
 
   Bench bench;
   kern::Module* module = nullptr;
-  std::function<void*(size_t)> kmalloc;
-  std::function<void(void*)> kfree;
-  std::function<int(void*, uintptr_t, size_t)> copy_from_user;
-  std::function<int(uintptr_t, const void*, size_t)> copy_to_user;
+  kern::ImportFn<kern::kKmalloc> kmalloc;
+  kern::ImportFn<kern::kKfree> kfree;
+  kern::ImportFn<kern::kCopyFromUser> copy_from_user;
+  kern::ImportFn<kern::kCopyToUser> copy_to_user;
   uint8_t* buf = nullptr;  // 64 granted bytes
 };
 
