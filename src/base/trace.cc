@@ -1,69 +1,20 @@
 #include "src/base/trace.h"
 
+#include <algorithm>
+
 namespace lxfi {
 
 const char* TraceEventName(TraceEvent event) {
-  switch (event) {
-    case TraceEvent::kNone:
-      return "none";
-    case TraceEvent::kGuardEnter:
-      return "guard-enter";
-    case TraceEvent::kGuardExit:
-      return "guard-exit";
-    case TraceEvent::kViolation:
-      return "violation";
-    case TraceEvent::kCapGrant:
-      return "cap-grant";
-    case TraceEvent::kCapRevoke:
-      return "cap-revoke";
-    case TraceEvent::kCapTransfer:
-      return "cap-transfer";
-    case TraceEvent::kEpochBump:
-      return "epoch-bump";
-    case TraceEvent::kMemoInvalidate:
-      return "memo-invalidate";
-    case TraceEvent::kEpochRetire:
-      return "epoch-retire";
-    case TraceEvent::kEpochReclaim:
-      return "epoch-reclaim";
-    case TraceEvent::kModuleLoad:
-      return "module-load";
-    case TraceEvent::kModuleUnload:
-      return "module-unload";
-    case TraceEvent::kPrincipalCreate:
-      return "principal-create";
-    case TraceEvent::kPrincipalDrop:
-      return "principal-drop";
-    case TraceEvent::kPrincipalAlias:
-      return "principal-alias";
-    case TraceEvent::kHeapSeal:
-      return "heap-seal";
-    case TraceEvent::kDcacheHit:
-      return "dcache-hit";
-    case TraceEvent::kDcacheMiss:
-      return "dcache-miss";
-    case TraceEvent::kDcacheRetry:
-      return "dcache-retry";
-    case TraceEvent::kPagecacheHit:
-      return "pagecache-hit";
-    case TraceEvent::kPagecacheMiss:
-      return "pagecache-miss";
-    case TraceEvent::kBioSubmit:
-      return "bio-submit";
-    case TraceEvent::kBioComplete:
-      return "bio-complete";
-    case TraceEvent::kQuarantine:
-      return "quarantine";
-    case TraceEvent::kMicroreboot:
-      return "microreboot";
-    case TraceEvent::kRebootFailed:
-      return "reboot-failed";
-    case TraceEvent::kArenaFallback:
-      return "arena-fallback";
-    case TraceEvent::kCount:
-      break;
-  }
-  return "?";
+  // In TraceEvent order.
+  static constexpr const char* kNames[] = {
+      "none", "guard-enter", "guard-exit", "violation", "cap-grant", "cap-revoke", "cap-transfer",
+      "epoch-bump", "epoch-retire", "epoch-reclaim", "module-load", "module-unload",
+      "principal-create", "principal-drop", "principal-alias", "heap-seal", "dcache-hit",
+      "dcache-miss", "dcache-retry", "pagecache-hit", "pagecache-miss", "bio-submit",
+      "bio-complete", "quarantine", "microreboot", "reboot-failed", "arena-fallback"};
+  static_assert(sizeof(kNames) / sizeof(kNames[0]) == static_cast<size_t>(TraceEvent::kCount));
+  auto i = static_cast<size_t>(event);
+  return i < static_cast<size_t>(TraceEvent::kCount) ? kNames[i] : "?";
 }
 
 uint32_t MintPrincipalTraceId() {
@@ -78,8 +29,10 @@ TraceBuffer& TraceBuffer::Global() {
   return instance;
 }
 
-size_t TraceBuffer::Drain(std::vector<TraceRecord>* out) {
+template <typename Take>
+size_t TraceBuffer::DrainWith(size_t max, Take take) {
   SpinGuard guard(drain_mu_);
+  const TickLine line = TickCalibration::Global().Reanchor();
   size_t drained = 0;
   for (Shard& shard : shards_) {
     // Acquire the head once: everything the writer published before that
@@ -87,33 +40,24 @@ size_t TraceBuffer::Drain(std::vector<TraceRecord>* out) {
     // next drain — the epoch-safe cut.
     uint64_t head = shard.head.load(std::memory_order_acquire);
     uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    for (uint64_t i = tail; i != head; ++i) {
-      out->push_back(shard.slots[i & (kRingCapacity - 1)]);
-      ++drained;
+    for (; tail != head && drained < max; ++tail, ++drained) {
+      TraceRecord rec = shard.slots[tail & (kRingCapacity - 1)];
+      rec.ts_ns = shard.last_ns = std::max(line.ToNs(rec.ts_ns), shard.last_ns);
+      take(rec);
     }
     // Release the tail: the writer's acquire load sees the slots are free
     // only after our reads of them completed.
-    shard.tail.store(head, std::memory_order_release);
+    shard.tail.store(tail, std::memory_order_release);
   }
   return drained;
 }
 
+size_t TraceBuffer::Drain(std::vector<TraceRecord>* out) {
+  return DrainWith(SIZE_MAX, [out](const TraceRecord& rec) { out->push_back(rec); });
+}
+
 size_t TraceBuffer::DrainInto(TraceRecord* out, size_t max) {
-  SpinGuard guard(drain_mu_);
-  size_t drained = 0;
-  for (Shard& shard : shards_) {
-    uint64_t head = shard.head.load(std::memory_order_acquire);
-    uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    while (tail != head && drained < max) {
-      out[drained++] = shard.slots[tail & (kRingCapacity - 1)];
-      ++tail;
-    }
-    shard.tail.store(tail, std::memory_order_release);
-    if (drained == max) {
-      break;
-    }
-  }
-  return drained;
+  return DrainWith(max, [&out](const TraceRecord& rec) { *out++ = rec; });
 }
 
 void TraceBuffer::ResetForTest() {

@@ -8,6 +8,12 @@
 // drained stream plus the drop counters accounts for every emitted record
 // exactly — the property the storm test asserts.
 //
+// Stamps are CycleNow() ticks (an rdtsc), not nanoseconds: a record costs
+// the cycle read and a few stores. Drain and DrainInto convert each stamp to
+// MonotonicNowNs's timebase through a TickCalibration line re-anchored at
+// that drain, and clamp a shard's drained stamps to be non-decreasing (two
+// drains' lines may disagree by the anchors' read jitter).
+//
 // Cost when disabled: TRACE_EVENT compiles to one relaxed load of a
 // process-wide flag plus a predictable not-taken branch — the static-key
 // discipline. Argument expressions are not evaluated when tracing is off.
@@ -41,9 +47,8 @@ enum class TraceEvent : uint16_t {
   // Capability lifecycle (runtime.cc).
   kCapGrant,         // arg0 = cap addr, arg1 = cap size (CALL/REF: 0)
   kCapRevoke,        // arg0 = cap addr, arg1 = cap size
-  kCapTransfer,      // arg0 = cap addr, arg1 = cap size
+  kCapTransfer,      // arg0 = cap addr, arg1 = cap size | kTraceToModule
   kEpochBump,        // arg0 = new revocation epoch (cap_table.h)
-  kMemoInvalidate,   // arg0 = &EnforcementContext, arg1 = stale epoch
   // RCU-style reclamation (sync.cc).
   kEpochRetire,      // arg0 = retirement epoch, arg1 = pending retirees
   kEpochReclaim,     // arg0 = min seen epoch, arg1 = deleters run
@@ -73,10 +78,14 @@ enum class TraceEvent : uint16_t {
 
 const char* TraceEventName(TraceEvent event);
 
+// Capability records pack arg1 as size | kind << 56; a kCapTransfer's bit 55
+// says the capability flowed to the module principal (kernel -> module).
+inline constexpr uint64_t kTraceToModule = 1ull << 55;
+
 // 32-byte fixed-width record. `principal` is the emitting principal's
 // minted trace id (see MintPrincipalTraceId; 0 = trusted kernel context).
 struct TraceRecord {
-  uint64_t ts_ns;
+  uint64_t ts_ns;  // CycleNow() ticks while in a ring; ns once drained
   uint32_t principal;
   uint16_t cpu;
   uint16_t event;
@@ -96,6 +105,8 @@ class TraceBuffer {
   static constexpr size_t kRingCapacity = 4096;
 
   static TraceBuffer& Global();
+  // Takes the calibration's origin no later than the first stamp.
+  TraceBuffer() { TickCalibration::Global(); }
 
   // The static-key gate: one relaxed load, branch predictable when off.
   static bool EnabledRelaxed() { return enabled_.load(std::memory_order_relaxed); }
@@ -106,7 +117,8 @@ class TraceBuffer {
   // the slot is written with plain stores, then the head is published with
   // a release store the drainer acquires.
   void Emit(TraceEvent event, uint32_t principal, uint64_t arg0, uint64_t arg1) {
-    Shard& shard = shards_[ThisShardIndex()];
+    const int cpu = ThisShardIndex();
+    Shard& shard = shards_[cpu];
     uint64_t head = shard.head.load(std::memory_order_relaxed);
     uint64_t tail = shard.tail.load(std::memory_order_acquire);
     if (LXFI_UNLIKELY(head - tail >= kRingCapacity)) {
@@ -114,9 +126,9 @@ class TraceBuffer {
       return;
     }
     TraceRecord& rec = shard.slots[head & (kRingCapacity - 1)];
-    rec.ts_ns = MonotonicNowNs();
+    rec.ts_ns = CycleNow();
     rec.principal = principal;
-    rec.cpu = static_cast<uint16_t>(ThisShardIndex());
+    rec.cpu = static_cast<uint16_t>(cpu);
     rec.event = static_cast<uint16_t>(event);
     rec.arg0 = arg0;
     rec.arg1 = arg1;
@@ -129,7 +141,7 @@ class TraceBuffer {
   // Serialized against other drainers by the drain lock.
   size_t Drain(std::vector<TraceRecord>* out);
 
-  // Drains up to `max` records (round-robin across shards) into a caller
+  // Drains up to `max` records (shard by shard) into a caller
   // buffer — the kernel-export form a monitoring module polls through.
   size_t DrainInto(TraceRecord* out, size_t max);
 
@@ -154,7 +166,12 @@ class TraceBuffer {
     alignas(kCacheLineSize) std::atomic<uint64_t> head{0};
     RelaxedCell drops;  // owner-written, exact per shard
     alignas(kCacheLineSize) std::atomic<uint64_t> tail{0};
+    uint64_t last_ns = 0;  // drainer-owned: the last stamp drained
   };
+
+  // The one drain loop: up to `max` records, stamps converted, to `take`.
+  template <typename Take>
+  size_t DrainWith(size_t max, Take take);
 
   Shard shards_[kMaxCpuShards];
   Spinlock drain_mu_;  // serializes drainers (tail writers)

@@ -35,7 +35,8 @@
 //
 // Memo soundness: memos cache *positive* answers only, and every capability
 // removal anywhere bumps the process-wide RevocationEpoch, which invalidates
-// all memos at once (see cap_table.h). Grants never invalidate — more
+// all memos at once (see cap_table.h); a probe that finds an entry stale
+// parks it and counts it in memo_invalidations. Grants never invalidate — more
 // authority cannot make a cached "allowed" wrong. Under SMP the fill
 // protocol records the epoch observed *before* the validating table probe:
 // if a revoke interleaves with the probe, the memo is created already
@@ -46,7 +47,6 @@
 
 #include "src/base/compiler.h"
 #include "src/base/sync.h"
-#include "src/base/trace.h"
 #include "src/lxfi/cap_table.h"
 
 namespace lxfi {
@@ -63,7 +63,8 @@ struct alignas(kCacheLineSize) EnforcementContext {
   uintptr_t call_target[2] = {0, 0};
   uint64_t call_epoch[2] = {0, 0};
   uint8_t call_mru = 0;
-  uint8_t pre_mru = 0;  // pre_memo's LRU bit; sits in this line's padding
+  uint8_t pre_mru = 0;            // pre_memo's LRU bit and argument counts:
+  uint8_t pre_nargs[2] = {0, 0};  // both sit in this line's padding
 
   // Guard counters (always on; single-writer per shard, race-free reads).
   RelaxedCell write_checks;
@@ -113,7 +114,6 @@ struct alignas(kCacheLineSize) EnforcementContext {
   struct PreMemoEntry {
     const void* program = nullptr;
     uint64_t args[kPreMemoArgs] = {};
-    uint32_t nargs = 0;
     uint64_t epoch = 0;
   };
   PreMemoEntry pre_memo[2];
@@ -122,16 +122,18 @@ struct alignas(kCacheLineSize) EnforcementContext {
   // is also traced (kArenaFallback) and revoked at quarantine. Cold, so it
   // takes the tail slot and leaves the hot fields where they were.
   RelaxedCell arena_fallbacks;
+  // Memo entries a probe found stale and parked, once each: counted, not
+  // traced, so a revoke costs no record per memo it stales. Cold too.
+  RelaxedCell memo_invalidations;
 
   bool WriteMemoHit(uintptr_t addr, size_t size) {
     if (LXFI_UNLIKELY(write_epoch != RevocationEpoch::CurrentRelaxed())) {
       // Lazy invalidation observed: the memo was filled under an epoch a
       // revocation has since bumped. Reset it to the at-rest sentinel so the
-      // invalidation traces exactly once instead of on every subsequent
+      // invalidation counts exactly once instead of on every subsequent
       // probe (behavior-neutral: a stale memo never hits anyway).
       if (write_lo <= write_hi) {
-        TRACE_EVENT(TraceEvent::kMemoInvalidate, 0, reinterpret_cast<uintptr_t>(this),
-                    write_epoch);
+        ++memo_invalidations;
         write_lo = 1;
         write_hi = 0;
       }
@@ -159,11 +161,9 @@ struct alignas(kCacheLineSize) EnforcementContext {
         return true;
       }
       if (LXFI_UNLIKELY(call_epoch[e] != now && call_epoch[e] != 0)) {
-        // Same lazy-invalidation trace as the WRITE memo: fire once per
-        // stale entry, then park it (epoch 0 never validates — the live
-        // epoch counter starts at 1).
-        TRACE_EVENT(TraceEvent::kMemoInvalidate, 0, reinterpret_cast<uintptr_t>(this),
-                    call_epoch[e]);
+        // Same lazy invalidation as the WRITE memo: count, then park (epoch
+        // 0 never validates — the live epoch counter starts at 1).
+        ++memo_invalidations;
         call_epoch[e] = 0;
       }
     }
@@ -185,7 +185,7 @@ struct alignas(kCacheLineSize) EnforcementContext {
     uint64_t now = RevocationEpoch::CurrentRelaxed();
     for (uint8_t e = 0; e < 2; ++e) {
       const PreMemoEntry& m = pre_memo[e];
-      if (m.epoch != now || m.program != program || m.nargs != nargs) {
+      if (m.epoch != now || m.program != program || pre_nargs[e] != nargs) {
         continue;
       }
       bool match = true;
@@ -204,7 +204,7 @@ struct alignas(kCacheLineSize) EnforcementContext {
     uint8_t victim = pre_mru ^ 1;
     PreMemoEntry& m = pre_memo[victim];
     m.program = program;
-    m.nargs = static_cast<uint32_t>(nargs);
+    pre_nargs[victim] = static_cast<uint8_t>(nargs);
     for (size_t i = 0; i < nargs; ++i) {
       m.args[i] = args[i];
     }
@@ -212,5 +212,7 @@ struct alignas(kCacheLineSize) EnforcementContext {
     pre_mru = victim;
   }
 };
+// A principal holds kMaxCpuShards of these: a seventh line costs it 512 B.
+static_assert(sizeof(EnforcementContext) == 6 * kCacheLineSize);
 
 }  // namespace lxfi

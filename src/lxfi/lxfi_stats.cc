@@ -31,6 +31,7 @@ std::vector<LxfiStats::PrincipalMetrics> LxfiStats::Collect(const Runtime& rt) {
       m.pre_checks += ec.pre_checks.value();
       m.pre_memo_hits += ec.pre_memo_hits.value();
       m.arena_fallbacks += ec.arena_fallbacks.value();
+      m.memo_invalidations += ec.memo_invalidations.value();
     }
     out.push_back(std::move(m));
   });
@@ -92,6 +93,7 @@ std::string LxfiStats::DumpJson(const Runtime& rt, const std::string& tag) {
     AppendField(&out, "pre_checks", m.pre_checks, &first);
     AppendField(&out, "pre_memo_hits", m.pre_memo_hits, &first);
     AppendField(&out, "arena_fallbacks", m.arena_fallbacks, &first);
+    AppendField(&out, "memo_invalidations", m.memo_invalidations, &first);
     for (size_t b = 0; b < EnforcementContext::kCrossingHistBuckets; ++b) {
       if (m.hist[b] != 0) {
         AppendField(&out, StrFormat("hist_2e%zu_ns", b).c_str(), m.hist[b], &first);

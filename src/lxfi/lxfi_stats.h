@@ -12,8 +12,8 @@
 // monitoring module under enforcement.
 //
 // Enable gate: same static-key discipline as TRACE_EVENT — one relaxed
-// load + predictable branch per crossing when off (timing costs two clock
-// reads per crossing when on, which is why it is not always-on).
+// load + predictable branch per crossing when off; when on, two CycleNow()
+// reads (clock.h, the stamps lxfi-trace takes) time each crossing.
 #pragma once
 
 #include <atomic>
@@ -65,6 +65,8 @@ class LxfiStats {
     // partition slot was exhausted (each one is also a kArenaFallback trace
     // event and a containment revocation).
     uint64_t arena_fallbacks = 0;
+    // Stale memo entries parked by a probe (enforcement_context.h).
+    uint64_t memo_invalidations = 0;
   };
 
   static std::vector<PrincipalMetrics> Collect(const Runtime& rt);

@@ -21,6 +21,10 @@ namespace {
 // Attribution key for trace records: minted principal id, 0 for the trusted
 // kernel (no principal).
 uint32_t TraceIdOf(const Principal* p) { return p != nullptr ? p->trace_id() : 0; }
+// A capability record's arg1 (trace.h): size | kind << 56.
+uint64_t CapTraceArg(const Capability& cap) {
+  return static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56);
+}
 }  // namespace
 
 const char* ViolationKindName(ViolationKind kind) {
@@ -407,8 +411,7 @@ void Runtime::OnInterruptExit(kern::KthreadContext* ctx) {
 // --- capability operations ----------------------------------------------------
 
 void Runtime::Grant(Principal* p, const Capability& cap) {
-  TRACE_EVENT(TraceEvent::kCapGrant, p->trace_id(), cap.addr,
-              static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
+  TRACE_EVENT(TraceEvent::kCapGrant, p->trace_id(), cap.addr, CapTraceArg(cap));
   GrantQuiet(p, cap);
 }
 
@@ -468,8 +471,11 @@ bool Runtime::Owns(Principal* p, const Capability& cap) const {
 }
 
 void Runtime::RevokeEverywhere(const Capability& cap) {
-  TRACE_EVENT(TraceEvent::kCapRevoke, 0, cap.addr,
-              static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
+  TRACE_EVENT(TraceEvent::kCapRevoke, 0, cap.addr, CapTraceArg(cap));
+  RevokeEverywhereQuiet(cap);
+}
+
+void Runtime::RevokeEverywhereQuiet(const Capability& cap) {
   stats_.Count(RuntimeCounter::kRevokes);
   // The holder list is copied under the index lock and walked after it is
   // released (lock order: principal, then index). Each holder is
@@ -926,7 +932,7 @@ void Runtime::ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& e
       break;
     case Action::Op::kTransfer:
       TRACE_EVENT(TraceEvent::kCapTransfer, TraceIdOf(env.principal), cap.addr,
-                  static_cast<uint64_t>(cap.size) | (static_cast<uint64_t>(cap.kind) << 56));
+                  CapTraceArg(cap) | (from_module ? 0 : kTraceToModule));
       if (from_module) {
         if (!OwnsForEnforcement(env.principal, cap)) {
           RaiseViolation(ViolationKind::kCapCheck,
@@ -935,10 +941,10 @@ void Runtime::ApplyOneCap(Action::Op op, const Capability& cap, const CallEnv& e
                                    cap.ToString().c_str()),
                          cap.addr);
         }
-        RevokeEverywhere(cap);
+        RevokeEverywhereQuiet(cap);
       } else {
-        RevokeEverywhere(cap);
-        Grant(env.principal, cap);
+        RevokeEverywhereQuiet(cap);
+        GrantQuiet(env.principal, cap);
       }
       break;
     case Action::Op::kIf:
@@ -1119,7 +1125,7 @@ uint64_t Runtime::WrapperEnter(Principal* switch_to, const char* what) {
   // Per-principal crossing metrics are a static key, same as tracing: one
   // relaxed load when off, a frame timestamp when on (read back at exit).
   if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
-    shadow->SetTopEnterNs(MonotonicNowNs());
+    shadow->SetTopEnterTicks(CycleNow());
   }
   TRACE_EVENT(TraceEvent::kGuardEnter,
               TraceIdOf(switch_to != nullptr ? switch_to : shadow->TopSavedPrincipal()), token,
@@ -1137,11 +1143,11 @@ void Runtime::WrapperExit(uint64_t token, const char* what) {
   // the crossing's CALL check already pulled into cache.
   uint64_t crossing_ns = 0;
   if (LXFI_UNLIKELY(LxfiStats::EnabledRelaxed())) {
-    uint64_t enter_ns = shadow->TopEnterNs();
+    uint64_t enter = shadow->TopEnterTicks();
     Principal* attributed =
         shadow->current != nullptr ? shadow->current : shadow->TopSavedPrincipal();
-    if (enter_ns != 0 && attributed != nullptr) {
-      crossing_ns = MonotonicNowNs() - enter_ns;
+    if (enter != 0 && attributed != nullptr) {
+      crossing_ns = TickCalibration::Global().DeltaToNs(CycleNow() - enter);
       attributed->ctx().CountCrossing(crossing_ns);
     }
   }

@@ -294,8 +294,10 @@ class Runtime : public kern::IsolationHooks {
   bool WriteTableProbe(Principal* p, EnforcementContext& ec, uintptr_t addr, size_t size);
   // Grant minus its kCapGrant trace record: the indexed table insert plus
   // writer-page attribution. Module load's initial CALL capabilities use it
-  // directly; the kModuleLoad record announces them.
+  // directly; the kModuleLoad record announces them. Likewise the revoke
+  // without its kCapRevoke record: a transfer's kCapTransfer announces both.
   void GrantQuiet(Principal* p, const Capability& cap);
+  void RevokeEverywhereQuiet(const Capability& cap);
 
   kern::Kernel* kernel_;
   RuntimeOptions options_;

@@ -21,7 +21,7 @@ class ShadowStack {
     uint64_t token;
     Principal* saved_principal;
     const char* what;  // wrapper label for diagnostics
-    uint64_t enter_ns; // crossing entry timestamp (0 unless metrics are on)
+    uint64_t enter_ticks;  // crossing entry CycleNow() (0 unless metrics are on)
   };
 
   // Pushes a frame and returns its token.
@@ -75,12 +75,12 @@ class ShadowStack {
   // Crossing-latency bookkeeping for the per-principal metrics (lxfi_stats):
   // WrapperEnter stamps the frame it just pushed, WrapperExit reads it back
   // before popping.
-  void SetTopEnterNs(uint64_t ns) {
+  void SetTopEnterTicks(uint64_t ticks) {
     if (!frames_.empty()) {
-      frames_.back().enter_ns = ns;
+      frames_.back().enter_ticks = ticks;
     }
   }
-  uint64_t TopEnterNs() const { return frames_.empty() ? 0 : frames_.back().enter_ns; }
+  uint64_t TopEnterTicks() const { return frames_.empty() ? 0 : frames_.back().enter_ticks; }
 
   // The principal the current innermost execution runs as.
   Principal* current = nullptr;

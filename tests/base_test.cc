@@ -1,7 +1,10 @@
 // Base-utility tests: arena, rng, strings, hashing, clocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/base/arena.h"
 #include "src/base/clock.h"
@@ -107,6 +110,65 @@ TEST(Clock, MonotonicAdvances) {
   uint64_t a = lxfi::MonotonicNowNs();
   uint64_t b = lxfi::MonotonicNowNs();
   EXPECT_GE(b, a);
+}
+
+// Tick -> ns conversion is pure arithmetic over injected anchors: no wall
+// clock is read.
+TEST(TickCalibration, ConvertsAlongTheLineFromTheOriginToTheLatestAnchor) {
+  lxfi::TickCalibration cal({1000, 5000});
+  lxfi::TickLine line = cal.Reanchor({3000, 6000});  // 1000 ns over 2000 ticks
+  EXPECT_EQ(line.ns_per_tick, 0.5);
+  EXPECT_EQ(line.ToNs(3000), 6000u) << "the anchor itself";
+  EXPECT_EQ(line.ToNs(2000), 5500u) << "a stamp taken before the anchor";
+  EXPECT_EQ(line.ToNs(5000), 7000u) << "a stamp taken after it";
+  EXPECT_EQ(cal.DeltaToNs(200), 100u);
+  EXPECT_EQ(cal.DeltaToNs(static_cast<uint64_t>(-200)), 0u) << "a negative delta reads 0";
+
+  // The next anchor refits the slope over the whole baseline from the origin.
+  line = cal.Reanchor({9000, 8000});  // 3000 ns over 8000 ticks
+  EXPECT_EQ(line.ns_per_tick, 0.375);
+  EXPECT_EQ(line.ToNs(1000), 5000u);
+  EXPECT_EQ(line.ToNs(8200), 7700u);
+  EXPECT_EQ(cal.DeltaToNs(800), 300u);
+
+  // An anchor no later than the origin cannot fit a slope: the last stays.
+  line = cal.Reanchor({1000, 5000});
+  EXPECT_EQ(line.ns_per_tick, 0.375);
+  EXPECT_EQ(line.ToNs(1800), 5300u);
+}
+
+TEST(TickCalibration, NanosecondTicksConvertToThemselves) {
+  // The no-TSC fallback: ticks are MonotonicNowNs() readings, so every
+  // anchor has ticks == ns and the line is the identity.
+  lxfi::TickCalibration cal({700, 700});
+  lxfi::TickLine line = cal.Reanchor({90700, 90700});
+  EXPECT_EQ(line.ns_per_tick, 1.0);
+  for (uint64_t ns : {700ull, 4242ull, 90700ull, 123456ull}) {
+    EXPECT_EQ(line.ToNs(ns), ns);
+  }
+}
+
+// The process-wide calibration: drainers refit the slope while any thread
+// converts crossing deltas. Under TSan this is the race check for the one
+// shared field.
+TEST(TickCalibration, GlobalRefitsRaceFreeAgainstConcurrentReaders) {
+  lxfi::TickCalibration& cal = lxfi::TickCalibration::Global();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&cal, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        EXPECT_GT(cal.Reanchor().ns_per_tick, 0.0);
+      }
+    });
+  }
+  for (int i = 0; i < 20000; ++i) {
+    EXPECT_LE(cal.DeltaToNs(1000), 1000000u);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : threads) {
+    t.join();
+  }
 }
 
 TEST(SimClock, ExplicitAdvance) {

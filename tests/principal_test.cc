@@ -2,6 +2,9 @@
 // accounting units.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/trace.h"
 #include "src/kernel/kernel.h"
 #include "src/lxfi/annotation_registry.h"
 #include "src/lxfi/guards.h"
@@ -117,6 +120,38 @@ TEST_F(PrincipalTest, PruneDropsOnlyStaleHolders) {
     rt.RevokeEverywhere(cap);
     EXPECT_FALSE(lxfitest::ReferenceRevokeEverywhere(rt, cap)) << "pruned a live holder";
   }
+}
+
+// A revoke stales every memo; the probe that finds an entry stale parks it
+// and counts one invalidation, and the trace gets no record for it.
+TEST_F(PrincipalTest, StaleMemoProbeCountsOneInvalidationAndTracesNothing) {
+  lxfi::Runtime& rt = *bench_.rt;
+  lxfi::Principal* p = ctx()->shared();
+  constexpr uintptr_t kObj = 0x7f0000003000;
+  constexpr uintptr_t kFn = 0x4242;
+  rt.Grant(p, Capability::Write(kObj, 64));
+  rt.Grant(p, Capability::Call(kFn));
+  ASSERT_TRUE(rt.OwnsWriteFast(p, kObj, 8));  // fills the WRITE memo
+  ASSERT_TRUE(rt.OwnsCallFast(p, kFn));       // fills one CALL memo entry
+  lxfi::EnforcementContext& ec = p->ctx();
+  const uint64_t base = ec.memo_invalidations.value();
+
+  rt.RevokeEverywhere(Capability::Write(kObj, 64));
+  lxfi::TraceBuffer& tb = lxfi::TraceBuffer::Global();
+  tb.ResetForTest();
+  lxfi::TraceBuffer::SetEnabled(true);
+  EXPECT_FALSE(rt.OwnsWriteFast(p, kObj, 8));
+  EXPECT_EQ(ec.memo_invalidations.value(), base + 1) << "the first stale WRITE probe";
+  EXPECT_FALSE(rt.OwnsWriteFast(p, kObj, 8));
+  EXPECT_EQ(ec.memo_invalidations.value(), base + 1) << "a parked memo counts once";
+  // The CALL capability survives the revoke, but its memo entry is stale.
+  EXPECT_TRUE(rt.OwnsCallFast(p, kFn));
+  EXPECT_EQ(ec.memo_invalidations.value(), base + 2);
+  EXPECT_TRUE(rt.OwnsCallFast(p, kFn));
+  EXPECT_EQ(ec.memo_invalidations.value(), base + 2) << "the refilled entry hits";
+  lxfi::TraceBuffer::SetEnabled(false);
+  std::vector<lxfi::TraceRecord> out;
+  EXPECT_EQ(tb.Drain(&out), 0u) << "memo invalidations are counted, not traced";
 }
 
 TEST_F(PrincipalTest, DumpStateListsEveryPrincipal) {

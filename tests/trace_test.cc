@@ -11,12 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/base/counters.h"
 #include "src/base/trace.h"
 #include "src/eval/fsperf.h"
 #include "src/kernel/fs/pagecache.h"
 #include "src/kernel/fs/vfs.h"
 #include "src/lxfi/containment.h"
+#include "src/lxfi/kernel_api.h"
 #include "src/lxfi/lxfi_stats.h"
 #include "src/lxfi/runtime.h"
 #include "src/lxfi/wrap.h"
@@ -65,6 +67,15 @@ TEST(TraceGate, EnabledTracepointLandsOneRecord) {
   EXPECT_EQ(out[0].arg1, 64u);
   EXPECT_GT(out[0].ts_ns, 0u);
   tb.ResetForTest();
+}
+
+TEST(TraceGate, EventNamesFollowTheEnumOrder) {
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kNone), "none");
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kCapTransfer), "cap-transfer");
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kEpochBump), "epoch-bump");
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kEpochRetire), "epoch-retire");
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kArenaFallback), "arena-fallback");
+  EXPECT_STREQ(lxfi::TraceEventName(TraceEvent::kCount), "?");
 }
 
 // --- ring protocol: drop-never-overwrite, exact accounting -------------------
@@ -176,6 +187,154 @@ TEST(TraceStorm, ThreeWritersOneDrainerZeroTornExactDrops) {
         << "shard " << w << ": drained + dropped must equal emitted exactly";
   }
   tb.ResetForTest();
+}
+
+// --- drained stamps -------------------------------------------------------------
+
+// Rings hold cycle ticks; a drain converts them to MonotonicNowNs's timebase
+// and keeps each shard's stamps non-decreasing, across drains too.
+TEST(TraceStamps, DrainedStampsArePositiveAndNonDecreasingPerShard) {
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.ResetForTest();
+  const uint64_t before_ns = lxfi::MonotonicNowNs();
+  auto emit = [&tb](uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      tb.Emit(TraceEvent::kGuardEnter, 1, i, 0);
+    }
+  };
+  emit(100);
+  std::thread([&emit] {
+    lxfi::SetThisShardIndex(2);
+    emit(100);
+  }).join();
+  std::vector<TraceRecord> out;
+  tb.Drain(&out);
+  emit(50);
+  tb.Drain(&out);
+  const uint64_t after_ns = lxfi::MonotonicNowNs();
+  ASSERT_EQ(out.size(), 250u);
+  uint64_t last[lxfi::kMaxCpuShards] = {};
+  for (const TraceRecord& r : out) {
+    ASSERT_LT(r.cpu, lxfi::kMaxCpuShards);
+    EXPECT_GT(r.ts_ns, 0u);
+    EXPECT_GE(r.ts_ns, last[r.cpu]) << "shard " << r.cpu << " went backwards";
+    last[r.cpu] = r.ts_ns;
+    // On the steady clock's timebase (the slack only absorbs the anchors'
+    // read jitter; raw ticks would land far outside).
+    EXPECT_GE(r.ts_ns + 1000000, before_ns);
+    EXPECT_LE(r.ts_ns, after_ns + 1000000);
+  }
+  tb.ResetForTest();
+}
+
+// --- one record per capability action ------------------------------------------
+
+constexpr kern::FnPtrType<void(void* obj)> kHandOver{"trace_ops::hand_over"};
+constexpr kern::KernelSymbol<int(void* obj)> kTakeBack{"trace_take_back"};
+constexpr kern::KernelSymbol<void*()> kLend{"trace_lend"};
+
+// A module that receives a kernel object by a transfer into its function
+// (kernel -> module), hands it back by a transfer to an export (module ->
+// kernel), and borrows it by a copy out of another export.
+class TraceCapRecords : public ::testing::Test {
+ protected:
+  TraceCapRecords() : bench_(/*isolated=*/true) {
+    kern::Kernel* k = bench_.kernel.get();
+    lxfi::Runtime* rt = bench_.rt.get();
+    obj_ = k->slab().Alloc(64);
+    lxfi::Export(k, rt, kTakeBack, {"obj"}, "pre(transfer(write, obj, 64))",
+                 [](void*) { return 0; });
+    lxfi::Export(k, rt, kLend, {}, "post(copy(write, return, 64))", [this] { return obj_; });
+    EXPECT_TRUE(
+        rt->annotations().Register(kHandOver.name, {"obj"}, "pre(transfer(write, obj, 64))").ok());
+    kern::ModuleDef def;
+    def.name = "xfermod";
+    def.data_size = 16;
+    def.imports = {kTakeBack, kLend, kern::kPrintk};
+    def.functions = {lxfi::DeclareFunction("hand_over", kHandOver, [](void*) {})};
+    def.init = [this](kern::Module& m) {
+      take_back_ = lxfi::GetImport(m, kTakeBack);
+      lend_ = lxfi::GetImport(m, kLend);
+      return 0;
+    };
+    module_ = k->LoadModule(std::move(def));
+    EXPECT_NE(module_, nullptr);
+    slot_ = static_cast<uintptr_t*>(module_->data());
+    *slot_ = module_->FuncAddr("hand_over");
+  }
+
+  lxfi::Principal* shared() { return bench_.rt->CtxOf(module_)->shared(); }
+
+  // The capability records `fn` emits, with tracing on only around it.
+  template <typename Fn>
+  std::vector<TraceRecord> CapRecordsOf(Fn fn) {
+    TraceBuffer& tb = TraceBuffer::Global();
+    tb.ResetForTest();
+    TraceBuffer::SetEnabled(true);
+    fn();
+    TraceBuffer::SetEnabled(false);
+    std::vector<TraceRecord> all, caps;
+    tb.Drain(&all);
+    for (const TraceRecord& r : all) {
+      auto event = static_cast<TraceEvent>(r.event);
+      if (event == TraceEvent::kCapGrant || event == TraceEvent::kCapRevoke ||
+          event == TraceEvent::kCapTransfer) {
+        caps.push_back(r);
+      }
+    }
+    return caps;
+  }
+
+  lxfi::Capability cap() const { return lxfi::Capability::Write(obj_, 64); }
+  uint64_t CapArg() const {
+    return 64 | (static_cast<uint64_t>(lxfi::CapKind::kWrite) << 56);
+  }
+
+  Bench bench_;
+  void* obj_ = nullptr;
+  kern::Module* module_ = nullptr;
+  uintptr_t* slot_ = nullptr;
+  kern::ImportFn<kTakeBack> take_back_;
+  kern::ImportFn<kLend> lend_;
+};
+
+TEST_F(TraceCapRecords, EachTransferDrainsOneRecordThatNamesItsDirection) {
+  std::vector<TraceRecord> in =
+      CapRecordsOf([this] { bench_.kernel->IndirectCall(slot_, kHandOver, obj_); });
+  ASSERT_EQ(in.size(), 1u) << "kernel -> module: no kCapRevoke or kCapGrant beside it";
+  EXPECT_EQ(in[0].event, static_cast<uint16_t>(TraceEvent::kCapTransfer));
+  EXPECT_EQ(in[0].principal, shared()->trace_id());
+  EXPECT_EQ(in[0].arg0, reinterpret_cast<uintptr_t>(obj_));
+  EXPECT_EQ(in[0].arg1, CapArg() | lxfi::kTraceToModule);
+  EXPECT_TRUE(bench_.rt->Owns(shared(), cap()));
+
+  std::vector<TraceRecord> out = CapRecordsOf([this] {
+    lxfi::ScopedPrincipal as_module(bench_.rt.get(), shared());
+    EXPECT_EQ(take_back_(obj_), 0);
+  });
+  ASSERT_EQ(out.size(), 1u) << "module -> kernel: no kCapRevoke beside it";
+  EXPECT_EQ(out[0].event, static_cast<uint16_t>(TraceEvent::kCapTransfer));
+  EXPECT_EQ(out[0].principal, shared()->trace_id());
+  EXPECT_EQ(out[0].arg1, CapArg()) << "no direction bit toward the kernel";
+  EXPECT_FALSE(bench_.rt->Owns(shared(), cap()));
+}
+
+TEST_F(TraceCapRecords, DirectRevokeAndCopyKeepTheirOwnRecords) {
+  std::vector<TraceRecord> copy = CapRecordsOf([this] {
+    lxfi::ScopedPrincipal as_module(bench_.rt.get(), shared());
+    EXPECT_EQ(lend_(), obj_);
+  });
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy[0].event, static_cast<uint16_t>(TraceEvent::kCapGrant));
+  EXPECT_EQ(copy[0].principal, shared()->trace_id());
+  EXPECT_EQ(copy[0].arg1, CapArg());
+
+  std::vector<TraceRecord> revoke = CapRecordsOf([this] { bench_.rt->RevokeEverywhere(cap()); });
+  ASSERT_EQ(revoke.size(), 1u);
+  EXPECT_EQ(revoke[0].event, static_cast<uint16_t>(TraceEvent::kCapRevoke));
+  EXPECT_EQ(revoke[0].arg0, reinterpret_cast<uintptr_t>(obj_));
+  EXPECT_EQ(revoke[0].arg1, CapArg());
+  EXPECT_FALSE(bench_.rt->Owns(shared(), cap()));
 }
 
 // --- differential: per-principal crossings vs GuardStats ---------------------
@@ -464,6 +623,34 @@ TEST(LxfiStatsGolden, FreshRuntimeDumpsOneRowPerCounterSet) {
             "    {\"name\": \"trace\", \"drops\": 0, \"enabled\": 0}\n"
             "  ]\n"
             "}\n");
+}
+
+// A principal row carries every PrincipalMetrics field, in this order.
+TEST(LxfiStatsGolden, PrincipalRowListsEveryField) {
+  Bench bench(/*isolated=*/true);
+  kern::ModuleDef def;
+  def.name = "goldmod";
+  def.imports = {kern::kPrintk};
+  def.init = [](kern::Module&) { return 0; };
+  kern::Module* m = bench.kernel->LoadModule(std::move(def));
+  ASSERT_NE(m, nullptr);
+  // One stale WRITE memo: filled, revoked, then probed twice.
+  lxfi::Runtime& rt = *bench.rt;
+  lxfi::Principal* shared = rt.CtxOf(m)->shared();
+  constexpr uintptr_t kObj = 0x7f0000005000;
+  rt.Grant(shared, lxfi::Capability::Write(kObj, 64));
+  ASSERT_TRUE(rt.OwnsWriteFast(shared, kObj, 8));
+  rt.RevokeEverywhere(lxfi::Capability::Write(kObj, 64));
+  EXPECT_FALSE(rt.OwnsWriteFast(shared, kObj, 8));
+  EXPECT_FALSE(rt.OwnsWriteFast(shared, kObj, 8));
+  const std::string row =
+      "{\"name\": \"principal:goldmod::<shared>\", \"id\": " +
+      std::to_string(shared->trace_id()) +
+      ", \"crossings\": 0, \"crossing_ns\": 0, \"write_checks\": 3, \"write_memo_hits\": 0, "
+      "\"arena_span_hits\": 0, \"call_checks\": 0, \"call_memo_hits\": 0, \"pre_checks\": 0, "
+      "\"pre_memo_hits\": 0, \"arena_fallbacks\": 0, \"memo_invalidations\": 1}";
+  std::string json = lxfi::LxfiStats::DumpJson(rt, "golden");
+  EXPECT_NE(json.find(row), std::string::npos) << json;
 }
 
 }  // namespace
