@@ -1,11 +1,11 @@
 // Stackable VFS filters (redirfs-style).
 //
-// Filter modules register a VfsFilter with a priority; the kernel runs every
-// registered pre hook in priority order before dispatching a VFS operation
-// to the filesystem module, and the post hooks of the filters whose pre ran
-// in reverse order afterwards. A pre hook may veto the operation by
-// returning a negative errno, which short-circuits lower-priority filters
-// and the filesystem itself.
+// Filter modules register a VfsFilter with a priority; the kernel runs the
+// pre hooks of every filter in scope in priority order before dispatching a
+// VFS operation to the filesystem module, and the post hooks of the filters
+// whose pre ran in reverse order afterwards. A pre hook may veto the
+// operation by returning a negative errno, which short-circuits
+// lower-priority filters and the filesystem itself.
 //
 // The chain is dispatched by trusted kernel code through the checked
 // indirect-call path, and each filter registration is its own LXFI
@@ -13,13 +13,16 @@
 // skip the rest of the chain (it never dispatches its peers), cannot
 // scribble on another filter's private state (WRITE checks), and cannot
 // unregister a filter or filesystem it does not own (REF checks on the
-// unregister exports).
+// unregister exports). Scope, owner and priority are copied into a
+// kernel-owned record at registration, so what the kernel decides by —
+// which mounts a filter sees, whose quarantine drops it, where it runs —
+// cannot be rewritten through the module's VfsFilter afterwards.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
+#include "src/base/hash.h"
 #include "src/base/small_vector.h"
 #include "src/base/sync.h"
 #include "src/kernel/types.h"
@@ -80,13 +83,17 @@ struct VfsFilter {
   uintptr_t pre_op = 0;   // 0 = continue, <0 veto
   uintptr_t post_op = 0;
   void* private_data = nullptr;
-  Module* module = nullptr;
+  Module* module = nullptr;  // the owner; under LXFI, the registering module
   // Mount scope: when non-null, the filter's hooks run only for operations
-  // whose superblock id matches (strcmp). Null = global (every mount). The
+  // on the superblock whose id equals it. Null = global (every mount). The
   // multi-tenant harness uses this so each tenant's filter sees only its
-  // own mount's traffic.
+  // own mount's traffic. Like priority and module, it is read once, at
+  // registration: a later store here changes nothing.
   const char* scope = nullptr;
 };
+
+// The key a scope and a superblock id are indexed by (SuperBlock::scope_key).
+inline uint64_t ScopeKey(const char* id) { return lxfi::Mix64(lxfi::Fnv1a64(id)); }
 
 // One operation's pass through the chain: the snapshot RunPre dispatched
 // and how many pre hooks ran. RunPost unwinds exactly that snapshot, so a
@@ -96,7 +103,12 @@ inline constexpr FnPtrType<int(VfsFilter*, FilterCtx*)> kFilterPreOp{"vfs_filter
 inline constexpr FnPtrType<void(VfsFilter*, FilterCtx*)> kFilterPostOp{"vfs_filter::post_op"};
 
 struct FilterRun {
-  lxfi::SmallVector<VfsFilter*, 8> snap;
+  // One in-scope registration: the hooks' filter and its recorded owner.
+  struct Entry {
+    VfsFilter* flt;
+    Module* owner;
+  };
+  lxfi::SmallVector<Entry, 8> snap;
   int ran = 0;
 };
 
@@ -107,35 +119,38 @@ class FilterChain {
 
   int Register(VfsFilter* flt);
   int Unregister(VfsFilter* flt);
-  // Containment teardown: atomically drops every filter owned by `module`
-  // from the published snapshot. Composes idempotently with a concurrent
-  // administrative Unregister — whichever runs second finds nothing to
-  // remove (no double teardown, no leaked snapshot entry). Returns the
-  // number of filters dropped.
+  // Containment teardown: atomically drops every filter recorded at
+  // registration as owned by `module` from the published snapshot.
+  // Composes idempotently with a concurrent administrative Unregister —
+  // whichever runs second finds nothing to remove (no double teardown, no
+  // leaked snapshot entry). Returns the number of filters dropped.
   size_t UnregisterModule(Module* module);
   size_t count() const { return count_.load(std::memory_order_relaxed); }
 
-  // Snapshots the chain into `run` and dispatches pre hooks in priority
-  // order. Returns 0 when every hook passed, or the first veto value;
-  // run->ran counts the pre hooks that executed (vetoing hook included).
-  // The empty chain is a single relaxed load; a populated chain is one
-  // acquire load of the published snapshot — no lock either way, so the
-  // chain read path matches the lock-free walk it sits on top of.
+  // Copies the in-scope entries of the published snapshot into `run` and
+  // dispatches their pre hooks in priority order. Returns 0 when every hook
+  // passed, or the first veto value; run->ran counts the pre hooks that
+  // executed (vetoing hook included). The empty chain is a single relaxed
+  // load; a populated chain is one acquire load of the snapshot and one
+  // probe of its scope index — no lock, and no cost per out-of-scope filter.
   int RunPre(FilterCtx* ctx, FilterRun* run);
   // Runs the post hooks of the first run.ran snapshot entries in reverse.
   void RunPost(FilterCtx* ctx, const FilterRun& run);
 
  private:
-  // (Un)registration publishes a rebuilt immutable vector and retires the
+  struct Snapshot;
+  // (Un)registration publishes a rebuilt immutable snapshot and retires the
   // superseded one through the epoch reclaimer, so a RunPre copying the
   // old snapshot never touches freed memory.
-  void PublishLocked(std::vector<VfsFilter*>* next);
+  void PublishLocked(Snapshot* next);
+  // Drops every registration of `flt` (or, when null, recorded as owned by
+  // `owner`); returns how many.
+  size_t Drop(const VfsFilter* flt, const Module* owner);
 
   Kernel* kernel_;
   mutable lxfi::Spinlock mu_;  // serializes (un)registration
-  std::vector<VfsFilter*>* snapshot_;  // sorted by (priority, registration
-                                       // order); atomically published
-  std::atomic<size_t> count_{0};       // lock-free emptiness probe for RunPre
+  Snapshot* snapshot_;         // atomically published
+  std::atomic<size_t> count_{0};  // lock-free emptiness probe for RunPre
 };
 
 inline constexpr KernelSymbol<int(VfsFilter*)> kVfsRegisterFilter{"vfs_register_filter"};

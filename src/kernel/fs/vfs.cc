@@ -487,6 +487,7 @@ SuperBlock* Vfs::Mount(const char* fsname, const char* where) {
   SuperBlock* sb = new (mem) SuperBlock();
   sb->type = fstype;
   std::snprintf(sb->id, sizeof(sb->id), "%s", comp);
+  sb->scope_key = ScopeKey(sb->id);
   Dentry* root = dcache_.NewDentry(sb, nullptr, "/");
 
   int rc = kernel_->IndirectCall(&fstype->mount, kFsMount, fstype, sb, root);

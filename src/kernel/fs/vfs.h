@@ -119,9 +119,10 @@ inline constexpr FnPtrType<void(FileSystemType*, SuperBlock*)> kFsKillSb{
     "file_system_type::kill_sb"};
 
 // The sb_caps grant covers ONLY the s_op/s_fs_info pair (the fields a
-// filesystem module legitimately fills at mount); type/root/next_ino and
-// the open-file count stay kernel-only, so a malicious module cannot forge
-// the root dentry Unmount frees or the type the registry trusts. Keep
+// filesystem module legitimately fills at mount); type/root/next_ino, the
+// open-file count, the id and its scope key stay kernel-only, so a malicious
+// module cannot forge the root dentry Unmount frees, the type the registry
+// trusts or the scope filter dispatch matches. Keep
 // s_op and s_fs_info adjacent — the iterator emits them as one range.
 struct SuperBlock {
   FileSystemType* type = nullptr;
@@ -131,6 +132,7 @@ struct SuperBlock {
   uint64_t next_ino = 1;      // kernel-managed, atomic fetch-add in Iget
   uint32_t open_files = 0;    // kernel-managed, atomic; gates Unmount
   char id[kVfsNameMax + 1] = {};
+  uint64_t scope_key = 0;  // kernel-managed: ScopeKey(id), set at mount
 };
 
 struct Inode {

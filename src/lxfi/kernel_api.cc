@@ -589,11 +589,19 @@ void InstallKernelApi(kern::Kernel* kernel, Runtime* rt) {
            return kern::GetVfs(k)->DInstantiate(dentry, inode);
          });
   // Filter registration mirrors filesystem registration: prove WRITE over
-  // the registration struct, hold a REF as the unregister ticket.
+  // the registration struct, hold a REF as the unregister ticket. The chain
+  // records flt->module as the owner quarantine drops by, so a module may
+  // name only itself (a kernel-context caller is trusted).
   Export(k, rt, kern::kVfsRegisterFilter, {"flt"},
          "pre(check(filter_caps(flt))) "
          "post(if (return == 0) copy(ref(struct vfs_filter), flt))",
-         [k](kern::VfsFilter* flt) -> int { return kern::GetVfs(k)->filters().Register(flt); });
+         [k, rt](kern::VfsFilter* flt) -> int {
+           lxfi::Principal* caller = rt != nullptr ? rt->CallerPrincipal() : nullptr;
+           if (caller != nullptr && (flt == nullptr || caller->module()->kmod() != flt->module)) {
+             return -kern::kEinval;
+           }
+           return kern::GetVfs(k)->filters().Register(flt);
+         });
   Export(k, rt, kern::kVfsUnregisterFilter, {"flt"},
          "pre(transfer(ref(struct vfs_filter), flt)) "
          "post(if (return != 0) copy(ref(struct vfs_filter), flt))",

@@ -130,6 +130,35 @@ TEST(Containment, QuarantineSealsAttributesAndDropsFilter) {
   EXPECT_EQ(rig.bench.rt->violation_count(), 1u);
 }
 
+// A compromised filter repoints its registration's owner field after
+// registering — at a peer module, then at nothing — so that a quarantine
+// matching by that field would miss it. Containment drops by the owner the
+// chain recorded at registration: the filter leaves the chain and none of
+// its hooks runs again.
+TEST(Containment, QuarantineDropsByRecordedOwnerAfterOwnerRewrite) {
+  for (bool to_peer : {true, false}) {
+    ContainRig rig;
+    ASSERT_NE(rig.sb, nullptr);
+    ASSERT_EQ(rig.vfs->filters().count(), 3u);
+    rig.Evil()->flt->module = to_peer ? rig.victim_mod : nullptr;  // its own .data
+    rig.ArmScribble();
+    EXPECT_EQ(rig.Poke("/mnt"), kViolated);
+    EXPECT_EQ(rig.containment.quarantines(), 1u);
+    EXPECT_EQ(rig.vfs->filters().count(), 2u) << "to_peer " << to_peer;
+
+    // The probe is still armed: a hook of the evil filter would violate again.
+    uint64_t evil_pre = rig.Evil()->pre_count(kern::VfsOp::kStat);
+    uint64_t evil_post = rig.Evil()->post_count(kern::VfsOp::kStat);
+    uint64_t victim_pre = rig.Victim()->pre_count(kern::VfsOp::kStat);
+    EXPECT_EQ(rig.Poke("/mnt"), 0);
+    EXPECT_EQ(rig.Evil()->pre_count(kern::VfsOp::kStat), evil_pre);
+    EXPECT_EQ(rig.Evil()->post_count(kern::VfsOp::kStat), evil_post);
+    EXPECT_EQ(rig.Victim()->pre_count(kern::VfsOp::kStat), victim_pre + 1);
+    EXPECT_EQ(rig.bench.rt->violation_count(), 1u) << "to_peer " << to_peer;
+    EXPECT_FALSE(rig.victim_mod->quarantined());
+  }
+}
+
 // --- (c): microreboot restores service ----------------------------------------
 
 TEST(Containment, MicrorebootRestoresService) {
